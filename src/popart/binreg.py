@@ -56,6 +56,10 @@ class BinRegStream:
     NORMAL_MAX = 2**10 - 1
     SPIKE_PERIOD = 1000
     SPIKE_VALUE = 2**16 - 1
+    _BITS = np.arange(N_BITS)
+    # row v is the encoding of v, for every value short of the spike
+    _CODES = ((np.arange(NORMAL_MAX + 1)[:, None] >> _BITS) & 1).astype(float)
+    _SPIKE_CODE = ((SPIKE_VALUE >> _BITS) & 1).astype(float)
 
     def __init__(self, seed: int):
         self.rng = np.random.default_rng([seed, 0xB17])
@@ -64,14 +68,14 @@ class BinRegStream:
     @staticmethod
     def encode(value: int) -> np.ndarray:
         """Low-bit-first binary encoding into a 16-component 0/1 vector."""
-        return np.array([(value >> i) & 1 for i in range(BinRegStream.N_BITS)], dtype=float)
+        return ((value >> BinRegStream._BITS) & 1).astype(float)
 
     def sample(self) -> tuple[np.ndarray, float]:
         self.step += 1
         if self.step % self.SPIKE_PERIOD == 0:
-            return self.encode(self.SPIKE_VALUE), float(self.SPIKE_VALUE)
+            return self._SPIKE_CODE.copy(), float(self.SPIKE_VALUE)
         value = int(self.rng.integers(0, self.NORMAL_MAX + 1))
-        return self.encode(value), float(value)
+        return self._CODES[value].copy(), float(value)
 
 
 @dataclass
@@ -250,12 +254,9 @@ def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
     if window == 1:
         return x.copy()
     csum = np.concatenate([[0.0], np.cumsum(x)])
-    n = len(x)
-    out = np.empty(n)
-    for i in range(n):
-        lo = max(0, i + 1 - window)
-        out[i] = (csum[i + 1] - csum[lo]) / (i + 1 - lo)
-    return out
+    end = np.arange(1, len(x) + 1)
+    lo = np.maximum(0, end - window)
+    return (csum[end] - csum[lo]) / (end - lo)
 
 
 # -- machine-readable outputs ---------------------------------------------

@@ -6,6 +6,12 @@ floats throughout, deterministic given the seed.  Besides the forward
 pass it exposes the full Jacobian of the outputs with respect to every
 parameter (needed for gradient checking) and a cheaper vector-Jacobian
 product used by the training steps.
+
+All parameters live in one flat float64 vector, laid out layer by layer
+as ``W_0, b_0, W_1, b_1, ...`` with each ``W`` row-major.  ``weights[i]``
+and ``biases[i]`` are views into that vector, so a whole-vector update is
+one numpy call.  Edit them in place (``net.weights[0][...] = w``); binding
+a new array to ``net.weights[i]`` detaches it from the parameters.
 """
 
 from __future__ import annotations
@@ -29,12 +35,31 @@ class Mlp:
         self.layer_sizes = [int(s) for s in layer_sizes]
         if rng is None:
             rng = np.random.default_rng(seed)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        self._bind()
+        for w in self.weights:
+            bound = 1.0 / np.sqrt(w.shape[1])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+
+    def _bind(self, theta: np.ndarray | None = None) -> None:
+        """Adopt ``theta`` (zeros if omitted) as the parameter vector and
+        make ``weights`` and ``biases`` views into it."""
+        if theta is None:
+            sizes = self.layer_sizes
+            theta = np.zeros(sum(n * (m + 1) for m, n in zip(sizes[:-1], sizes[1:])))
+        self._theta = theta
+        self.n_params = theta.size
+        self.weights, self.biases = self._views(theta)
+
+    def _views(self, theta: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views into a parameter-layout vector."""
+        weights, biases = [], []
+        i = 0
         for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-            self.biases.append(np.zeros(fan_out))
+            j = i + fan_out * fan_in
+            weights.append(theta[i:j].reshape(fan_out, fan_in))
+            biases.append(theta[j : j + fan_out])
+            i = j + fan_out
+        return weights, biases
 
     @property
     def n_inputs(self) -> int:
@@ -43,10 +68,6 @@ class Mlp:
     @property
     def n_outputs(self) -> int:
         return self.layer_sizes[-1]
-
-    @property
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
     # -- forward -----------------------------------------------------------
 
@@ -82,17 +103,19 @@ class Mlp:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n_outputs,):
             raise ValueError(f"expected seed of length {self.n_outputs}")
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.weights)
+        grad = np.empty(self.n_params)
+        grad_w, grad_b = self._views(grad)
         g = v
-        for i in range(len(self.weights) - 1, -1, -1):
+        last = len(self.weights) - 1
+        for i in range(last, -1, -1):
             # hidden activations are tanh outputs, so tanh' = 1 - a**2
-            if i < len(self.weights) - 1:
+            if i < last:
                 g = g * (1.0 - acts[i + 1] ** 2)
-            grads_w[i] = np.outer(g, acts[i])
-            grads_b[i] = g
-            g = self.weights[i].T @ g
-        return self._flatten(grads_w, grads_b)
+            np.multiply(g[:, None], acts[i], out=grad_w[i])
+            grad_b[i][...] = g
+            if i:
+                g = self.weights[i].T @ g
+        return grad
 
     def jacobian(self, x) -> np.ndarray:
         """Exact Jacobian of shape ``(n_params, n_outputs)``."""
@@ -103,40 +126,26 @@ class Mlp:
 
     # -- parameter vector --------------------------------------------------
 
-    def _flatten(self, ws, bs) -> np.ndarray:
-        return np.concatenate([a.ravel() for pair in zip(ws, bs) for a in pair])
-
     def get_params(self) -> np.ndarray:
-        return self._flatten(self.weights, self.biases)
+        return self._theta.copy()
 
     def set_params(self, theta) -> None:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_params,):
             raise ValueError(f"expected {self.n_params} parameters")
-        i = 0
-        for w, b in zip(self.weights, self.biases):
-            w[...] = theta[i : i + w.size].reshape(w.shape)
-            i += w.size
-            b[...] = theta[i : i + b.size]
-            i += b.size
+        self._theta[...] = theta
 
     def apply_param_step(self, direction, alpha: float) -> None:
         """In-place ``theta <- theta - alpha * direction``."""
         direction = np.asarray(direction, dtype=float)
         if direction.shape != (self.n_params,):
             raise ValueError(f"expected direction of length {self.n_params}")
-        i = 0
-        for w, b in zip(self.weights, self.biases):
-            w -= alpha * direction[i : i + w.size].reshape(w.shape)
-            i += w.size
-            b -= alpha * direction[i : i + b.size]
-            i += b.size
+        self._theta -= alpha * direction
 
     def copy(self) -> "Mlp":
         other = Mlp.__new__(Mlp)
         other.layer_sizes = list(self.layer_sizes)
-        other.weights = [w.copy() for w in self.weights]
-        other.biases = [b.copy() for b in self.biases]
+        other._bind(self._theta.copy())
         return other
 
     # -- serialization -----------------------------------------------------
@@ -155,6 +164,12 @@ class Mlp:
         d = json.loads(text)
         net = cls.__new__(cls)
         net.layer_sizes = [int(s) for s in d["layer_sizes"]]
-        net.weights = [np.asarray(w, dtype=float) for w in d["weights"]]
-        net.biases = [np.asarray(b, dtype=float) for b in d["biases"]]
+        net._bind()
+        pairs = zip(d["weights"], d["biases"])
+        stored = [np.asarray(a, dtype=float) for pair in pairs for a in pair]
+        views = [a for pair in zip(net.weights, net.biases) for a in pair]
+        if [a.shape for a in stored] != [a.shape for a in views]:
+            raise ValueError("stored weights and biases do not match layer_sizes")
+        for view, a in zip(views, stored):
+            view[...] = a
         return net

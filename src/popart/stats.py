@@ -38,7 +38,7 @@ def _as_vector(y, k: int) -> np.ndarray:
         arr = arr.reshape(1)
     if arr.shape != (k,):
         raise ValueError(f"expected {k} target components, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("non-finite target")
     return arr
 
@@ -130,8 +130,14 @@ class Normalizer:
             epsilon=d["epsilon"],
             schedule=schedule,
         )
-        obj.mu = np.asarray(d["mu"], dtype=float)
-        obj.nu = np.asarray(d["nu"], dtype=float)
+        mu, nu = np.asarray(d["mu"], dtype=float), np.asarray(d["nu"], dtype=float)
+        if mu.shape != (obj.k,) or nu.shape != (obj.k,):
+            raise ValueError(
+                f"mu and nu must both have shape {(obj.k,)}, got {mu.shape} and {nu.shape}"
+            )
+        if not (np.isfinite(mu).all() and np.isfinite(nu).all()):
+            raise ValueError("mu and nu must be finite")
+        obj.mu, obj.nu = mu, nu
         return obj
 
 

@@ -18,19 +18,23 @@ Four per-sample squared-loss SGD steps are provided:
   squared scale; from identical initializations it traces the exact same
   lower-layer parameters and unnormalized outputs as the first variant.
 
-All steps mutate ``net`` and ``layer`` in place and return a
-:class:`TrainStepReport`.  Errors follow the convention
-``delta = prediction - target``, with subtractive updates.
+All four run through one private step core and differ only in how the
+new scale/shift is adopted and where ``sigma`` enters the lower-layer
+update.  Each step checks every input before it mutates ``net`` and
+``layer`` in place, and returns a :class:`TrainStepReport`.  Errors
+follow the convention ``delta = prediction - target``, with subtractive
+updates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .network import Mlp
-from .stats import Normalizer
+from .stats import Normalizer, _as_vector
 
 
 @dataclass
@@ -85,20 +89,16 @@ class OutputLayer:
 
     def rescale_to(self, sigma_new, mu_new) -> None:
         """Adopt a new scale/shift without changing unnormalized outputs."""
-        sigma_new = np.asarray(sigma_new, dtype=float).reshape(self.k)
-        mu_new = np.asarray(mu_new, dtype=float).reshape(self.k)
-        if np.any(sigma_new <= 0):
-            raise ValueError("sigma_new must be componentwise positive")
-        self.W *= (self.sigma / sigma_new)[:, None]
-        self.b = (self.sigma * self.b + self.mu - mu_new) / sigma_new
-        self.sigma = sigma_new.copy()
-        self.mu = mu_new.copy()
+        sigma_old, mu_old = self.sigma, self.mu
+        self.set_scale_shift(sigma_new, mu_new)
+        self.W *= (sigma_old / self.sigma)[:, None]
+        self.b = (sigma_old * self.b + mu_old - self.mu) / self.sigma
 
     def set_scale_shift(self, sigma_new, mu_new) -> None:
         """Adopt a new scale/shift *without* compensation (outputs move)."""
         sigma_new = np.asarray(sigma_new, dtype=float).reshape(self.k)
         mu_new = np.asarray(mu_new, dtype=float).reshape(self.k)
-        if np.any(sigma_new <= 0):
+        if (sigma_new <= 0).any():
             raise ValueError("sigma_new must be componentwise positive")
         self.sigma = sigma_new.copy()
         self.mu = mu_new.copy()
@@ -120,31 +120,78 @@ def predict(net: Mlp, layer: OutputLayer, x) -> np.ndarray:
     return layer.unnormalized_output(net.forward(x))
 
 
-def _as_target(y, k: int) -> np.ndarray:
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.shape != (k,):
-        raise ValueError(f"expected {k} target components, got shape {arr.shape}")
-    return arr
+# How a step takes on its scale/shift before the gradient step.
+_COMPENSATE = "compensate"  # rescale W, b so unnormalized outputs stay put
+_ADOPT_RAW = "adopt raw"  # adopt as is, so unnormalized outputs move
+_RAW_TARGETS = "raw targets"  # keep the identity and fit raw targets
 
 
-def _apply_sgd(net, layer: OutputLayer, acts, delta, theta_seed, alpha) -> float:
-    """Shared tail of every step: update theta, W, b; return gradient norm."""
+def _sgd_step(
+    net, layer: OutputLayer, x, y, alpha, hook, adoption, sigma=None, mu=None
+) -> TrainStepReport:
+    """The one squared-loss SGD step behind every public variant.
+
+    With ``_COMPENSATE`` or ``_ADOPT_RAW`` the new scale/shift is
+    ``(sigma, mu)``, or, if ``sigma`` is None, the layer normalizer's
+    statistics after it absorbs ``y``.  With ``_RAW_TARGETS`` a given
+    ``sigma`` only divides the lower-layer seed by ``sigma**2``.  Every
+    input is checked before anything is mutated.
+    """
+    x = np.asarray(x, dtype=float)
+    n_in = net.layer_sizes[0]
+    if x.shape != (n_in,):
+        raise ValueError(f"expected input of length {n_in}, got shape {x.shape}")
+    y = _as_vector(y, layer.k)
+    if adoption == _RAW_TARGETS:
+        if sigma is not None:
+            sigma = np.asarray(sigma, dtype=float).reshape(layer.k)
+            if (sigma <= 0).any():
+                raise ValueError("sigma must be componentwise positive")
+    elif sigma is None:
+        nrm = layer.normalizer
+        if nrm is None:
+            raise ValueError("layer has no normalizer attached")
+        nrm.update(y)
+        sigma, mu = nrm.sigma, nrm.mu
+    if adoption == _COMPENSATE:
+        layer.rescale_to(sigma, mu)
+        if hook is not None:
+            rescaled = {"W_rescaled": layer.W.copy(), "b_rescaled": layer.b.copy()}
+    elif adoption == _ADOPT_RAW:
+        layer.set_scale_shift(sigma, mu)
+
+    acts = net.forward_pass(x)
     h = acts[-1]
+    W = layer.W
+    if adoption == _RAW_TARGETS:
+        delta = W @ h + layer.b - y
+        theta_seed = W.T @ (delta if sigma is None else delta / sigma**2)
+    else:
+        delta = W @ h + layer.b - (y - layer.mu) / layer.sigma
+        theta_seed = W.T @ delta
+    g_sq = 0.0
     if net.n_params:
         g_theta = net.backward(acts, theta_seed)
         g_sq = float(g_theta @ g_theta)
-    else:
-        g_theta = None
-        g_sq = 0.0
-    d_sq = float(delta @ delta)
-    grad_norm = np.sqrt(g_sq + d_sq * (1.0 + float(h @ h)))
-    if g_theta is not None:
         net.apply_param_step(g_theta, alpha)
-    layer.W -= alpha * np.outer(delta, h)
+    d_sq = float(delta @ delta)
+    grad_norm = math.sqrt(g_sq + d_sq * (1.0 + float(h @ h)))
+    W -= alpha * (delta[:, None] * h)
     layer.b -= alpha * delta
-    return float(grad_norm)
+
+    if adoption != _RAW_TARGETS:
+        errors = delta, layer.sigma * delta
+        scale, shift = layer.sigma.copy(), layer.mu.copy()
+    elif sigma is None:
+        errors, scale, shift = (delta, delta.copy()), None, None
+    else:
+        errors, scale, shift = (delta / sigma, delta), sigma.copy(), None
+    report = TrainStepReport(*errors, 0.5 * d_sq, grad_norm, scale, shift)
+    if hook is not None:
+        if adoption == _COMPENSATE:
+            report.extras.update(rescaled)
+        hook(report)
+    return report
 
 
 def popart_sgd_update(
@@ -157,25 +204,7 @@ def popart_sgd_update(
     unchanged, then SGD consumes the normalized error under the new
     scale/shift.
     """
-    y = _as_target(y, layer.k)
-    layer.rescale_to(sigma_new, mu_new)
-    if hook is not None:
-        rescaled = {"W_rescaled": layer.W.copy(), "b_rescaled": layer.b.copy()}
-    acts = net.forward_pass(x)
-    delta = layer.normalized_output(acts[-1]) - (y - layer.mu) / layer.sigma
-    grad_norm = _apply_sgd(net, layer, acts, delta, layer.W.T @ delta, alpha)
-    report = TrainStepReport(
-        normalized_error=delta,
-        unnormalized_error=layer.sigma * delta,
-        squared_loss=0.5 * float(delta @ delta),
-        gradient_norm=grad_norm,
-        scale=layer.sigma.copy(),
-        shift=layer.mu.copy(),
-    )
-    if hook is not None:
-        report.extras.update(rescaled)
-        hook(report)
-    return report
+    return _sgd_step(net, layer, x, y, alpha, hook, _COMPENSATE, sigma_new, mu_new)
 
 
 def popart_sgd_step(
@@ -188,11 +217,7 @@ def popart_sgd_step(
     and ``b`` are rescaled so outputs are unchanged, and only then does
     SGD consume the (bounded) normalized error.
     """
-    nrm = layer.normalizer
-    if nrm is None:
-        raise ValueError("layer has no normalizer attached")
-    nrm.update(y)
-    return popart_sgd_update(net, layer, x, y, nrm.sigma, nrm.mu, alpha, hook=hook)
+    return _sgd_step(net, layer, x, y, alpha, hook, _COMPENSATE)
 
 
 def art_only_sgd_step(
@@ -202,26 +227,7 @@ def art_only_sgd_step(
     the new scale/shift is adopted directly, so unnormalized outputs for
     other inputs drift whenever the statistics move.
     """
-    y = _as_target(y, layer.k)
-    nrm = layer.normalizer
-    if nrm is None:
-        raise ValueError("layer has no normalizer attached")
-    nrm.update(y)
-    layer.set_scale_shift(nrm.sigma, nrm.mu)
-    acts = net.forward_pass(x)
-    delta = layer.normalized_output(acts[-1]) - (y - layer.mu) / layer.sigma
-    grad_norm = _apply_sgd(net, layer, acts, delta, layer.W.T @ delta, alpha)
-    report = TrainStepReport(
-        normalized_error=delta,
-        unnormalized_error=layer.sigma * delta,
-        squared_loss=0.5 * float(delta @ delta),
-        gradient_norm=grad_norm,
-        scale=layer.sigma.copy(),
-        shift=layer.mu.copy(),
-    )
-    if hook is not None:
-        hook(report)
-    return report
+    return _sgd_step(net, layer, x, y, alpha, hook, _ADOPT_RAW)
 
 
 def plain_sgd_step(
@@ -232,19 +238,7 @@ def plain_sgd_step(
     Equivalent to :func:`art_only_sgd_step` with the scale frozen at one
     and the shift at zero.
     """
-    y = _as_target(y, layer.k)
-    acts = net.forward_pass(x)
-    delta = layer.normalized_output(acts[-1]) - y
-    grad_norm = _apply_sgd(net, layer, acts, delta, layer.W.T @ delta, alpha)
-    report = TrainStepReport(
-        normalized_error=delta,
-        unnormalized_error=delta.copy(),
-        squared_loss=0.5 * float(delta @ delta),
-        gradient_norm=grad_norm,
-    )
-    if hook is not None:
-        hook(report)
-    return report
+    return _sgd_step(net, layer, x, y, alpha, hook, _RAW_TARGETS)
 
 
 def normalized_sgd_step(
@@ -256,21 +250,4 @@ def normalized_sgd_step(
     ``sigma`` must come from the same statistics stream the adaptive
     variant would use; the layer's own scale/shift stay at identity.
     """
-    y = _as_target(y, layer.k)
-    sigma = np.asarray(sigma, dtype=float).reshape(layer.k)
-    if np.any(sigma <= 0):
-        raise ValueError("sigma must be componentwise positive")
-    acts = net.forward_pass(x)
-    delta = layer.normalized_output(acts[-1]) - y
-    theta_seed = layer.W.T @ (delta / sigma**2)
-    grad_norm = _apply_sgd(net, layer, acts, delta, theta_seed, alpha)
-    report = TrainStepReport(
-        normalized_error=delta / sigma,
-        unnormalized_error=delta,
-        squared_loss=0.5 * float(delta @ delta),
-        gradient_norm=grad_norm,
-        scale=sigma.copy(),
-    )
-    if hook is not None:
-        hook(report)
-    return report
+    return _sgd_step(net, layer, x, y, alpha, hook, _RAW_TARGETS, sigma)

@@ -8,6 +8,7 @@ from popart.binreg import (
     RESULTS_HEADER,
     BinRegStream,
     ExperimentConfig,
+    _moving_average,
     aggregate,
     read_results_csv,
     run_grid,
@@ -44,6 +45,22 @@ def test_binary_encoding_low_bit_first():
     assert float(x @ (2.0 ** np.arange(16))) == 5.0
 
 
+def test_encoding_matches_bit_loop():
+    for value in [*range(BinRegStream.NORMAL_MAX + 1), BinRegStream.SPIKE_VALUE]:
+        expected = np.array([(value >> i) & 1 for i in range(16)], dtype=float)
+        np.testing.assert_array_equal(BinRegStream.encode(value), expected)
+
+
+def test_samples_do_not_alias_each_other():
+    stream = BinRegStream(seed=0)
+    for _ in range(1000):
+        x, y = stream.sample()
+        x[...] = -1.0  # must not reach later samples
+    for _ in range(1001):
+        x, y = stream.sample()
+        np.testing.assert_array_equal(x, BinRegStream.encode(int(y)))
+
+
 def test_stream_targets_uniform_mean():
     stream = BinRegStream(seed=123)
     total = 0.0
@@ -67,6 +84,27 @@ def test_stream_deterministic():
 
 
 # -- single runs -----------------------------------------------------------
+
+
+# AUC and grad_norm.sum() of each method's run_single at seed 1000 over
+# 1100 samples (one spike), at the benchmark's non-diverging cells.  Recorded
+# before the flat parameter vector and the shared step core existed, so any
+# change to the arithmetic of the per-sample hot path fails here.
+GOLDEN_SINGLE = {
+    "sgd": ((1e-5, 1e-2), 372897.990535293, 38949110.29975074),
+    "art": ((1e-3, 1e-2), 427476.77616498736, 1108.1711958016353),
+    "popart": ((1e-3, 1e-2), 438515.3817095713, 1528.7277523087814),
+    "normalized_sgd": ((1e-3, 1e-2), 438515.3817095715, 536353.5752140011),
+}
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_SINGLE))
+def test_run_single_golden(method):
+    (alpha, beta), auc, grad_norm_sum = GOLDEN_SINGLE[method]
+    rec = run_single(method, alpha, beta, seed=1000, n_samples=1100)
+    assert not rec.diverged
+    assert rec.auc == pytest.approx(auc, rel=1e-12)
+    assert float(rec.grad_norm.sum()) == pytest.approx(grad_norm_sum, rel=1e-12)
 
 
 def test_run_single_reproducible():
@@ -206,6 +244,25 @@ def test_aggregate_trailing_window_oracle():
     trace = np.array([1.0, 2.0, 3.0, 4.0])
     bands = aggregate([trace], percentiles=(50,), window=2)
     np.testing.assert_allclose(bands[50], [1.0, 1.5, 2.5, 3.5])
+
+
+def _loop_moving_average(x, window):
+    """The trailing mean as a loop over the cumulative sum."""
+    if window == 1:
+        return x.copy()
+    csum = np.concatenate([[0.0], np.cumsum(x)])
+    out = np.empty(len(x))
+    for i in range(len(x)):
+        lo = max(0, i + 1 - window)
+        out[i] = (csum[i + 1] - csum[lo]) / (i + 1 - lo)
+    return out
+
+
+@pytest.mark.parametrize("window", [1, 3, 10])
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 10, 11, 500])
+def test_moving_average_equals_loop_formula(window, n):
+    x = np.random.default_rng(n).lognormal(sigma=3.0, size=n)
+    np.testing.assert_array_equal(_moving_average(x, window), _loop_moving_average(x, window))
 
 
 def test_aggregate_errors():

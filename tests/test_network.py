@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -160,3 +161,71 @@ def test_dimension_errors():
         net.set_params(np.zeros(net.n_params + 1))
     with pytest.raises(ValueError):
         Mlp([4])
+
+
+# -- flat parameter vector ---------------------------------------------------
+
+
+def _assert_views_of_params(net):
+    """In-place edits of weights and biases show in the parameter vector in
+    layout order, and a vector update shows in every weight and bias."""
+    arrays = [a for pair in zip(net.weights, net.biases) for a in pair]
+    expected = []
+    for k, a in enumerate(arrays):
+        values = 100.0 * k + np.arange(a.size, dtype=float)
+        a[...] = values.reshape(a.shape)
+        expected.append(values)
+    np.testing.assert_array_equal(net.get_params(), np.concatenate(expected))
+    net.apply_param_step(np.ones(net.n_params), 0.5)
+    for a, values in zip(arrays, expected):
+        np.testing.assert_array_equal(a.ravel(), values - 0.5)
+
+
+def _fresh():
+    return Mlp([3, 4, 5, 2], seed=21)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _fresh,
+        lambda: _fresh().copy(),
+        lambda: Mlp.from_json(_fresh().to_json()),
+    ],
+    ids=["init", "copy", "from_json"],
+)
+def test_weights_and_biases_are_views_of_params(make):
+    net = make()
+    _assert_views_of_params(net)
+    net.set_params(np.linspace(-1.0, 1.0, net.n_params))
+    _assert_views_of_params(net)
+
+
+def test_copies_share_no_memory():
+    net = _fresh()
+    other = net.copy()
+    for a, b in zip([*net.weights, *net.biases], [*other.weights, *other.biases]):
+        assert not np.shares_memory(a, b)
+    theta = other.get_params()
+    net.weights[0][...] = 7.0
+    net.apply_param_step(np.ones(net.n_params), 1.0)
+    np.testing.assert_array_equal(other.get_params(), theta)
+    params = net.get_params()
+    params[...] = 0.0
+    assert np.all(net.weights[0] == 6.0)
+
+
+def test_init_draws_each_layer_in_order():
+    rng = np.random.default_rng(5)
+    net = Mlp([4, 3, 2], seed=5)
+    for w, fan_in in zip(net.weights, (4, 3)):
+        bound = 1.0 / np.sqrt(fan_in)
+        np.testing.assert_array_equal(w, rng.uniform(-bound, bound, size=w.shape))
+    assert net.n_params == 3 * 4 + 3 + 2 * 3 + 2
+
+
+def test_from_json_rejects_shapes_that_do_not_match_layer_sizes():
+    d = json.loads(_fresh().to_json())
+    d["layer_sizes"] = [3, 4, 5, 3]
+    with pytest.raises(ValueError):
+        Mlp.from_json(json.dumps(d))

@@ -124,6 +124,25 @@ def test_serialization_round_trip():
     np.testing.assert_array_equal(r.mu, n.mu)
 
 
+def test_from_dict_rejects_mismatched_moments():
+    d = Normalizer(k=2).to_dict()
+    d["mu"], d["nu"] = [0.0, 1.0], [1.0]
+    with pytest.raises(ValueError):
+        Normalizer.from_dict(d)
+    d["mu"], d["nu"] = [0.0], [1.0, 2.0]
+    with pytest.raises(ValueError):
+        Normalizer.from_dict(d)
+
+
+@pytest.mark.parametrize("key", ["mu", "nu"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_from_dict_rejects_non_finite_moments(key, bad):
+    d = Normalizer(k=2).to_dict()
+    d[key] = [1.0, bad]
+    with pytest.raises(ValueError):
+        Normalizer.from_dict(d)
+
+
 @settings(deadline=None, max_examples=100)
 @given(
     ys=st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=20),

@@ -311,3 +311,83 @@ def test_normalized_sgd_rejects_bad_scale():
     layer = OutputLayer(1, 3, seed=0)
     with pytest.raises(ValueError):
         normalized_sgd_step(net, layer, np.array([0.0, 0.0]), 1.0, [0.0], alpha=0.1)
+
+
+# -- every input is checked before anything moves ---------------------------
+
+STEPS = {
+    "popart": lambda net, layer, x, y: popart_sgd_step(net, layer, x, y, alpha=0.1),
+    "art": lambda net, layer, x, y: art_only_sgd_step(net, layer, x, y, alpha=0.1),
+    "sgd": lambda net, layer, x, y: plain_sgd_step(net, layer, x, y, alpha=0.1),
+    "normalized_sgd": lambda net, layer, x, y: normalized_sgd_step(
+        net, layer, x, y, [2.0], alpha=0.1
+    ),
+    "popart_update": lambda net, layer, x, y: popart_sgd_update(
+        net, layer, x, y, [2.0], [1.0], alpha=0.1
+    ),
+}
+GOOD_X = np.array([0.3, -0.4])
+
+
+def _trained():
+    net = Mlp([2, 3], seed=14)
+    nrm = Normalizer(k=1, schedule=constant(0.3))
+    layer = OutputLayer(1, 3, normalizer=nrm, seed=15)
+    for y in (2.0, 50.0, -3.0):
+        popart_sgd_step(net, layer, GOOD_X, y, alpha=0.1)
+    return net, layer
+
+
+def _state(net, layer):
+    nrm = layer.normalizer
+    return {
+        "params": net.get_params(),
+        "W": layer.W.copy(),
+        "b": layer.b.copy(),
+        "sigma": layer.sigma.copy(),
+        "layer_mu": layer.mu.copy(),
+        "t": nrm.t,
+        "mu": nrm.mu.copy(),
+        "nu": nrm.nu.copy(),
+    }
+
+
+def _assert_rejected_without_change(step, x, y):
+    net, layer = _trained()
+    before = _state(net, layer)
+    with pytest.raises(ValueError):
+        STEPS[step](net, layer, x, y)
+    after = _state(net, layer)
+    for key, value in before.items():
+        np.testing.assert_array_equal(after[key], value, err_msg=key)
+
+
+@pytest.mark.parametrize("step", sorted(STEPS))
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf, [math.nan]])
+def test_non_finite_target_rejected_without_change(step, y):
+    _assert_rejected_without_change(step, GOOD_X, y)
+
+
+@pytest.mark.parametrize("step", sorted(STEPS))
+@pytest.mark.parametrize("y", [[1.0, 2.0], np.ones((1, 1))])
+def test_misshapen_target_rejected_without_change(step, y):
+    _assert_rejected_without_change(step, GOOD_X, y)
+
+
+@pytest.mark.parametrize("step", sorted(STEPS))
+@pytest.mark.parametrize("x", [np.zeros(3), np.zeros(1), np.zeros((2, 1)), 0.5])
+def test_misshapen_input_rejected_without_change(step, x):
+    _assert_rejected_without_change(step, x, 1.0)
+
+
+def test_bad_scale_rejected_without_change():
+    for bad in ([0.0], [-1.0]):
+        net, layer = _trained()
+        before = _state(net, layer)
+        with pytest.raises(ValueError):
+            normalized_sgd_step(net, layer, GOOD_X, 1.0, bad, alpha=0.1)
+        with pytest.raises(ValueError):
+            popart_sgd_update(net, layer, GOOD_X, 1.0, bad, [0.0], alpha=0.1)
+        after = _state(net, layer)
+        for key, value in before.items():
+            np.testing.assert_array_equal(after[key], value, err_msg=key)
