@@ -33,7 +33,6 @@ from .training import (
     normalized_sgd_step,
     plain_sgd_step,
     popart_sgd_step,
-    predict,
 )
 
 METHODS = ("sgd", "art", "popart", "normalized_sgd")
@@ -163,19 +162,24 @@ def run_single(
 def _run_loop(method, net, layer, normalizer, stream, alpha, n_samples, rmse, grad_norm):
     for i in range(n_samples):
         x, y = stream.sample()
-        pred = predict(net, layer, x)[0]
+        # one forward pass serves the test error and the step: nothing
+        # touches the net in between
+        acts = net.forward_pass(x)
+        pred = layer.unnormalized_output(acts[-1])[0]
         if not math.isfinite(pred):
             return True
         rmse[i] = abs(pred - y)
         if method == "popart":
-            report = popart_sgd_step(net, layer, x, y, alpha)
+            report = popart_sgd_step(net, layer, x, y, alpha, acts=acts)
         elif method == "art":
-            report = art_only_sgd_step(net, layer, x, y, alpha)
+            report = art_only_sgd_step(net, layer, x, y, alpha, acts=acts)
         elif method == "sgd":
-            report = plain_sgd_step(net, layer, x, y, alpha)
+            report = plain_sgd_step(net, layer, x, y, alpha, acts=acts)
         else:
             normalizer.update(y)
-            report = normalized_sgd_step(net, layer, x, y, normalizer.sigma, alpha)
+            report = normalized_sgd_step(
+                net, layer, x, y, normalizer.sigma, alpha, acts=acts
+            )
         grad_norm[i] = report.gradient_norm
         if not math.isfinite(report.squared_loss):
             return True

@@ -10,6 +10,13 @@ terminal reward is 1 or 10**6.
 
 ``value_iteration`` gives the exact action values, used as the oracle
 for accuracy checks.
+
+The agent's target network only changes when it is copied from the online
+network, so its action values are kept in a Q-table that is frozen between
+copies: each state's row is evaluated on the target network at its first
+lookup after a copy and read from the table after that.  A step never runs
+more target-network forward passes than evaluating the target network
+afresh would, and between copies each state costs them at most once.
 """
 
 from __future__ import annotations
@@ -82,7 +89,10 @@ class DoubleQAgent:
 
     The online network carries the adaptive normalization; the target
     network is a periodic copy (every ``copy_period`` steps exactly) used
-    to evaluate the action the online network selects.
+    to evaluate the action the online network selects.  Between copies it
+    is frozen, and so are its values: ``target_q``, of shape
+    ``(n_states, n_actions)``, holds each state's row from its first lookup
+    after the copy on (``_target_known`` marks the rows filled).
     """
 
     def __init__(
@@ -110,9 +120,10 @@ class DoubleQAgent:
             normalizer=Normalizer(k=1, schedule=bias_corrected(beta)),
             rng=self.rng,
         )
-        self.target_net = self.net.copy()
-        self.target_layer = self.layer.copy()
         self.step_count = 0
+        self.target_q = np.empty((mdp.n_states, mdp.n_actions))
+        self._target_known = np.zeros(mdp.n_states, dtype=bool)
+        self._copy_target()
 
     def _encode(self, s: int, a: int) -> np.ndarray:
         x = np.zeros(self.mdp.n_states + self.mdp.n_actions)
@@ -121,11 +132,24 @@ class DoubleQAgent:
         return x
 
     def q_values(self, s: int, target: bool = False) -> np.ndarray:
-        net = self.target_net if target else self.net
-        layer = self.target_layer if target else self.layer
+        if not target:
+            return self._predict_actions(self.net, self.layer, s)
+        if not self._target_known[s]:
+            self.target_q[s] = self._predict_actions(self.target_net, self.target_layer, s)
+            self._target_known[s] = True
+        return self.target_q[s].copy()
+
+    def _predict_actions(self, net, layer, s: int) -> np.ndarray:
         return np.array(
             [predict(net, layer, self._encode(s, a))[0] for a in range(self.mdp.n_actions)]
         )
+
+    def _copy_target(self) -> None:
+        """Freeze a copy of the online network as the target network and
+        forget the target Q-table, whose rows refill on lookup."""
+        self.target_net = self.net.copy()
+        self.target_layer = self.layer.copy()
+        self._target_known[:] = False
 
     def act(self, s: int) -> int:
         if self.rng.random() < self.epsilon_greedy:
@@ -151,8 +175,7 @@ class DoubleQAgent:
         )
         self.step_count += 1
         if self.step_count % self.copy_period == 0:
-            self.target_net = self.net.copy()
-            self.target_layer = self.layer.copy()
+            self._copy_target()
         return y, report
 
     def train_episode(self, hook=None) -> EpisodeMetrics:

@@ -6,7 +6,10 @@ derives the scale as ``sigma = sqrt(nu - mu**2) / spread``.  Updating the
 statistics *before* consuming a target guarantees the normalized target is
 bounded by ``spread * sqrt((1 - beta_t) / beta_t)`` regardless of the
 target distribution, which is what makes the normalization safe against
-arbitrarily large spikes.
+arbitrarily large spikes.  The second moment holds squared targets, so
+:meth:`Normalizer.update` takes any target up to :data:`MAX_TARGET` (about
+1.34e154) in magnitude, the largest whose square is a finite double, and
+rejects larger ones.
 
 Also provided:
 
@@ -24,22 +27,33 @@ Also provided:
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .schedules import ScheduleKind, StepSizeSchedule, harmonic
 
 DEFAULT_EPSILON = 1e-4
+# the largest magnitude whose square is a finite double
+MAX_TARGET = math.sqrt(sys.float_info.max)
 
 
-def _as_vector(y, k: int) -> np.ndarray:
+def _as_vector(y, k: int, limit: float = sys.float_info.max) -> np.ndarray:
+    """``y`` as a vector of ``k`` floats, each at most ``limit`` in magnitude
+    (by default: finite)."""
     arr = np.asarray(y, dtype=float)
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if arr.shape != (k,):
         raise ValueError(f"expected {k} target components, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("non-finite target")
+    # NaN fails every comparison; for a few components a Python loop is
+    # cheaper than numpy's per-call overhead
+    if not all(-limit <= v <= limit for v in arr.tolist()):
+        if not np.isfinite(arr).all():
+            raise ValueError("non-finite target")
+        raise ValueError(
+            f"target {arr.tolist()} out of range: |y| must be at most {limit:.6g}"
+        )
     return arr
 
 
@@ -90,8 +104,12 @@ class Normalizer:
         return np.sqrt(np.maximum(self.nu - self.mu**2, self.epsilon)) / self.spread
 
     def update(self, y) -> None:
-        """Move ``mu`` and ``nu`` toward the new target, then clamp."""
-        arr = _as_vector(y, self.k)
+        """Move ``mu`` and ``nu`` toward the new target, then clamp.
+
+        A target above :data:`MAX_TARGET` in magnitude would overflow
+        ``nu``; it raises ``ValueError`` before anything moves.
+        """
+        arr = _as_vector(y, self.k, MAX_TARGET)
         beta = self.schedule.step()
         self.mu += beta * (arr - self.mu)
         self.nu += beta * (arr**2 - self.nu)

@@ -24,6 +24,17 @@ update.  Each step checks every input before it mutates ``net`` and
 ``layer`` in place, and returns a :class:`TrainStepReport`.  Errors
 follow the convention ``delta = prediction - target``, with subtractive
 updates.
+
+These four steps take an optional keyword ``acts``: the activations
+``net.forward_pass(x)`` that the caller already computed on the current
+parameters, for instance to measure a test error with
+``layer.unnormalized_output(acts[-1])`` before the step.  The step then
+uses them in place of its own forward pass; the rescale and the
+statistics update only move the output layer, so the result is the same
+to the last bit.  ``acts`` is checked together with the other inputs: it
+must have one entry per layer, each as wide as that layer, and ``acts[0]``
+must equal ``x``.  That it belongs to the current parameters is the
+caller's promise.
 """
 
 from __future__ import annotations
@@ -95,11 +106,15 @@ class OutputLayer:
         self.b = (sigma_old * self.b + mu_old - self.mu) / self.sigma
 
     def set_scale_shift(self, sigma_new, mu_new) -> None:
-        """Adopt a new scale/shift *without* compensation (outputs move)."""
-        sigma_new = np.asarray(sigma_new, dtype=float).reshape(self.k)
+        """Adopt a new scale/shift *without* compensation (outputs move).
+
+        ``sigma_new`` must be finite and positive and ``mu_new`` finite;
+        otherwise nothing changes and ``ValueError`` is raised.
+        """
+        sigma_new = _as_scale(sigma_new, self.k)
         mu_new = np.asarray(mu_new, dtype=float).reshape(self.k)
-        if (sigma_new <= 0).any():
-            raise ValueError("sigma_new must be componentwise positive")
+        if not all(map(math.isfinite, mu_new.tolist())):
+            raise ValueError("mu_new must be finite")
         self.sigma = sigma_new.copy()
         self.mu = mu_new.copy()
 
@@ -115,6 +130,15 @@ class OutputLayer:
         return other
 
 
+def _as_scale(sigma, k: int) -> np.ndarray:
+    """``sigma`` as a length-``k`` vector, checked finite and positive."""
+    sigma = np.asarray(sigma, dtype=float).reshape(k)
+    # NaN fails both comparisons; see stats._as_vector for the Python loop
+    if not all(0.0 < s < math.inf for s in sigma.tolist()):
+        raise ValueError("sigma must be componentwise finite and positive")
+    return sigma
+
+
 def predict(net: Mlp, layer: OutputLayer, x) -> np.ndarray:
     """Unnormalized prediction ``sigma * (W h(x) + b) + mu``."""
     return layer.unnormalized_output(net.forward(x))
@@ -127,26 +151,39 @@ _RAW_TARGETS = "raw targets"  # keep the identity and fit raw targets
 
 
 def _sgd_step(
-    net, layer: OutputLayer, x, y, alpha, hook, adoption, sigma=None, mu=None
+    net, layer: OutputLayer, x, y, alpha, hook, adoption, sigma=None, mu=None, acts=None
 ) -> TrainStepReport:
     """The one squared-loss SGD step behind every public variant.
 
     With ``_COMPENSATE`` or ``_ADOPT_RAW`` the new scale/shift is
     ``(sigma, mu)``, or, if ``sigma`` is None, the layer normalizer's
     statistics after it absorbs ``y``.  With ``_RAW_TARGETS`` a given
-    ``sigma`` only divides the lower-layer seed by ``sigma**2``.  Every
-    input is checked before anything is mutated.
+    ``sigma`` only divides the lower-layer seed by ``sigma**2``.  ``acts``,
+    if given, is ``net.forward_pass(x)`` on the current parameters and
+    stands in for the step's own forward pass.  Every input is checked
+    before anything is mutated.
     """
     x = np.asarray(x, dtype=float)
     n_in = net.layer_sizes[0]
     if x.shape != (n_in,):
         raise ValueError(f"expected input of length {n_in}, got shape {x.shape}")
+    if acts is not None:
+        if len(acts) != len(net.layer_sizes):
+            raise ValueError(
+                f"expected {len(net.layer_sizes)} activations, one per layer, got {len(acts)}"
+            )
+        for i, (a, n) in enumerate(zip(acts, net.layer_sizes)):
+            if np.shape(a) != (n,):
+                raise ValueError(
+                    f"expected acts[{i}] of length {n}, got shape {np.shape(a)}: "
+                    "acts come from another network"
+                )
+        if acts[0] is not x and not np.array_equal(acts[0], x):
+            raise ValueError("acts[0] is not the input x: acts come from another input")
     y = _as_vector(y, layer.k)
     if adoption == _RAW_TARGETS:
         if sigma is not None:
-            sigma = np.asarray(sigma, dtype=float).reshape(layer.k)
-            if (sigma <= 0).any():
-                raise ValueError("sigma must be componentwise positive")
+            sigma = _as_scale(sigma, layer.k)
     elif sigma is None:
         nrm = layer.normalizer
         if nrm is None:
@@ -160,7 +197,8 @@ def _sgd_step(
     elif adoption == _ADOPT_RAW:
         layer.set_scale_shift(sigma, mu)
 
-    acts = net.forward_pass(x)
+    if acts is None:
+        acts = net.forward_pass(x)
     h = acts[-1]
     W = layer.W
     if adoption == _RAW_TARGETS:
@@ -208,7 +246,7 @@ def popart_sgd_update(
 
 
 def popart_sgd_step(
-    net, layer: OutputLayer, x, y, alpha: float, hook=None
+    net, layer: OutputLayer, x, y, alpha: float, hook=None, *, acts=None
 ) -> TrainStepReport:
     """One squared-loss SGD step with adaptive normalization and
     output-preserving rescale.
@@ -216,38 +254,46 @@ def popart_sgd_step(
     Order matters: the statistics absorb the new target first, then ``W``
     and ``b`` are rescaled so outputs are unchanged, and only then does
     SGD consume the (bounded) normalized error.
+
+    ``acts``: see the module docstring.
     """
-    return _sgd_step(net, layer, x, y, alpha, hook, _COMPENSATE)
+    return _sgd_step(net, layer, x, y, alpha, hook, _COMPENSATE, acts=acts)
 
 
 def art_only_sgd_step(
-    net, layer: OutputLayer, x, y, alpha: float, hook=None
+    net, layer: OutputLayer, x, y, alpha: float, hook=None, *, acts=None
 ) -> TrainStepReport:
     """Like :func:`popart_sgd_step` but without the compensating rescale:
     the new scale/shift is adopted directly, so unnormalized outputs for
     other inputs drift whenever the statistics move.
+
+    ``acts``: see the module docstring.
     """
-    return _sgd_step(net, layer, x, y, alpha, hook, _ADOPT_RAW)
+    return _sgd_step(net, layer, x, y, alpha, hook, _ADOPT_RAW, acts=acts)
 
 
 def plain_sgd_step(
-    net, layer: OutputLayer, x, y, alpha: float, hook=None
+    net, layer: OutputLayer, x, y, alpha: float, hook=None, *, acts=None
 ) -> TrainStepReport:
     """Baseline squared-loss SGD on raw targets; no statistics anywhere.
 
     Equivalent to :func:`art_only_sgd_step` with the scale frozen at one
     and the shift at zero.
+
+    ``acts``: see the module docstring.
     """
-    return _sgd_step(net, layer, x, y, alpha, hook, _RAW_TARGETS)
+    return _sgd_step(net, layer, x, y, alpha, hook, _RAW_TARGETS, acts=acts)
 
 
 def normalized_sgd_step(
-    net, layer: OutputLayer, x, y, sigma, alpha: float, hook=None
+    net, layer: OutputLayer, x, y, sigma, alpha: float, hook=None, *, acts=None
 ) -> TrainStepReport:
     """Scaled-update SGD: the top layer fits raw targets, while the
     lower-layer update is divided by the squared scale.
 
     ``sigma`` must come from the same statistics stream the adaptive
     variant would use; the layer's own scale/shift stay at identity.
+
+    ``acts``: see the module docstring.
     """
-    return _sgd_step(net, layer, x, y, alpha, hook, _RAW_TARGETS, sigma)
+    return _sgd_step(net, layer, x, y, alpha, hook, _RAW_TARGETS, sigma, acts=acts)

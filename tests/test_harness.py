@@ -107,6 +107,23 @@ def test_run_single_golden(method):
     assert float(rec.grad_norm.sum()) == pytest.approx(grad_norm_sum, rel=1e-12)
 
 
+@pytest.mark.parametrize("method", sorted(GOLDEN_SINGLE))
+def test_run_single_one_forward_pass_per_step(method, monkeypatch):
+    # the test error and the step share one forward pass
+    calls = []
+    forward_pass = Mlp.forward_pass
+
+    def counted(self, x):
+        calls.append(1)
+        return forward_pass(self, x)
+
+    monkeypatch.setattr(Mlp, "forward_pass", counted)
+    (alpha, beta), _, _ = GOLDEN_SINGLE[method]
+    rec = run_single(method, alpha, beta, seed=1000, n_samples=300)
+    assert not rec.diverged
+    assert len(calls) == 300
+
+
 def test_run_single_reproducible():
     a = run_single("popart", 1e-2, 0.1, seed=7, n_samples=300)
     b = run_single("popart", 1e-2, 0.1, seed=7, n_samples=300)

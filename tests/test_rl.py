@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from popart.network import Mlp
 from popart.rl import ChainMdp, DoubleQAgent, EpisodeMetrics, train, value_iteration
+from popart.training import predict
 
 
 def test_chain_dynamics():
@@ -67,6 +69,111 @@ def test_target_copy_period_exact():
         frozen = agent.q_values(0, target=True)
         if i % 3 == 0:
             np.testing.assert_array_equal(online, frozen)
+
+
+def test_double_q_target_two_forward_passes_on_online_net(monkeypatch):
+    agent = DoubleQAgent(ChainMdp(), seed=0)
+    nets = []
+    forward_pass = Mlp.forward_pass
+
+    def recorded(self, x):
+        nets.append(self)
+        return forward_pass(self, x)
+
+    monkeypatch.setattr(Mlp, "forward_pass", recorded)
+    agent.double_q_target((0, 0, 0.0, 1, False))
+    # the first lookup of a state after a copy fills its target row
+    assert len(nets) == 4
+    assert [net is agent.net for net in nets] == [True, True, False, False]
+    nets.clear()
+    agent.double_q_target((2, 0, 0.0, 1, False))
+    # one per action for the online argmax; the target side is the table
+    assert len(nets) == 2
+    assert all(net is agent.net for net in nets)
+
+
+@pytest.mark.parametrize("copy_period", [1, 3, 500])
+def test_target_rows_evaluated_once_per_copy(copy_period, monkeypatch):
+    # never more target passes than evaluating the target net afresh
+    # (two per non-terminal step), and at most one row per state and copy
+    agent = DoubleQAgent(ChainMdp(), copy_period=copy_period, seed=4)
+    target_passes = []
+    forward_pass = Mlp.forward_pass
+
+    def recorded(self, x):
+        if self is not agent.net:
+            target_passes.append(int(np.argmax(x[: agent.mdp.n_states])))
+        return forward_pass(self, x)
+
+    rng = np.random.default_rng(1)
+    monkeypatch.setattr(Mlp, "forward_pass", recorded)
+    rows = set()
+    for step in range(12):
+        s = int(rng.integers(agent.mdp.terminal))
+        s2 = int(rng.integers(agent.mdp.terminal))
+        before = len(target_passes)
+        agent.learn_transition((s, 0, 0.0, s2, False))
+        new = target_passes[before:]
+        assert len(new) <= 2
+        if new:
+            assert new == [s2, s2] and s2 not in rows
+            rows.add(s2)
+        else:
+            assert s2 in rows
+        if agent.step_count % copy_period == 0:
+            rows.clear()
+
+
+def _frozen_values(net, layer, agent):
+    return np.array(
+        [[predict(net, layer, agent._encode(s, a))[0] for a in range(agent.mdp.n_actions)]
+         for s in range(agent.mdp.n_states)]
+    )
+
+
+def test_target_table_frozen_between_copies():
+    agent = DoubleQAgent(ChainMdp(), copy_period=5, seed=5)
+    rng = np.random.default_rng(0)
+    for step in range(1, 13):
+        if step % 5 == 1:  # just after a copy (or at the start)
+            frozen = _frozen_values(agent.net.copy(), agent.layer.copy(), agent)
+        for s in range(agent.mdp.n_states):
+            np.testing.assert_array_equal(agent.q_values(s, target=True), frozen[s])
+        s = int(rng.integers(agent.mdp.terminal))
+        a = int(rng.integers(2))
+        s2, r, done = agent.mdp.step(s, a)
+        agent.learn_transition((s, a, r, s2, done))
+        if step % 5:
+            # the online net moved, the target values did not
+            assert not np.array_equal(agent.q_table(), frozen[:-1])
+            for s in range(agent.mdp.n_states):
+                np.testing.assert_array_equal(agent.q_values(s, target=True), frozen[s])
+
+
+def test_target_q_values_are_copies():
+    agent = DoubleQAgent(ChainMdp(), seed=0)
+    values = agent.q_values(1, target=True)
+    values[:] = 0.0
+    assert not np.array_equal(agent.q_values(1, target=True), values)
+
+
+# step_count and q_table() after 3000 steps at reward 1e3, agent seed 0,
+# recorded with the target network kept as a copied network; any change to
+# the arithmetic of the rl loop fails here
+GOLDEN_RL_STEPS = 3001
+GOLDEN_RL_Q = [
+    [281.9455498848282, 230.36388710414425],
+    [329.37866742185315, 272.9396537422699],
+    [297.61225692817015, 244.66246002791888],
+    [424.1357032239319, 365.56752086848013],
+]
+
+
+def test_rl_golden():
+    agent = DoubleQAgent(ChainMdp(terminal_reward=1e3), seed=0)
+    train(agent, max_steps=3000)
+    assert agent.step_count == GOLDEN_RL_STEPS
+    np.testing.assert_array_equal(agent.q_table(), np.array(GOLDEN_RL_Q))
 
 
 def test_train_episode_metrics_shape():

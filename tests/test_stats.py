@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from popart.schedules import bias_corrected, constant, harmonic, inverse_t
 from popart.stats import (
+    MAX_TARGET,
     ExtremeTracker,
     Normalizer,
     PercentileTracker,
@@ -102,6 +103,30 @@ def test_non_finite_target_rejected():
         n.update(math.nan)
     with pytest.raises(ValueError):
         n.update(math.inf)
+
+
+@pytest.mark.parametrize("y", [1e160, -1e160, 2 * MAX_TARGET])
+def test_target_too_large_to_square_rejected_without_change(y):
+    # beta 0.5, then 1e160, then 2.0 used to leave nu inf and sigma NaN
+    n = Normalizer(k=1, schedule=constant(0.5))
+    n.update(3.0)
+    t, mu, nu = n.t, n.mu.copy(), n.nu.copy()
+    with pytest.raises(ValueError, match="1.34078e"):
+        n.update(y)
+    assert n.t == t
+    np.testing.assert_array_equal(n.mu, mu)
+    np.testing.assert_array_equal(n.nu, nu)
+    n.update(2.0)
+    assert np.isfinite(n.sigma).all()
+
+
+def test_largest_target_keeps_statistics_finite():
+    n = Normalizer(k=2, schedule=constant(0.5))
+    for y in ([MAX_TARGET, -MAX_TARGET], [2.0, 2.0], [-MAX_TARGET, 1.0]):
+        n.update(y)
+        assert np.isfinite(n.nu).all() and np.isfinite(n.mu).all()
+        assert np.isfinite(n.sigma).all() and (n.sigma > 0).all()
+        assert np.isfinite(n.normalize(y)).all()
 
 
 def test_shape_mismatch_rejected():

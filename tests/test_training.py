@@ -316,16 +316,18 @@ def test_normalized_sgd_rejects_bad_scale():
 # -- every input is checked before anything moves ---------------------------
 
 STEPS = {
-    "popart": lambda net, layer, x, y: popart_sgd_step(net, layer, x, y, alpha=0.1),
-    "art": lambda net, layer, x, y: art_only_sgd_step(net, layer, x, y, alpha=0.1),
-    "sgd": lambda net, layer, x, y: plain_sgd_step(net, layer, x, y, alpha=0.1),
-    "normalized_sgd": lambda net, layer, x, y: normalized_sgd_step(
-        net, layer, x, y, [2.0], alpha=0.1
+    "popart": lambda net, layer, x, y, **kw: popart_sgd_step(net, layer, x, y, 0.1, **kw),
+    "art": lambda net, layer, x, y, **kw: art_only_sgd_step(net, layer, x, y, 0.1, **kw),
+    "sgd": lambda net, layer, x, y, **kw: plain_sgd_step(net, layer, x, y, 0.1, **kw),
+    "normalized_sgd": lambda net, layer, x, y, **kw: normalized_sgd_step(
+        net, layer, x, y, [2.0], 0.1, **kw
     ),
     "popart_update": lambda net, layer, x, y: popart_sgd_update(
-        net, layer, x, y, [2.0], [1.0], alpha=0.1
+        net, layer, x, y, [2.0], [1.0], 0.1
     ),
 }
+# the steps that take the caller's forward pass as ``acts``
+ACTS_STEPS = sorted(set(STEPS) - {"popart_update"})
 GOOD_X = np.array([0.3, -0.4])
 
 
@@ -352,11 +354,13 @@ def _state(net, layer):
     }
 
 
-def _assert_rejected_without_change(step, x, y):
+def _assert_rejected_without_change(step, x, y, acts_of=None):
+    """``acts_of(net)``, if given, makes the ``acts`` passed to the step."""
     net, layer = _trained()
     before = _state(net, layer)
+    kw = {} if acts_of is None else {"acts": acts_of(net)}
     with pytest.raises(ValueError):
-        STEPS[step](net, layer, x, y)
+        STEPS[step](net, layer, x, y, **kw)
     after = _state(net, layer)
     for key, value in before.items():
         np.testing.assert_array_equal(after[key], value, err_msg=key)
@@ -381,7 +385,7 @@ def test_misshapen_input_rejected_without_change(step, x):
 
 
 def test_bad_scale_rejected_without_change():
-    for bad in ([0.0], [-1.0]):
+    for bad in ([0.0], [-1.0], [math.nan], [math.inf]):
         net, layer = _trained()
         before = _state(net, layer)
         with pytest.raises(ValueError):
@@ -391,3 +395,69 @@ def test_bad_scale_rejected_without_change():
         after = _state(net, layer)
         for key, value in before.items():
             np.testing.assert_array_equal(after[key], value, err_msg=key)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bad_shift_rejected_without_change(bad):
+    net, layer = _trained()
+    before = _state(net, layer)
+    with pytest.raises(ValueError):
+        popart_sgd_update(net, layer, GOOD_X, 1.0, [2.0], [bad], alpha=0.1)
+    after = _state(net, layer)
+    for key, value in before.items():
+        np.testing.assert_array_equal(after[key], value, err_msg=key)
+
+
+@pytest.mark.parametrize(
+    "sigma, mu",
+    [([math.nan], [0.0]), ([math.inf], [0.0]), ([0.0], [0.0]), ([1.0], [math.inf]),
+     ([1.0], [math.nan])],
+)
+def test_rescale_to_rejects_bad_scale_shift_without_change(sigma, mu):
+    layer = OutputLayer(1, 3, seed=0)
+    layer.rescale_to([2.0], [1.0])
+    before = [layer.W.copy(), layer.b.copy(), layer.sigma.copy(), layer.mu.copy()]
+    with pytest.raises(ValueError):
+        layer.rescale_to(sigma, mu)
+    after = [layer.W, layer.b, layer.sigma, layer.mu]
+    for name, a, b in zip(("W", "b", "sigma", "mu"), after, before):
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@pytest.mark.parametrize("step", ["popart", "art"])
+@pytest.mark.parametrize("y", [1e160, -1e160, [1e155]])
+def test_target_too_large_to_square_rejected_without_change(step, y):
+    _assert_rejected_without_change(step, GOOD_X, y)
+
+
+# -- acts: the caller's forward pass stands in for the step's own ----------
+
+BAD_ACTS = {
+    "one short": lambda net: net.forward_pass(GOOD_X)[:-1],
+    "one extra": lambda net: net.forward_pass(GOOD_X) + [np.zeros(3)],
+    "other input": lambda net: net.forward_pass(-GOOD_X),
+    # same depth and input, other hidden width
+    "other net": lambda net: Mlp([2, 4], seed=0).forward_pass(GOOD_X),
+}
+
+
+@pytest.mark.parametrize("step", ACTS_STEPS)
+@pytest.mark.parametrize("acts", sorted(BAD_ACTS))
+def test_bad_acts_rejected_without_change(step, acts):
+    _assert_rejected_without_change(step, GOOD_X, 1.0, BAD_ACTS[acts])
+
+
+@pytest.mark.parametrize("step", ACTS_STEPS)
+# acts of an equal input built apart from x are accepted too
+@pytest.mark.parametrize("acts_x", [GOOD_X, list(GOOD_X)], ids=["x", "copy of x"])
+def test_given_acts_give_identical_step(step, acts_x):
+    net, layer = _trained()
+    expected_report = STEPS[step](net, layer, GOOD_X, 7.0)
+    expected = _state(net, layer)
+    net, layer = _trained()
+    report = STEPS[step](net, layer, GOOD_X, 7.0, acts=net.forward_pass(acts_x))
+    state = _state(net, layer)
+    for key, value in expected.items():
+        np.testing.assert_array_equal(state[key], value, err_msg=key)
+    np.testing.assert_array_equal(report.normalized_error, expected_report.normalized_error)
+    assert report.gradient_norm == expected_report.gradient_norm
