@@ -176,10 +176,8 @@ def _run_loop(method, net, layer, normalizer, stream, alpha, n_samples, rmse, gr
         elif method == "sgd":
             report = plain_sgd_step(net, layer, x, y, alpha, acts=acts)
         else:
-            normalizer.update(y)
-            report = normalized_sgd_step(
-                net, layer, x, y, normalizer.sigma, alpha, acts=acts
-            )
+            sigma = normalizer.update(y)
+            report = normalized_sgd_step(net, layer, x, y, sigma, alpha, acts=acts)
         grad_norm[i] = report.gradient_norm
         if not math.isfinite(report.squared_loss):
             return True

@@ -11,8 +11,8 @@ Subcommands:
   recomputing anything.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 I/O error.  Output files are written to a temp name and renamed, so a
-failed run leaves no partial files.
+3 I/O error, 4 training diverged (``rl-demo``).  Output files are written
+to a temp name and renamed, so a failed run leaves no partial files.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_DIVERGED = 4
 
 
 class ConfigError(Exception):
@@ -305,6 +306,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

@@ -7,6 +7,12 @@ pass it exposes the full Jacobian of the outputs with respect to every
 parameter (needed for gradient checking) and a cheaper vector-Jacobian
 product used by the training steps.
 
+The forward pass also takes a stack of inputs of shape ``(B, n_in)`` and
+returns row-stacked activations, equal to the last bit to running it once
+per row: each row goes through its own matrix-vector product (see
+:func:`affine`), not one matrix-matrix product, whose sums may round
+differently.
+
 All parameters live in one flat float64 vector, laid out layer by layer
 as ``W_0, b_0, W_1, b_1, ...`` with each ``W`` row-major.  ``weights[i]``
 and ``biases[i]`` are views into that vector, so a whole-vector update is
@@ -19,6 +25,18 @@ from __future__ import annotations
 import json
 
 import numpy as np
+
+
+def affine(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``w @ a + b`` for one input ``a`` or a stack of them, one per row.
+
+    numpy's stacked matmul runs one matrix-vector product per row, so
+    each row of the result matches ``w @ row + b`` bit for bit, which
+    ``a @ w.T`` does not promise.
+    """
+    if a.ndim == 1:
+        return w @ a + b
+    return (w @ a[:, :, None])[:, :, 0] + b
 
 
 class Mlp:
@@ -49,6 +67,9 @@ class Mlp:
         self._theta = theta
         self.n_params = theta.size
         self.weights, self.biases = self._views(theta)
+        # backward fills this buffer through views built once, here
+        self._grad = np.empty(theta.size)
+        self._grad_weights, self._grad_biases = self._views(self._grad)
 
     def _views(self, theta: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer weight and bias views into a parameter-layout vector."""
@@ -73,24 +94,31 @@ class Mlp:
 
     def _check_input(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
-        if arr.shape != (self.n_inputs,):
+        if arr.ndim not in (1, 2) or arr.shape[-1] != self.n_inputs:
             raise ValueError(
-                f"expected input of length {self.n_inputs}, got shape {arr.shape}"
+                f"expected input of length {self.n_inputs}, or a stack of them of "
+                f"shape (B, {self.n_inputs}), got shape {arr.shape}"
             )
         return arr
 
     def forward_pass(self, x) -> list[np.ndarray]:
-        """Activations of every layer, input first, output last."""
+        """Activations of every layer, input first, output last.
+
+        ``x`` is one input of length ``n_inputs`` or a stack of shape
+        ``(B, n_inputs)``; for a stack each activation has one row per
+        input, identical to the activations of that input alone.
+        """
         a = self._check_input(x)
         acts = [a]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = w @ a + b
+            z = affine(w, a, b)
             a = z if i == last else np.tanh(z)
             acts.append(a)
         return acts
 
     def forward(self, x) -> np.ndarray:
+        """Output for one input, or one row per input of a stack."""
         return self.forward_pass(x)[-1]
 
     # -- derivatives -------------------------------------------------------
@@ -98,13 +126,13 @@ class Mlp:
     def backward(self, acts: list[np.ndarray], v: np.ndarray) -> np.ndarray:
         """Gradient of ``v . output`` with respect to the parameter vector.
 
-        ``acts`` must come from :meth:`forward_pass` on the same input.
+        ``acts`` must come from :meth:`forward_pass` on the same, single,
+        input.  Returns a fresh array.
         """
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n_outputs,):
             raise ValueError(f"expected seed of length {self.n_outputs}")
-        grad = np.empty(self.n_params)
-        grad_w, grad_b = self._views(grad)
+        grad_w, grad_b = self._grad_weights, self._grad_biases
         g = v
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
@@ -114,8 +142,8 @@ class Mlp:
             np.multiply(g[:, None], acts[i], out=grad_w[i])
             grad_b[i][...] = g
             if i:
-                g = self.weights[i].T @ g
-        return grad
+                g = g @ self.weights[i]
+        return self._grad.copy()
 
     def jacobian(self, x) -> np.ndarray:
         """Exact Jacobian of shape ``(n_params, n_outputs)``."""

@@ -11,16 +11,19 @@ terminal reward is 1 or 10**6.
 ``value_iteration`` gives the exact action values, used as the oracle
 for accuracy checks.
 
-The agent's target network only changes when it is copied from the online
-network, so its action values are kept in a Q-table that is frozen between
-copies: each state's row is evaluated on the target network at its first
-lookup after a copy and read from the table after that.  A step never runs
-more target-network forward passes than evaluating the target network
-afresh would, and between copies each state costs them at most once.
+The agent evaluates all actions of a state in one forward pass: the
+network's input is a state-action one-hot code, and the codes of a
+state's actions go through the network as one stack, whose rows equal the
+per-action predictions to the last bit.  The agent's target network only
+changes when it is copied from the online network, so its action values
+are kept in a Q-table that is frozen between copies: each state's row is
+evaluated on the target network, in one pass, at its first lookup after a
+copy and read from the table after that.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +90,10 @@ class EpisodeMetrics:
 class DoubleQAgent:
     """Online double Q-learning on a state-action one-hot encoding.
 
+    The codes are built once, as ``codes[s, a]`` of shape
+    ``(n_states, n_actions, n_states + n_actions)``; ``codes[s]`` is the
+    stack that evaluates every action of ``s`` in one forward pass.
+
     The online network carries the adaptive normalization; the target
     network is a periodic copy (every ``copy_period`` steps exactly) used
     to evaluate the action the online network selects.  Between copies it
@@ -113,6 +120,10 @@ class DoubleQAgent:
         self.max_episode_steps = max_episode_steps
         self.rng = np.random.default_rng(seed)
         n_in = mdp.n_states + mdp.n_actions
+        self.codes = np.zeros((mdp.n_states, mdp.n_actions, n_in))
+        self.codes[:, :, : mdp.n_states] = np.eye(mdp.n_states)[:, None, :]
+        self.codes[:, :, mdp.n_states :] = np.eye(mdp.n_actions)
+        self.codes.flags.writeable = False
         self.net = Mlp([n_in, *hidden], rng=self.rng)
         self.layer = OutputLayer(
             1,
@@ -125,24 +136,15 @@ class DoubleQAgent:
         self._target_known = np.zeros(mdp.n_states, dtype=bool)
         self._copy_target()
 
-    def _encode(self, s: int, a: int) -> np.ndarray:
-        x = np.zeros(self.mdp.n_states + self.mdp.n_actions)
-        x[s] = 1.0
-        x[self.mdp.n_states + a] = 1.0
-        return x
-
     def q_values(self, s: int, target: bool = False) -> np.ndarray:
+        """Values of every action at ``s``, from one forward pass of the
+        online network, or from the target Q-table."""
         if not target:
-            return self._predict_actions(self.net, self.layer, s)
+            return predict(self.net, self.layer, self.codes[s])[:, 0]
         if not self._target_known[s]:
-            self.target_q[s] = self._predict_actions(self.target_net, self.target_layer, s)
+            self.target_q[s] = predict(self.target_net, self.target_layer, self.codes[s])[:, 0]
             self._target_known[s] = True
         return self.target_q[s].copy()
-
-    def _predict_actions(self, net, layer, s: int) -> np.ndarray:
-        return np.array(
-            [predict(net, layer, self._encode(s, a))[0] for a in range(self.mdp.n_actions)]
-        )
 
     def _copy_target(self) -> None:
         """Freeze a copy of the online network as the target network and
@@ -171,7 +173,7 @@ class DoubleQAgent:
         s, a, r, s2, done = transition
         y = self.double_q_target(transition)
         report = popart_sgd_step(
-            self.net, self.layer, self._encode(s, a), y, self.alpha, hook=hook
+            self.net, self.layer, self.codes[s, a], y, self.alpha, hook=hook
         )
         self.step_count += 1
         if self.step_count % self.copy_period == 0:
@@ -179,13 +181,22 @@ class DoubleQAgent:
         return y, report
 
     def train_episode(self, hook=None) -> EpisodeMetrics:
-        """Run one episode, one learning step per transition."""
+        """Run one episode, one learning step per transition.
+
+        Raises ``FloatingPointError`` at the first step whose squared loss
+        or gradient norm is not finite: the network has diverged.
+        """
         metrics = EpisodeMetrics(steps=0, total_reward=0.0)
         s = 0
         for _ in range(self.max_episode_steps):
             a = self.act(s)
             s2, r, done = self.mdp.step(s, a)
             _, report = self.learn_transition((s, a, r, s2, done), hook=hook)
+            if not (math.isfinite(report.squared_loss) and math.isfinite(report.gradient_norm)):
+                raise FloatingPointError(
+                    f"training diverged at step {self.step_count}: non-finite loss or "
+                    f"gradient norm (terminal reward {self.mdp.terminal_reward:g})"
+                )
             metrics.steps += 1
             metrics.total_reward += r
             metrics.grad_norms.append(report.gradient_norm)
@@ -196,8 +207,11 @@ class DoubleQAgent:
         return metrics
 
     def q_table(self) -> np.ndarray:
-        """Learned Q values for the non-terminal states, shape (n-1, 2)."""
-        return np.array([self.q_values(s) for s in range(self.mdp.terminal)])
+        """Learned Q values for the non-terminal states, shape (n-1, 2),
+        from one forward pass of the online network."""
+        codes = self.codes[: self.mdp.terminal]
+        q = predict(self.net, self.layer, codes.reshape(-1, codes.shape[-1]))
+        return q.reshape(codes.shape[:2])
 
     def greedy_policy(self) -> np.ndarray:
         return np.argmax(self.q_table(), axis=1)
@@ -214,16 +228,20 @@ def train(
 
     If ``rel_tol`` is given, training stops early once every learned
     state-action value is within that relative tolerance of the exact
-    values from :func:`value_iteration`.
+    values from :func:`value_iteration`.  Training stops with
+    ``FloatingPointError``, naming the step and the terminal reward, at
+    the first step whose squared loss or gradient norm is not finite.
     """
     q_star = value_iteration(agent.mdp) if rel_tol is not None else None
     history: list[EpisodeMetrics] = []
     next_check = check_every
-    while agent.step_count < max_steps:
-        history.append(agent.train_episode(hook=hook))
-        if q_star is not None and agent.step_count >= next_check:
-            next_check = agent.step_count + check_every
-            err = np.abs(agent.q_table() - q_star) / np.abs(q_star)
-            if float(err.max()) <= rel_tol:
-                break
+    # an overflow shows as the non-finite loss that stops training
+    with np.errstate(over="ignore", invalid="ignore"):
+        while agent.step_count < max_steps:
+            history.append(agent.train_episode(hook=hook))
+            if q_star is not None and agent.step_count >= next_check:
+                next_check = agent.step_count + check_every
+                err = np.abs(agent.q_table() - q_star) / np.abs(q_star)
+                if float(err.max()) <= rel_tol:
+                    break
     return history

@@ -83,11 +83,8 @@ class Normalizer:
         self.epsilon = float(epsilon)
         self.schedule = schedule if schedule is not None else harmonic()
         self.mu = np.zeros(k)
-        self.nu = np.zeros(k)
-        self._clamp()
-
-    def _clamp(self) -> None:
-        np.maximum(self.nu, self.mu**2 + self.epsilon, out=self.nu)
+        # the clamped second moment of mu = 0
+        self.nu = np.full(k, self.epsilon)
 
     @property
     def t(self) -> int:
@@ -101,19 +98,26 @@ class Normalizer:
         stored state: when ``mu**2`` is huge the stored clamp can be lost
         to rounding (``mu**2 + epsilon`` rounds back to ``mu**2``).
         """
-        return np.sqrt(np.maximum(self.nu - self.mu**2, self.epsilon)) / self.spread
+        return self._sigma(self.mu**2)
 
-    def update(self, y) -> None:
-        """Move ``mu`` and ``nu`` toward the new target, then clamp.
+    def _sigma(self, mu_sq: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.maximum(self.nu - mu_sq, self.epsilon)) / self.spread
 
-        A target above :data:`MAX_TARGET` in magnitude would overflow
-        ``nu``; it raises ``ValueError`` before anything moves.
+    def update(self, y) -> np.ndarray:
+        """Move ``mu`` and ``nu`` toward the new target, clamp, and return
+        the new :attr:`sigma`.
+
+        ``y`` is checked before anything moves: a non-finite target, or
+        one above :data:`MAX_TARGET` in magnitude (its square would
+        overflow ``nu``), raises ``ValueError``.
         """
         arr = _as_vector(y, self.k, MAX_TARGET)
         beta = self.schedule.step()
         self.mu += beta * (arr - self.mu)
         self.nu += beta * (arr**2 - self.nu)
-        self._clamp()
+        mu_sq = self.mu**2
+        np.maximum(self.nu, mu_sq + self.epsilon, out=self.nu)
+        return self._sigma(mu_sq)
 
     def normalize(self, y) -> np.ndarray:
         arr = _as_vector(y, self.k)
@@ -211,7 +215,29 @@ def batch_stats(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-class PercentileTracker:
+class _BoundsTracker:
+    """Shared state of the trackers: bounds ``y_min``/``y_max``, NaN until
+    the first update, and the shift and scale derived from them."""
+
+    def __init__(self, schedule: StepSizeSchedule | None):
+        self.schedule = schedule if schedule is not None else harmonic()
+        self.y_min = math.nan
+        self.y_max = math.nan
+
+    @property
+    def initialized(self) -> bool:
+        return math.isfinite(self.y_min)
+
+    @property
+    def mu(self) -> float:
+        return 0.5 * (self.y_max + self.y_min)
+
+    @property
+    def sigma(self) -> float:
+        return 0.5 * (self.y_max - self.y_min)
+
+
+class PercentileTracker(_BoundsTracker):
     """Tracks ``y_min``/``y_max`` such that a fraction ``(1-p)/2`` of a
     stationary stream exceeds ``y_max`` and the same fraction falls below
     ``y_min``.
@@ -223,14 +249,8 @@ class PercentileTracker:
     def __init__(self, p: float, schedule: StepSizeSchedule | None = None):
         if not (0.0 < p <= 1.0):
             raise ValueError(f"p must be in (0, 1], got {p}")
+        super().__init__(schedule)
         self.p = float(p)
-        self.schedule = schedule if schedule is not None else harmonic()
-        self.y_min = math.nan
-        self.y_max = math.nan
-
-    @property
-    def initialized(self) -> bool:
-        return math.isfinite(self.y_min)
 
     def update(self, y: float) -> None:
         y = float(y)
@@ -244,16 +264,8 @@ class PercentileTracker:
         self.y_max += beta * ((1.0 if y > self.y_max else 0.0) - tail)
         self.y_min -= beta * ((1.0 if y < self.y_min else 0.0) - tail)
 
-    @property
-    def mu(self) -> float:
-        return 0.5 * (self.y_max + self.y_min)
 
-    @property
-    def sigma(self) -> float:
-        return 0.5 * (self.y_max - self.y_min)
-
-
-class ExtremeTracker:
+class ExtremeTracker(_BoundsTracker):
     """Moving average of minibatch extremes.
 
     ``y_min`` and ``y_max`` chase the min and max of each minibatch of a
@@ -265,14 +277,8 @@ class ExtremeTracker:
     def __init__(self, batch_size: int, schedule: StepSizeSchedule | None = None):
         if batch_size < 2:
             raise ValueError("batch_size must be >= 2")
+        super().__init__(schedule)
         self.batch_size = int(batch_size)
-        self.schedule = schedule if schedule is not None else harmonic()
-        self.y_min = math.nan
-        self.y_max = math.nan
-
-    @property
-    def initialized(self) -> bool:
-        return math.isfinite(self.y_min)
 
     def update(self, batch) -> None:
         arr = np.asarray(batch, dtype=float)
@@ -291,49 +297,24 @@ class ExtremeTracker:
         self.y_min += beta * (lo - self.y_min)
         self.y_max += beta * (hi - self.y_max)
 
-    @property
-    def mu(self) -> float:
-        return 0.5 * (self.y_max + self.y_min)
 
-    @property
-    def sigma(self) -> float:
-        return 0.5 * (self.y_max - self.y_min)
-
-
-# Rational approximation of erf (Abramowitz & Stegun 7.1.26 style); keeps
-# the package free of heavyweight math dependencies.
-_ERF_P = 0.3275911
-_ERF_A = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
-
-
-def erf(x: float) -> float:
-    """Error function via a rational approximation (abs error ~1.5e-7)."""
-    sign = 1.0 if x >= 0 else -1.0
-    x = abs(x)
-    t = 1.0 / (1.0 + _ERF_P * x)
-    poly = t * (
-        _ERF_A[0]
-        + t * (_ERF_A[1] + t * (_ERF_A[2] + t * (_ERF_A[3] + t * _ERF_A[4])))
-    )
-    return sign * (1.0 - poly * math.exp(-x * x))
+# the standard library's error function, under the name the package exports
+erf = math.erf
 
 
 def _erf_inverse(p: float) -> float:
-    """Inverse of :func:`erf` on (0, 1) by bisection."""
-    lo, hi = 0.0, 1.0
-    while erf(hi) < p:
-        hi *= 2.0
-        if hi > 1e3:  # pragma: no cover - p astronomically close to 1
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if erf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
+    """Inverse of :func:`erf` on (0, 1), to about double precision over
+    the whole interval."""
+    if p < 1e-8:
+        # erfinv(p) = sqrt(pi)/2 * (p + pi/12 * p**3 + ...), one term suffices
+        return 0.5 * math.sqrt(math.pi) * p
+    # imported here: statistics pulls in decimal and fractions, about 5 ms
+    # at import, and only the spread/coverage pair needs it
+    from statistics import NormalDist
+
+    # erfinv(p) = Phi^-1((1 + p) / 2) / sqrt(2), written with the lower
+    # tail: (1 - p) / 2 is exact near p = 1, where (1 + p) / 2 rounds to 1
+    return -NormalDist().inv_cdf((1.0 - p) / 2.0) / math.sqrt(2.0)
 
 
 def spread_from_coverage(p: float) -> float:

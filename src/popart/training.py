@@ -4,7 +4,10 @@ The :class:`OutputLayer` is the final linear map ``W h + b`` together
 with the scale/shift pair ``(sigma, mu)`` it is currently calibrated to,
 so the unnormalized prediction is ``sigma * (W h + b) + mu``.  When the
 statistics move, :meth:`OutputLayer.rescale_to` compensates ``W`` and
-``b`` so the unnormalized outputs are unchanged pointwise.
+``b`` so the unnormalized outputs are unchanged pointwise.  The layer's
+outputs and :func:`predict` also take a stack of inputs of shape
+``(B, n)``, one per row, and give each row exactly what that input alone
+gives; the SGD steps take one input at a time.
 
 Four per-sample squared-loss SGD steps are provided:
 
@@ -44,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import Mlp
+from .network import Mlp, affine
 from .stats import Normalizer, _as_vector
 
 
@@ -93,9 +96,12 @@ class OutputLayer:
         self.normalizer = normalizer
 
     def normalized_output(self, h) -> np.ndarray:
-        return self.W @ np.asarray(h, dtype=float) + self.b
+        """``W h + b`` for one feature vector, or one row per row of a
+        stack of shape ``(B, m)``."""
+        return affine(self.W, np.asarray(h, dtype=float), self.b)
 
     def unnormalized_output(self, h) -> np.ndarray:
+        """``sigma * (W h + b) + mu``, row by row for a stack."""
         return self.sigma * self.normalized_output(h) + self.mu
 
     def rescale_to(self, sigma_new, mu_new) -> None:
@@ -140,7 +146,11 @@ def _as_scale(sigma, k: int) -> np.ndarray:
 
 
 def predict(net: Mlp, layer: OutputLayer, x) -> np.ndarray:
-    """Unnormalized prediction ``sigma * (W h(x) + b) + mu``."""
+    """Unnormalized prediction ``sigma * (W h(x) + b) + mu``.
+
+    For a stack of inputs of shape ``(B, n_in)`` it returns one row per
+    input, each equal to the prediction for that input alone.
+    """
     return layer.unnormalized_output(net.forward(x))
 
 
@@ -161,7 +171,8 @@ def _sgd_step(
     ``sigma`` only divides the lower-layer seed by ``sigma**2``.  ``acts``,
     if given, is ``net.forward_pass(x)`` on the current parameters and
     stands in for the step's own forward pass.  Every input is checked
-    before anything is mutated.
+    once, before anything is mutated; a target the normalizer absorbs is
+    checked by :meth:`Normalizer.update`, the first thing that moves.
     """
     x = np.asarray(x, dtype=float)
     n_in = net.layer_sizes[0]
@@ -180,16 +191,17 @@ def _sgd_step(
                 )
         if acts[0] is not x and not np.array_equal(acts[0], x):
             raise ValueError("acts[0] is not the input x: acts come from another input")
-    y = _as_vector(y, layer.k)
-    if adoption == _RAW_TARGETS:
-        if sigma is not None:
-            sigma = _as_scale(sigma, layer.k)
-    elif sigma is None:
+    if adoption != _RAW_TARGETS and sigma is None:
         nrm = layer.normalizer
         if nrm is None:
             raise ValueError("layer has no normalizer attached")
-        nrm.update(y)
-        sigma, mu = nrm.sigma, nrm.mu
+        # the statistics update checks y, the last input, before it moves
+        sigma, mu = nrm.update(y), nrm.mu
+        y = np.asarray(y, dtype=float)
+    else:
+        y = _as_vector(y, layer.k)
+        if sigma is not None and adoption == _RAW_TARGETS:
+            sigma = _as_scale(sigma, layer.k)
     if adoption == _COMPENSATE:
         layer.rescale_to(sigma, mu)
         if hook is not None:
@@ -203,10 +215,10 @@ def _sgd_step(
     W = layer.W
     if adoption == _RAW_TARGETS:
         delta = W @ h + layer.b - y
-        theta_seed = W.T @ (delta if sigma is None else delta / sigma**2)
+        theta_seed = (delta if sigma is None else delta / sigma**2) @ W
     else:
         delta = W @ h + layer.b - (y - layer.mu) / layer.sigma
-        theta_seed = W.T @ delta
+        theta_seed = delta @ W
     g_sq = 0.0
     if net.n_params:
         g_theta = net.backward(acts, theta_seed)

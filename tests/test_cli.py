@@ -1,9 +1,10 @@
+import hashlib
 import json
 import os
 
 import pytest
 
-from popart.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from popart.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
 from popart.binreg import RESULTS_HEADER
 
 TINY_BINREG = {
@@ -130,6 +131,47 @@ def test_rl_demo_short_run(tmp_path):
     summary = json.loads((out / "rl_summary.json").read_text())
     assert "max_relative_q_error" in summary
     assert summary["terminal_reward"] == 1000.0
+
+
+# what `popart rl-demo --steps 400 --seed 0` wrote before the agent batched
+# its forward passes; any change to the arithmetic of the rl loop fails here
+GOLDEN_RL_SUMMARY = """{
+  "steps": 403,
+  "terminal_reward": 1000.0,
+  "max_relative_q_error": 0.9689454844175097,
+  "greedy_policy": [
+    0,
+    0,
+    0,
+    0
+  ]
+}
+"""
+GOLDEN_RL_METRICS_SHA256 = "75b67c6b5e1cb09b2c899ad9e43def429e2cc7ad8fa6eb8f135636df7d927378"
+GOLDEN_RL_METRICS_LAST_ROW = "403,94,1000.0,3.064480285811849,2.2164777188427816"
+
+
+def test_rl_demo_golden(tmp_path):
+    out = tmp_path / "rl"
+    assert main(["rl-demo", "--out", str(out), "--steps", "400", "--seed", "0"]) == EXIT_OK
+    assert (out / "rl_summary.json").read_text() == GOLDEN_RL_SUMMARY
+    metrics = (out / "rl_metrics.csv").read_bytes()
+    assert metrics.decode().splitlines()[-1] == GOLDEN_RL_METRICS_LAST_ROW
+    assert hashlib.sha256(metrics).hexdigest() == GOLDEN_RL_METRICS_SHA256
+
+
+def test_rl_demo_divergence_is_one_line_and_exit_code(tmp_path, capsys):
+    # reward 1 (scale 1e-3), agent seed 6: the loss turns non-finite at step 5282
+    out = tmp_path / "rl"
+    args = ["rl-demo", "--out", str(out), "--steps", "6000", "--seed", "6"]
+    assert main([*args, "--reward-scale", "0.001"]) == EXIT_DIVERGED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: training diverged at step 5282: non-finite loss or gradient norm "
+        "(terminal reward 1)"
+    ]
+    assert os.listdir(out) == []
 
 
 def test_rl_demo_rejects_unknown_config_key(tmp_path):

@@ -32,6 +32,26 @@ def test_forward_matches_straight_line_oracle():
         np.testing.assert_allclose(net.forward(x), _straight_line_forward(net, x), rtol=1e-12)
 
 
+def _assert_bitwise(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("sizes", [[3, 1], [4, 5, 1], [7, 20, 20], [6, 10, 10, 3], [2, 7, 4, 1]])
+def test_stacked_forward_pass_equals_per_row_calls_bitwise(sizes):
+    rng = np.random.default_rng(len(sizes) * 100 + sizes[-1])
+    for seed in range(4):
+        net = Mlp(sizes, seed=seed)
+        for n_rows in range(1, 9):
+            xs = rng.normal(size=(n_rows, sizes[0])) * 10.0 ** rng.uniform(-2, 1)
+            stacked = net.forward_pass(xs)
+            rows = [net.forward_pass(x) for x in xs]
+            assert len(stacked) == len(sizes)
+            for i, a in enumerate(stacked):
+                _assert_bitwise(a, np.array([r[i] for r in rows]))
+            _assert_bitwise(net.forward(xs), np.array([net.forward(x) for x in xs]))
+
+
 def test_zero_weight_network_outputs_final_bias():
     net = Mlp([3, 4, 2], seed=0)
     for w in net.weights:
@@ -103,6 +123,42 @@ def test_backward_is_vector_jacobian_product():
     np.testing.assert_allclose(net.backward(acts, v), net.jacobian(x) @ v, rtol=1e-12)
 
 
+def _reference_backward(net, acts, v):
+    """The vector-Jacobian product written out layer by layer with
+    ``W.T @ g`` and a concatenation, the oracle for :meth:`Mlp.backward`."""
+    g = np.asarray(v, dtype=float)
+    parts = []
+    last = len(net.weights) - 1
+    for i in range(last, -1, -1):
+        if i < last:
+            g = g * (1.0 - acts[i + 1] ** 2)
+        parts[:0] = [np.outer(g, acts[i]).ravel(), g]
+        g = net.weights[i].T @ g
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("sizes", [[3, 1], [4, 6, 3], [7, 20, 20], [5, 10, 10, 10, 2]])
+def test_backward_equals_reference_bitwise(sizes):
+    rng = np.random.default_rng(len(sizes))
+    net = Mlp(sizes, seed=sum(sizes))
+    for _ in range(20):
+        acts = net.forward_pass(rng.normal(size=sizes[0]) * 2.0)
+        v = rng.normal(size=sizes[-1]) * 10.0 ** rng.uniform(-3, 3)
+        _assert_bitwise(net.backward(acts, v), _reference_backward(net, acts, v))
+
+
+def test_backward_returns_fresh_arrays():
+    net = Mlp([3, 4, 2], seed=0)
+    acts = net.forward_pass([0.1, -0.2, 0.3])
+    first = net.backward(acts, [1.0, 0.0])
+    kept = first.copy()
+    second = net.backward(acts, [0.0, 1.0])
+    assert not np.shares_memory(first, second)
+    np.testing.assert_array_equal(first, kept)
+    other = net.copy()
+    assert not np.shares_memory(net.backward(acts, [1.0, 0.0]), other.backward(acts, [1.0, 0.0]))
+
+
 def test_apply_param_step_contracts():
     net = Mlp([3, 4, 2], seed=5)
     theta = net.get_params()
@@ -155,8 +211,12 @@ def test_json_round_trip():
 
 def test_dimension_errors():
     net = Mlp([3, 2], seed=0)
-    with pytest.raises(ValueError):
-        net.forward([1.0, 2.0])
+    # a short input, a scalar, a stack of short inputs, a 3-D stack
+    for x in ([1.0, 2.0], 1.0, np.zeros((2, 2)), np.zeros((2, 1, 3))):
+        with pytest.raises(ValueError):
+            net.forward(x)
+        with pytest.raises(ValueError):
+            net.forward_pass(x)
     with pytest.raises(ValueError):
         net.set_params(np.zeros(net.n_params + 1))
     with pytest.raises(ValueError):

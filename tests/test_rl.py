@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -71,38 +73,43 @@ def test_target_copy_period_exact():
             np.testing.assert_array_equal(online, frozen)
 
 
-def test_double_q_target_two_forward_passes_on_online_net(monkeypatch):
+def _state_of(agent, x):
+    """The one state whose actions a (stacked) forward-pass input codes."""
+    states = np.argmax(np.atleast_2d(x)[:, : agent.mdp.n_states], axis=1)
+    assert len(set(states.tolist())) == 1
+    return int(states[0])
+
+
+def test_double_q_target_one_forward_pass_per_state(monkeypatch):
     agent = DoubleQAgent(ChainMdp(), seed=0)
     nets = []
     forward_pass = Mlp.forward_pass
 
     def recorded(self, x):
-        nets.append(self)
+        nets.append((self, _state_of(agent, x)))
         return forward_pass(self, x)
 
     monkeypatch.setattr(Mlp, "forward_pass", recorded)
     agent.double_q_target((0, 0, 0.0, 1, False))
     # the first lookup of a state after a copy fills its target row
-    assert len(nets) == 4
-    assert [net is agent.net for net in nets] == [True, True, False, False]
+    assert nets == [(agent.net, 1), (agent.target_net, 1)]
     nets.clear()
     agent.double_q_target((2, 0, 0.0, 1, False))
-    # one per action for the online argmax; the target side is the table
-    assert len(nets) == 2
-    assert all(net is agent.net for net in nets)
+    # one pass for the online argmax; the target side is the table
+    assert nets == [(agent.net, 1)]
 
 
 @pytest.mark.parametrize("copy_period", [1, 3, 500])
 def test_target_rows_evaluated_once_per_copy(copy_period, monkeypatch):
-    # never more target passes than evaluating the target net afresh
-    # (two per non-terminal step), and at most one row per state and copy
+    # at most one target pass per step (one per state), and at most one
+    # row per state and copy
     agent = DoubleQAgent(ChainMdp(), copy_period=copy_period, seed=4)
     target_passes = []
     forward_pass = Mlp.forward_pass
 
     def recorded(self, x):
         if self is not agent.net:
-            target_passes.append(int(np.argmax(x[: agent.mdp.n_states])))
+            target_passes.append(_state_of(agent, x))
         return forward_pass(self, x)
 
     rng = np.random.default_rng(1)
@@ -114,9 +121,9 @@ def test_target_rows_evaluated_once_per_copy(copy_period, monkeypatch):
         before = len(target_passes)
         agent.learn_transition((s, 0, 0.0, s2, False))
         new = target_passes[before:]
-        assert len(new) <= 2
+        assert len(new) <= 1
         if new:
-            assert new == [s2, s2] and s2 not in rows
+            assert new == [s2] and s2 not in rows
             rows.add(s2)
         else:
             assert s2 in rows
@@ -126,9 +133,33 @@ def test_target_rows_evaluated_once_per_copy(copy_period, monkeypatch):
 
 def _frozen_values(net, layer, agent):
     return np.array(
-        [[predict(net, layer, agent._encode(s, a))[0] for a in range(agent.mdp.n_actions)]
+        [[predict(net, layer, agent.codes[s, a])[0] for a in range(agent.mdp.n_actions)]
          for s in range(agent.mdp.n_states)]
     )
+
+
+def test_codes_are_state_action_one_hots():
+    agent = DoubleQAgent(ChainMdp(n_states=4), seed=0)
+    for s in range(4):
+        for a in range(2):
+            expected = np.zeros(6)
+            expected[[s, 4 + a]] = 1.0
+            np.testing.assert_array_equal(agent.codes[s, a], expected)
+    with pytest.raises(ValueError):
+        agent.codes[0, 0, 0] = 2.0
+
+
+def test_batched_values_equal_per_action_predictions():
+    # one stacked pass per state gives the per-action predictions bit for bit
+    agent = DoubleQAgent(ChainMdp(terminal_reward=1e3), seed=7)
+    train(agent, max_steps=600)
+    online = _frozen_values(agent.net, agent.layer, agent)
+    for s in range(agent.mdp.n_states):
+        np.testing.assert_array_equal(agent.q_values(s), online[s])
+    np.testing.assert_array_equal(
+        agent.q_table(), np.array([agent.q_values(s) for s in range(agent.mdp.terminal)])
+    )
+    np.testing.assert_array_equal(agent.q_table(), online[:-1])
 
 
 def test_target_table_frozen_between_copies():
@@ -174,6 +205,20 @@ def test_rl_golden():
     train(agent, max_steps=3000)
     assert agent.step_count == GOLDEN_RL_STEPS
     np.testing.assert_array_equal(agent.q_table(), np.array(GOLDEN_RL_Q))
+
+
+def test_divergence_stops_training_at_first_non_finite_step():
+    # at reward 1, agent seed 6 overflows at step 5282; training on NaN
+    # parameters used to go on until a bare ValueError at step 5500
+    agent = DoubleQAgent(ChainMdp(terminal_reward=1.0), seed=6)
+    reports = []
+    with pytest.raises(FloatingPointError, match=r"step 5282\b.*terminal reward 1\b"):
+        train(agent, max_steps=50_000, rel_tol=0.05, hook=reports.append)
+    assert agent.step_count == 5282 == len(reports)
+    last = reports[-1]
+    assert not (math.isfinite(last.squared_loss) and math.isfinite(last.gradient_norm))
+    assert all(math.isfinite(r.squared_loss) and math.isfinite(r.gradient_norm)
+               for r in reports[:-1])
 
 
 def test_train_episode_metrics_shape():

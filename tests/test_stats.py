@@ -20,6 +20,13 @@ from popart.stats import (
 # -- incremental moments ---------------------------------------------------
 
 
+def test_update_returns_the_new_sigma():
+    n = Normalizer(k=2, spread=1.5, schedule=constant(0.3))
+    for y in ([1.0, -2.0], [40.0, 3.0], [1e150, 0.0], [-7.0, 1e-9]):
+        sigma = n.update(y)
+        np.testing.assert_array_equal(sigma, n.sigma)
+
+
 def test_two_step_constant_beta_recurrence():
     # beta=0.5 on the stream [1, 2], unrolled by hand:
     # after 1: mu=0.5, nu=0.5; after 2: mu=1.25, nu=2.25, var=0.6875
@@ -170,7 +177,7 @@ def test_from_dict_rejects_non_finite_moments(key, bad):
 
 @settings(deadline=None, max_examples=100)
 @given(
-    ys=st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=20),
+    ys=st.lists(st.floats(-MAX_TARGET, MAX_TARGET), min_size=1, max_size=20),
     # beta = 1 gives a zero bound that float residue cannot honor exactly
     beta=st.floats(1e-4, 0.99),
     spread=st.sampled_from([0.5, 1.0, 2.0]),
@@ -319,6 +326,14 @@ def test_spread_coverage_reference_values():
 @given(p=st.floats(0.01, 0.99))
 def test_spread_coverage_round_trip(p):
     assert coverage_from_spread(spread_from_coverage(p)) == pytest.approx(p, abs=1e-6)
+
+
+@pytest.mark.parametrize("p", [1e-300, 1e-17, 1e-9, 1e-8, 1e-5, 0.5, 1 - 2**-52, 1 - 2**-53])
+def test_spread_coverage_round_trip_at_the_edges(p):
+    # (1 + p) / 2 rounds to 1 at p = 1 - 2**-53, the largest double below 1
+    s = spread_from_coverage(p)
+    assert 0.0 < s < math.inf
+    assert coverage_from_spread(s) == pytest.approx(p, rel=1e-6)
 
 
 def test_spread_coverage_domain_errors():

@@ -102,6 +102,22 @@ def test_rescale_preserves_outputs_property(seed):
 # -- popart step: hand unroll ----------------------------------------------
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_stacked_predict_equals_per_row_calls_bitwise(k):
+    rng = np.random.default_rng(k)
+    net = Mlp([5, 8, 6], seed=k)
+    layer = OutputLayer(k, 6, rng=rng)
+    layer.rescale_to(rng.uniform(0.5, 2e3, k), rng.normal(size=k) * 100.0)
+    for n_rows in range(1, 9):
+        xs = rng.normal(size=(n_rows, 5))
+        expected = np.array([predict(net, layer, x) for x in xs])
+        got = predict(net, layer, xs)
+        assert got.shape == (n_rows, k) and got.tobytes() == expected.tobytes()
+        h = net.forward(xs)
+        for out in (layer.normalized_output, layer.unnormalized_output):
+            assert out(h).tobytes() == np.array([out(row) for row in h]).tobytes()
+
+
 def test_popart_step_hand_unroll():
     # identity features, W=1, b=0, fresh stats, beta=0.5, alpha=0.1,
     # x=5, y=10; every intermediate value unrolled by hand
@@ -379,7 +395,8 @@ def test_misshapen_target_rejected_without_change(step, y):
 
 
 @pytest.mark.parametrize("step", sorted(STEPS))
-@pytest.mark.parametrize("x", [np.zeros(3), np.zeros(1), np.zeros((2, 1)), 0.5])
+# a stack of inputs, which predict takes, is not one step
+@pytest.mark.parametrize("x", [np.zeros(3), np.zeros(1), np.zeros((2, 1)), 0.5, np.zeros((1, 2))])
 def test_misshapen_input_rejected_without_change(step, x):
     _assert_rejected_without_change(step, x, 1.0)
 
