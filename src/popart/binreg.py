@@ -9,8 +9,13 @@ that magnitude can wreck a small network.
 ``run_grid`` sweeps the four optimizer variants over an (alpha, beta)
 grid with repeated seeded runs, records the per-sample pre-update test
 error, and selects each method's best cell by median area under the
-error curve.  Runs that diverge (non-finite loss) are flagged and score
-infinite area rather than crashing the sweep.
+error curve.  A run stops at its first non-finite prediction or loss
+and leaves the rest of its trace at ``inf``; whether it diverged is read
+from its recorded arrays, and a diverged run scores infinite area rather
+than crashing the sweep.
+
+``write_results_csv`` and ``read_results_csv`` own the ``results.csv``
+format: reading back what was written gives the same records.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -86,7 +93,6 @@ class ExperimentConfig:
     n_repetitions: int = 10
     smoothing_window: int = 10
     hidden: tuple = (10, 10, 10)
-    percentiles: tuple = (10, 50, 90)
     base_seed: int = 1000
 
     @classmethod
@@ -122,7 +128,11 @@ class RunRecord:
     seed: int
     rmse: np.ndarray
     grad_norm: np.ndarray
-    diverged: bool
+
+    @property
+    def diverged(self) -> bool:
+        """Whether any recorded error or gradient norm is non-finite."""
+        return not (np.isfinite(self.rmse).all() and np.isfinite(self.grad_norm).all())
 
     @property
     def auc(self) -> float:
@@ -154,12 +164,13 @@ def run_single(
     rmse = np.full(n_samples, np.inf)
     grad_norm = np.full(n_samples, np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        diverged = _run_loop(method, net, layer, normalizer, stream, alpha,
-                             n_samples, rmse, grad_norm)
-    return RunRecord(method, alpha, beta, seed, rmse, grad_norm, diverged)
+        _run_loop(method, net, layer, normalizer, stream, alpha, n_samples, rmse, grad_norm)
+    return RunRecord(method, alpha, beta, seed, rmse, grad_norm)
 
 
 def _run_loop(method, net, layer, normalizer, stream, alpha, n_samples, rmse, grad_norm):
+    """Fill ``rmse`` and ``grad_norm`` step by step; stop at the first
+    non-finite prediction or loss, which leaves the rest at ``inf``."""
     for i in range(n_samples):
         x, y = stream.sample()
         # one forward pass serves the test error and the step: nothing
@@ -167,7 +178,7 @@ def _run_loop(method, net, layer, normalizer, stream, alpha, n_samples, rmse, gr
         acts = net.forward_pass(x)
         pred = layer.unnormalized_output(acts[-1])[0]
         if not math.isfinite(pred):
-            return True
+            return
         rmse[i] = abs(pred - y)
         if method == "popart":
             report = popart_sgd_step(net, layer, x, y, alpha, acts=acts)
@@ -180,8 +191,7 @@ def _run_loop(method, net, layer, normalizer, stream, alpha, n_samples, rmse, gr
             report = normalized_sgd_step(net, layer, x, y, sigma, alpha, acts=acts)
         grad_norm[i] = report.gradient_norm
         if not math.isfinite(report.squared_loss):
-            return True
-    return False
+            return
 
 
 def _run_cell(args) -> RunRecord:
@@ -203,19 +213,13 @@ def run_grid(config: ExperimentConfig, workers: int = 1, progress=None):
         for beta in config.betas
         for rep in range(config.n_repetitions)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = []
-            for i, rec in enumerate(pool.map(_run_cell, jobs, chunksize=4)):
-                records.append(rec)
-                if progress:
-                    progress(i + 1, len(jobs))
-    else:
-        records = []
-        for i, job in enumerate(jobs):
-            records.append(_run_cell(job))
+    records = []
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        runs = pool.map(_run_cell, jobs, chunksize=4) if pool else map(_run_cell, jobs)
+        for i, rec in enumerate(runs, 1):
+            records.append(rec)
             if progress:
-                progress(i + 1, len(jobs))
+                progress(i, len(jobs))
     return records, summarize(records)
 
 
@@ -264,43 +268,71 @@ def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
 # -- machine-readable outputs ---------------------------------------------
 
 
-def _atomic_path(path: str):
-    return path + ".tmp"
+@contextmanager
+def atomic_open(path: str, newline: str | None = None):
+    """Open a temp file beside ``path`` for writing text and rename it to
+    ``path`` when the body finishes.  If the body raises, the temp file is
+    deleted and any existing ``path`` is left as it was."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def write_results_csv(path: str, records) -> None:
     """Exact-header CSV, one row per (method, alpha, beta, seed, step)."""
-    tmp = _atomic_path(path)
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULTS_HEADER)
         for rec in records:
-            for step in range(len(rec.rmse)):
-                writer.writerow(
-                    [
-                        rec.method,
-                        repr(rec.alpha),
-                        repr(rec.beta),
-                        rec.seed,
-                        step + 1,
-                        repr(float(rec.rmse[step])),
-                        repr(float(rec.grad_norm[step])),
-                    ]
-                )
-    os.replace(tmp, path)
+            run = (rec.method, repr(rec.alpha), repr(rec.beta), rec.seed)
+            steps = range(1, len(rec.rmse) + 1)
+            writer.writerows(
+                zip(*map(repeat, run), steps, rec.rmse.tolist(), rec.grad_norm.tolist())
+            )
 
 
 def write_summary_json(path: str, summary: dict) -> None:
-    tmp = _atomic_path(path)
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
-def read_results_csv(path: str) -> list[dict]:
+def read_results_csv(path: str) -> list[RunRecord]:
+    """The records :func:`write_results_csv` wrote to ``path``, in file order.
+
+    Rows group into runs by (method, alpha, beta, seed), and each run's
+    steps must read 1..n in order.  A wrong header, a row of the wrong
+    width, an unknown method, a field that does not parse or a step out of
+    order raises ``ValueError`` naming the file and the line.
+    """
+    runs: dict[tuple, tuple[list, list]] = {}
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != RESULTS_HEADER:
-            raise ValueError(f"unexpected results header: {reader.fieldnames}")
-        return list(reader)
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header != RESULTS_HEADER:
+                raise ValueError(f"expected the header {','.join(RESULTS_HEADER)}")
+            for row in reader:
+                if len(row) != len(RESULTS_HEADER):
+                    raise ValueError(f"expected {len(RESULTS_HEADER)} fields, got {len(row)}")
+                method, alpha, beta, seed, step, rmse, grad_norm = row
+                if method not in METHODS:
+                    raise ValueError(f"unknown method {method!r}")
+                key = (method, float(alpha), float(beta), int(seed))
+                rmses, grad_norms = runs.setdefault(key, ([], []))
+                if int(step) != len(rmses) + 1:
+                    raise ValueError(f"step {step} of run {key}, expected {len(rmses) + 1}")
+                rmses.append(float(rmse))
+                grad_norms.append(float(grad_norm))
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}, line {max(reader.line_num, 1)}: {exc}") from None
+    return [
+        RunRecord(*key, np.array(rmses), np.array(grad_norms))
+        for key, (rmses, grad_norms) in runs.items()
+    ]

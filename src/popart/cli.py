@@ -7,12 +7,17 @@ Subcommands:
 - ``rl-demo``: train the chain-MDP double Q-learner and write a per-step
   metrics CSV plus a value-accuracy summary.
 - ``verify``: run the seeded property suites and print a pass/fail table.
-- ``plot``: render SVG charts from an existing ``results.csv`` without
-  recomputing anything.
+- ``plot``: render from an existing ``results.csv``, without recomputing
+  anything, the charts ``binreg --svg`` renders from its own runs.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 I/O error, 4 training diverged (``rl-demo``).  Output files are written
-to a temp name and renamed, so a failed run leaves no partial files.
+A run counts as diverged when its recorded error or gradient norm
+holds a non-finite value; ``binreg`` and ``plot`` chart a method only
+when its best cell's median AUC is finite, from that cell's finished runs.
+
+Exit codes: 0 success, 1 verification failure, 2 configuration error or
+malformed ``results.csv``, 3 I/O error, 4 training diverged
+(``rl-demo``).  Every output file is written through
+:func:`popart.binreg.atomic_open`, so a failed run leaves no partial files.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -77,7 +81,7 @@ def _workers(args) -> int:
 
 def cmd_binreg(args) -> int:
     from . import binreg
-    from .plotting import method_chart_from_records
+    from .plotting import write_charts
 
     overrides = _load_config(args.config)
     config = binreg.ExperimentConfig.profile(args.profile, base_seed=args.seed)
@@ -95,24 +99,7 @@ def cmd_binreg(args) -> int:
     binreg.write_results_csv(os.path.join(args.out, "results.csv"), records)
     binreg.write_summary_json(os.path.join(args.out, "summary.json"), summary)
     if args.svg:
-        for method in config.methods:
-            best = summary.get(method)
-            if best is None or not math.isfinite(best["median_auc"]):
-                continue
-            cell = [
-                r
-                for r in records
-                if r.method == method
-                and r.alpha == best["alpha"]
-                and r.beta == best["beta"]
-            ]
-            method_chart_from_records(
-                os.path.join(args.out, f"{method}.svg"),
-                cell,
-                method,
-                percentiles=config.percentiles,
-                window=config.smoothing_window,
-            )
+        write_charts(args.out, records, summary, config.smoothing_window)
     for method, best in sorted(summary.items()):
         print(
             f"{method}: best alpha={best['alpha']:.6g} beta={best['beta']:.6g} "
@@ -135,6 +122,7 @@ _RL_CONFIG_KEYS = {
 
 
 def cmd_rl_demo(args) -> int:
+    from .binreg import atomic_open
     from .rl import ChainMdp, DoubleQAgent, train, value_iteration
 
     cfg = _load_config(args.config)
@@ -156,34 +144,16 @@ def cmd_rl_demo(args) -> int:
         copy_period=cfg.get("copy_period", 500),
         seed=args.seed,
     )
-    rows = []
-    episode_index = [0]
-
-    def sink(metrics):
-        episode_index[0] += 1
-        base = agent.step_count - metrics.steps
-        for i in range(metrics.steps):
-            rows.append(
-                [
-                    base + i + 1,
-                    episode_index[0],
-                    repr(metrics.total_reward if i == metrics.steps - 1 else 0.0),
-                    repr(metrics.grad_norms[i]),
-                    repr(metrics.normalized_errors[i]),
-                ]
-            )
-
-    if args.steps > 0:
-        for metrics in train(agent, max_steps=args.steps, rel_tol=None):
-            sink(metrics)
-
-    csv_path = os.path.join(args.out, "rl_metrics.csv")
-    tmp = csv_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+    # a divergence raises inside the body, which leaves no file behind
+    with atomic_open(os.path.join(args.out, "rl_metrics.csv"), newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RL_HEADER)
-        writer.writerows(rows)
-    os.replace(tmp, csv_path)
+        step = 0
+        for episode, metrics in enumerate(train(agent, max_steps=args.steps), 1):
+            rewards = [0.0] * (metrics.steps - 1) + [metrics.total_reward]
+            for row in zip(rewards, metrics.grad_norms, metrics.normalized_errors):
+                step += 1
+                writer.writerow([step, episode, *map(repr, row)])
 
     summary = {"steps": agent.step_count}
     if args.steps > 0:
@@ -198,12 +168,9 @@ def cmd_rl_demo(args) -> int:
             }
         )
         print(f"max relative Q error after {agent.step_count} steps: {rel_err:.4f}")
-    tmp = os.path.join(args.out, "rl_summary.json.tmp")
-    final = os.path.join(args.out, "rl_summary.json")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(args.out, "rl_summary.json")) as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    os.replace(tmp, final)
     return EXIT_OK
 
 
@@ -221,41 +188,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    from .binreg import read_results_csv
-    from .plotting import write_band_chart
+    from .binreg import read_results_csv, summarize
+    from .plotting import write_charts
 
-    rows = read_results_csv(args.results)
+    try:
+        records = read_results_csv(args.results)
+    except ValueError as exc:
+        raise ConfigError(f"malformed results file {exc}") from exc
     _ensure_outdir(args.out)
-    traces: dict[tuple, dict[int, list]] = {}
-    for row in rows:
-        key = (row["method"], float(row["alpha"]), float(row["beta"]))
-        traces.setdefault(key, {}).setdefault(int(row["seed"]), []).append(
-            float(row["rmse"])
-        )
-    by_method: dict[str, list] = {}
-    for (method, alpha, beta), runs in traces.items():
-        arrs = [np.array(v) for v in runs.values()]
-        aucs = [float(a.sum()) for a in arrs]
-        med = float(np.median(aucs))
-        entry = by_method.get(method)
-        if entry is None or med < entry[0]:
-            by_method[method] = (med, arrs)
-    from .binreg import aggregate
-
-    for method, (_, arrs) in sorted(by_method.items()):
-        finite = [a for a in arrs if np.all(np.isfinite(a))]
-        if not finite:
-            continue
-        bands = aggregate(finite, percentiles=(10, 50, 90), window=args.window)
-        steps = np.arange(1, len(bands[50]) + 1)
-        write_band_chart(
-            os.path.join(args.out, f"{method}.svg"),
-            steps,
-            bands[50],
-            bands[10],
-            bands[90],
-            title=f"{method}: per-sample test error (median, 10-90 pct)",
-        )
+    write_charts(args.out, records, summarize(records), args.window)
     return EXIT_OK
 
 

@@ -6,9 +6,12 @@ external references, suitable for dropping into a results directory.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
+
+from .binreg import aggregate, atomic_open
 
 _WIDTH, _HEIGHT = 720, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 20, 30, 40
@@ -83,28 +86,28 @@ def write_band_chart(
             f'font-family="sans-serif" font-size="11">{label}</text>'
         )
     parts.append("</svg>")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(parts) + "\n")
-    os.replace(tmp, path)
 
 
-def method_chart_from_records(path, records, method, percentiles=(10, 50, 90), window=10):
-    """Render one method's aggregated error bands from run records."""
-    from .binreg import aggregate
-
-    traces = [r.rmse for r in records if r.method == method and not r.diverged]
-    if not traces:
-        raise ValueError(f"no finished runs for method {method!r}")
-    bands = aggregate(traces, percentiles=percentiles, window=window)
-    lo_p, mid_p, hi_p = sorted(percentiles)[0], sorted(percentiles)[len(percentiles) // 2], sorted(percentiles)[-1]
-    steps = np.arange(1, len(bands[mid_p]) + 1)
-    write_band_chart(
-        path,
-        steps,
-        bands[mid_p],
-        bands[lo_p],
-        bands[hi_p],
-        title=f"{method}: per-sample test error (median, {lo_p}-{hi_p} pct)",
-    )
-
+def write_charts(out_dir: str, records, summary: dict, window: int) -> None:
+    """Write ``<method>.svg`` to ``out_dir`` for each method in ``summary``
+    whose best median AUC is finite: the median and 10-90 percentile bands
+    of the per-sample test error over the finished runs of that best cell,
+    smoothed over ``window`` samples."""
+    for method, best in summary.items():
+        if not math.isfinite(best["median_auc"]):
+            continue
+        cell = (method, best["alpha"], best["beta"])
+        traces = [
+            r.rmse for r in records if (r.method, r.alpha, r.beta) == cell and not r.diverged
+        ]
+        bands = aggregate(traces, percentiles=(10, 50, 90), window=window)
+        write_band_chart(
+            os.path.join(out_dir, f"{method}.svg"),
+            np.arange(1, len(bands[50]) + 1),
+            bands[50],
+            bands[10],
+            bands[90],
+            title=f"{method}: per-sample test error (median, 10-90 pct)",
+        )

@@ -14,6 +14,28 @@ TINY_BINREG = {
     "n_samples": 40,
     "n_repetitions": 2,
 }
+# every method at two cells; all four sgd runs diverge
+GOLDEN_BINREG = {
+    "methods": ["sgd", "art", "popart", "normalized_sgd"],
+    "alphas": [1e-2, 1.0],
+    "betas": [0.1],
+    "n_samples": 60,
+    "n_repetitions": 2,
+}
+# what `popart binreg --sort` wrote for GOLDEN_BINREG before `results.csv`
+# had a reader of its own
+GOLDEN_BINREG_SHA256 = {
+    "results.csv": "a4f7f00c9f0070491960144ccf1c8058980a5d0c5f2e6301587b0818843b4f89",
+    "summary.json": "43010dae20a5e018e7c10f4f5a763fbf1846b0f7434a0c1087aa8d66851ba717",
+}
+# sgd over 1100 samples: one of five runs finishes, four diverge at the spike
+MIXED_BINREG = {
+    "methods": ["sgd"],
+    "alphas": [3e-5],
+    "betas": [0.01],
+    "n_samples": 1100,
+    "n_repetitions": 5,
+}
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -101,6 +123,15 @@ def test_binreg_worker_env_fallback(tmp_path, monkeypatch):
     assert code == EXIT_CONFIG
 
 
+def test_binreg_golden(tmp_path):
+    out = tmp_path / "o"
+    cfg = _write_config(tmp_path, GOLDEN_BINREG)
+    assert main(["binreg", "--config", cfg, "--out", str(out), "--sort"]) == EXIT_OK
+    for name, digest in GOLDEN_BINREG_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    assert sorted(os.listdir(out)) == ["results.csv", "summary.json"]
+
+
 def test_binreg_deterministic_with_sort(tmp_path):
     cfg = _write_config(tmp_path, TINY_BINREG)
     outs = []
@@ -134,7 +165,8 @@ def test_rl_demo_short_run(tmp_path):
 
 
 # what `popart rl-demo --steps 400 --seed 0` wrote before the agent batched
-# its forward passes; any change to the arithmetic of the rl loop fails here
+# its forward passes (the metrics hash re-recorded when the step column
+# became 1..N); any change to the arithmetic of the rl loop fails here
 GOLDEN_RL_SUMMARY = """{
   "steps": 403,
   "terminal_reward": 1000.0,
@@ -147,7 +179,7 @@ GOLDEN_RL_SUMMARY = """{
   ]
 }
 """
-GOLDEN_RL_METRICS_SHA256 = "75b67c6b5e1cb09b2c899ad9e43def429e2cc7ad8fa6eb8f135636df7d927378"
+GOLDEN_RL_METRICS_SHA256 = "756cbf30c37636e7057331faff58c685eb27ed765a0945cff340bb14d82b2e89"
 GOLDEN_RL_METRICS_LAST_ROW = "403,94,1000.0,3.064480285811849,2.2164777188427816"
 
 
@@ -158,6 +190,17 @@ def test_rl_demo_golden(tmp_path):
     metrics = (out / "rl_metrics.csv").read_bytes()
     assert metrics.decode().splitlines()[-1] == GOLDEN_RL_METRICS_LAST_ROW
     assert hashlib.sha256(metrics).hexdigest() == GOLDEN_RL_METRICS_SHA256
+
+
+def test_rl_demo_steps_count_from_one(tmp_path):
+    out = tmp_path / "rl"
+    assert main(["rl-demo", "--out", str(out), "--steps", "400", "--seed", "0"]) == EXIT_OK
+    rows = [line.split(",") for line in (out / "rl_metrics.csv").read_text().splitlines()[1:]]
+    summary = json.loads((out / "rl_summary.json").read_text())
+    assert [int(r[0]) for r in rows] == list(range(1, summary["steps"] + 1))
+    episodes = [int(r[1]) for r in rows]
+    assert episodes[0] == 1
+    assert all(0 <= b - a <= 1 for a, b in zip(episodes, episodes[1:]))
 
 
 def test_rl_demo_divergence_is_one_line_and_exit_code(tmp_path, capsys):
@@ -191,6 +234,52 @@ def test_plot_from_existing_results(tmp_path):
     )
     assert code == EXIT_OK
     assert (plots / "popart.svg").read_text().startswith("<svg")
+
+
+def _svgs(path):
+    return {p.name: p.read_bytes() for p in sorted(path.glob("*.svg"))}
+
+
+@pytest.mark.parametrize(
+    "config, methods",
+    [
+        (TINY_BINREG, ["popart.svg"]),
+        (MIXED_BINREG, []),
+        (GOLDEN_BINREG, ["art.svg", "normalized_sgd.svg", "popart.svg"]),
+    ],
+    ids=["tiny", "mixed", "golden"],
+)
+def test_plot_charts_what_binreg_svg_charts(tmp_path, config, methods):
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, config)
+    assert main(["binreg", "--config", cfg, "--out", str(out), "--svg", "--sort"]) == EXIT_OK
+    plots = tmp_path / "plots"
+    assert main(["plot", "--results", str(out / "results.csv"), "--out", str(plots)]) == EXIT_OK
+    assert sorted(_svgs(plots)) == methods
+    assert _svgs(plots) == _svgs(out)
+
+
+_HEADER = ",".join(RESULTS_HEADER)
+MALFORMED_RESULTS = {
+    "bad_header": ("method,alpha\n", 1),
+    "short_row": (_HEADER + "\npopart,0.01,0.1,2,1,1.5\n", 2),
+    "non_numeric": (_HEADER + "\npopart,0.01,0.1,2,1,1.5,2.5\npopart,0.01,0.1,2,2,x,2.5\n", 3),
+    "step_out_of_order": (_HEADER + "\npopart,0.01,0.1,2,2,1.5,2.5\n", 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_RESULTS))
+def test_plot_malformed_results_is_config_error(tmp_path, capsys, kind):
+    text, line = MALFORMED_RESULTS[kind]
+    results = tmp_path / "results.csv"
+    results.write_text(text)
+    plots = tmp_path / "plots"
+    code = main(["plot", "--results", str(results), "--out", str(plots)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert f"{results}, line {line}: " in err[0]
+    assert not plots.exists()
 
 
 def test_plot_missing_results_is_io_error(tmp_path):

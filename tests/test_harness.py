@@ -1,3 +1,6 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,10 @@ from popart.binreg import (
     RESULTS_HEADER,
     BinRegStream,
     ExperimentConfig,
+    RunRecord,
     _moving_average,
     aggregate,
+    atomic_open,
     read_results_csv,
     run_grid,
     run_single,
@@ -17,6 +22,7 @@ from popart.binreg import (
     write_results_csv,
 )
 from popart.network import Mlp
+from popart.plotting import write_charts
 from popart.schedules import constant
 from popart.stats import Normalizer
 from popart.training import OutputLayer, predict
@@ -292,23 +298,182 @@ def test_aggregate_errors():
 # -- CSV -------------------------------------------------------------------
 
 
+# sgd at this cell over 1100 samples (one spike), repetitions 1000..1004:
+# one run finishes and four diverge at the spike, two with a NaN gradient norm
+MIXED_CELL = ExperimentConfig(
+    methods=("sgd",), alphas=(3e-5,), betas=(0.01,), n_samples=1100, n_repetitions=5
+)
+
+
+def _assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.method, a.alpha, a.beta, a.seed) == (b.method, b.alpha, b.beta, b.seed)
+        assert type(a.alpha) is float and type(a.beta) is float and type(a.seed) is int
+        for x, y in ((a.rmse, b.rmse), (a.grad_norm, b.grad_norm)):
+            assert x.dtype == y.dtype == np.float64
+            # every bit but a NaN's sign, which text does not keep
+            np.testing.assert_array_equal(x, y)
+            finite_or_inf = ~np.isnan(y)
+            assert x[finite_or_inf].tobytes() == y[finite_or_inf].tobytes()
+        assert a.diverged == b.diverged
+        assert a.auc == b.auc
+
+
 def test_results_csv_round_trip(tmp_path):
-    rec = run_single("popart", 1e-2, 0.1, seed=2, n_samples=25)
+    records = [
+        run_single("popart", 1e-2, 0.1, seed=2, n_samples=25),
+        run_single("art", 1e-3, 0.01, seed=3, n_samples=25),
+    ]
     path = tmp_path / "results.csv"
-    write_results_csv(str(path), [rec])
+    write_results_csv(str(path), records)
     text = path.read_text()
-    assert text.splitlines()[0] == ",".join(RESULTS_HEADER)
+    lines = text.splitlines()
+    assert lines[0] == ",".join(RESULTS_HEADER)
+    assert lines[1].startswith("popart,0.01,0.1,2,1,")
+    assert len(lines) == 1 + 50
     assert "\r" not in text
-    rows = read_results_csv(str(path))
-    assert len(rows) == 25
-    assert rows[0]["method"] == "popart"
-    assert int(rows[0]["step"]) == 1
-    # repr round trip keeps float values exact
-    assert float(rows[7]["rmse"]) == rec.rmse[7]
+    assert not os.path.exists(str(path) + ".tmp")
+    _assert_same_records(read_results_csv(str(path)), records)
+
+
+def test_results_csv_round_trip_with_diverged_runs(tmp_path):
+    records, summary = run_grid(MIXED_CELL)
+    assert [r.diverged for r in records].count(True) == 4
+    assert any(np.isnan(r.grad_norm).any() for r in records)
+    path = tmp_path / "results.csv"
+    write_results_csv(str(path), records)
+    back = read_results_csv(str(path))
+    _assert_same_records(back, records)
+    assert summarize(back) == summary
+
+
+def test_read_results_csv_groups_runs_in_file_order(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text(
+        ",".join(RESULTS_HEADER) + "\n"
+        "sgd,0.1,0.2,7,1,1.0,2.0\n"
+        "art,0.1,0.2,7,1,3.0,4.0\n"
+        "sgd,0.1,0.2,7,2,inf,nan\n"
+    )
+    sgd, art = read_results_csv(str(path))
+    assert (sgd.method, sgd.alpha, sgd.beta, sgd.seed) == ("sgd", 0.1, 0.2, 7)
+    np.testing.assert_array_equal(sgd.rmse, [1.0, np.inf])
+    np.testing.assert_array_equal(sgd.grad_norm, [2.0, np.nan])
+    assert sgd.diverged and not art.diverged
+    np.testing.assert_array_equal(art.rmse, [3.0])
 
 
 def test_read_results_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("method,alpha\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 1: expected the header"):
         read_results_csv(str(path))
+    # the same columns in another order are as wrong
+    path.write_text(",".join(reversed(RESULTS_HEADER)) + "\n")
+    with pytest.raises(ValueError, match="line 1: expected the header"):
+        read_results_csv(str(path))
+
+
+_HEADER = ",".join(RESULTS_HEADER) + "\n"
+_ROW = "popart,0.01,0.1,2,{step},1.5,2.5\n"
+MALFORMED_CSV = {
+    "empty": ("", 1),
+    "header_twice": (_HEADER + _HEADER, 2),
+    "short_row": (_HEADER + "popart,0.01,0.1,2,1,1.5\n", 2),
+    "long_row": (_HEADER + "popart,0.01,0.1,2,1,1.5,2.5,9\n", 2),
+    "non_numeric": (_HEADER + "popart,0.01,0.1,2,1,abc,2.5\n", 2),
+    # the method names the chart file, so a path in its place must not pass
+    "unknown_method": (_HEADER + "../x,0.01,0.1,2,1,1.5,2.5\n", 2),
+    "non_integer_seed": (_HEADER + "popart,0.01,0.1,2.0,1,1.5,2.5\n", 2),
+    "step_gap": (_HEADER + _ROW.format(step=1) + _ROW.format(step=3), 3),
+    "step_not_from_one": (_HEADER + _ROW.format(step=2), 2),
+    "run_repeated": (_HEADER + _ROW.format(step=1) + _ROW.format(step=1), 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_CSV))
+def test_read_results_csv_rejects_malformed_naming_the_line(tmp_path, kind):
+    text, line = MALFORMED_CSV[kind]
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {line}: "):
+        read_results_csv(str(path))
+
+
+def test_run_record_diverged_is_derived_from_the_arrays():
+    finite = np.array([1.0, 2.0])
+    assert not RunRecord("sgd", 0.1, 0.1, 0, finite, finite).diverged
+    for bad in (np.inf, -np.inf, np.nan):
+        rec = RunRecord("sgd", 0.1, 0.1, 0, finite, np.array([1.0, bad]))
+        assert rec.diverged and rec.auc == np.inf
+        rec = RunRecord("sgd", 0.1, 0.1, 0, np.array([bad, 1.0]), finite)
+        assert rec.diverged and rec.auc == np.inf
+
+
+def test_run_grid_workers_match_serial():
+    config = ExperimentConfig(
+        methods=("sgd", "popart"),
+        alphas=(3e-5, 1e-2),
+        betas=(0.01,),
+        n_samples=1010,
+        n_repetitions=3,
+    )
+    runs = {}
+    for workers in (1, 2):
+        calls = []
+        records, summary = run_grid(
+            config, workers=workers, progress=lambda i, n: calls.append((i, n))
+        )
+        n = len(records)
+        assert calls == [(i, n) for i in range(1, n + 1)]
+        runs[workers] = records, summary
+    (serial, serial_summary), (pooled, pooled_summary) = runs[1], runs[2]
+    assert pooled_summary == serial_summary
+    assert len(serial) == 2 * 2 * 1 * 3
+    for a, b in zip(pooled, serial):
+        assert (a.method, a.alpha, a.beta, a.seed) == (b.method, b.alpha, b.beta, b.seed)
+        assert a.rmse.tobytes() == b.rmse.tobytes()
+        assert a.grad_norm.tobytes() == b.grad_norm.tobytes()
+
+
+def test_write_charts_skips_diverged_runs_and_infinite_medians(tmp_path):
+    steps = np.arange(1.0, 31.0)
+    finished = [
+        RunRecord("art", 0.1, 0.1, seed, steps * scale, steps)
+        for seed, scale in enumerate((1.0, 2.0))
+    ]
+    diverged = RunRecord("art", 0.1, 0.1, 9, np.full(30, np.inf), steps)
+    # sgd's only cell has an infinite median: no chart
+    sgd = [RunRecord("sgd", 0.1, 0.1, seed, np.full(30, np.inf), steps) for seed in (0, 1)]
+    records = finished + [diverged] + sgd
+    summary = summarize(records)
+    assert np.isfinite(summary["art"]["median_auc"])
+    (tmp_path / "all").mkdir()
+    (tmp_path / "finished").mkdir()
+    write_charts(str(tmp_path / "all"), records, summary, window=3)
+    write_charts(str(tmp_path / "finished"), finished, summary, window=3)
+    assert os.listdir(tmp_path / "all") == ["art.svg"]
+    assert (tmp_path / "all" / "art.svg").read_bytes() == (
+        tmp_path / "finished" / "art.svg"
+    ).read_bytes()
+
+
+def test_atomic_open_failure_leaves_nothing_behind(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("before\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(str(path)) as fh:
+            fh.write("partial")
+            raise RuntimeError("stop")
+    assert path.read_text() == "before\n"
+    fresh = tmp_path / "new.txt"
+    with pytest.raises(RuntimeError):
+        with atomic_open(str(fresh)) as fh:
+            fh.write("partial")
+            raise RuntimeError("stop")
+    assert sorted(os.listdir(tmp_path)) == ["out.txt"]
+    with atomic_open(str(path)) as fh:
+        fh.write("after\n")
+    assert path.read_text() == "after\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.txt"]
