@@ -237,20 +237,21 @@ def summarize(records) -> dict:
     return summary
 
 
-def aggregate(traces, percentiles=(10, 50, 90), window: int = 10) -> dict:
-    """Per-step percentile bands across repetitions, then a trailing
-    moving average over ``window`` samples (window 1 leaves the trace
-    untouched).
+PERCENTILES = (10, 50, 90)
+
+
+def aggregate(traces, window: int = 10) -> dict:
+    """Per-step :data:`PERCENTILES` bands across repetitions, a stack of
+    equal-length traces, then a trailing moving average over ``window``
+    samples (window 1 leaves the trace untouched).
     """
     arr = np.asarray(traces, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
     if arr.size == 0:
         raise ValueError("no traces to aggregate")
     if window < 1:
         raise ValueError("window must be >= 1")
     bands = {}
-    for p in percentiles:
+    for p in PERCENTILES:
         band = np.percentile(arr, p, axis=0)
         bands[p] = _moving_average(band, window)
     return bands
@@ -298,18 +299,25 @@ def write_results_csv(path: str, records) -> None:
 
 
 def write_summary_json(path: str, summary: dict) -> None:
+    """``summary`` as strict JSON: a ``median_auc`` that is not finite,
+    a method whose every cell diverged, is written as ``null``."""
+    rows = {}
+    for method, best in summary.items():
+        auc = best["median_auc"]
+        rows[method] = {**best, "median_auc": auc if math.isfinite(auc) else None}
     with atomic_open(path) as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(rows, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def read_results_csv(path: str) -> list[RunRecord]:
     """The records :func:`write_results_csv` wrote to ``path``, in file order.
 
-    Rows group into runs by (method, alpha, beta, seed), and each run's
-    steps must read 1..n in order.  A wrong header, a row of the wrong
-    width, an unknown method, a field that does not parse or a step out of
-    order raises ``ValueError`` naming the file and the line.
+    Rows group into runs by (method, alpha, beta, seed); each run's steps
+    must read 1..n in order, with one n for all runs of a cell.  A wrong
+    header, a row of the wrong width, an unknown method, a field that does
+    not parse, a step out of order or a run of another length than its
+    cell's first raises ``ValueError`` naming the file and the line.
     """
     runs: dict[tuple, tuple[list, list]] = {}
     with open(path, encoding="utf-8", newline="") as fh:
@@ -330,6 +338,12 @@ def read_results_csv(path: str) -> list[RunRecord]:
                     raise ValueError(f"step {step} of run {key}, expected {len(rmses) + 1}")
                 rmses.append(float(rmse))
                 grad_norms.append(float(grad_norm))
+            # checked at the last line, where a file cut short ends
+            cell_steps: dict[tuple, int] = {}
+            for key, (rmses, _) in runs.items():
+                n = cell_steps.setdefault(key[:3], len(rmses))
+                if len(rmses) != n:
+                    raise ValueError(f"run {key} has {len(rmses)} steps, its cell's first {n}")
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"{path}, line {max(reader.line_num, 1)}: {exc}") from None
     return [

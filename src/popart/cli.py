@@ -109,16 +109,10 @@ def cmd_binreg(args) -> int:
 
 
 RL_HEADER = ["step", "episode", "reward", "grad_norm", "normalized_error"]
-_RL_CONFIG_KEYS = {
-    "n_states",
-    "terminal_reward",
-    "gamma",
-    "alpha",
-    "beta",
-    "epsilon_greedy",
-    "copy_period",
-    "hidden",
-}
+# rl-demo --config keys; each one left out keeps its ChainMdp or
+# DoubleQAgent default, except terminal_reward (--reward-scale * 1000)
+_RL_MDP_KEYS = ("n_states", "terminal_reward", "gamma")
+_RL_AGENT_KEYS = ("hidden", "alpha", "beta", "epsilon_greedy", "copy_period")
 
 
 def cmd_rl_demo(args) -> int:
@@ -126,24 +120,15 @@ def cmd_rl_demo(args) -> int:
     from .rl import ChainMdp, DoubleQAgent, train, value_iteration
 
     cfg = _load_config(args.config)
-    unknown = set(cfg) - _RL_CONFIG_KEYS
+    unknown = set(cfg).difference(_RL_MDP_KEYS, _RL_AGENT_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     _ensure_outdir(args.out)
-    mdp = ChainMdp(
-        n_states=cfg.get("n_states", 5),
-        terminal_reward=cfg.get("terminal_reward", args.reward_scale * 1000.0),
-        gamma=cfg.get("gamma", 0.99),
-    )
-    agent = DoubleQAgent(
-        mdp,
-        hidden=tuple(cfg.get("hidden", (20, 20))),
-        alpha=cfg.get("alpha", 3e-4),
-        beta=cfg.get("beta", 0.01),
-        epsilon_greedy=cfg.get("epsilon_greedy", 0.1),
-        copy_period=cfg.get("copy_period", 500),
-        seed=args.seed,
-    )
+    mdp_cfg = {k: cfg[k] for k in _RL_MDP_KEYS if k in cfg}
+    mdp_cfg.setdefault("terminal_reward", args.reward_scale * 1000.0)
+    mdp = ChainMdp(**mdp_cfg)
+    agent_cfg = {k: cfg[k] for k in _RL_AGENT_KEYS if k in cfg}
+    agent = DoubleQAgent(mdp, seed=args.seed, **agent_cfg)
     # a divergence raises inside the body, which leaves no file behind
     with atomic_open(os.path.join(args.out, "rl_metrics.csv"), newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -22,8 +22,6 @@ a new array to ``net.weights[i]`` detaches it from the parameters.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 
@@ -175,29 +173,3 @@ class Mlp:
         other.layer_sizes = list(self.layer_sizes)
         other._bind(self._theta.copy())
         return other
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "layer_sizes": self.layer_sizes,
-                "weights": [w.tolist() for w in self.weights],
-                "biases": [b.tolist() for b in self.biases],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Mlp":
-        d = json.loads(text)
-        net = cls.__new__(cls)
-        net.layer_sizes = [int(s) for s in d["layer_sizes"]]
-        net._bind()
-        pairs = zip(d["weights"], d["biases"])
-        stored = [np.asarray(a, dtype=float) for pair in pairs for a in pair]
-        views = [a for pair in zip(net.weights, net.biases) for a in pair]
-        if [a.shape for a in stored] != [a.shape for a in views]:
-            raise ValueError("stored weights and biases do not match layer_sizes")
-        for view, a in zip(views, stored):
-            view[...] = a
-        return net

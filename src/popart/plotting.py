@@ -102,7 +102,7 @@ def write_charts(out_dir: str, records, summary: dict, window: int) -> None:
         traces = [
             r.rmse for r in records if (r.method, r.alpha, r.beta) == cell and not r.diverged
         ]
-        bands = aggregate(traces, percentiles=(10, 50, 90), window=window)
+        bands = aggregate(traces, window=window)
         write_band_chart(
             os.path.join(out_dir, f"{method}.svg"),
             np.arange(1, len(bands[50]) + 1),

@@ -217,10 +217,12 @@ class DoubleQAgent:
         return np.argmax(self.q_table(), axis=1)
 
 
+CHECK_EVERY = 2000
+
+
 def train(
     agent: DoubleQAgent,
     max_steps: int = 50_000,
-    check_every: int = 2000,
     rel_tol: float | None = None,
     hook=None,
 ) -> list[EpisodeMetrics]:
@@ -228,19 +230,20 @@ def train(
 
     If ``rel_tol`` is given, training stops early once every learned
     state-action value is within that relative tolerance of the exact
-    values from :func:`value_iteration`.  Training stops with
+    values from :func:`value_iteration`, checked every
+    :data:`CHECK_EVERY` steps.  Training stops with
     ``FloatingPointError``, naming the step and the terminal reward, at
     the first step whose squared loss or gradient norm is not finite.
     """
     q_star = value_iteration(agent.mdp) if rel_tol is not None else None
     history: list[EpisodeMetrics] = []
-    next_check = check_every
+    next_check = CHECK_EVERY
     # an overflow shows as the non-finite loss that stops training
     with np.errstate(over="ignore", invalid="ignore"):
         while agent.step_count < max_steps:
             history.append(agent.train_episode(hook=hook))
             if q_star is not None and agent.step_count >= next_check:
-                next_check = agent.step_count + check_every
+                next_check = agent.step_count + CHECK_EVERY
                 err = np.abs(agent.q_table() - q_star) / np.abs(q_star)
                 if float(err.max()) <= rel_tol:
                     break

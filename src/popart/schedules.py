@@ -71,23 +71,6 @@ class StepSizeSchedule:
     def copy(self) -> "StepSizeSchedule":
         return StepSizeSchedule(self.kind, self.base_beta, self.tau, self.t)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "base_beta": self.base_beta,
-            "tau": self.tau,
-            "t": self.t,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StepSizeSchedule":
-        return cls(
-            kind=ScheduleKind(d["kind"]),
-            base_beta=d["base_beta"],
-            tau=d.get("tau", 1000.0),
-            t=d.get("t", 0),
-        )
-
 
 def constant(beta: float) -> StepSizeSchedule:
     return StepSizeSchedule(ScheduleKind.CONSTANT, base_beta=beta)

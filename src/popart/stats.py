@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from .schedules import ScheduleKind, StepSizeSchedule, harmonic
+from .schedules import StepSizeSchedule, harmonic
 
 DEFAULT_EPSILON = 1e-4
 # the largest magnitude whose square is a finite double
@@ -132,35 +132,6 @@ class Normalizer:
         other.mu = self.mu.copy()
         other.nu = self.nu.copy()
         return other
-
-    def to_dict(self) -> dict:
-        return {
-            "mu": self.mu.tolist(),
-            "nu": self.nu.tolist(),
-            "spread": self.spread,
-            "epsilon": self.epsilon,
-            "schedule": self.schedule.to_dict(),
-            "t": self.schedule.t,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Normalizer":
-        schedule = StepSizeSchedule.from_dict(d["schedule"])
-        obj = cls(
-            k=len(d["mu"]),
-            spread=d["spread"],
-            epsilon=d["epsilon"],
-            schedule=schedule,
-        )
-        mu, nu = np.asarray(d["mu"], dtype=float), np.asarray(d["nu"], dtype=float)
-        if mu.shape != (obj.k,) or nu.shape != (obj.k,):
-            raise ValueError(
-                f"mu and nu must both have shape {(obj.k,)}, got {mu.shape} and {nu.shape}"
-            )
-        if not (np.isfinite(mu).all() and np.isfinite(nu).all()):
-            raise ValueError("mu and nu must be finite")
-        obj.mu, obj.nu = mu, nu
-        return obj
 
 
 def _interpolated_order_stat(sorted_values: np.ndarray, rank: float) -> float:

@@ -43,7 +43,7 @@ caller's promise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class TrainStepReport:
     gradient_norm: float
     scale: np.ndarray | None = None
     shift: np.ndarray | None = None
-    extras: dict = field(default_factory=dict)
 
 
 class OutputLayer:
@@ -204,8 +203,6 @@ def _sgd_step(
             sigma = _as_scale(sigma, layer.k)
     if adoption == _COMPENSATE:
         layer.rescale_to(sigma, mu)
-        if hook is not None:
-            rescaled = {"W_rescaled": layer.W.copy(), "b_rescaled": layer.b.copy()}
     elif adoption == _ADOPT_RAW:
         layer.set_scale_shift(sigma, mu)
 
@@ -238,8 +235,6 @@ def _sgd_step(
         errors, scale, shift = (delta / sigma, delta), sigma.copy(), None
     report = TrainStepReport(*errors, 0.5 * d_sq, grad_norm, scale, shift)
     if hook is not None:
-        if adoption == _COMPENSATE:
-            report.extras.update(rescaled)
         hook(report)
     return report
 

@@ -23,10 +23,11 @@ GOLDEN_BINREG = {
     "n_repetitions": 2,
 }
 # what `popart binreg --sort` wrote for GOLDEN_BINREG before `results.csv`
-# had a reader of its own
+# had a reader of its own (the summary re-recorded when sgd's infinite
+# median AUC became null)
 GOLDEN_BINREG_SHA256 = {
     "results.csv": "a4f7f00c9f0070491960144ccf1c8058980a5d0c5f2e6301587b0818843b4f89",
-    "summary.json": "43010dae20a5e018e7c10f4f5a763fbf1846b0f7434a0c1087aa8d66851ba717",
+    "summary.json": "35b48b07a11bf53c71fc9c02c42c52fe43f2fefc134e9571106a75a0fb88fed3",
 }
 # sgd over 1100 samples: one of five runs finishes, four diverge at the spike
 MIXED_BINREG = {
@@ -265,6 +266,13 @@ MALFORMED_RESULTS = {
     "short_row": (_HEADER + "\npopart,0.01,0.1,2,1,1.5\n", 2),
     "non_numeric": (_HEADER + "\npopart,0.01,0.1,2,1,1.5,2.5\npopart,0.01,0.1,2,2,x,2.5\n", 3),
     "step_out_of_order": (_HEADER + "\npopart,0.01,0.1,2,2,1.5,2.5\n", 2),
+    # two runs of one cell, the second cut at a row boundary
+    "run_cut_short": (
+        _HEADER
+        + "\npopart,0.01,0.1,2,1,1.5,2.5\npopart,0.01,0.1,2,2,1.5,2.5"
+        + "\npopart,0.01,0.1,3,1,1.5,2.5\n",
+        4,
+    ),
 }
 
 

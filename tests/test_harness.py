@@ -1,3 +1,5 @@
+import json
+import math
 import os
 import re
 
@@ -20,6 +22,7 @@ from popart.binreg import (
     run_single,
     summarize,
     write_results_csv,
+    write_summary_json,
 )
 from popart.network import Mlp
 from popart.plotting import write_charts
@@ -253,7 +256,7 @@ def test_aggregate_identical_records_bands_coincide():
 
 def test_aggregate_window_one_is_identity():
     trace = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
-    bands = aggregate([trace], percentiles=(50,), window=1)
+    bands = aggregate([trace], window=1)
     np.testing.assert_array_equal(bands[50], trace)
 
 
@@ -265,7 +268,7 @@ def test_aggregate_constant_trace():
 
 def test_aggregate_trailing_window_oracle():
     trace = np.array([1.0, 2.0, 3.0, 4.0])
-    bands = aggregate([trace], percentiles=(50,), window=2)
+    bands = aggregate([trace], window=2)
     np.testing.assert_allclose(bands[50], [1.0, 1.5, 2.5, 3.5])
 
 
@@ -389,6 +392,11 @@ MALFORMED_CSV = {
     "step_gap": (_HEADER + _ROW.format(step=1) + _ROW.format(step=3), 3),
     "step_not_from_one": (_HEADER + _ROW.format(step=2), 2),
     "run_repeated": (_HEADER + _ROW.format(step=1) + _ROW.format(step=1), 3),
+    # a file cut at a row boundary: the cell's second run ends early
+    "run_cut_short": (
+        _HEADER + _ROW.format(step=1) + _ROW.format(step=2) + "popart,0.01,0.1,3,1,1.5,2.5\n",
+        4,
+    ),
 }
 
 
@@ -399,6 +407,24 @@ def test_read_results_csv_rejects_malformed_naming_the_line(tmp_path, kind):
     path.write_text(text)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {line}: "):
         read_results_csv(str(path))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_summary_json_is_strict_json(tmp_path):
+    # a method whose every cell diverged has an infinite median AUC
+    summary = {
+        "sgd": {"alpha": 1.0, "beta": 0.1, "median_auc": math.inf},
+        "popart": {"alpha": 0.01, "beta": 0.1, "median_auc": 23563.9},
+    }
+    path = tmp_path / "summary.json"
+    write_summary_json(str(path), summary)
+    written = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert written["sgd"] == {"alpha": 1.0, "beta": 0.1, "median_auc": None}
+    assert written["popart"] == summary["popart"]
+    assert summary["sgd"]["median_auc"] == math.inf
 
 
 def test_run_record_diverged_is_derived_from_the_arrays():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -201,14 +200,6 @@ def test_init_bounds_respect_fan_in():
     assert np.all(net.biases[0] == 0.0)
 
 
-def test_json_round_trip():
-    net = Mlp([3, 4, 2], seed=11)
-    restored = Mlp.from_json(net.to_json())
-    np.testing.assert_array_equal(restored.get_params(), net.get_params())
-    x = np.array([0.1, 0.2, 0.3])
-    np.testing.assert_array_equal(restored.forward(x), net.forward(x))
-
-
 def test_dimension_errors():
     net = Mlp([3, 2], seed=0)
     # a short input, a scalar, a stack of short inputs, a 3-D stack
@@ -250,9 +241,8 @@ def _fresh():
     [
         _fresh,
         lambda: _fresh().copy(),
-        lambda: Mlp.from_json(_fresh().to_json()),
     ],
-    ids=["init", "copy", "from_json"],
+    ids=["init", "copy"],
 )
 def test_weights_and_biases_are_views_of_params(make):
     net = make()
@@ -282,10 +272,3 @@ def test_init_draws_each_layer_in_order():
         bound = 1.0 / np.sqrt(fan_in)
         np.testing.assert_array_equal(w, rng.uniform(-bound, bound, size=w.shape))
     assert net.n_params == 3 * 4 + 3 + 2 * 3 + 2
-
-
-def test_from_json_rejects_shapes_that_do_not_match_layer_sizes():
-    d = json.loads(_fresh().to_json())
-    d["layer_sizes"] = [3, 4, 5, 3]
-    with pytest.raises(ValueError):
-        Mlp.from_json(json.dumps(d))

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,10 +88,3 @@ def test_copy_is_independent():
     c.step()
     assert s.t == 1 and c.t == 2
 
-
-def test_dict_round_trip():
-    s = harmonic(0.2, tau=50.0)
-    s.step()
-    r = StepSizeSchedule.from_dict(s.to_dict())
-    assert r == s
-    assert math.isclose(r.step(), s.step())

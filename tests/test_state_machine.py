@@ -1,0 +1,107 @@
+"""Stateful test of a Normalizer and the OutputLayer it calibrates.
+
+Rules mix statistics updates, rescales and invalid calls.  After every
+call: ``sigma`` is finite and positive, a rescale preserved the
+unnormalized outputs on fixed probes, and a call that raised changed
+nothing.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from popart.schedules import bias_corrected, constant
+from popart.stats import MAX_TARGET, Normalizer
+from popart.training import OutputLayer
+
+K, M = 2, 3
+# fixed feature vectors the unnormalized outputs are compared on
+PROBES = np.array([[0.5, -1.0, 0.25], [1.0, 1.0, 1.0], [-0.3, 0.7, -0.9]])
+# a rescale rounds each output to a few ulps of the magnitudes it sums
+PRESERVE_RTOL = 1e-12
+
+finite_target = st.floats(-MAX_TARGET, MAX_TARGET)
+invalid_target = st.sampled_from(
+    [math.nan, math.inf, -math.inf, MAX_TARGET * (1 + 2**-50), -1e155, 1e200]
+)
+valid_scale = st.floats(1e-2, 1e100)
+valid_shift = st.floats(-1e100, 1e100)
+invalid_scale = st.sampled_from([0.0, -0.0, -1.0, -1e-300, math.nan, math.inf])
+invalid_shift = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+class NormalizerLayerMachine(RuleBasedStateMachine):
+    @initialize(
+        beta=st.floats(1e-3, 1.0),
+        corrected=st.booleans(),
+        spread=st.sampled_from([0.5, 1.0, 2.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def build(self, beta, corrected, spread, seed):
+        schedule = bias_corrected(beta) if corrected else constant(beta)
+        self.nrm = Normalizer(k=K, spread=spread, schedule=schedule)
+        self.layer = OutputLayer(K, M, normalizer=self.nrm, seed=seed)
+
+    def _state(self):
+        nrm, layer = self.nrm, self.layer
+        arrays = (nrm.mu, nrm.nu, layer.W, layer.b, layer.sigma, layer.mu)
+        return nrm.t, [a.tobytes() for a in arrays]
+
+    def _assert_raises_and_changes_nothing(self, call, *args):
+        before = self._state()
+        with pytest.raises(ValueError):
+            call(*args)
+        assert self._state() == before
+
+    def _rescale_preserving_outputs(self, sigma, mu):
+        layer = self.layer
+        out = layer.unnormalized_output(PROBES)
+        # the magnitudes the rescaled output is summed from
+        size = (np.abs(PROBES) @ np.abs(layer.W).T + np.abs(layer.b)) * layer.sigma
+        size += np.abs(layer.mu) + np.abs(np.asarray(mu, dtype=float))
+        layer.rescale_to(sigma, mu)
+        err = np.abs(layer.unnormalized_output(PROBES) - out)
+        assert (err <= PRESERVE_RTOL * size).all(), (err, size)
+
+    @rule(y=st.lists(finite_target, min_size=K, max_size=K))
+    def update_and_rescale(self, y):
+        sigma = self.nrm.update(y)
+        np.testing.assert_array_equal(sigma, self.nrm.sigma)
+        self._rescale_preserving_outputs(self.nrm.sigma, self.nrm.mu)
+
+    @rule(good=finite_target, bad=invalid_target, first=st.booleans())
+    def update_rejects_invalid_target(self, good, bad, first):
+        y = [bad, good] if first else [good, bad]
+        self._assert_raises_and_changes_nothing(self.nrm.update, y)
+
+    @rule(
+        sigma=st.lists(valid_scale, min_size=K, max_size=K),
+        mu=st.lists(valid_shift, min_size=K, max_size=K),
+    )
+    def rescale_to_given(self, sigma, mu):
+        self._rescale_preserving_outputs(sigma, mu)
+
+    @rule(bad=invalid_scale, good=valid_scale, mu=valid_shift, raw=st.booleans())
+    def rescale_rejects_invalid_scale(self, bad, good, mu, raw):
+        call = self.layer.set_scale_shift if raw else self.layer.rescale_to
+        self._assert_raises_and_changes_nothing(call, [good, bad], [mu, mu])
+
+    @rule(sigma=valid_scale, good=valid_shift, bad=invalid_shift, raw=st.booleans())
+    def rescale_rejects_invalid_shift(self, sigma, good, bad, raw):
+        call = self.layer.set_scale_shift if raw else self.layer.rescale_to
+        self._assert_raises_and_changes_nothing(call, [sigma, sigma], [bad, good])
+
+    @invariant()
+    def sigma_finite_and_positive(self):
+        for sigma in (self.nrm.sigma, self.layer.sigma):
+            assert all(0.0 < s < math.inf for s in sigma.tolist())
+
+
+NormalizerLayerMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
+TestNormalizerLayerMachine = NormalizerLayerMachine.TestCase

@@ -142,39 +142,6 @@ def test_shape_mismatch_rejected():
         n.update([1.0, 2.0, 3.0])
 
 
-def test_serialization_round_trip():
-    n = Normalizer(k=2, spread=0.5, epsilon=1e-6, schedule=constant(0.25))
-    n.update([1.0, 4.0])
-    n.update([2.0, 6.0])
-    r = Normalizer.from_dict(n.to_dict())
-    np.testing.assert_array_equal(r.mu, n.mu)
-    np.testing.assert_array_equal(r.nu, n.nu)
-    assert r.spread == n.spread and r.epsilon == n.epsilon
-    assert r.schedule == n.schedule
-    r.update([3.0, 8.0])
-    n.update([3.0, 8.0])
-    np.testing.assert_array_equal(r.mu, n.mu)
-
-
-def test_from_dict_rejects_mismatched_moments():
-    d = Normalizer(k=2).to_dict()
-    d["mu"], d["nu"] = [0.0, 1.0], [1.0]
-    with pytest.raises(ValueError):
-        Normalizer.from_dict(d)
-    d["mu"], d["nu"] = [0.0], [1.0, 2.0]
-    with pytest.raises(ValueError):
-        Normalizer.from_dict(d)
-
-
-@pytest.mark.parametrize("key", ["mu", "nu"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_from_dict_rejects_non_finite_moments(key, bad):
-    d = Normalizer(k=2).to_dict()
-    d[key] = [1.0, bad]
-    with pytest.raises(ValueError):
-        Normalizer.from_dict(d)
-
-
 @settings(deadline=None, max_examples=100)
 @given(
     ys=st.lists(st.floats(-MAX_TARGET, MAX_TARGET), min_size=1, max_size=20),

@@ -196,12 +196,12 @@ def test_double_update_order_via_hook():
     layer = OutputLayer(1, 3, normalizer=nrm, seed=3)
     x = np.array([0.5, -1.0])
     h = net.forward(x)  # features before the step mutates theta
+    before = layer.copy()
     seen = {}
     popart_sgd_step(net, layer, x, 7.0, alpha=0.05, hook=lambda r: seen.setdefault("report", r))
     report = seen["report"]
-    w_r = report.extras["W_rescaled"]
-    b_r = report.extras["b_rescaled"]
-    expected = (w_r @ h + b_r) - (7.0 - report.shift) / report.scale
+    before.rescale_to(report.scale, report.shift)
+    expected = (before.W @ h + before.b) - (7.0 - report.shift) / report.scale
     np.testing.assert_allclose(report.normalized_error, expected, rtol=1e-12)
     np.testing.assert_array_equal(report.scale, nrm.sigma)
     np.testing.assert_array_equal(report.shift, nrm.mu)
