@@ -71,11 +71,6 @@ class BinRegStream:
         self.rng = np.random.default_rng([seed, 0xB17])
         self.step = 0
 
-    @staticmethod
-    def encode(value: int) -> np.ndarray:
-        """Low-bit-first binary encoding into a 16-component 0/1 vector."""
-        return ((value >> BinRegStream._BITS) & 1).astype(float)
-
     def sample(self) -> tuple[np.ndarray, float]:
         self.step += 1
         if self.step % self.SPIKE_PERIOD == 0:
@@ -224,16 +219,21 @@ def run_grid(config: ExperimentConfig, workers: int = 1, progress=None):
 
 
 def summarize(records) -> dict:
-    """Best (alpha, beta) per method by median area under the error curve."""
+    """Best (alpha, beta) per method by median area under the error curve.
+
+    A method whose every cell diverged (at least half of each cell's runs
+    diverged, so every median is ``inf``) has no best cell: its ``alpha``
+    and ``beta`` are None and its ``median_auc`` is ``inf``.
+    """
     cells: dict[tuple, list] = {}
     for rec in records:
         cells.setdefault((rec.method, rec.alpha, rec.beta), []).append(rec.auc)
     summary: dict[str, dict] = {}
     for (method, alpha, beta), aucs in cells.items():
         med = float(np.median(aucs))
-        best = summary.get(method)
-        if best is None or med < best["median_auc"]:
-            summary[method] = {"alpha": alpha, "beta": beta, "median_auc": med}
+        best = summary.setdefault(method, {"alpha": None, "beta": None, "median_auc": math.inf})
+        if med < best["median_auc"]:
+            best.update(alpha=alpha, beta=beta, median_auc=med)
     return summary
 
 
@@ -299,8 +299,8 @@ def write_results_csv(path: str, records) -> None:
 
 
 def write_summary_json(path: str, summary: dict) -> None:
-    """``summary`` as strict JSON: a ``median_auc`` that is not finite,
-    a method whose every cell diverged, is written as ``null``."""
+    """``summary`` as strict JSON: a method whose every cell diverged has
+    ``null`` for its ``alpha``, ``beta`` and ``median_auc``."""
     rows = {}
     for method, best in summary.items():
         auc = best["median_auc"]
@@ -314,10 +314,11 @@ def read_results_csv(path: str) -> list[RunRecord]:
     """The records :func:`write_results_csv` wrote to ``path``, in file order.
 
     Rows group into runs by (method, alpha, beta, seed); each run's steps
-    must read 1..n in order, with one n for all runs of a cell.  A wrong
-    header, a row of the wrong width, an unknown method, a field that does
-    not parse, a step out of order or a run of another length than its
-    cell's first raises ``ValueError`` naming the file and the line.
+    must read 1..n in order, with one n for every run in the file, as
+    ``binreg`` writes ``n_samples`` rows for each.  A wrong header, a row of
+    the wrong width, an unknown method, a field that does not parse, a step
+    out of order or a run shorter than the longest raises ``ValueError``
+    naming the file and the line.
     """
     runs: dict[tuple, tuple[list, list]] = {}
     with open(path, encoding="utf-8", newline="") as fh:
@@ -339,11 +340,10 @@ def read_results_csv(path: str) -> list[RunRecord]:
                 rmses.append(float(rmse))
                 grad_norms.append(float(grad_norm))
             # checked at the last line, where a file cut short ends
-            cell_steps: dict[tuple, int] = {}
+            n = max((len(rmses) for rmses, _ in runs.values()), default=0)
             for key, (rmses, _) in runs.items():
-                n = cell_steps.setdefault(key[:3], len(rmses))
                 if len(rmses) != n:
-                    raise ValueError(f"run {key} has {len(rmses)} steps, its cell's first {n}")
+                    raise ValueError(f"run {key} has {len(rmses)} steps, the longest {n}")
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"{path}, line {max(reader.line_num, 1)}: {exc}") from None
     return [

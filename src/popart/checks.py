@@ -161,7 +161,7 @@ def check_erf_correspondence(n_samples: int = 1_000_000, seed: int = 17) -> Chec
     msgs = []
     ok = True
     for s, tol in ((1.0, 0.005), (spread_from_coverage(0.95), 0.005)):
-        mu, sigma = batch_stats(y, mode="moments", spread=s)
+        mu, sigma = batch_stats(y, spread=s)
         frac = float(np.mean(np.abs((y - mu) / sigma) <= 1.0))
         expect = coverage_from_spread(s)
         ok &= abs(frac - expect) <= tol

@@ -101,6 +101,9 @@ def cmd_binreg(args) -> int:
     if args.svg:
         write_charts(args.out, records, summary, config.smoothing_window)
     for method, best in sorted(summary.items()):
+        if best["alpha"] is None:
+            print(f"{method}: every cell diverged")
+            continue
         print(
             f"{method}: best alpha={best['alpha']:.6g} beta={best['beta']:.6g} "
             f"median AUC={best['median_auc']:.6g}"
@@ -129,16 +132,22 @@ def cmd_rl_demo(args) -> int:
     mdp = ChainMdp(**mdp_cfg)
     agent_cfg = {k: cfg[k] for k in _RL_AGENT_KEYS if k in cfg}
     agent = DoubleQAgent(mdp, seed=args.seed, **agent_cfg)
-    # a divergence raises inside the body, which leaves no file behind
+    per_step = []  # (grad_norm, normalized_error) of every step
+
+    def record(report):
+        per_step.append((report.gradient_norm, float(np.abs(report.normalized_error).max())))
+
+    # a divergence raises here, before any file is opened
+    history = train(agent, max_steps=args.steps, hook=record)
     with atomic_open(os.path.join(args.out, "rl_metrics.csv"), newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RL_HEADER)
         step = 0
-        for episode, metrics in enumerate(train(agent, max_steps=args.steps), 1):
+        for episode, metrics in enumerate(history, 1):
             rewards = [0.0] * (metrics.steps - 1) + [metrics.total_reward]
-            for row in zip(rewards, metrics.grad_norms, metrics.normalized_errors):
+            for reward, row in zip(rewards, per_step[step : step + metrics.steps]):
                 step += 1
-                writer.writerow([step, episode, *map(repr, row)])
+                writer.writerow([step, episode, *map(repr, (reward, *row))])
 
     summary = {"steps": agent.step_count}
     if args.steps > 0:

@@ -15,6 +15,7 @@ from .binreg import aggregate, atomic_open
 
 _WIDTH, _HEIGHT = 720, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 20, 30, 40
+_COLOR = "#2a7e43"
 
 
 def _scale(values, lo, hi, out_lo, out_hi):
@@ -26,22 +27,11 @@ def _points(xs, ys):
     return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
 
 
-def write_band_chart(
-    path: str,
-    steps,
-    median,
-    lower,
-    upper,
-    title: str = "",
-    log_y: bool = True,
-    color: str = "#2a7e43",
-) -> None:
-    """Median line with a shaded lower-upper band, optional log y axis."""
+def write_band_chart(path: str, steps, median, lower, upper, title: str = "") -> None:
+    """Median line with a shaded lower-upper band, on a log y axis."""
     steps = np.asarray(steps, dtype=float)
-    series = [np.asarray(a, dtype=float) for a in (median, lower, upper)]
-    if log_y:
-        floor = 1e-12
-        series = [np.log10(np.maximum(a, floor)) for a in series]
+    # a floor, since log10 of 0 is -inf
+    series = [np.log10(np.maximum(a, 1e-12)) for a in (median, lower, upper)]
     med, lo_s, hi_s = series
     y_lo = float(min(a.min() for a in series))
     y_hi = float(max(a.max() for a in series))
@@ -61,9 +51,9 @@ def write_band_chart(
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>',
-        f'<polygon points="{band}" fill="{color}" fill-opacity="0.25" stroke="none"/>',
+        f'<polygon points="{band}" fill="{_COLOR}" fill-opacity="0.25" stroke="none"/>',
         f'<polyline points="{_points(x_px, to_px(med))}" fill="none" '
-        f'stroke="{color}" stroke-width="1.5"/>',
+        f'stroke="{_COLOR}" stroke-width="1.5"/>',
     ]
     # axes
     x0, y0 = _MARGIN_L, _HEIGHT - _MARGIN_B
@@ -80,10 +70,9 @@ def write_band_chart(
         )
         yv = y_lo + frac * (y_hi - y_lo)
         yp = y0 - frac * (y0 - _MARGIN_T)
-        label = f"1e{yv:.1f}" if log_y else f"{yv:.3g}"
         parts.append(
             f'<text x="{x0 - 6}" y="{yp:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
+            f'font-family="sans-serif" font-size="11">1e{yv:.1f}</text>'
         )
     parts.append("</svg>")
     with atomic_open(path) as fh:

@@ -24,7 +24,8 @@ copy and read from the table after that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,9 +47,9 @@ class ChainMdp:
     terminal_reward: float = 1000.0
     gamma: float = 0.99
 
-    n_actions: int = 2
-    ADVANCE: int = 0
-    STAY: int = 1
+    n_actions: ClassVar[int] = 2
+    ADVANCE: ClassVar[int] = 0
+    STAY: ClassVar[int] = 1
 
     @property
     def terminal(self) -> int:
@@ -64,11 +65,11 @@ class ChainMdp:
 
 
 def value_iteration(mdp: ChainMdp, tol: float = 1e-12) -> np.ndarray:
-    """Exact Q values for the non-terminal states, shape (n_states-1, 2)."""
+    """Exact Q values for the non-terminal states, shape (n_states-1, n_actions)."""
     n = mdp.n_states - 1
     v = np.zeros(mdp.n_states)
     while True:
-        q = np.empty((n, 2))
+        q = np.empty((n, mdp.n_actions))
         for s in range(n):
             s2, r, done = mdp.step(s, mdp.ADVANCE)
             q[s, mdp.ADVANCE] = r + (0.0 if done else mdp.gamma * v[s2])
@@ -83,8 +84,10 @@ def value_iteration(mdp: ChainMdp, tol: float = 1e-12) -> np.ndarray:
 class EpisodeMetrics:
     steps: int
     total_reward: float
-    grad_norms: list[float] = field(default_factory=list)
-    normalized_errors: list[float] = field(default_factory=list)
+
+
+# an episode that has not reached the terminal state by then is cut off
+MAX_EPISODE_STEPS = 100
 
 
 class DoubleQAgent:
@@ -110,14 +113,12 @@ class DoubleQAgent:
         beta: float = 0.01,
         epsilon_greedy: float = 0.1,
         copy_period: int = 500,
-        max_episode_steps: int = 100,
         seed: int = 0,
     ):
         self.mdp = mdp
         self.alpha = alpha
         self.epsilon_greedy = epsilon_greedy
         self.copy_period = copy_period
-        self.max_episode_steps = max_episode_steps
         self.rng = np.random.default_rng(seed)
         n_in = mdp.n_states + mdp.n_actions
         self.codes = np.zeros((mdp.n_states, mdp.n_actions, n_in))
@@ -169,29 +170,31 @@ class DoubleQAgent:
         a_star = int(np.argmax(self.q_values(s2)))
         return float(r + self.mdp.gamma * self.q_values(s2, target=True)[a_star])
 
-    def learn_transition(self, transition, hook=None):
+    def learn_transition(self, transition):
         s, a, r, s2, done = transition
         y = self.double_q_target(transition)
-        report = popart_sgd_step(
-            self.net, self.layer, self.codes[s, a], y, self.alpha, hook=hook
-        )
+        report = popart_sgd_step(self.net, self.layer, self.codes[s, a], y, self.alpha)
         self.step_count += 1
         if self.step_count % self.copy_period == 0:
             self._copy_target()
         return y, report
 
     def train_episode(self, hook=None) -> EpisodeMetrics:
-        """Run one episode, one learning step per transition.
+        """Run one episode, one learning step per transition, and pass
+        each step's :class:`~popart.training.TrainStepReport` to ``hook``.
 
         Raises ``FloatingPointError`` at the first step whose squared loss
-        or gradient norm is not finite: the network has diverged.
+        or gradient norm is not finite: the network has diverged.  ``hook``
+        sees that step's report before the error is raised.
         """
         metrics = EpisodeMetrics(steps=0, total_reward=0.0)
         s = 0
-        for _ in range(self.max_episode_steps):
+        for _ in range(MAX_EPISODE_STEPS):
             a = self.act(s)
             s2, r, done = self.mdp.step(s, a)
-            _, report = self.learn_transition((s, a, r, s2, done), hook=hook)
+            _, report = self.learn_transition((s, a, r, s2, done))
+            if hook is not None:
+                hook(report)
             if not (math.isfinite(report.squared_loss) and math.isfinite(report.gradient_norm)):
                 raise FloatingPointError(
                     f"training diverged at step {self.step_count}: non-finite loss or "
@@ -199,8 +202,6 @@ class DoubleQAgent:
                 )
             metrics.steps += 1
             metrics.total_reward += r
-            metrics.grad_norms.append(report.gradient_norm)
-            metrics.normalized_errors.append(float(np.abs(report.normalized_error).max()))
             if done:
                 break
             s = s2
@@ -234,6 +235,10 @@ def train(
     :data:`CHECK_EVERY` steps.  Training stops with
     ``FloatingPointError``, naming the step and the terminal reward, at
     the first step whose squared loss or gradient norm is not finite.
+
+    ``hook``, if given, is called with the
+    :class:`~popart.training.TrainStepReport` of every learning step, in
+    order, the diverging step's included.
     """
     q_star = value_iteration(agent.mdp) if rel_tol is not None else None
     history: list[EpisodeMetrics] = []

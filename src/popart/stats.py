@@ -13,8 +13,7 @@ rejects larger ones.
 
 Also provided:
 
-- :func:`batch_stats`: one-shot statistics of a finite batch, either by
-  moments or by symmetric order statistics around the median.
+- :func:`batch_stats`: one-shot moment statistics of a finite batch.
 - :class:`PercentileTracker`: stochastic-approximation tracking of the
   values that a fraction ``(1-p)/2`` of targets exceed / fall below.
 - :class:`ExtremeTracker`: moving average of minibatch min/max, which for
@@ -123,10 +122,6 @@ class Normalizer:
         arr = _as_vector(y, self.k)
         return (arr - self.mu) / self.sigma
 
-    def unnormalize(self, y_tilde) -> np.ndarray:
-        arr = _as_vector(y_tilde, self.k)
-        return arr * self.sigma + self.mu
-
     def copy(self) -> "Normalizer":
         other = Normalizer(self.k, self.spread, self.epsilon, self.schedule.copy())
         other.mu = self.mu.copy()
@@ -134,56 +129,21 @@ class Normalizer:
         return other
 
 
-def _interpolated_order_stat(sorted_values: np.ndarray, rank: float) -> float:
-    """Order statistic at a 1-based, possibly fractional, rank."""
-    t = len(sorted_values)
-    rank = min(max(rank, 1.0), float(t))
-    lo = int(math.floor(rank))
-    hi = int(math.ceil(rank))
-    if lo == hi:
-        return float(sorted_values[lo - 1])
-    frac = rank - lo
-    return float((1.0 - frac) * sorted_values[lo - 1] + frac * sorted_values[hi - 1])
-
-
 def batch_stats(
-    targets,
-    mode: str = "moments",
-    p: float = 1.0,
-    spread: float = 1.0,
-    epsilon: float = DEFAULT_EPSILON,
+    targets, spread: float = 1.0, epsilon: float = DEFAULT_EPSILON
 ) -> tuple[float, float]:
-    """Shift and scale of a finite batch of scalar targets.
-
-    ``moments`` mode returns the sample mean and
-    ``sqrt(mean-of-squares - mean**2) / spread``, with the variance floored
-    at ``epsilon``.  ``percentile`` mode places a fraction ``p`` of the
-    batch inside ``[mu - sigma, mu + sigma]`` using the symmetric order
-    statistics at 1-based ranks ``(t+1)/2 +- p*(t-1)/2``, interpolating
-    linearly at non-integer ranks.
+    """Shift and scale of a finite batch of scalar targets: the sample
+    mean and ``sqrt(mean-of-squares - mean**2) / spread``, with the
+    variance floored at ``epsilon``.
     """
     arr = np.asarray(targets, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need at least 2 targets")
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite target")
-    if mode == "moments":
-        mu = float(arr.mean())
-        var = max(float((arr**2).mean()) - mu**2, epsilon)
-        return mu, math.sqrt(var) / spread
-    if mode == "percentile":
-        if not (0.0 < p <= 1.0):
-            raise ValueError(f"p must be in (0, 1], got {p}")
-        t = arr.size
-        srt = np.sort(arr)
-        hi = _interpolated_order_stat(srt, (t + 1) / 2 + p * (t - 1) / 2)
-        lo = _interpolated_order_stat(srt, (t + 1) / 2 - p * (t - 1) / 2)
-        mu = 0.5 * (hi + lo)
-        sigma = 0.5 * (hi - lo)
-        if sigma <= 0.0:
-            sigma = math.sqrt(epsilon) / spread
-        return mu, sigma
-    raise ValueError(f"unknown mode {mode!r}")
+    mu = float(arr.mean())
+    var = max(float((arr**2).mean()) - mu**2, epsilon)
+    return mu, math.sqrt(var) / spread
 
 
 class _BoundsTracker:

@@ -53,10 +53,9 @@ from .stats import Normalizer, _as_vector
 
 @dataclass
 class TrainStepReport:
-    """Per-step diagnostics, optionally fed to an instrumentation hook."""
+    """Per-step diagnostics, returned by every SGD step."""
 
     normalized_error: np.ndarray
-    unnormalized_error: np.ndarray
     squared_loss: float
     gradient_norm: float
     scale: np.ndarray | None = None
@@ -160,7 +159,7 @@ _RAW_TARGETS = "raw targets"  # keep the identity and fit raw targets
 
 
 def _sgd_step(
-    net, layer: OutputLayer, x, y, alpha, hook, adoption, sigma=None, mu=None, acts=None
+    net, layer: OutputLayer, x, y, alpha, adoption, sigma=None, mu=None, acts=None
 ) -> TrainStepReport:
     """The one squared-loss SGD step behind every public variant.
 
@@ -227,20 +226,16 @@ def _sgd_step(
     layer.b -= alpha * delta
 
     if adoption != _RAW_TARGETS:
-        errors = delta, layer.sigma * delta
-        scale, shift = layer.sigma.copy(), layer.mu.copy()
+        error, scale, shift = delta, layer.sigma.copy(), layer.mu.copy()
     elif sigma is None:
-        errors, scale, shift = (delta, delta.copy()), None, None
+        error, scale, shift = delta, None, None
     else:
-        errors, scale, shift = (delta / sigma, delta), sigma.copy(), None
-    report = TrainStepReport(*errors, 0.5 * d_sq, grad_norm, scale, shift)
-    if hook is not None:
-        hook(report)
-    return report
+        error, scale, shift = delta / sigma, sigma.copy(), None
+    return TrainStepReport(error, 0.5 * d_sq, grad_norm, scale, shift)
 
 
 def popart_sgd_update(
-    net, layer: OutputLayer, x, y, sigma_new, mu_new, alpha: float, hook=None
+    net, layer: OutputLayer, x, y, sigma_new, mu_new, alpha: float
 ) -> TrainStepReport:
     """One output-preserving SGD step with an externally supplied new
     scale/shift (useful when the statistics live elsewhere).
@@ -249,11 +244,11 @@ def popart_sgd_update(
     unchanged, then SGD consumes the normalized error under the new
     scale/shift.
     """
-    return _sgd_step(net, layer, x, y, alpha, hook, _COMPENSATE, sigma_new, mu_new)
+    return _sgd_step(net, layer, x, y, alpha, _COMPENSATE, sigma_new, mu_new)
 
 
 def popart_sgd_step(
-    net, layer: OutputLayer, x, y, alpha: float, hook=None, *, acts=None
+    net, layer: OutputLayer, x, y, alpha: float, *, acts=None
 ) -> TrainStepReport:
     """One squared-loss SGD step with adaptive normalization and
     output-preserving rescale.
@@ -264,11 +259,11 @@ def popart_sgd_step(
 
     ``acts``: see the module docstring.
     """
-    return _sgd_step(net, layer, x, y, alpha, hook, _COMPENSATE, acts=acts)
+    return _sgd_step(net, layer, x, y, alpha, _COMPENSATE, acts=acts)
 
 
 def art_only_sgd_step(
-    net, layer: OutputLayer, x, y, alpha: float, hook=None, *, acts=None
+    net, layer: OutputLayer, x, y, alpha: float, *, acts=None
 ) -> TrainStepReport:
     """Like :func:`popart_sgd_step` but without the compensating rescale:
     the new scale/shift is adopted directly, so unnormalized outputs for
@@ -276,11 +271,11 @@ def art_only_sgd_step(
 
     ``acts``: see the module docstring.
     """
-    return _sgd_step(net, layer, x, y, alpha, hook, _ADOPT_RAW, acts=acts)
+    return _sgd_step(net, layer, x, y, alpha, _ADOPT_RAW, acts=acts)
 
 
 def plain_sgd_step(
-    net, layer: OutputLayer, x, y, alpha: float, hook=None, *, acts=None
+    net, layer: OutputLayer, x, y, alpha: float, *, acts=None
 ) -> TrainStepReport:
     """Baseline squared-loss SGD on raw targets; no statistics anywhere.
 
@@ -289,11 +284,11 @@ def plain_sgd_step(
 
     ``acts``: see the module docstring.
     """
-    return _sgd_step(net, layer, x, y, alpha, hook, _RAW_TARGETS, acts=acts)
+    return _sgd_step(net, layer, x, y, alpha, _RAW_TARGETS, acts=acts)
 
 
 def normalized_sgd_step(
-    net, layer: OutputLayer, x, y, sigma, alpha: float, hook=None, *, acts=None
+    net, layer: OutputLayer, x, y, sigma, alpha: float, *, acts=None
 ) -> TrainStepReport:
     """Scaled-update SGD: the top layer fits raw targets, while the
     lower-layer update is divided by the squared scale.
@@ -303,4 +298,4 @@ def normalized_sgd_step(
 
     ``acts``: see the module docstring.
     """
-    return _sgd_step(net, layer, x, y, alpha, hook, _RAW_TARGETS, sigma, acts=acts)
+    return _sgd_step(net, layer, x, y, alpha, _RAW_TARGETS, sigma, acts=acts)

@@ -24,10 +24,11 @@ GOLDEN_BINREG = {
 }
 # what `popart binreg --sort` wrote for GOLDEN_BINREG before `results.csv`
 # had a reader of its own (the summary re-recorded when sgd's infinite
-# median AUC became null)
+# median AUC became null, and again when sgd's alpha and beta did, since no
+# cell of it finished)
 GOLDEN_BINREG_SHA256 = {
     "results.csv": "a4f7f00c9f0070491960144ccf1c8058980a5d0c5f2e6301587b0818843b4f89",
-    "summary.json": "35b48b07a11bf53c71fc9c02c42c52fe43f2fefc134e9571106a75a0fb88fed3",
+    "summary.json": "76ca275b8cb6d0729d25ae52d947c02ffe84050116fd30213d35dfee6a2a0fd3",
 }
 # sgd over 1100 samples: one of five runs finishes, four diverge at the spike
 MIXED_BINREG = {
@@ -124,10 +125,13 @@ def test_binreg_worker_env_fallback(tmp_path, monkeypatch):
     assert code == EXIT_CONFIG
 
 
-def test_binreg_golden(tmp_path):
+def test_binreg_golden(tmp_path, capsys):
     out = tmp_path / "o"
     cfg = _write_config(tmp_path, GOLDEN_BINREG)
     assert main(["binreg", "--config", cfg, "--out", str(out), "--sort"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "sgd: every cell diverged"
+    sgd = json.loads((out / "summary.json").read_text())["sgd"]
+    assert sgd == {"alpha": None, "beta": None, "median_auc": None}
     for name, digest in GOLDEN_BINREG_SHA256.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     assert sorted(os.listdir(out)) == ["results.csv", "summary.json"]
@@ -271,6 +275,13 @@ MALFORMED_RESULTS = {
         _HEADER
         + "\npopart,0.01,0.1,2,1,1.5,2.5\npopart,0.01,0.1,2,2,1.5,2.5"
         + "\npopart,0.01,0.1,3,1,1.5,2.5\n",
+        4,
+    ),
+    # two cells of one run each, the second cut at a row boundary
+    "one_run_cell_cut_short": (
+        _HEADER
+        + "\npopart,0.01,0.1,2,1,1.5,2.5\npopart,0.01,0.1,2,2,1.5,2.5"
+        + "\npopart,0.001,0.1,2,1,1.5,2.5\n",
         4,
     ),
 }

@@ -46,8 +46,13 @@ def test_spike_exactly_every_thousandth_step():
             np.testing.assert_array_equal(x[10:], np.zeros(6))
 
 
+def _bit_loop(value):
+    """Low-bit-first binary encoding of ``value``, one bit at a time."""
+    return np.array([(value >> i) & 1 for i in range(16)], dtype=float)
+
+
 def test_binary_encoding_low_bit_first():
-    x = BinRegStream.encode(5)
+    x = BinRegStream._CODES[5]
     expected = np.zeros(16)
     expected[0] = expected[2] = 1.0  # 5 = 101 in binary
     np.testing.assert_array_equal(x, expected)
@@ -55,9 +60,11 @@ def test_binary_encoding_low_bit_first():
 
 
 def test_encoding_matches_bit_loop():
-    for value in [*range(BinRegStream.NORMAL_MAX + 1), BinRegStream.SPIKE_VALUE]:
-        expected = np.array([(value >> i) & 1 for i in range(16)], dtype=float)
-        np.testing.assert_array_equal(BinRegStream.encode(value), expected)
+    codes = BinRegStream._CODES
+    assert codes.shape == (BinRegStream.NORMAL_MAX + 1, 16)
+    for value, code in enumerate(codes):
+        np.testing.assert_array_equal(code, _bit_loop(value))
+    np.testing.assert_array_equal(BinRegStream._SPIKE_CODE, _bit_loop(BinRegStream.SPIKE_VALUE))
 
 
 def test_samples_do_not_alias_each_other():
@@ -67,7 +74,7 @@ def test_samples_do_not_alias_each_other():
         x[...] = -1.0  # must not reach later samples
     for _ in range(1001):
         x, y = stream.sample()
-        np.testing.assert_array_equal(x, BinRegStream.encode(int(y)))
+        np.testing.assert_array_equal(x, _bit_loop(int(y)))
 
 
 def test_stream_targets_uniform_mean():
@@ -227,6 +234,20 @@ def test_summarize_picks_min_median_auc():
     assert summarize(records) == summary
 
 
+def test_summarize_names_no_cell_when_every_cell_diverged():
+    steps = np.arange(1.0, 11.0)
+    records = [
+        RunRecord("sgd", alpha, 0.1, seed, np.full(10, np.inf), steps)
+        for alpha in (0.01, 1.0)
+        for seed in (0, 1)
+    ]
+    records.append(RunRecord("art", 0.01, 0.1, 0, steps, steps))
+    assert summarize(records) == {
+        "sgd": {"alpha": None, "beta": None, "median_auc": math.inf},
+        "art": {"alpha": 0.01, "beta": 0.1, "median_auc": 55.0},
+    }
+
+
 def test_profiles():
     ci = ExperimentConfig.profile("ci")
     assert ci.n_repetitions == 10 and len(ci.alphas) == 5
@@ -358,13 +379,14 @@ def test_read_results_csv_groups_runs_in_file_order(tmp_path):
         "sgd,0.1,0.2,7,1,1.0,2.0\n"
         "art,0.1,0.2,7,1,3.0,4.0\n"
         "sgd,0.1,0.2,7,2,inf,nan\n"
+        "art,0.1,0.2,7,2,5.0,6.0\n"
     )
     sgd, art = read_results_csv(str(path))
     assert (sgd.method, sgd.alpha, sgd.beta, sgd.seed) == ("sgd", 0.1, 0.2, 7)
     np.testing.assert_array_equal(sgd.rmse, [1.0, np.inf])
     np.testing.assert_array_equal(sgd.grad_norm, [2.0, np.nan])
     assert sgd.diverged and not art.diverged
-    np.testing.assert_array_equal(art.rmse, [3.0])
+    np.testing.assert_array_equal(art.rmse, [3.0, 5.0])
 
 
 def test_read_results_csv_rejects_bad_header(tmp_path):
@@ -397,6 +419,12 @@ MALFORMED_CSV = {
         _HEADER + _ROW.format(step=1) + _ROW.format(step=2) + "popart,0.01,0.1,3,1,1.5,2.5\n",
         4,
     ),
+    # every run binreg writes has n_samples rows, whatever its cell: a cut
+    # in a one-run cell shows against the longest run
+    "one_run_cell_cut_short": (
+        _HEADER + _ROW.format(step=1) + _ROW.format(step=2) + "popart,0.001,0.1,2,1,1.5,2.5\n",
+        4,
+    ),
 }
 
 
@@ -416,13 +444,13 @@ def _reject_constant(name):
 def test_summary_json_is_strict_json(tmp_path):
     # a method whose every cell diverged has an infinite median AUC
     summary = {
-        "sgd": {"alpha": 1.0, "beta": 0.1, "median_auc": math.inf},
+        "sgd": {"alpha": None, "beta": None, "median_auc": math.inf},
         "popart": {"alpha": 0.01, "beta": 0.1, "median_auc": 23563.9},
     }
     path = tmp_path / "summary.json"
     write_summary_json(str(path), summary)
     written = json.loads(path.read_text(), parse_constant=_reject_constant)
-    assert written["sgd"] == {"alpha": 1.0, "beta": 0.1, "median_auc": None}
+    assert written["sgd"] == {"alpha": None, "beta": None, "median_auc": None}
     assert written["popart"] == summary["popart"]
     assert summary["sgd"]["median_auc"] == math.inf
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -222,13 +223,25 @@ def test_divergence_stops_training_at_first_non_finite_step():
 
 
 def test_train_episode_metrics_shape():
+    # train(hook=) gets the report of every learned transition, in order,
+    # and the episodes' steps add up to the agent's step count
     agent = DoubleQAgent(ChainMdp(), seed=3)
-    metrics = agent.train_episode()
-    assert isinstance(metrics, EpisodeMetrics)
-    assert metrics.steps >= 1
-    assert len(metrics.grad_norms) == metrics.steps
-    assert len(metrics.normalized_errors) == metrics.steps
-    assert all(g >= 0 for g in metrics.grad_norms)
+    learned = []
+    learn_transition = agent.learn_transition
+
+    def learn_and_keep(transition):
+        y, report = learn_transition(transition)
+        learned.append(report)
+        return y, report
+
+    agent.learn_transition = learn_and_keep
+    reports = []
+    history = train(agent, max_steps=300, hook=reports.append)
+    assert [f.name for f in dataclasses.fields(EpisodeMetrics)] == ["steps", "total_reward"]
+    assert all(m.steps >= 1 for m in history)
+    assert sum(m.steps for m in history) == agent.step_count >= 300
+    assert len(reports) == len(learned) == agent.step_count
+    assert all(seen is made for seen, made in zip(reports, learned))
 
 
 def test_normalized_targets_bounded_regardless_of_reward_scale():

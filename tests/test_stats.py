@@ -85,25 +85,6 @@ def test_multicomponent_updates_are_independent():
         assert n.mu[i] == pytest.approx(1.25 * scale)
 
 
-def test_normalize_unnormalize_round_trip():
-    n = Normalizer(k=2, schedule=constant(0.2))
-    n.update([3.0, -8.0])
-    n.update([5.0, 11.0])
-    y = np.array([2.5, 7.0])
-    np.testing.assert_allclose(n.unnormalize(n.normalize(y)), y, rtol=1e-12)
-
-
-def test_unnormalize_anchors():
-    n = Normalizer(k=1, schedule=constant(0.5))
-    n.update(2.0)
-    n.update(9.0)
-    assert n.unnormalize(0.0)[0] == pytest.approx(n.mu[0])
-    # y_tilde = s maps to mu + sqrt(nu - mu**2)
-    assert n.unnormalize(n.spread)[0] == pytest.approx(
-        n.mu[0] + math.sqrt(n.nu[0] - n.mu[0] ** 2)
-    )
-
-
 def test_non_finite_target_rejected():
     n = Normalizer(k=1)
     with pytest.raises(ValueError):
@@ -162,32 +143,15 @@ def test_update_then_normalize_bound_property(ys, beta, spread):
 
 
 def test_batch_moments_hand_example():
-    mu, sigma = batch_stats([1.0, 2.0, 3.0], mode="moments")
+    mu, sigma = batch_stats([1.0, 2.0, 3.0])
     assert mu == pytest.approx(2.0)
     assert sigma == pytest.approx(math.sqrt(2.0 / 3.0))
 
 
-def test_batch_percentile_full_range():
-    mu, sigma = batch_stats([0.0, 3.0, 10.0], mode="percentile", p=1.0)
-    assert mu == 5.0 and sigma == 5.0
-
-
-def test_batch_percentile_interpolated_rank():
-    # t=4, p=0.5: ranks 2.5 +- 0.75 -> 1.75 and 3.25, interpolated
-    vals = [0.0, 1.0, 2.0, 3.0]
-    mu, sigma = batch_stats(vals, mode="percentile", p=0.5)
-    hi = 2.0 + 0.25 * 1.0
-    lo = 0.0 + 0.75 * 1.0
-    assert mu == pytest.approx(0.5 * (hi + lo))
-    assert sigma == pytest.approx(0.5 * (hi - lo))
-
-
 def test_batch_degenerate_targets_hit_floor():
-    mu, sigma = batch_stats([4.0, 4.0, 4.0], mode="moments", epsilon=1e-4)
+    mu, sigma = batch_stats([4.0, 4.0, 4.0], epsilon=1e-4)
     assert mu == 4.0
     assert sigma == pytest.approx(1e-2)
-    mu, sigma = batch_stats([4.0, 4.0, 4.0], mode="percentile", p=1.0)
-    assert mu == 4.0 and sigma > 0
 
 
 def test_batch_stats_errors():
@@ -195,10 +159,6 @@ def test_batch_stats_errors():
         batch_stats([1.0])
     with pytest.raises(ValueError):
         batch_stats([1.0, math.nan])
-    with pytest.raises(ValueError):
-        batch_stats([1.0, 2.0], mode="percentile", p=0.0)
-    with pytest.raises(ValueError):
-        batch_stats([1.0, 2.0], mode="nonsense")
 
 
 # -- percentile tracker ----------------------------------------------------
