@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -33,7 +34,7 @@ import numpy as np
 
 from .network import Mlp
 from .schedules import constant
-from .stats import Normalizer
+from .stats import Normalizer, _check_setting
 from .training import (
     OutputLayer,
     art_only_sgd_step,
@@ -90,22 +91,29 @@ class ExperimentConfig:
     hidden: tuple = (10, 10, 10)
     base_seed: int = 1000
 
+    def __post_init__(self) -> None:
+        # every field is checked here, so that a bad one fails before any run
+        counts = {"base_seed": 0, "n_samples": 1, "n_repetitions": 1, "smoothing_window": 1}
+        for name, least in counts.items():
+            _check_setting(name, getattr(self, name), lambda n: operator.index(n) >= least)
+        for name, ok in [
+            ("methods", lambda m: m in METHODS),
+            ("alphas", lambda a: 0.0 < a < math.inf),
+            ("betas", lambda b: 0.0 < b <= 1.0),
+            ("hidden", lambda n: operator.index(n) >= 1),
+        ]:
+            _check_setting(name, getattr(self, name), lambda v: len(v) > 0 and all(map(ok, v)))
+
     @classmethod
     def profile(cls, name: str, base_seed: int = 1000) -> "ExperimentConfig":
         if name == "ci":
             return cls(base_seed=base_seed)
         if name == "full":
-            return cls(
-                alphas=FULL_GRID,
-                betas=FULL_GRID,
-                n_repetitions=50,
-                base_seed=base_seed,
-            )
+            return cls(alphas=FULL_GRID, betas=FULL_GRID, n_repetitions=50, base_seed=base_seed)
         raise ValueError(f"unknown profile {name!r}")
 
     def with_overrides(self, overrides: dict) -> "ExperimentConfig":
-        known = set(self.__dataclass_fields__)
-        unknown = set(overrides) - known
+        unknown = set(overrides) - set(self.__dataclass_fields__)
         if unknown:
             raise KeyError(f"unknown config keys: {sorted(unknown)}")
         coerced = {

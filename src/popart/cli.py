@@ -84,14 +84,11 @@ def cmd_binreg(args) -> int:
     from .plotting import write_charts
 
     overrides = _load_config(args.config)
-    config = binreg.ExperimentConfig.profile(args.profile, base_seed=args.seed)
     try:
+        config = binreg.ExperimentConfig.profile(args.profile, base_seed=args.seed)
         config = config.with_overrides(overrides)
-    except KeyError as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    bad = [m for m in config.methods if m not in binreg.METHODS]
-    if bad:
-        raise ConfigError(f"unknown methods: {bad}")
     _ensure_outdir(args.out)
     records, summary = binreg.run_grid(config, workers=_workers(args))
     if args.sort:
@@ -126,12 +123,15 @@ def cmd_rl_demo(args) -> int:
     unknown = set(cfg).difference(_RL_MDP_KEYS, _RL_AGENT_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    _ensure_outdir(args.out)
     mdp_cfg = {k: cfg[k] for k in _RL_MDP_KEYS if k in cfg}
     mdp_cfg.setdefault("terminal_reward", args.reward_scale * 1000.0)
-    mdp = ChainMdp(**mdp_cfg)
     agent_cfg = {k: cfg[k] for k in _RL_AGENT_KEYS if k in cfg}
-    agent = DoubleQAgent(mdp, seed=args.seed, **agent_cfg)
+    try:
+        mdp = ChainMdp(**mdp_cfg)
+        agent = DoubleQAgent(mdp, seed=args.seed, **agent_cfg)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    _ensure_outdir(args.out)
     per_step = []  # (grad_norm, normalized_error) of every step
 
     def record(report):
@@ -152,8 +152,7 @@ def cmd_rl_demo(args) -> int:
     summary = {"steps": agent.step_count}
     if args.steps > 0:
         q_star = value_iteration(mdp)
-        q_hat = agent.q_table()
-        rel_err = float(np.max(np.abs(q_hat - q_star) / np.abs(q_star)))
+        rel_err = float(np.max(np.abs(agent.q_table() - q_star) / np.abs(q_star)))
         summary.update(
             {
                 "terminal_reward": mdp.terminal_reward,

@@ -14,16 +14,17 @@ for accuracy checks.
 The agent evaluates all actions of a state in one forward pass: the
 network's input is a state-action one-hot code, and the codes of a
 state's actions go through the network as one stack, whose rows equal the
-per-action predictions to the last bit.  The agent's target network only
-changes when it is copied from the online network, so its action values
-are kept in a Q-table that is frozen between copies: each state's row is
-evaluated on the target network, in one pass, at its first lookup after a
-copy and read from the table after that.
+per-action predictions to the last bit.  Every input is one of finitely
+many codes, so a copy of the online network is fully described by its
+value table: the double-Q target network is that table, taken in one
+stacked pass over all non-terminal states at each copy and frozen until
+the next.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -31,8 +32,8 @@ import numpy as np
 
 from .network import Mlp
 from .schedules import bias_corrected
-from .stats import Normalizer
-from .training import OutputLayer, popart_sgd_step, predict
+from .stats import Normalizer, _check_setting
+from .training import OutputLayer, TrainStepReport, popart_sgd_step, predict
 
 
 @dataclass
@@ -51,15 +52,17 @@ class ChainMdp:
     ADVANCE: ClassVar[int] = 0
     STAY: ClassVar[int] = 1
 
+    def __post_init__(self) -> None:
+        _check_setting("n_states", self.n_states, lambda n: operator.index(n) >= 2)
+        _check_setting("terminal_reward", self.terminal_reward, math.isfinite)
+        _check_setting("gamma", self.gamma, lambda g: 0.0 < g <= 1.0)
+
     @property
     def terminal(self) -> int:
         return self.n_states - 1
 
     def step(self, s: int, a: int) -> tuple[int, float, bool]:
-        if a == self.ADVANCE:
-            s2 = s + 1
-        else:
-            s2 = s
+        s2 = s + 1 if a == self.ADVANCE else s
         r = self.terminal_reward if (s2 == self.terminal and s != self.terminal) else 0.0
         return s2, r, s2 == self.terminal
 
@@ -97,12 +100,11 @@ class DoubleQAgent:
     ``(n_states, n_actions, n_states + n_actions)``; ``codes[s]`` is the
     stack that evaluates every action of ``s`` in one forward pass.
 
-    The online network carries the adaptive normalization; the target
-    network is a periodic copy (every ``copy_period`` steps exactly) used
-    to evaluate the action the online network selects.  Between copies it
-    is frozen, and so are its values: ``target_q``, of shape
-    ``(n_states, n_actions)``, holds each state's row from its first lookup
-    after the copy on (``_target_known`` marks the rows filled).
+    The online network carries the adaptive normalization and picks the
+    greedy action at the next state; the target network values it.  That
+    network is a copy of the online one, taken at the start and every
+    ``copy_period`` steps exactly, so it is kept as the value table it
+    computes: ``target_q`` is :meth:`q_table` as of the last copy.
     """
 
     def __init__(
@@ -115,6 +117,11 @@ class DoubleQAgent:
         copy_period: int = 500,
         seed: int = 0,
     ):
+        _check_setting("hidden", hidden, lambda h: len(h) > 0 and min(map(operator.index, h)) >= 1)
+        _check_setting("alpha", alpha, lambda a: 0.0 < a < math.inf)
+        _check_setting("beta", beta, lambda b: 0.0 < b <= 1.0)
+        _check_setting("epsilon_greedy", epsilon_greedy, lambda e: 0.0 <= e <= 1.0)
+        _check_setting("copy_period", copy_period, lambda c: operator.index(c) >= 1)
         self.mdp = mdp
         self.alpha = alpha
         self.epsilon_greedy = epsilon_greedy
@@ -126,33 +133,14 @@ class DoubleQAgent:
         self.codes[:, :, mdp.n_states :] = np.eye(mdp.n_actions)
         self.codes.flags.writeable = False
         self.net = Mlp([n_in, *hidden], rng=self.rng)
-        self.layer = OutputLayer(
-            1,
-            hidden[-1],
-            normalizer=Normalizer(k=1, schedule=bias_corrected(beta)),
-            rng=self.rng,
-        )
+        normalizer = Normalizer(k=1, schedule=bias_corrected(beta))
+        self.layer = OutputLayer(1, hidden[-1], normalizer=normalizer, rng=self.rng)
         self.step_count = 0
-        self.target_q = np.empty((mdp.n_states, mdp.n_actions))
-        self._target_known = np.zeros(mdp.n_states, dtype=bool)
-        self._copy_target()
+        self.target_q = self.q_table()
 
-    def q_values(self, s: int, target: bool = False) -> np.ndarray:
-        """Values of every action at ``s``, from one forward pass of the
-        online network, or from the target Q-table."""
-        if not target:
-            return predict(self.net, self.layer, self.codes[s])[:, 0]
-        if not self._target_known[s]:
-            self.target_q[s] = predict(self.target_net, self.target_layer, self.codes[s])[:, 0]
-            self._target_known[s] = True
-        return self.target_q[s].copy()
-
-    def _copy_target(self) -> None:
-        """Freeze a copy of the online network as the target network and
-        forget the target Q-table, whose rows refill on lookup."""
-        self.target_net = self.net.copy()
-        self.target_layer = self.layer.copy()
-        self._target_known[:] = False
+    def q_values(self, s: int) -> np.ndarray:
+        """Values of every action at ``s``, from one online forward pass."""
+        return predict(self.net, self.layer, self.codes[s])[:, 0]
 
     def act(self, s: int) -> int:
         if self.rng.random() < self.epsilon_greedy:
@@ -168,20 +156,20 @@ class DoubleQAgent:
         if done:
             return float(r)
         a_star = int(np.argmax(self.q_values(s2)))
-        return float(r + self.mdp.gamma * self.q_values(s2, target=True)[a_star])
+        return float(r + self.mdp.gamma * self.target_q[s2, a_star])
 
-    def learn_transition(self, transition):
+    def learn_transition(self, transition) -> TrainStepReport:
         s, a, r, s2, done = transition
         y = self.double_q_target(transition)
         report = popart_sgd_step(self.net, self.layer, self.codes[s, a], y, self.alpha)
         self.step_count += 1
         if self.step_count % self.copy_period == 0:
-            self._copy_target()
-        return y, report
+            self.target_q = self.q_table()
+        return report
 
-    def train_episode(self, hook=None) -> EpisodeMetrics:
-        """Run one episode, one learning step per transition, and pass
-        each step's :class:`~popart.training.TrainStepReport` to ``hook``.
+    def train_episode(self, hook=None, max_steps: int = MAX_EPISODE_STEPS) -> EpisodeMetrics:
+        """Run one episode, cut after ``min(max_steps, MAX_EPISODE_STEPS)`` steps,
+        and pass each step's :class:`~popart.training.TrainStepReport` to ``hook``.
 
         Raises ``FloatingPointError`` at the first step whose squared loss
         or gradient norm is not finite: the network has diverged.  ``hook``
@@ -189,10 +177,10 @@ class DoubleQAgent:
         """
         metrics = EpisodeMetrics(steps=0, total_reward=0.0)
         s = 0
-        for _ in range(MAX_EPISODE_STEPS):
+        for _ in range(min(max_steps, MAX_EPISODE_STEPS)):
             a = self.act(s)
             s2, r, done = self.mdp.step(s, a)
-            _, report = self.learn_transition((s, a, r, s2, done))
+            report = self.learn_transition((s, a, r, s2, done))
             if hook is not None:
                 hook(report)
             if not (math.isfinite(report.squared_loss) and math.isfinite(report.gradient_norm)):
@@ -222,12 +210,10 @@ CHECK_EVERY = 2000
 
 
 def train(
-    agent: DoubleQAgent,
-    max_steps: int = 50_000,
-    rel_tol: float | None = None,
-    hook=None,
+    agent: DoubleQAgent, max_steps: int = 50_000, rel_tol: float | None = None, hook=None
 ) -> list[EpisodeMetrics]:
-    """Train for up to ``max_steps`` transitions.
+    """Train until ``agent.step_count`` reaches ``max_steps``, cutting the
+    last episode short if need be.
 
     If ``rel_tol`` is given, training stops early once every learned
     state-action value is within that relative tolerance of the exact
@@ -246,7 +232,7 @@ def train(
     # an overflow shows as the non-finite loss that stops training
     with np.errstate(over="ignore", invalid="ignore"):
         while agent.step_count < max_steps:
-            history.append(agent.train_episode(hook=hook))
+            history.append(agent.train_episode(hook, max_steps - agent.step_count))
             if q_star is not None and agent.step_count >= next_check:
                 next_check = agent.step_count + CHECK_EVERY
                 err = np.abs(agent.q_table() - q_star) / np.abs(q_star)

@@ -68,9 +68,6 @@ class StepSizeSchedule:
         self.t += 1
         return self.beta()
 
-    def copy(self) -> "StepSizeSchedule":
-        return StepSizeSchedule(self.kind, self.base_beta, self.tau, self.t)
-
 
 def constant(beta: float) -> StepSizeSchedule:
     return StepSizeSchedule(ScheduleKind.CONSTANT, base_beta=beta)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import suppress
 
 import numpy as np
 
@@ -54,6 +55,14 @@ def _as_vector(y, k: int, limit: float = sys.float_info.max) -> np.ndarray:
             f"target {arr.tolist()} out of range: |y| must be at most {limit:.6g}"
         )
     return arr
+
+
+def _check_setting(name: str, value, ok) -> None:
+    """Raise ``ValueError`` naming the setting unless ``ok(value)`` is true."""
+    with suppress(TypeError):  # a value of the wrong type is invalid
+        if ok(value):
+            return
+    raise ValueError(f"invalid {name}: {value!r}")
 
 
 class Normalizer:
@@ -121,12 +130,6 @@ class Normalizer:
     def normalize(self, y) -> np.ndarray:
         arr = _as_vector(y, self.k)
         return (arr - self.mu) / self.sigma
-
-    def copy(self) -> "Normalizer":
-        other = Normalizer(self.k, self.spread, self.epsilon, self.schedule.copy())
-        other.mu = self.mu.copy()
-        other.nu = self.nu.copy()
-        return other
 
 
 def batch_stats(

@@ -122,17 +122,6 @@ class OutputLayer:
         self.sigma = sigma_new.copy()
         self.mu = mu_new.copy()
 
-    def copy(self) -> "OutputLayer":
-        other = OutputLayer.__new__(OutputLayer)
-        other.k = self.k
-        other.m = self.m
-        other.W = self.W.copy()
-        other.b = self.b.copy()
-        other.sigma = self.sigma.copy()
-        other.mu = self.mu.copy()
-        other.normalizer = self.normalizer.copy() if self.normalizer else None
-        return other
-
 
 def _as_scale(sigma, k: int) -> np.ndarray:
     """``sigma`` as a length-``k`` vector, checked finite and positive."""

@@ -171,11 +171,13 @@ def test_rl_demo_short_run(tmp_path):
 
 # what `popart rl-demo --steps 400 --seed 0` wrote before the agent batched
 # its forward passes (the metrics hash re-recorded when the step column
-# became 1..N); any change to the arithmetic of the rl loop fails here
+# became 1..N, and all of it when training stopped at step 400 instead of
+# finishing the episode at 403: the 400 rows kept are the ones written
+# before); any change to the arithmetic of the rl loop fails here
 GOLDEN_RL_SUMMARY = """{
-  "steps": 403,
+  "steps": 400,
   "terminal_reward": 1000.0,
-  "max_relative_q_error": 0.9689454844175097,
+  "max_relative_q_error": 0.969267538022638,
   "greedy_policy": [
     0,
     0,
@@ -184,8 +186,8 @@ GOLDEN_RL_SUMMARY = """{
   ]
 }
 """
-GOLDEN_RL_METRICS_SHA256 = "756cbf30c37636e7057331faff58c685eb27ed765a0945cff340bb14d82b2e89"
-GOLDEN_RL_METRICS_LAST_ROW = "403,94,1000.0,3.064480285811849,2.2164777188427816"
+GOLDEN_RL_METRICS_SHA256 = "3a16645c8841c28e25e6d745d335bc0435bbc8129ebb804bc6f596f385104d53"
+GOLDEN_RL_METRICS_LAST_ROW = "400,94,0.0,0.10058087744193427,0.07969793568964723"
 
 
 def test_rl_demo_golden(tmp_path):
@@ -227,6 +229,60 @@ def test_rl_demo_rejects_unknown_config_key(tmp_path):
     path.write_text(json.dumps({"copyperiod": 7}))
     code = main(["rl-demo", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"copy_period": 0},
+        {"copy_period": 2.5},
+        {"n_states": 1},
+        {"gamma": "x"},
+        {"gamma": 1.5},
+        {"terminal_reward": float("inf")},
+        {"hidden": []},
+        {"hidden": [0]},
+        {"beta": 0},
+        {"alpha": -1e-3},
+        {"epsilon_greedy": 2},
+    ],
+    ids=json.dumps,
+)
+def test_rl_demo_config_out_of_range_is_config_error(tmp_path, capsys, payload):
+    out = tmp_path / "o"
+    path = _write_config(tmp_path, payload)
+    code = main(["rl-demo", "--config", path, "--out", str(out), "--steps", "10"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n_samples": 0},
+        {"n_repetitions": 0},
+        {"smoothing_window": 0},
+        {"base_seed": -1},
+        {"hidden": []},
+        {"hidden": [0]},
+        {"betas": [0]},
+        {"betas": [1.5]},
+        {"alphas": "x"},
+        {"alphas": []},
+        {"methods": []},
+        {"n_samples": "x"},
+    ],
+    ids=json.dumps,
+)
+def test_binreg_config_out_of_range_is_config_error(tmp_path, capsys, payload):
+    # rejected before any run: nothing is written, not even the directory
+    out = tmp_path / "o"
+    path = _write_config(tmp_path, {**TINY_BINREG, **payload})
+    code = main(["binreg", "--config", path, "--out", str(out), "--svg"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
 
 
 def test_plot_from_existing_results(tmp_path):

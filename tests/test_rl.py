@@ -38,40 +38,39 @@ def test_double_q_target_terminal_drops_bootstrap():
 
 
 def test_double_q_target_hand_example():
-    # online prefers action 1 at s'; its value under the target net is 7
+    # online prefers action 1 at s'; its value in the target table is 7
     agent = DoubleQAgent(ChainMdp(), seed=0)
-
-    def fake_q(s, target=False):
-        return np.array([5.0, 7.0]) if target else np.array([1.0, 2.0])
-
-    agent.q_values = fake_q
+    agent.q_values = lambda s: np.array([1.0, 2.0])
+    agent.target_q = np.zeros((4, 2))
+    agent.target_q[1] = [5.0, 7.0]
     assert agent.double_q_target((0, 0, 0.0, 1, False)) == pytest.approx(0.99 * 7.0)
 
 
 def test_double_q_target_tie_breaks_to_lowest_action():
     agent = DoubleQAgent(ChainMdp(), seed=0)
-
-    def fake_q(s, target=False):
-        return np.array([3.0, 9.0]) if target else np.array([2.0, 2.0])
-
-    agent.q_values = fake_q
+    agent.q_values = lambda s: np.array([2.0, 2.0])
+    agent.target_q = np.zeros((4, 2))
+    agent.target_q[1] = [3.0, 9.0]
     assert agent.double_q_target((0, 0, 0.0, 1, False)) == pytest.approx(0.99 * 3.0)
 
 
 def test_fresh_target_net_equals_online_net():
     agent = DoubleQAgent(ChainMdp(), seed=1)
-    for s in range(4):
-        np.testing.assert_array_equal(agent.q_values(s), agent.q_values(s, target=True))
+    assert agent.target_q.shape == (4, 2)
+    np.testing.assert_array_equal(agent.target_q, agent.q_table())
 
 
 def test_target_copy_period_exact():
+    # the table is the online q_table() right after each copy, and only then
     agent = DoubleQAgent(ChainMdp(), copy_period=3, seed=2)
-    for i in range(1, 7):
+    for i in range(1, 10):
+        before = agent.target_q
         agent.learn_transition((0, 0, 0.0, 1, False))
-        online = agent.q_values(0)
-        frozen = agent.q_values(0, target=True)
         if i % 3 == 0:
-            np.testing.assert_array_equal(online, frozen)
+            np.testing.assert_array_equal(agent.target_q, agent.q_table())
+        else:
+            assert agent.target_q is before
+            assert not np.array_equal(agent.target_q, agent.q_table())
 
 
 def _state_of(agent, x):
@@ -82,6 +81,7 @@ def _state_of(agent, x):
 
 
 def test_double_q_target_one_forward_pass_per_state(monkeypatch):
+    # one online pass for the argmax at s'; the target side is the table
     agent = DoubleQAgent(ChainMdp(), seed=0)
     nets = []
     forward_pass = Mlp.forward_pass
@@ -91,45 +91,43 @@ def test_double_q_target_one_forward_pass_per_state(monkeypatch):
         return forward_pass(self, x)
 
     monkeypatch.setattr(Mlp, "forward_pass", recorded)
-    agent.double_q_target((0, 0, 0.0, 1, False))
-    # the first lookup of a state after a copy fills its target row
-    assert nets == [(agent.net, 1), (agent.target_net, 1)]
-    nets.clear()
-    agent.double_q_target((2, 0, 0.0, 1, False))
-    # one pass for the online argmax; the target side is the table
-    assert nets == [(agent.net, 1)]
+    for s2 in (1, 1, 2):
+        nets.clear()
+        agent.double_q_target((0, 0, 0.0, s2, False))
+        assert nets == [(agent.net, s2)]
 
 
 @pytest.mark.parametrize("copy_period", [1, 3, 500])
 def test_target_rows_evaluated_once_per_copy(copy_period, monkeypatch):
-    # at most one target pass per step (one per state), and at most one
-    # row per state and copy
+    # a step runs the online pass at s', the step's own pass on (s, a),
+    # and, at a copy, one pass over every non-terminal state's actions;
+    # no network is copied
     agent = DoubleQAgent(ChainMdp(), copy_period=copy_period, seed=4)
-    target_passes = []
+    inputs = []
     forward_pass = Mlp.forward_pass
 
     def recorded(self, x):
-        if self is not agent.net:
-            target_passes.append(_state_of(agent, x))
+        assert self is agent.net
+        inputs.append(np.asarray(x))
         return forward_pass(self, x)
 
-    rng = np.random.default_rng(1)
+    def no_copy(self):
+        raise AssertionError("Mlp.copy called")
+
     monkeypatch.setattr(Mlp, "forward_pass", recorded)
-    rows = set()
-    for step in range(12):
-        s = int(rng.integers(agent.mdp.terminal))
-        s2 = int(rng.integers(agent.mdp.terminal))
-        before = len(target_passes)
+    monkeypatch.setattr(Mlp, "copy", no_copy)
+    every_code = agent.codes[: agent.mdp.terminal].reshape(-1, agent.codes.shape[-1])
+    rng = np.random.default_rng(1)
+    for step in range(1, 13):
+        s, s2 = (int(v) for v in rng.integers(agent.mdp.terminal, size=2))
+        inputs.clear()
         agent.learn_transition((s, 0, 0.0, s2, False))
-        new = target_passes[before:]
-        assert len(new) <= 1
-        if new:
-            assert new == [s2] and s2 not in rows
-            rows.add(s2)
-        else:
-            assert s2 in rows
-        if agent.step_count % copy_period == 0:
-            rows.clear()
+        np.testing.assert_array_equal(inputs[0], agent.codes[s2])
+        np.testing.assert_array_equal(inputs[1], agent.codes[s, 0])
+        copies = inputs[2:]
+        assert len(copies) == (step % copy_period == 0)
+        for x in copies:
+            np.testing.assert_array_equal(x, every_code)
 
 
 def _frozen_values(net, layer, agent):
@@ -164,33 +162,26 @@ def test_batched_values_equal_per_action_predictions():
 
 
 def test_target_table_frozen_between_copies():
+    # the target values are the online network's at the last copy, to the
+    # last bit, while the online values move at every step
     agent = DoubleQAgent(ChainMdp(), copy_period=5, seed=5)
     rng = np.random.default_rng(0)
     for step in range(1, 13):
         if step % 5 == 1:  # just after a copy (or at the start)
-            frozen = _frozen_values(agent.net.copy(), agent.layer.copy(), agent)
-        for s in range(agent.mdp.n_states):
-            np.testing.assert_array_equal(agent.q_values(s, target=True), frozen[s])
+            frozen = agent.q_table()
+            np.testing.assert_array_equal(agent.target_q, frozen)
         s = int(rng.integers(agent.mdp.terminal))
         a = int(rng.integers(2))
         s2, r, done = agent.mdp.step(s, a)
         agent.learn_transition((s, a, r, s2, done))
         if step % 5:
-            # the online net moved, the target values did not
-            assert not np.array_equal(agent.q_table(), frozen[:-1])
-            for s in range(agent.mdp.n_states):
-                np.testing.assert_array_equal(agent.q_values(s, target=True), frozen[s])
+            assert not np.array_equal(agent.q_table(), frozen)
+            np.testing.assert_array_equal(agent.target_q, frozen)
 
 
-def test_target_q_values_are_copies():
-    agent = DoubleQAgent(ChainMdp(), seed=0)
-    values = agent.q_values(1, target=True)
-    values[:] = 0.0
-    assert not np.array_equal(agent.q_values(1, target=True), values)
-
-
-# step_count and q_table() after 3000 steps at reward 1e3, agent seed 0,
-# recorded with the target network kept as a copied network; any change to
+# step_count and q_table() after 3001 steps at reward 1e3, agent seed 0,
+# recorded with the target network kept as a copied network, when
+# train(max_steps=3000) still finished the episode it was in; any change to
 # the arithmetic of the rl loop fails here
 GOLDEN_RL_STEPS = 3001
 GOLDEN_RL_Q = [
@@ -203,7 +194,7 @@ GOLDEN_RL_Q = [
 
 def test_rl_golden():
     agent = DoubleQAgent(ChainMdp(terminal_reward=1e3), seed=0)
-    train(agent, max_steps=3000)
+    train(agent, max_steps=GOLDEN_RL_STEPS)
     assert agent.step_count == GOLDEN_RL_STEPS
     np.testing.assert_array_equal(agent.q_table(), np.array(GOLDEN_RL_Q))
 
@@ -230,18 +221,27 @@ def test_train_episode_metrics_shape():
     learn_transition = agent.learn_transition
 
     def learn_and_keep(transition):
-        y, report = learn_transition(transition)
+        report = learn_transition(transition)
         learned.append(report)
-        return y, report
+        return report
 
     agent.learn_transition = learn_and_keep
     reports = []
     history = train(agent, max_steps=300, hook=reports.append)
     assert [f.name for f in dataclasses.fields(EpisodeMetrics)] == ["steps", "total_reward"]
     assert all(m.steps >= 1 for m in history)
-    assert sum(m.steps for m in history) == agent.step_count >= 300
+    assert sum(m.steps for m in history) == agent.step_count == 300
     assert len(reports) == len(learned) == agent.step_count
     assert all(seen is made for seen, made in zip(reports, learned))
+
+
+def test_train_stops_at_max_steps_exactly():
+    # the episode running at the budget is cut short, not finished
+    agent = DoubleQAgent(ChainMdp(terminal_reward=1e3), seed=0)
+    history = train(agent, max_steps=3000)
+    assert agent.step_count == 3000 == sum(m.steps for m in history)
+    assert history[-1].total_reward == 0.0
+    assert train(agent, max_steps=3000) == []
 
 
 def test_normalized_targets_bounded_regardless_of_reward_scale():

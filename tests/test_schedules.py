@@ -80,11 +80,3 @@ def test_emitted_beta_always_in_unit_interval(kind, base_beta, t):
     s.t = t
     assert 0.0 < s.beta() <= 1.0
 
-
-def test_copy_is_independent():
-    s = constant(0.5)
-    s.step()
-    c = s.copy()
-    c.step()
-    assert s.t == 1 and c.t == 2
-

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -196,7 +197,7 @@ def test_double_update_order_via_hook():
     layer = OutputLayer(1, 3, normalizer=nrm, seed=3)
     x = np.array([0.5, -1.0])
     h = net.forward(x)  # features before the step mutates theta
-    before = layer.copy()
+    before = copy.deepcopy(layer)
     report = popart_sgd_step(net, layer, x, 7.0, alpha=0.05)
     before.rescale_to(report.scale, report.shift)
     expected = (before.W @ h + before.b) - (7.0 - report.shift) / report.scale
