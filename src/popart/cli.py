@@ -131,6 +131,11 @@ def cmd_rl_demo(args) -> int:
         agent = DoubleQAgent(mdp, seed=args.seed, **agent_cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    if mdp.terminal_reward == 0:
+        raise ConfigError(
+            "terminal_reward 0: every exact Q value is then 0, so the relative "
+            "Q error is undefined"
+        )
     _ensure_outdir(args.out)
     per_step = []  # (grad_norm, normalized_error) of every step
 
@@ -184,6 +189,8 @@ def cmd_plot(args) -> int:
     from .binreg import read_results_csv, summarize
     from .plotting import write_charts
 
+    if args.window < 1:
+        raise ConfigError(f"invalid window: {args.window} (must be at least 1)")
     try:
         records = read_results_csv(args.results)
     except ValueError as exc:

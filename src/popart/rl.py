@@ -105,6 +105,13 @@ class DoubleQAgent:
     network is a copy of the online one, taken at the start and every
     ``copy_period`` steps exactly, so it is kept as the value table it
     computes: ``target_q`` is :meth:`q_table` as of the last copy.
+
+    A greedy :meth:`act` keeps the activations of its stacked pass over
+    ``codes[s]``, and the next :meth:`learn_transition` from ``s`` hands
+    row ``a`` of them to its SGD step in place of the step's own forward
+    pass, with the same result to the last bit.  They are used once at
+    most: only a learning step moves the parameters, and it drops them
+    first.
     """
 
     def __init__(
@@ -137,15 +144,20 @@ class DoubleQAgent:
         self.layer = OutputLayer(1, hidden[-1], normalizer=normalizer, rng=self.rng)
         self.step_count = 0
         self.target_q = self.q_table()
+        # (s, net.forward_pass(codes[s])) of the last greedy act(s), until used
+        self._greedy_pass = None
 
     def q_values(self, s: int) -> np.ndarray:
         """Values of every action at ``s``, from one online forward pass."""
         return predict(self.net, self.layer, self.codes[s])[:, 0]
 
     def act(self, s: int) -> int:
+        self._greedy_pass = None
         if self.rng.random() < self.epsilon_greedy:
             return int(self.rng.integers(self.mdp.n_actions))
-        return int(np.argmax(self.q_values(s)))
+        acts = self.net.forward_pass(self.codes[s])
+        self._greedy_pass = (s, acts)
+        return int(np.argmax(self.layer.unnormalized_output(acts[-1])[:, 0]))
 
     def double_q_target(self, transition) -> float:
         """Reward plus the discounted target-network value of the action
@@ -160,8 +172,14 @@ class DoubleQAgent:
 
     def learn_transition(self, transition) -> TrainStepReport:
         s, a, r, s2, done = transition
+        greedy, self._greedy_pass = self._greedy_pass, None
         y = self.double_q_target(transition)
-        report = popart_sgd_step(self.net, self.layer, self.codes[s, a], y, self.alpha)
+        x, acts = self.codes[s, a], None
+        if greedy is not None and greedy[0] == s:
+            # row a of act(s)'s pass, on the parameters this step starts from
+            acts = [stacked[a] for stacked in greedy[1]]
+            x = acts[0]
+        report = popart_sgd_step(self.net, self.layer, x, y, self.alpha, acts=acts)
         self.step_count += 1
         if self.step_count % self.copy_period == 0:
             self.target_q = self.q_table()

@@ -121,6 +121,18 @@ class Normalizer:
         """
         arr = _as_vector(y, self.k, MAX_TARGET)
         beta = self.schedule.step()
+        if self.k == 1:
+            # the same IEEE operations, in the same order, as the array
+            # path below, on Python floats: for one component numpy's
+            # per-call overhead is most of the cost
+            (target,) = arr.tolist()
+            mu, nu = self.mu.item(), self.nu.item()
+            mu += beta * (target - mu)
+            nu += beta * (target * target - nu)
+            mu_sq = mu * mu
+            nu = max(nu, mu_sq + self.epsilon)
+            self.mu[0], self.nu[0] = mu, nu
+            return np.array([math.sqrt(max(nu - mu_sq, self.epsilon)) / self.spread])
         self.mu += beta * (arr - self.mu)
         self.nu += beta * (arr**2 - self.nu)
         mu_sq = self.mu**2

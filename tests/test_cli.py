@@ -258,6 +258,24 @@ def test_rl_demo_config_out_of_range_is_config_error(tmp_path, capsys, payload):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [["--config", "zero.json"], ["--reward-scale", "0"], ["--reward-scale", "-0"]],
+    ids=["config", "reward-scale", "negative-zero"],
+)
+def test_rl_demo_zero_terminal_reward_is_config_error(tmp_path, capsys, monkeypatch, args):
+    # every exact value is 0, so the relative Q error would divide by 0
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path, {"terminal_reward": 0}, name="zero.json")
+    out = tmp_path / "o"
+    code = main(["rl-demo", *args, "--out", str(out), "--steps", "10"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: terminal_reward 0: ")
+    assert "every exact Q value is then 0" in err and "undefined" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "payload",
     [
         {"n_samples": 0},
@@ -354,6 +372,19 @@ def test_plot_malformed_results_is_config_error(tmp_path, capsys, kind):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert f"{results}, line {line}: " in err[0]
+    assert not plots.exists()
+
+
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_plot_window_below_one_is_config_error(tmp_path, capsys, window):
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, TINY_BINREG)
+    assert main(["binreg", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    plots = tmp_path / "plots"
+    args = ["plot", "--results", str(out / "results.csv"), "--out", str(plots)]
+    assert main([*args, "--window", window]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: invalid window: {window} (must be at least 1)\n"
     assert not plots.exists()
 
 

@@ -179,6 +179,69 @@ def test_target_table_frozen_between_copies():
             np.testing.assert_array_equal(agent.target_q, frozen)
 
 
+def test_greedy_step_reuses_the_action_pass(monkeypatch):
+    # act(s)'s stacked pass stands in for the step's own pass on (s, a):
+    # a step runs that pass and the argmax pass at s', a step into the
+    # terminal state only the first
+    agent = DoubleQAgent(ChainMdp(), epsilon_greedy=0.0, copy_period=10**6, seed=0)
+    calls = []
+    forward_pass = Mlp.forward_pass
+
+    def counted(self, x):
+        calls.append(_state_of(agent, x))
+        return forward_pass(self, x)
+
+    per_step = []
+
+    def hook(report):
+        per_step.append(len(calls))
+        calls.clear()
+
+    monkeypatch.setattr(Mlp, "forward_pass", counted)
+    history = train(agent, max_steps=2000, hook=hook)
+    expected = []
+    for episode in history:
+        terminal = int(episode.total_reward != 0.0)
+        expected += [2] * (episode.steps - terminal) + [1] * terminal
+    assert per_step == expected
+    assert 1 in per_step and 2 in per_step
+
+
+def _learned_bits(agent):
+    layer, nrm = agent.layer, agent.layer.normalizer
+    arrays = (agent.net.get_params(), layer.W, layer.b, layer.sigma, layer.mu, nrm.mu, nrm.nu)
+    return [a.tobytes() for a in (*arrays, agent.target_q)]
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        [(1, [0])],  # the step is from another state
+        [(1, [1, 1])],  # the second step finds the pass used
+        [(2, [2]), (1, [2])],  # only the last act's pass counts
+        [(0, [0]), (0, [0, 1]), (3, [3, 3, 2])],
+    ],
+    ids=["other-state", "used-once", "last-act", "mixed"],
+)
+def test_reused_pass_leaves_parameters_bitwise_equal(script):
+    # an agent that acts before learning against one that only learns,
+    # which never has a pass to reuse; actions alternate, so the reused
+    # row is not always the one act chose
+    mdp = ChainMdp(terminal_reward=1e3)
+    agent = DoubleQAgent(mdp, epsilon_greedy=0.0, copy_period=3, seed=3)
+    plain = DoubleQAgent(mdp, epsilon_greedy=0.0, copy_period=3, seed=3)
+    a = 0
+    for acted, learned in script:
+        agent.act(acted)
+        for s in learned:
+            s2, r, done = mdp.step(s, a)
+            transition = (s, a, r, s2, done)
+            agent.learn_transition(transition)
+            plain.learn_transition(transition)
+            assert _learned_bits(agent) == _learned_bits(plain)
+            a = 1 - a
+
+
 # step_count and q_table() after 3001 steps at reward 1e3, agent seed 0,
 # recorded with the target network kept as a copied network, when
 # train(max_steps=3000) still finished the episode it was in; any change to

@@ -3,7 +3,8 @@
 Rules mix statistics updates, rescales and invalid calls.  After every
 call: ``sigma`` is finite and positive, a rescale preserved the
 unnormalized outputs on fixed probes, and a call that raised changed
-nothing.
+nothing.  The machine runs with one output, which the normalizer updates
+on Python floats, and with two, which it updates as arrays.
 """
 
 import math
@@ -18,7 +19,7 @@ from popart.schedules import bias_corrected, constant
 from popart.stats import MAX_TARGET, Normalizer
 from popart.training import OutputLayer
 
-K, M = 2, 3
+M = 3
 # fixed feature vectors the unnormalized outputs are compared on
 PROBES = np.array([[0.5, -1.0, 0.25], [1.0, 1.0, 1.0], [-0.3, 0.7, -0.9]])
 # a rescale rounds each output to a few ulps of the magnitudes it sums
@@ -35,6 +36,8 @@ invalid_shift = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 class NormalizerLayerMachine(RuleBasedStateMachine):
+    K = 2  # outputs
+
     @initialize(
         beta=st.floats(1e-3, 1.0),
         corrected=st.booleans(),
@@ -43,13 +46,19 @@ class NormalizerLayerMachine(RuleBasedStateMachine):
     )
     def build(self, beta, corrected, spread, seed):
         schedule = bias_corrected(beta) if corrected else constant(beta)
-        self.nrm = Normalizer(k=K, spread=spread, schedule=schedule)
-        self.layer = OutputLayer(K, M, normalizer=self.nrm, seed=seed)
+        self.nrm = Normalizer(k=self.K, spread=spread, schedule=schedule)
+        self.layer = OutputLayer(self.K, M, normalizer=self.nrm, seed=seed)
 
     def _state(self):
         nrm, layer = self.nrm, self.layer
         arrays = (nrm.mu, nrm.nu, layer.W, layer.b, layer.sigma, layer.mu)
         return nrm.t, [a.tobytes() for a in arrays]
+
+    def _one_bad(self, good, bad, first=True):
+        """K components, all ``good`` except the first or last, ``bad``."""
+        values = [good] * self.K
+        values[0 if first else -1] = bad
+        return values
 
     def _assert_raises_and_changes_nothing(self, call, *args):
         before = self._state()
@@ -67,33 +76,34 @@ class NormalizerLayerMachine(RuleBasedStateMachine):
         err = np.abs(layer.unnormalized_output(PROBES) - out)
         assert (err <= PRESERVE_RTOL * size).all(), (err, size)
 
-    @rule(y=st.lists(finite_target, min_size=K, max_size=K))
+    @rule(y=st.lists(finite_target, min_size=2, max_size=2))
     def update_and_rescale(self, y):
-        sigma = self.nrm.update(y)
+        sigma = self.nrm.update(y[: self.K])
         np.testing.assert_array_equal(sigma, self.nrm.sigma)
         self._rescale_preserving_outputs(self.nrm.sigma, self.nrm.mu)
 
     @rule(good=finite_target, bad=invalid_target, first=st.booleans())
     def update_rejects_invalid_target(self, good, bad, first):
-        y = [bad, good] if first else [good, bad]
-        self._assert_raises_and_changes_nothing(self.nrm.update, y)
+        self._assert_raises_and_changes_nothing(self.nrm.update, self._one_bad(good, bad, first))
 
     @rule(
-        sigma=st.lists(valid_scale, min_size=K, max_size=K),
-        mu=st.lists(valid_shift, min_size=K, max_size=K),
+        sigma=st.lists(valid_scale, min_size=2, max_size=2),
+        mu=st.lists(valid_shift, min_size=2, max_size=2),
     )
     def rescale_to_given(self, sigma, mu):
-        self._rescale_preserving_outputs(sigma, mu)
+        self._rescale_preserving_outputs(sigma[: self.K], mu[: self.K])
 
     @rule(bad=invalid_scale, good=valid_scale, mu=valid_shift, raw=st.booleans())
     def rescale_rejects_invalid_scale(self, bad, good, mu, raw):
         call = self.layer.set_scale_shift if raw else self.layer.rescale_to
-        self._assert_raises_and_changes_nothing(call, [good, bad], [mu, mu])
+        self._assert_raises_and_changes_nothing(
+            call, self._one_bad(good, bad, first=False), [mu] * self.K
+        )
 
     @rule(sigma=valid_scale, good=valid_shift, bad=invalid_shift, raw=st.booleans())
     def rescale_rejects_invalid_shift(self, sigma, good, bad, raw):
         call = self.layer.set_scale_shift if raw else self.layer.rescale_to
-        self._assert_raises_and_changes_nothing(call, [sigma, sigma], [bad, good])
+        self._assert_raises_and_changes_nothing(call, [sigma] * self.K, self._one_bad(good, bad))
 
     @invariant()
     def sigma_finite_and_positive(self):
@@ -101,7 +111,12 @@ class NormalizerLayerMachine(RuleBasedStateMachine):
             assert all(0.0 < s < math.inf for s in sigma.tolist())
 
 
-NormalizerLayerMachine.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=30, deadline=None
-)
+class OneOutputMachine(NormalizerLayerMachine):
+    K = 1
+
+
+MACHINE_SETTINGS = settings(max_examples=60, stateful_step_count=30, deadline=None)
+NormalizerLayerMachine.TestCase.settings = MACHINE_SETTINGS
+OneOutputMachine.TestCase.settings = MACHINE_SETTINGS
 TestNormalizerLayerMachine = NormalizerLayerMachine.TestCase
+TestOneOutputMachine = OneOutputMachine.TestCase

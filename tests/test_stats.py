@@ -123,6 +123,55 @@ def test_shape_mismatch_rejected():
         n.update([1.0, 2.0, 3.0])
 
 
+SCHEDULES = {"constant": constant, "bias_corrected": bias_corrected, "inverse_t": inverse_t}
+REJECTED_TARGETS = [math.nan, math.inf, -math.inf, MAX_TARGET * (1 + 2**-50), -1e155]
+
+
+def _state_bits(n, column):
+    return n.t, n.mu[column].tobytes(), n.nu[column].tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    ys=st.lists(
+        st.one_of(st.floats(-MAX_TARGET, MAX_TARGET), st.sampled_from(REJECTED_TARGETS)),
+        min_size=1,
+        max_size=30,
+    ),
+    kind=st.sampled_from(sorted(SCHEDULES)),
+    beta=st.floats(1e-4, 1.0),
+    spread=st.floats(1e-3, 1e3),
+    epsilon=st.floats(1e-300, 1e3),
+)
+def test_one_component_update_matches_the_array_update(ys, kind, beta, spread, epsilon):
+    # k = 1 runs on Python floats, k > 1 on arrays; each column of a k = 2
+    # normalizer fed the target twice must match the k = 1 one bit for bit
+    def make(k):
+        schedule = SCHEDULES[kind]() if kind == "inverse_t" else SCHEDULES[kind](beta)
+        return Normalizer(k=k, spread=spread, epsilon=epsilon, schedule=schedule)
+
+    one, two = make(1), make(2)
+    mu, nu = one.mu, one.nu
+    for y in ys:
+        if not abs(y) <= MAX_TARGET:
+            before = _state_bits(one, 0), _state_bits(two, 0), _state_bits(two, 1)
+            with pytest.raises(ValueError):
+                one.update(y)
+            with pytest.raises(ValueError):
+                two.update([y, y])
+            assert (_state_bits(one, 0), _state_bits(two, 0), _state_bits(two, 1)) == before
+            continue
+        sigma_one, sigma_two = one.update(y), two.update([y, y])
+        assert sigma_one.shape == (1,)
+        for column in (0, 1):
+            assert _state_bits(one, 0) == _state_bits(two, column)
+            assert sigma_one.tobytes() == sigma_two[column].tobytes()
+            assert one.sigma.tobytes() == two.sigma[column].tobytes()
+        assert sigma_one.tobytes() == one.sigma.tobytes()
+    # the statistics are updated in place, in the arrays callers hold
+    assert one.mu is mu and one.nu is nu
+
+
 @settings(deadline=None, max_examples=100)
 @given(
     ys=st.lists(st.floats(-MAX_TARGET, MAX_TARGET), min_size=1, max_size=20),
