@@ -68,15 +68,25 @@ class BinRegStream:
     _CODES = ((np.arange(NORMAL_MAX + 1)[:, None] >> _BITS) & 1).astype(float)
     _SPIKE_CODE = ((SPIKE_VALUE >> _BITS) & 1).astype(float)
 
+    # values drawn per call into the generator: the generator hands out
+    # 32-bit halves of its 64-bit outputs, and one draw of this range takes
+    # one half, so a block holds exactly the values that one draw per
+    # sample would give
+    BLOCK = 256
+
     def __init__(self, seed: int):
         self.rng = np.random.default_rng([seed, 0xB17])
         self.step = 0
+        self._values: list[int] = []
 
     def sample(self) -> tuple[np.ndarray, float]:
         self.step += 1
         if self.step % self.SPIKE_PERIOD == 0:
             return self._SPIKE_CODE.copy(), float(self.SPIKE_VALUE)
-        value = int(self.rng.integers(0, self.NORMAL_MAX + 1))
+        if not self._values:
+            block = self.rng.integers(0, self.NORMAL_MAX + 1, size=self.BLOCK)
+            self._values = block.tolist()[::-1]
+        value = self._values.pop()
         return self._CODES[value].copy(), float(value)
 
 

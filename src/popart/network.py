@@ -65,9 +65,12 @@ class Mlp:
         self._theta = theta
         self.n_params = theta.size
         self.weights, self.biases = self._views(theta)
-        # backward fills this buffer through views built once, here
+        # backward fills this buffer through views built once, here; a
+        # layer's bias gradient is its backpropagated seed, and the weight
+        # gradient is that seed, as a column, times the layer's input
         self._grad = np.empty(theta.size)
         self._grad_weights, self._grad_biases = self._views(self._grad)
+        self._grad_bias_columns = [g[:, None] for g in self._grad_biases]
 
     def _views(self, theta: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer weight and bias views into a parameter-layout vector."""
@@ -131,16 +134,14 @@ class Mlp:
         if v.shape != (self.n_outputs,):
             raise ValueError(f"expected seed of length {self.n_outputs}")
         grad_w, grad_b = self._grad_weights, self._grad_biases
-        g = v
         last = len(self.weights) - 1
+        grad_b[last][...] = v
         for i in range(last, -1, -1):
-            # hidden activations are tanh outputs, so tanh' = 1 - a**2
             if i < last:
-                g = g * (1.0 - acts[i + 1] ** 2)
-            np.multiply(g[:, None], acts[i], out=grad_w[i])
-            grad_b[i][...] = g
-            if i:
-                g = g @ self.weights[i]
+                # hidden activations are tanh outputs, so tanh' = 1 - a**2
+                g = grad_b[i + 1] @ self.weights[i + 1]
+                np.multiply(g, 1.0 - acts[i + 1] ** 2, out=grad_b[i])
+            np.multiply(self._grad_bias_columns[i], acts[i], out=grad_w[i])
         return self._grad.copy()
 
     def jacobian(self, x) -> np.ndarray:

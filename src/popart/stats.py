@@ -57,6 +57,13 @@ def _as_vector(y, k: int, limit: float = sys.float_info.max) -> np.ndarray:
     return arr
 
 
+def _as_floats(y, k: int, limit: float = sys.float_info.max) -> list[float]:
+    """:func:`_as_vector`'s check, giving a list of ``k`` Python floats."""
+    if k == 1 and isinstance(y, float) and -limit <= y <= limit:
+        return [float(y)]  # a lone valid float, the common target, skips numpy
+    return _as_vector(y, k, limit).tolist()
+
+
 def _check_setting(name: str, value, ok) -> None:
     """Raise ``ValueError`` naming the setting unless ``ok(value)`` is true."""
     with suppress(TypeError):  # a value of the wrong type is invalid
@@ -82,10 +89,9 @@ class Normalizer:
     ):
         if k < 1:
             raise ValueError("k must be >= 1")
-        if spread <= 0:
-            raise ValueError("spread must be positive")
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        # NaN fails the comparison, so it is rejected too
+        _check_setting("spread", spread, lambda s: 0.0 < s < math.inf)
+        _check_setting("epsilon", epsilon, lambda e: 0.0 < e < math.inf)
         self.k = k
         self.spread = float(spread)
         self.epsilon = float(epsilon)
@@ -119,13 +125,12 @@ class Normalizer:
         one above :data:`MAX_TARGET` in magnitude (its square would
         overflow ``nu``), raises ``ValueError``.
         """
-        arr = _as_vector(y, self.k, MAX_TARGET)
-        beta = self.schedule.step()
         if self.k == 1:
             # the same IEEE operations, in the same order, as the array
             # path below, on Python floats: for one component numpy's
             # per-call overhead is most of the cost
-            (target,) = arr.tolist()
+            (target,) = _as_floats(y, 1, MAX_TARGET)
+            beta = self.schedule.step()
             mu, nu = self.mu.item(), self.nu.item()
             mu += beta * (target - mu)
             nu += beta * (target * target - nu)
@@ -133,6 +138,8 @@ class Normalizer:
             nu = max(nu, mu_sq + self.epsilon)
             self.mu[0], self.nu[0] = mu, nu
             return np.array([math.sqrt(max(nu - mu_sq, self.epsilon)) / self.spread])
+        arr = _as_vector(y, self.k, MAX_TARGET)
+        beta = self.schedule.step()
         self.mu += beta * (arr - self.mu)
         self.nu += beta * (arr**2 - self.nu)
         mu_sq = self.mu**2

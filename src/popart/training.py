@@ -28,6 +28,16 @@ update.  Each step checks every input before it mutates ``net`` and
 follow the convention ``delta = prediction - target``, with subtractive
 updates.
 
+A step works on vectors of length ``k``, the number of outputs, which is
+small; numpy's overhead per call would dominate them.  So the per-output
+arithmetic, that is the update of one-output statistics, the rescale
+ratio and new bias, the checks of ``sigma`` and ``mu``, the normalized
+error ``delta`` and the bias update, runs as a loop over the ``k``
+components on Python floats, with the same IEEE operations in the same
+order as numpy's elementwise ones, so the results are the same to the
+last bit.  Every product with ``W``, the features ``h`` or the parameter
+vector stays in numpy, since its bits depend on numpy's summation order.
+
 These four steps take an optional keyword ``acts``: the activations
 ``net.forward_pass(x)`` that the caller already computed on the current
 parameters, for instance to measure a test error with
@@ -48,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import Mlp, affine
-from .stats import Normalizer, _as_vector
+from .stats import Normalizer, _as_floats
 
 
 @dataclass
@@ -68,6 +78,11 @@ class OutputLayer:
     ``k`` is the number of outputs, ``m`` the width of the feature vector
     it consumes.  ``sigma`` starts at ones and ``mu`` at zeros, matching a
     fresh identity normalization.
+
+    ``b``, ``sigma`` and ``mu`` are float arrays of length ``k``, which
+    a rescale and a step overwrite in place, component by component, on
+    Python floats (see the module docstring); ``W h`` and the update of
+    ``W`` stay in numpy.  A stack of inputs is computed with numpy alone.
     """
 
     def __init__(
@@ -100,14 +115,23 @@ class OutputLayer:
 
     def unnormalized_output(self, h) -> np.ndarray:
         """``sigma * (W h + b) + mu``, row by row for a stack."""
-        return self.sigma * self.normalized_output(h) + self.mu
+        h = np.asarray(h, dtype=float)
+        if h.ndim > 1:
+            return self.sigma * self.normalized_output(h) + self.mu
+        out = self.W @ h
+        b, sigma, mu = self.b, self.sigma, self.mu
+        for i, z in enumerate(out.tolist()):
+            out[i] = sigma.item(i) * (z + b.item(i)) + mu.item(i)
+        return out
 
     def rescale_to(self, sigma_new, mu_new) -> None:
         """Adopt a new scale/shift without changing unnormalized outputs."""
-        sigma_old, mu_old = self.sigma, self.mu
-        self.set_scale_shift(sigma_new, mu_new)
-        self.W *= (sigma_old / self.sigma)[:, None]
-        self.b = (sigma_old * self.b + mu_old - self.mu) / self.sigma
+        sigma_new, mu_new = self._checked(sigma_new, mu_new)
+        W, b, sigma, mu = self.W, self.b, self.sigma, self.mu
+        for i, (s_old, m_old, s, m) in enumerate(zip(sigma.tolist(), mu.tolist(), sigma_new, mu_new)):
+            W[i] *= s_old / s
+            b[i] = (s_old * b.item(i) + m_old - m) / s
+            sigma[i], mu[i] = s, m
 
     def set_scale_shift(self, sigma_new, mu_new) -> None:
         """Adopt a new scale/shift *without* compensation (outputs move).
@@ -115,21 +139,24 @@ class OutputLayer:
         ``sigma_new`` must be finite and positive and ``mu_new`` finite;
         otherwise nothing changes and ``ValueError`` is raised.
         """
-        sigma_new = _as_scale(sigma_new, self.k)
-        mu_new = np.asarray(mu_new, dtype=float).reshape(self.k)
-        if not all(map(math.isfinite, mu_new.tolist())):
+        self.sigma[...], self.mu[...] = self._checked(sigma_new, mu_new)
+
+    def _checked(self, sigma, mu) -> tuple[list[float], list[float]]:
+        """``sigma`` and ``mu`` as ``k`` Python floats each, checked."""
+        sigma = _as_scale(sigma, self.k)
+        mu = np.asarray(mu, dtype=float).reshape(self.k).tolist()
+        if not all(map(math.isfinite, mu)):
             raise ValueError("mu_new must be finite")
-        self.sigma = sigma_new.copy()
-        self.mu = mu_new.copy()
+        return sigma, mu
 
 
-def _as_scale(sigma, k: int) -> np.ndarray:
-    """``sigma`` as a length-``k`` vector, checked finite and positive."""
-    sigma = np.asarray(sigma, dtype=float).reshape(k)
-    # NaN fails both comparisons; see stats._as_vector for the Python loop
-    if not all(0.0 < s < math.inf for s in sigma.tolist()):
+def _as_scale(sigma, k: int) -> list[float]:
+    """``sigma`` as ``k`` Python floats, checked finite and positive."""
+    values = np.asarray(sigma, dtype=float).reshape(k).tolist()
+    # NaN fails both comparisons
+    if not all(0.0 < s < math.inf for s in values):
         raise ValueError("sigma must be componentwise finite and positive")
-    return sigma
+    return values
 
 
 def predict(net: Mlp, layer: OutputLayer, x) -> np.ndarray:
@@ -171,24 +198,28 @@ def _sgd_step(
                 f"expected {len(net.layer_sizes)} activations, one per layer, got {len(acts)}"
             )
         for i, (a, n) in enumerate(zip(acts, net.layer_sizes)):
-            if np.shape(a) != (n,):
+            # an array's own shape, without np.shape's dispatch cost
+            shape = a.shape if isinstance(a, np.ndarray) else np.shape(a)
+            if shape != (n,):
                 raise ValueError(
-                    f"expected acts[{i}] of length {n}, got shape {np.shape(a)}: "
+                    f"expected acts[{i}] of length {n}, got shape {shape}: "
                     "acts come from another network"
                 )
         if acts[0] is not x and not np.array_equal(acts[0], x):
             raise ValueError("acts[0] is not the input x: acts come from another input")
+    k = layer.k
+    ys = _as_floats(y, k)
     if adoption != _RAW_TARGETS and sigma is None:
         nrm = layer.normalizer
         if nrm is None:
             raise ValueError("layer has no normalizer attached")
-        # the statistics update checks y, the last input, before it moves
+        if nrm.k != k:
+            raise ValueError(f"normalizer has {nrm.k} components, the layer {k} outputs")
+        # the statistics update checks that y can be squared, the last
+        # check, before it moves
         sigma, mu = nrm.update(y), nrm.mu
-        y = np.asarray(y, dtype=float)
-    else:
-        y = _as_vector(y, layer.k)
-        if sigma is not None and adoption == _RAW_TARGETS:
-            sigma = _as_scale(sigma, layer.k)
+    elif sigma is not None and adoption == _RAW_TARGETS:
+        sigma = np.array(_as_scale(sigma, k))
     if adoption == _COMPENSATE:
         layer.rescale_to(sigma, mu)
     elif adoption == _ADOPT_RAW:
@@ -197,29 +228,36 @@ def _sgd_step(
     if acts is None:
         acts = net.forward_pass(x)
     h = acts[-1]
-    W = layer.W
+    W, b = layer.W, layer.b
+    parts = zip((W @ h).tolist(), b.tolist(), ys)
     if adoption == _RAW_TARGETS:
-        delta = W @ h + layer.b - y
+        delta = np.array([z + b_i - y_i for z, b_i, y_i in parts])
         theta_seed = (delta if sigma is None else delta / sigma**2) @ W
     else:
-        delta = W @ h + layer.b - (y - layer.mu) / layer.sigma
+        parts = zip(parts, layer.sigma.tolist(), layer.mu.tolist())
+        delta = np.array([z + b_i - (y_i - m) / s for (z, b_i, y_i), s, m in parts])
         theta_seed = delta @ W
+    # for two vectors ``.dot`` runs the routine that ``@`` runs, without
+    # the matmul machinery's cost per call
     g_sq = 0.0
     if net.n_params:
         g_theta = net.backward(acts, theta_seed)
-        g_sq = float(g_theta @ g_theta)
+        g_sq = float(g_theta.dot(g_theta))
         net.apply_param_step(g_theta, alpha)
-    d_sq = float(delta @ delta)
-    grad_norm = math.sqrt(g_sq + d_sq * (1.0 + float(h @ h)))
+    d_sq = float(delta.dot(delta))
+    grad_norm = math.sqrt(g_sq + d_sq * (1.0 + float(h.dot(h))))
+    # one broadcast product, not one per row: where both factors are NaN,
+    # numpy's broadcast loop keeps, for some shapes, the other one's NaN
     W -= alpha * (delta[:, None] * h)
-    layer.b -= alpha * delta
+    for i, d in enumerate(delta.tolist()):
+        b[i] = b.item(i) - alpha * d
 
     if adoption != _RAW_TARGETS:
         error, scale, shift = delta, layer.sigma.copy(), layer.mu.copy()
     elif sigma is None:
         error, scale, shift = delta, None, None
     else:
-        error, scale, shift = delta / sigma, sigma.copy(), None
+        error, scale, shift = delta / sigma, sigma, None
     return TrainStepReport(error, 0.5 * d_sq, grad_norm, scale, shift)
 
 

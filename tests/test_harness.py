@@ -99,6 +99,26 @@ def test_stream_deterministic():
         np.testing.assert_array_equal(xa, xb)
 
 
+@pytest.mark.parametrize("seed", [0, 9, 1000, 2**31 - 1])
+def test_stream_draws_what_one_draw_per_sample_gives(seed):
+    # the stream draws its values in blocks; they must be the values one
+    # scalar draw per normal sample gives, across blocks and spikes
+    rng = np.random.default_rng([seed, 0xB17])
+    stream = BinRegStream(seed)
+    xs = []
+    for step in range(1, 2501):
+        x, y = stream.sample()
+        if step % BinRegStream.SPIKE_PERIOD:
+            assert y == float(int(rng.integers(0, 1024)))
+        else:
+            assert y == 65535.0
+        np.testing.assert_array_equal(x, _bit_loop(int(y)))
+        xs.append(x)
+    # every x is a fresh array of its own
+    assert len({id(x) for x in xs}) == len(xs)
+    assert not any(np.shares_memory(x, BinRegStream._CODES) for x in xs)
+
+
 # -- single runs -----------------------------------------------------------
 
 

@@ -117,6 +117,15 @@ def test_largest_target_keeps_statistics_finite():
         assert np.isfinite(n.normalize(y)).all()
 
 
+@pytest.mark.parametrize("name", ["spread", "epsilon"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_bad_setting_rejected_by_name(name, value):
+    # a NaN or infinite spread or epsilon used to pass the "<= 0" checks
+    # and fail only in a later step, after the statistics had moved
+    with pytest.raises(ValueError, match=f"invalid {name}"):
+        Normalizer(k=1, **{name: value})
+
+
 def test_shape_mismatch_rejected():
     n = Normalizer(k=2)
     with pytest.raises(ValueError):

@@ -8,7 +8,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import popart.binreg
+from popart.binreg import METHODS, run_single
 from popart.rl import ChainMdp, DoubleQAgent, train
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -57,3 +60,21 @@ def test_traced_agent_runs_one_step_call_per_step():
     copies = agent.step_count // agent.copy_period
     assert terminal > 0
     assert counts["network.forward_pass.calls"] == 2 * agent.step_count - terminal + copies
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_traced_run_single_layer_calls_per_step(method):
+    # each step runs one forward pass, shared with the test error, one
+    # backward pass and one parameter update; the statistics move once a
+    # step for every method but plain SGD, and only popart rescales
+    tracer = _load_tracer()
+    n = 300
+    with tracer.Tracer().installed() as traced:
+        record = run_single(method, 1e-5, 1e-2, seed=1000, n_samples=n)
+    assert not record.diverged
+    counts = traced.call_counts()
+    for name in ("network.forward_pass", "network.backward", "network.apply_param_step"):
+        assert counts[f"{name}.calls"] == n, name
+    assert counts["stats.Normalizer.update.calls"] == (0 if method == "sgd" else n)
+    assert counts["training.OutputLayer.rescale_to.calls"] == (n if method == "popart" else 0)
+    assert counts["binreg.BinRegStream.sample.calls"] == n

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from popart.network import Mlp
 from popart.schedules import constant
-from popart.stats import Normalizer
+from popart.stats import MAX_TARGET, Normalizer
 from popart.training import (
     OutputLayer,
     art_only_sgd_step,
@@ -476,3 +476,192 @@ def test_given_acts_give_identical_step(step, acts_x):
         np.testing.assert_array_equal(state[key], value, err_msg=key)
     np.testing.assert_array_equal(report.normalized_error, expected_report.normalized_error)
     assert report.gradient_norm == expected_report.gradient_norm
+
+
+def test_normalizer_of_another_width_rejected_without_change():
+    net = Mlp([2, 3], seed=0)
+    nrm = Normalizer(k=1, schedule=constant(0.3))
+    layer = OutputLayer(2, 3, normalizer=nrm, seed=1)
+    before = [nrm.t, nrm.mu.copy(), nrm.nu.copy(), layer.W.copy(), layer.b.copy()]
+    with pytest.raises(ValueError, match="expected 2 target components"):
+        popart_sgd_step(net, layer, GOOD_X, 1.0, alpha=0.1)
+    with pytest.raises(ValueError, match="normalizer has 1 components"):
+        popart_sgd_step(net, layer, GOOD_X, [1.0, 2.0], alpha=0.1)
+    after = [nrm.t, nrm.mu, nrm.nu, layer.W, layer.b]
+    for a, b in zip(after, before):
+        np.testing.assert_array_equal(a, b)
+
+
+# -- bitwise oracle: the steps as they ran on numpy arrays -------------------
+#
+# The steps do their per-output arithmetic (statistics update, rescale,
+# normalized error, bias update) on Python floats, component by component.
+# The array formulation below is the reference, kept as it was written
+# before that change; every result must match it to the last bit.
+
+
+def _ref_update(nrm, y):
+    """``Normalizer.update`` on arrays, for any ``k``; ``y`` is valid."""
+    arr = np.asarray(y, dtype=float).reshape(nrm.k)
+    beta = nrm.schedule.step()
+    nrm.mu += beta * (arr - nrm.mu)
+    nrm.nu += beta * (arr**2 - nrm.nu)
+    mu_sq = nrm.mu**2
+    np.maximum(nrm.nu, mu_sq + nrm.epsilon, out=nrm.nu)
+    return np.sqrt(np.maximum(nrm.nu - mu_sq, nrm.epsilon)) / nrm.spread
+
+
+class _RefLayer:
+    """``OutputLayer`` on arrays: a copy of ``layer``'s state."""
+
+    def __init__(self, layer):
+        self.k = layer.k
+        self.W, self.b = layer.W.copy(), layer.b.copy()
+        self.sigma, self.mu = layer.sigma.copy(), layer.mu.copy()
+
+    def unnormalized_output(self, h):
+        return self.sigma * (self.W @ h + self.b) + self.mu
+
+    def rescale_to(self, sigma_new, mu_new):
+        sigma_old, mu_old = self.sigma, self.mu
+        self.set_scale_shift(sigma_new, mu_new)
+        self.W *= (sigma_old / self.sigma)[:, None]
+        self.b = (sigma_old * self.b + mu_old - self.mu) / self.sigma
+
+    def set_scale_shift(self, sigma_new, mu_new):
+        self.sigma = np.asarray(sigma_new, dtype=float).reshape(self.k).copy()
+        self.mu = np.asarray(mu_new, dtype=float).reshape(self.k).copy()
+
+
+def _ref_backward(net, acts, v):
+    """``Mlp.backward`` as a fresh vector per layer, then concatenated."""
+    parts = []
+    g = v
+    last = len(net.weights) - 1
+    for i in range(last, -1, -1):
+        if i < last:
+            g = g * (1.0 - acts[i + 1] ** 2)
+        parts[:0] = [(g[:, None] * acts[i]).ravel(), g]
+        if i:
+            g = g @ net.weights[i]
+    return np.concatenate(parts)
+
+
+def _ref_step(net, layer, nrm, x, y, alpha, kind, sigma=None, mu=None):
+    """One step of ``kind`` (a key of ``STEPS``) in the array formulation."""
+    raw = kind in ("sgd", "normalized_sgd")
+    x = np.asarray(x, dtype=float)
+    if not raw and sigma is None:
+        sigma, mu = _ref_update(nrm, y), nrm.mu
+        y = np.asarray(y, dtype=float)
+    else:
+        y = np.asarray(y, dtype=float).reshape(layer.k)
+        if sigma is not None and raw:
+            sigma = np.asarray(sigma, dtype=float).reshape(layer.k)
+    if kind in ("popart", "popart_update"):
+        layer.rescale_to(sigma, mu)
+    elif kind == "art":
+        layer.set_scale_shift(sigma, mu)
+    acts = net.forward_pass(x)
+    h = acts[-1]
+    W = layer.W
+    if raw:
+        delta = W @ h + layer.b - y
+        theta_seed = (delta if sigma is None else delta / sigma**2) @ W
+    else:
+        delta = W @ h + layer.b - (y - layer.mu) / layer.sigma
+        theta_seed = delta @ W
+    g_theta = _ref_backward(net, acts, theta_seed)
+    g_sq = float(g_theta @ g_theta)
+    net.set_params(net.get_params() - alpha * g_theta)
+    d_sq = float(delta @ delta)
+    grad_norm = math.sqrt(g_sq + d_sq * (1.0 + float(h @ h)))
+    W -= alpha * (delta[:, None] * h)
+    layer.b -= alpha * delta
+    if not raw:
+        error, scale, shift = delta, layer.sigma.copy(), layer.mu.copy()
+    elif sigma is None:
+        error, scale, shift = delta, None, None
+    else:
+        error, scale, shift = delta / sigma, sigma.copy(), None
+    return error, 0.5 * d_sq, grad_norm, scale, shift
+
+
+def _bits(value):
+    """Bytes of an array or float, so NaN compares equal to NaN."""
+    return None if value is None else np.asarray(value, dtype=float).tobytes()
+
+
+def _oracle_state(net, layer, nrm):
+    arrays = (net.get_params(), layer.W, layer.b, layer.sigma, layer.mu, nrm.mu, nrm.nu)
+    return nrm.t, [a.tobytes() for a in arrays]
+
+
+ORACLE_KINDS = sorted(STEPS)
+oracle_target = st.one_of(
+    st.floats(-MAX_TARGET, MAX_TARGET),
+    st.floats(-1e4, 1e4),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e160, -MAX_TARGET * (1 + 2**-50)]),
+)
+oracle_step = st.tuples(
+    st.sampled_from(ORACLE_KINDS),
+    st.lists(oracle_target, min_size=3, max_size=3),  # y, cut to k components
+    st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3),  # a given sigma
+    st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),  # a given mu
+    st.booleans(),  # pass the caller's forward pass as acts
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    k=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    beta=st.floats(1e-3, 1.0),
+    alpha=st.sampled_from([0.0, 1e-3, 0.1]),
+    scalar_target=st.booleans(),
+    steps=st.lists(oracle_step, min_size=1, max_size=6),
+)
+def test_steps_match_the_array_formulation_bitwise(k, seed, beta, alpha, scalar_target, steps):
+    rng = np.random.default_rng(seed)
+    net = Mlp([3, 4, 5], rng=rng)
+    nrm = Normalizer(k=k, schedule=constant(beta))
+    layer = OutputLayer(k, 5, normalizer=nrm, rng=rng)
+    ref_net, ref_layer, ref_nrm = net.copy(), _RefLayer(layer), copy.deepcopy(nrm)
+    probe = rng.normal(size=5)
+    for kind, y, sigma, mu, use_acts in steps:
+        y = y[:k]
+        if k == 1 and scalar_target:
+            y = y[0]  # a lone float takes the normalizer's shortcut
+        sigma, mu = sigma[:k], mu[:k]
+        x = rng.normal(size=3)
+        kw = {"acts": net.forward_pass(x)} if use_acts and kind != "popart_update" else {}
+        given = {"normalized_sgd": (sigma,), "popart_update": (sigma, mu)}.get(kind, ())
+        live = {
+            "popart": popart_sgd_step,
+            "art": art_only_sgd_step,
+            "sgd": plain_sgd_step,
+            "normalized_sgd": normalized_sgd_step,
+            "popart_update": popart_sgd_update,
+        }[kind]
+        limit = MAX_TARGET if kind in ("popart", "art") else math.inf
+        valid = all(math.isfinite(v) and abs(v) <= limit for v in np.ravel(y))
+        before = _oracle_state(net, layer, nrm)
+        with np.errstate(all="ignore"):
+            if not valid:
+                with pytest.raises(ValueError):
+                    live(net, layer, x, y, *given, alpha, **kw)
+                assert _oracle_state(net, layer, nrm) == before
+                continue
+            report = live(net, layer, x, y, *given, alpha, **kw)
+            expected = _ref_step(ref_net, ref_layer, ref_nrm, x, y, alpha, kind, *given)
+            outputs = (layer.unnormalized_output(probe), ref_layer.unnormalized_output(probe))
+        got = (
+            report.normalized_error,
+            report.squared_loss,
+            report.gradient_norm,
+            report.scale,
+            report.shift,
+        )
+        assert [_bits(v) for v in got] == [_bits(v) for v in expected], kind
+        assert _oracle_state(net, layer, nrm) == _oracle_state(ref_net, ref_layer, ref_nrm)
+        assert _bits(outputs[0]) == _bits(outputs[1])
