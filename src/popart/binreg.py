@@ -6,13 +6,24 @@ binary inputs with the integer itself as the regression target; every
 target is what stresses each optimizer: a single unnormalized update of
 that magnitude can wreck a small network.
 
-``run_grid`` sweeps the four optimizer variants over an (alpha, beta)
-grid with repeated seeded runs, records the per-sample pre-update test
-error, and selects each method's best cell by median area under the
-error curve.  A run stops at its first non-finite prediction or loss
-and leaves the rest of its trace at ``inf``; whether it diverged is read
-from its recorded arrays, and a diverged run scores infinite area rather
-than crashing the sweep.
+``run_single`` is one seeded run of one optimizer on one grid cell, a
+plain per-sample loop that records the pre-update test error and the
+gradient norm of each step.  ``run_grid`` sweeps the four optimizer
+variants over an (alpha, beta) grid with repeated seeded runs and selects
+each method's best cell by median area under the error curve.  A run
+stops at its first non-finite prediction or loss and leaves the rest of
+its trace at ``inf``; whether it diverged is read from its recorded
+arrays, and a diverged run scores infinite area rather than crashing the
+sweep.
+
+Repetition ``i`` of every cell reads the same stream from the same
+initial weights, so ``run_grid`` advances all runs of one seed in
+lockstep: each tick draws one sample, makes one forward pass of the
+runs' networks stacked on a leading run axis (:meth:`Mlp.stack`) and one
+stacked prediction (:meth:`OutputLayer.stack`), and then takes each live
+run's own public step, on its rows of the activations.  ``run_single``
+is the reference for this front end: every record ``run_grid`` returns
+equals, bit for bit, the one ``run_single`` gives for the same run.
 
 ``write_results_csv`` and ``read_results_csv`` own the ``results.csv``
 format: reading back what was written gives the same records.
@@ -23,18 +34,17 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import count
 
 import numpy as np
 
 from .network import Mlp
 from .schedules import constant
-from .stats import Normalizer, _check_setting
+from .stats import Normalizer, _check_setting, _count
 from .training import (
     OutputLayer,
     art_only_sgd_step,
@@ -105,12 +115,12 @@ class ExperimentConfig:
         # every field is checked here, so that a bad one fails before any run
         counts = {"base_seed": 0, "n_samples": 1, "n_repetitions": 1, "smoothing_window": 1}
         for name, least in counts.items():
-            _check_setting(name, getattr(self, name), lambda n: operator.index(n) >= least)
+            _check_setting(name, getattr(self, name), lambda n: _count(n) >= least)
         for name, ok in [
             ("methods", lambda m: m in METHODS),
             ("alphas", lambda a: 0.0 < a < math.inf),
             ("betas", lambda b: 0.0 < b <= 1.0),
-            ("hidden", lambda n: operator.index(n) >= 1),
+            ("hidden", lambda n: _count(n) >= 1),
         ]:
             _check_setting(name, getattr(self, name), lambda v: len(v) > 0 and all(map(ok, v)))
 
@@ -152,6 +162,45 @@ class RunRecord:
         return math.inf if self.diverged else float(self.rmse.sum())
 
 
+class _Run:
+    """One seeded run of one optimizer on one grid cell: its network, its
+    output layer and its trace, filled in by :meth:`advance`."""
+
+    def __init__(self, method, alpha, beta, seed, n_samples, hidden):
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        rng = np.random.default_rng([seed, 0x1217])
+        self.net = Mlp([BinRegStream.N_BITS, *hidden], rng=rng)
+        normalizer = Normalizer(k=1, schedule=constant(beta))
+        self.layer = OutputLayer(1, hidden[-1], normalizer=normalizer, rng=rng)
+        self.method, self.alpha = method, alpha
+        self.record = RunRecord(
+            method, alpha, beta, seed, np.full(n_samples, np.inf), np.full(n_samples, np.inf)
+        )
+
+    def advance(self, i: int, x, y: float, acts, pred: float) -> bool:
+        """Record the test error ``|pred - y|`` of step ``i``, take the
+        method's public step on ``(x, y)`` with the activations ``acts``,
+        and record its gradient norm.  Return False at the first
+        non-finite prediction or loss: the run has diverged, and the rest
+        of its trace stays ``inf``."""
+        if not math.isfinite(pred):
+            return False
+        self.record.rmse[i] = abs(pred - y)
+        method, net, layer, alpha = self.method, self.net, self.layer, self.alpha
+        if method == "popart":
+            report = popart_sgd_step(net, layer, x, y, alpha, acts=acts)
+        elif method == "art":
+            report = art_only_sgd_step(net, layer, x, y, alpha, acts=acts)
+        elif method == "sgd":
+            report = plain_sgd_step(net, layer, x, y, alpha, acts=acts)
+        else:
+            sigma = layer.normalizer.update(y)
+            report = normalized_sgd_step(net, layer, x, y, sigma, alpha, acts=acts)
+        self.record.grad_norm[i] = report.gradient_norm
+        return math.isfinite(report.squared_loss)
+
+
 def run_single(
     method: str,
     alpha: float,
@@ -164,51 +213,50 @@ def run_single(
 
     The error recorded at each step is the absolute error of the current
     unnormalized prediction on the upcoming sample, measured before any
-    update from that sample (a test error).
+    update from that sample (a test error).  This per-sample loop is the
+    reference that :func:`run_grid`'s lockstep runs are checked against.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    rng = np.random.default_rng([seed, 0x1217])
-    net = Mlp([BinRegStream.N_BITS, *hidden], rng=rng)
-    normalizer = Normalizer(k=1, schedule=constant(beta))
-    layer = OutputLayer(1, hidden[-1], normalizer=normalizer, rng=rng)
+    run = _Run(method, alpha, beta, seed, n_samples, hidden)
+    net, layer = run.net, run.layer
     stream = BinRegStream(seed)
-
-    rmse = np.full(n_samples, np.inf)
-    grad_norm = np.full(n_samples, np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        _run_loop(method, net, layer, normalizer, stream, alpha, n_samples, rmse, grad_norm)
-    return RunRecord(method, alpha, beta, seed, rmse, grad_norm)
+        for i in range(n_samples):
+            x, y = stream.sample()
+            # one forward pass serves the test error and the step: nothing
+            # touches the net in between
+            acts = net.forward_pass(x)
+            if not run.advance(i, x, y, acts, layer.unnormalized_output(acts[-1])[0]):
+                break
+    return run.record
 
 
-def _run_loop(method, net, layer, normalizer, stream, alpha, n_samples, rmse, grad_norm):
-    """Fill ``rmse`` and ``grad_norm`` step by step; stop at the first
-    non-finite prediction or loss, which leaves the rest at ``inf``."""
-    for i in range(n_samples):
-        x, y = stream.sample()
-        # one forward pass serves the test error and the step: nothing
-        # touches the net in between
-        acts = net.forward_pass(x)
-        pred = layer.unnormalized_output(acts[-1])[0]
-        if not math.isfinite(pred):
-            return
-        rmse[i] = abs(pred - y)
-        if method == "popart":
-            report = popart_sgd_step(net, layer, x, y, alpha, acts=acts)
-        elif method == "art":
-            report = art_only_sgd_step(net, layer, x, y, alpha, acts=acts)
-        elif method == "sgd":
-            report = plain_sgd_step(net, layer, x, y, alpha, acts=acts)
-        else:
-            sigma = normalizer.update(y)
-            report = normalized_sgd_step(net, layer, x, y, sigma, alpha, acts=acts)
-        grad_norm[i] = report.gradient_norm
-        if not math.isfinite(report.squared_loss):
-            return
+def _run_lockstep(jobs) -> list[RunRecord]:
+    """The runs of ``jobs``, ``run_single`` argument tuples that share one
+    seed, ``n_samples`` and ``hidden``, advanced together.
 
-
-def _run_cell(args) -> RunRecord:
-    return run_single(*args)
+    All runs read the same stream, so each tick draws one sample, makes
+    one forward pass of the stacked networks and one stacked prediction,
+    and then takes each live run's own public step on its rows of the
+    activations.  Rows are independent, so each record equals the one
+    ``run_single`` gives, bit for bit; the rows of a diverged run go on
+    computing NaN, which the errstate keeps quiet, and are never read.
+    """
+    runs = [_Run(*job) for job in jobs]
+    _, _, _, seed, n_samples, _ = jobs[0]
+    net = Mlp.stack(run.net for run in runs)
+    layer = OutputLayer.stack(run.layer for run in runs)
+    stream = BinRegStream(seed)
+    live = list(enumerate(runs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_samples):
+            x, y = stream.sample()
+            acts = net.forward_pass(x)
+            preds = layer.unnormalized_output(acts[-1])[:, 0].tolist()
+            rows = list(zip(*acts[1:]))
+            live = [(r, run) for r, run in live if run.advance(i, x, y, [x, *rows[r]], preds[r])]
+            if not live:
+                break
+    return [run.record for run in runs]
 
 
 def run_grid(config: ExperimentConfig, workers: int = 1, progress=None):
@@ -218,6 +266,14 @@ def run_grid(config: ExperimentConfig, workers: int = 1, progress=None):
     its best cell (minimum median area under the error curve) with the
     chosen hyperparameters.  Repetition ``i`` of every method and cell
     shares seed ``base_seed + i`` so comparisons are paired.
+
+    The runs of one seed advance in lockstep (see :func:`_run_lockstep`);
+    with ``workers > 1`` the seed groups go to a process pool, each split
+    into ``workers // gcd(seeds, workers)`` contiguous chunks, so the
+    tasks are equal and fill a whole number of rounds of the pool.  The
+    records come back in the order of the loops above, whatever the
+    grouping; ``progress(i, n)`` is called for each in that order, as soon
+    as it and every record before it are done.
     """
     jobs = [
         (method, alpha, beta, config.base_seed + rep, config.n_samples, config.hidden)
@@ -226,13 +282,24 @@ def run_grid(config: ExperimentConfig, workers: int = 1, progress=None):
         for beta in config.betas
         for rep in range(config.n_repetitions)
     ]
-    records = []
+    groups: dict[int, list[int]] = {}
+    for index, job in enumerate(jobs):
+        groups.setdefault(job[3], []).append(index)
+    # lcm(seeds, workers) equal tasks: a whole number of rounds for the pool
+    split = workers // math.gcd(len(groups), workers)
+    chunks = [part.tolist() for g in groups.values() for part in np.array_split(g, split) if part.size]
+    records: list = [None] * len(jobs)
+    done = 0
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        runs = pool.map(_run_cell, jobs, chunksize=4) if pool else map(_run_cell, jobs)
-        for i, rec in enumerate(runs, 1):
-            records.append(rec)
-            if progress:
-                progress(i, len(jobs))
+        tasks = [[jobs[i] for i in chunk] for chunk in chunks]
+        results = pool.map(_run_lockstep, tasks) if pool else map(_run_lockstep, tasks)
+        for chunk, recs in zip(chunks, results):
+            for i, rec in zip(chunk, recs):
+                records[i] = rec
+            while done < len(jobs) and records[done] is not None:
+                done += 1
+                if progress:
+                    progress(done, len(jobs))
     return records, summarize(records)
 
 
@@ -304,15 +371,18 @@ def atomic_open(path: str, newline: str | None = None):
 
 
 def write_results_csv(path: str, records) -> None:
-    """Exact-header CSV, one row per (method, alpha, beta, seed, step)."""
+    """Exact-header CSV, one row per (method, alpha, beta, seed, step).
+
+    Each row is one f-string, the bytes ``csv.writer`` would write: no
+    field needs quoting, and a float is written as its ``repr``.
+    """
     with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_HEADER)
+        fh.write(",".join(RESULTS_HEADER) + "\n")
         for rec in records:
-            run = (rec.method, repr(rec.alpha), repr(rec.beta), rec.seed)
-            steps = range(1, len(rec.rmse) + 1)
-            writer.writerows(
-                zip(*map(repeat, run), steps, rec.rmse.tolist(), rec.grad_norm.tolist())
+            head = f"{rec.method},{rec.alpha!r},{rec.beta!r},{rec.seed},"
+            fh.writelines(
+                f"{head}{step},{rmse!r},{g!r}\n"
+                for step, rmse, g in zip(count(1), rec.rmse.tolist(), rec.grad_norm.tolist())
             )
 
 

@@ -18,6 +18,10 @@ as ``W_0, b_0, W_1, b_1, ...`` with each ``W`` row-major.  ``weights[i]``
 and ``biases[i]`` are views into that vector, so a whole-vector update is
 one numpy call.  Edit them in place (``net.weights[0][...] = w``); binding
 a new array to ``net.weights[i]`` detaches it from the parameters.
+
+:meth:`Mlp.stack` puts the parameter vectors of ``R`` networks of one
+shape into the rows of one ``(R, n_params)`` array, so that one forward
+pass serves them all; each network keeps working on its own row.
 """
 
 from __future__ import annotations
@@ -73,15 +77,43 @@ class Mlp:
         self._grad_bias_columns = [g[:, None] for g in self._grad_biases]
 
     def _views(self, theta: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-layer weight and bias views into a parameter-layout vector."""
+        """Per-layer weight and bias views into a parameter-layout vector,
+        or into a stack of them, whose leading axes the views keep."""
         weights, biases = [], []
+        lead = theta.shape[:-1]
         i = 0
         for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
             j = i + fan_out * fan_in
-            weights.append(theta[i:j].reshape(fan_out, fan_in))
-            biases.append(theta[j : j + fan_out])
+            weights.append(theta[..., i:j].reshape(*lead, fan_out, fan_in))
+            biases.append(theta[..., j : j + fan_out])
             i = j + fan_out
         return weights, biases
+
+    @staticmethod
+    def stack(nets) -> "Mlp":
+        """One network over the parameters of ``nets``, all of one shape.
+
+        The parameter vectors become the rows of one ``(R, n_params)``
+        array, and each member is rebound onto its row: a step on a member
+        moves its row of the stack in place, and no other.  The stack's
+        ``weights`` and ``biases`` carry a leading run axis, and its
+        :meth:`forward_pass` of one input gives activations of shape
+        ``(R, width)``, row ``r`` equal to member ``r``'s own.  The stack
+        runs forward passes only; steps go to its members.
+        """
+        nets = list(nets)
+        sizes = nets[0].layer_sizes
+        if any(net.layer_sizes != sizes for net in nets):
+            raise ValueError("stacked networks must all have the same layer sizes")
+        theta = np.stack([net._theta for net in nets])
+        for net, row in zip(nets, theta):
+            net._bind(row)
+        stacked = _Stack.__new__(_Stack)
+        stacked.layer_sizes = list(sizes)
+        stacked._theta = theta
+        stacked.n_params = theta.shape[-1]
+        stacked.weights, stacked.biases = stacked._views(theta)
+        return stacked
 
     @property
     def n_inputs(self) -> int:
@@ -174,3 +206,12 @@ class Mlp:
         other.layer_sizes = list(self.layer_sizes)
         other._bind(self._theta.copy())
         return other
+
+
+class _Stack(Mlp):
+    """What :meth:`Mlp.stack` returns: forward passes only."""
+
+    def _members_only(self, *args, **kwargs):
+        raise TypeError("a stack of networks runs forward passes only; step its members")
+
+    backward = jacobian = set_params = apply_param_step = copy = _members_only

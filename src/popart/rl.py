@@ -24,7 +24,6 @@ the next.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from .network import Mlp
 from .schedules import bias_corrected
-from .stats import Normalizer, _check_setting
+from .stats import Normalizer, _check_setting, _count
 from .training import OutputLayer, TrainStepReport, popart_sgd_step, predict
 
 
@@ -53,7 +52,7 @@ class ChainMdp:
     STAY: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
-        _check_setting("n_states", self.n_states, lambda n: operator.index(n) >= 2)
+        _check_setting("n_states", self.n_states, lambda n: _count(n) >= 2)
         _check_setting("terminal_reward", self.terminal_reward, math.isfinite)
         _check_setting("gamma", self.gamma, lambda g: 0.0 < g <= 1.0)
 
@@ -124,11 +123,11 @@ class DoubleQAgent:
         copy_period: int = 500,
         seed: int = 0,
     ):
-        _check_setting("hidden", hidden, lambda h: len(h) > 0 and min(map(operator.index, h)) >= 1)
+        _check_setting("hidden", hidden, lambda h: len(h) > 0 and min(map(_count, h)) >= 1)
         _check_setting("alpha", alpha, lambda a: 0.0 < a < math.inf)
         _check_setting("beta", beta, lambda b: 0.0 < b <= 1.0)
         _check_setting("epsilon_greedy", epsilon_greedy, lambda e: 0.0 <= e <= 1.0)
-        _check_setting("copy_period", copy_period, lambda c: operator.index(c) >= 1)
+        _check_setting("copy_period", copy_period, lambda c: _count(c) >= 1)
         self.mdp = mdp
         self.alpha = alpha
         self.epsilon_greedy = epsilon_greedy

@@ -26,6 +26,7 @@ Also provided:
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from contextlib import suppress
 
@@ -62,6 +63,17 @@ def _as_floats(y, k: int, limit: float = sys.float_info.max) -> list[float]:
     if k == 1 and isinstance(y, float) and -limit <= y <= limit:
         return [float(y)]  # a lone valid float, the common target, skips numpy
     return _as_vector(y, k, limit).tolist()
+
+
+def _count(n) -> int:
+    """``n`` as an int, for a setting that counts something.
+
+    ``operator.index`` takes a bool as 0 or 1; JSON's ``true`` is no count,
+    so a bool raises ``TypeError`` here, which :func:`_check_setting` reports.
+    """
+    if isinstance(n, bool):
+        raise TypeError(f"{n!r} is not a count")
+    return operator.index(n)
 
 
 def _check_setting(name: str, value, ok) -> None:

@@ -7,7 +7,9 @@ statistics move, :meth:`OutputLayer.rescale_to` compensates ``W`` and
 ``b`` so the unnormalized outputs are unchanged pointwise.  The layer's
 outputs and :func:`predict` also take a stack of inputs of shape
 ``(B, n)``, one per row, and give each row exactly what that input alone
-gives; the SGD steps take one input at a time.
+gives; the SGD steps take one input at a time.  :meth:`OutputLayer.stack`
+stacks the parameters of ``R`` layers, as :meth:`Mlp.stack` does those of
+``R`` networks, so that one call predicts for all of them.
 
 Four per-sample squared-loss SGD steps are provided:
 
@@ -108,6 +110,31 @@ class OutputLayer:
         self.mu = np.zeros(k)
         self.normalizer = normalizer
 
+    @staticmethod
+    def stack(layers) -> "OutputLayer":
+        """One layer over the parameters of ``layers``, all of one shape.
+
+        ``W``, ``b``, ``sigma`` and ``mu`` of the members become the rows
+        of arrays with a leading run axis, and each member is rebound onto
+        its rows, which its steps and rescales then move in place.  Given
+        a stack of features of shape ``(R, m)``, row ``r`` for member
+        ``r``, :meth:`unnormalized_output` gives row ``r`` exactly what
+        member ``r`` gives for its row.  The stack has no normalizer and
+        gives outputs only; steps and rescales go to its members.
+        """
+        layers = list(layers)
+        k, m = layers[0].k, layers[0].m
+        if any((layer.k, layer.m) != (k, m) for layer in layers):
+            raise ValueError("stacked output layers must all have the same k and m")
+        stacked = _LayerStack.__new__(_LayerStack)
+        stacked.k, stacked.m, stacked.normalizer = k, m, None
+        for name in ("W", "b", "sigma", "mu"):
+            rows = np.stack([getattr(layer, name) for layer in layers])
+            setattr(stacked, name, rows)
+            for layer, row in zip(layers, rows):
+                setattr(layer, name, row)
+        return stacked
+
     def normalized_output(self, h) -> np.ndarray:
         """``W h + b`` for one feature vector, or one row per row of a
         stack of shape ``(B, m)``."""
@@ -148,6 +175,15 @@ class OutputLayer:
         if not all(map(math.isfinite, mu)):
             raise ValueError("mu_new must be finite")
         return sigma, mu
+
+
+class _LayerStack(OutputLayer):
+    """What :meth:`OutputLayer.stack` returns: outputs only."""
+
+    def _members_only(self, *args, **kwargs):
+        raise TypeError("a stack of output layers gives outputs only; rescale its members")
+
+    rescale_to = set_scale_shift = _members_only
 
 
 def _as_scale(sigma, k: int) -> list[float]:

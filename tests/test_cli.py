@@ -303,6 +303,51 @@ def test_binreg_config_out_of_range_is_config_error(tmp_path, capsys, payload):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("command", "payload"),
+    [
+        ("binreg", {"n_samples": True}),
+        ("binreg", {"n_repetitions": True}),
+        ("binreg", {"smoothing_window": True}),
+        ("binreg", {"base_seed": False}),
+        ("binreg", {"hidden": [True]}),
+        ("rl-demo", {"hidden": [True]}),
+        ("rl-demo", {"copy_period": True}),
+    ],
+    ids=lambda p: p if isinstance(p, str) else json.dumps(p),
+)
+def test_boolean_count_is_config_error(tmp_path, capsys, command, payload):
+    # operator.index takes True as 1, but JSON's true is no count
+    out = tmp_path / "o"
+    base = TINY_BINREG if command == "binreg" else {}
+    path = _write_config(tmp_path, {**base, **payload})
+    args = ["--steps", "10"] if command == "rl-demo" else []
+    code = main([command, "--config", path, "--out", str(out), *args])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: invalid {next(iter(payload))}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
+
+
+# md5s of what `binreg --profile ci --sort --workers 1` writes with
+# CI_DIGEST_CONFIG, the ci grid at one repetition over the spike
+CI_DIGEST_CONFIG = {"n_repetitions": 1, "n_samples": 1100}
+CI_DIGESTS = {
+    "results.csv": "1d8c32126b543e561f64054e8aca1680",
+    "summary.json": "25004d2730c7417f229848193c7c9c93",
+}
+
+
+def test_binreg_ci_profile_digests(tmp_path):
+    out = tmp_path / "ci"
+    path = _write_config(tmp_path, CI_DIGEST_CONFIG)
+    args = ["--profile", "ci", "--sort", "--workers", "1", "--config", path, "--out", str(out)]
+    assert main(["binreg", *args]) == EXIT_OK
+    for name, digest in CI_DIGESTS.items():
+        assert hashlib.md5((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_plot_from_existing_results(tmp_path):
     out = tmp_path / "run"
     cfg = _write_config(tmp_path, TINY_BINREG)

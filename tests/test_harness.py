@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -509,6 +511,68 @@ def test_run_grid_workers_match_serial():
         assert (a.method, a.alpha, a.beta, a.seed) == (b.method, b.alpha, b.beta, b.seed)
         assert a.rmse.tobytes() == b.rmse.tobytes()
         assert a.grad_norm.tobytes() == b.grad_norm.tobytes()
+
+
+@pytest.mark.parametrize("hidden", [(10, 10, 10), (5, 3)])
+def test_lockstep_runs_equal_run_single_bitwise(hidden):
+    # run_single is the oracle: each run_grid record, advanced in lockstep
+    # with the other runs of its seed, must carry its bits exactly, also
+    # for runs that diverge at the spike (sgd at 3e-5) or at once (alpha 1)
+    config = ExperimentConfig(
+        alphas=(3e-5, 1.0), betas=(0.01,), n_samples=1010, n_repetitions=2, hidden=hidden
+    )
+    records, _ = run_grid(config)
+    assert len(records) == 4 * 2 * 1 * 2
+    diverged = [r.diverged for r in records]
+    assert any(diverged) and not all(diverged)
+    assert any(np.isnan(r.grad_norm).any() for r in records)
+    if hidden == (10, 10, 10):
+        # the wide net's sgd at 3e-5 diverges at the spike, step 1000
+        assert all(r.diverged for r in records if r.method == "sgd")
+    for rec in records:
+        ref = run_single(rec.method, rec.alpha, rec.beta, rec.seed, config.n_samples, hidden)
+        # tobytes, not array_equal, which finds NaN unequal to NaN
+        assert rec.rmse.tobytes() == ref.rmse.tobytes(), rec
+        assert rec.grad_norm.tobytes() == ref.grad_norm.tobytes(), rec
+
+
+@pytest.mark.parametrize("n_repetitions, workers", [(1, 2), (2, 3)])
+def test_run_grid_splits_seed_groups_among_workers(n_repetitions, workers):
+    # each seed's runs go out in workers // gcd(seeds, workers) chunks (two
+    # of one seed; three of each of two seeds), and the records come back
+    # in job order, equal to the serial ones
+    config = ExperimentConfig(
+        methods=("sgd", "popart"), alphas=(3e-5, 1e-2), betas=(0.01,), n_samples=1010,
+        n_repetitions=n_repetitions,
+    )
+    serial, serial_summary = run_grid(config)
+    calls = []
+    pooled, pooled_summary = run_grid(config, workers=workers, progress=lambda i, n: calls.append(i))
+    assert calls == list(range(1, len(serial) + 1))
+    assert pooled_summary == serial_summary
+    for a, b in zip(pooled, serial):
+        assert (a.method, a.alpha, a.beta, a.seed) == (b.method, b.alpha, b.beta, b.seed)
+        assert a.rmse.tobytes() == b.rmse.tobytes()
+        assert a.grad_norm.tobytes() == b.grad_norm.tobytes()
+
+
+def test_results_csv_bytes_are_csv_writers(tmp_path):
+    rmse = np.array([1.5, 1e-300, 123456.789, np.inf, np.inf])
+    grad_norm = np.array([0.1, 2.0**-1074, 7e22, np.nan, np.inf])
+    records = [
+        RunRecord("sgd", 10.0**-4.5, 0.01, 1000, rmse, grad_norm),
+        RunRecord("popart", 1.0, 1, 2**40, rmse[::-1].copy(), grad_norm[::-1].copy()),
+    ]
+    path = tmp_path / "results.csv"
+    write_results_csv(str(path), records)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(RESULTS_HEADER)
+    for rec in records:
+        for step, (r, g) in enumerate(zip(rec.rmse.tolist(), rec.grad_norm.tolist()), 1):
+            writer.writerow([rec.method, repr(rec.alpha), repr(rec.beta), rec.seed, step, r, g])
+    assert path.read_bytes() == expected.getvalue().encode()
+    assert b"inf" in path.read_bytes() and b"nan" in path.read_bytes()
 
 
 def test_write_charts_skips_diverged_runs_and_infinite_medians(tmp_path):

@@ -272,3 +272,72 @@ def test_init_draws_each_layer_in_order():
         bound = 1.0 / np.sqrt(fan_in)
         np.testing.assert_array_equal(w, rng.uniform(-bound, bound, size=w.shape))
     assert net.n_params == 3 * 4 + 3 + 2 * 3 + 2
+
+
+# -- stacks of networks ----------------------------------------------------
+
+
+def _members(sizes, n):
+    return [Mlp(sizes, seed=seed) for seed in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("sizes", [[16, 10, 10, 10], [16, 5, 3], [4, 1]])
+def test_stack_forward_pass_rows_equal_members_bitwise(sizes, n):
+    nets = _members(sizes, n)
+    stack = Mlp.stack(nets)
+    assert stack.n_params == nets[0].n_params
+    x = np.random.default_rng(1).normal(size=sizes[0])
+    stacked = stack.forward_pass(x)
+    np.testing.assert_array_equal(stacked[0], x)
+    for r, net in enumerate(nets):
+        for a, own in zip(stacked[1:], net.forward_pass(x)[1:]):
+            assert a.shape == (n, own.size)
+            _assert_bitwise(a[r], own)
+
+
+def test_stack_keeps_each_members_parameters_and_views():
+    nets = _members([6, 4, 2], 3)
+    params = [net.get_params() for net in nets]
+    stack = Mlp.stack(nets)
+    for r, net in enumerate(nets):
+        np.testing.assert_array_equal(net.get_params(), params[r])
+        _assert_views_of_params(net)
+        for w, b, ws, bs in zip(net.weights, net.biases, stack.weights, stack.biases):
+            assert np.shares_memory(w, ws) and np.shares_memory(b, bs)
+            _assert_bitwise(ws[r], w)
+            _assert_bitwise(bs[r], b)
+
+
+def test_step_on_a_member_moves_its_row_only():
+    nets = _members([6, 4, 2], 3)
+    stack = Mlp.stack(nets)
+    before = stack.get_params()
+    nets[1].apply_param_step(np.ones(nets[1].n_params), 0.5)
+    after = stack.get_params()
+    np.testing.assert_array_equal(after[1], before[1] - 0.5)
+    np.testing.assert_array_equal(after[[0, 2]], before[[0, 2]])
+    x = np.linspace(-1.0, 1.0, 6)
+    _assert_bitwise(stack.forward(x)[1], nets[1].forward(x))
+
+
+def test_stack_runs_forward_passes_only():
+    nets = _members([6, 4, 2], 2)
+    stack = Mlp.stack(nets)
+    before = stack.get_params()
+    acts = stack.forward_pass(np.ones(6))
+    for call in (
+        lambda: stack.backward(acts, np.ones(2)),
+        lambda: stack.jacobian(np.ones(6)),
+        lambda: stack.apply_param_step(np.ones(stack.n_params), 1.0),
+        lambda: stack.set_params(np.zeros(stack.n_params)),
+        stack.copy,
+    ):
+        with pytest.raises(TypeError, match="forward passes only"):
+            call()
+    np.testing.assert_array_equal(stack.get_params(), before)
+
+
+def test_stack_rejects_networks_of_other_shapes():
+    with pytest.raises(ValueError, match="same layer sizes"):
+        Mlp.stack([Mlp([6, 4, 2], seed=0), Mlp([6, 3, 2], seed=0)])

@@ -8,10 +8,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import popart.binreg
-from popart.binreg import METHODS, run_single
+from popart.binreg import METHODS, ExperimentConfig, run_grid, run_single
 from popart.rl import ChainMdp, DoubleQAgent, train
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -78,3 +79,24 @@ def test_traced_run_single_layer_calls_per_step(method):
     assert counts["stats.Normalizer.update.calls"] == (0 if method == "sgd" else n)
     assert counts["training.OutputLayer.rescale_to.calls"] == (n if method == "popart" else 0)
     assert counts["binreg.BinRegStream.sample.calls"] == n
+
+
+def test_traced_run_grid_one_step_call_per_executed_step():
+    # the check perfbench/run.py --trace 1 makes of its sweep: one traced
+    # step call per executed step, a finite recorded error; and lockstep's
+    # one stream draw and one stacked forward pass per tick and seed,
+    # where every seed has a run that lasts all n_samples ticks
+    tracer = _load_tracer()
+    n = 1010
+    config = ExperimentConfig(alphas=(3e-5, 1.0), betas=(0.01,), n_samples=n, n_repetitions=2)
+    with tracer.Tracer().installed() as traced:
+        records, _ = run_grid(config)
+    counts = traced.call_counts()
+    executed = sum(int(np.isfinite(r.rmse).sum()) for r in records)
+    assert any(r.diverged for r in records)
+    step_calls = sum(counts[f"{name}.calls"] for name in tracer.STEP_FUNCTIONS)
+    assert step_calls == executed
+    seeds = config.n_repetitions
+    assert counts["network.forward_pass.calls"] == n * seeds
+    assert counts["binreg.BinRegStream.sample.calls"] == n * seeds
+    assert counts["binreg.run_single.calls"] == 0

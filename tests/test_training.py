@@ -119,6 +119,68 @@ def test_stacked_predict_equals_per_row_calls_bitwise(k):
             assert out(h).tobytes() == np.array([out(row) for row in h]).tobytes()
 
 
+def _calibrated_pairs(n, k, sizes=(5, 8, 6)):
+    """``n`` networks and output layers of one shape, each with its own
+    parameters, statistics and calibration."""
+    pairs = []
+    for seed in range(n):
+        rng = np.random.default_rng(seed)
+        net = Mlp(list(sizes), seed=seed)
+        nrm = Normalizer(k=k, schedule=constant(0.3))
+        layer = OutputLayer(k, sizes[-1], normalizer=nrm, rng=rng)
+        layer.rescale_to(rng.uniform(0.5, 2e3, k), rng.normal(size=k) * 100.0)
+        popart_sgd_step(net, layer, rng.normal(size=sizes[0]), rng.normal(size=k) * 50.0, 0.1)
+        pairs.append((net, layer))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("k", [1, 3])
+def test_layer_stack_outputs_rows_equal_members_bitwise(n, k):
+    pairs = _calibrated_pairs(n, k)
+    nets, layers = zip(*pairs)
+    net_stack, layer_stack = Mlp.stack(nets), OutputLayer.stack(layers)
+    x = np.random.default_rng(9).normal(size=5)
+    got = layer_stack.unnormalized_output(net_stack.forward(x))
+    assert got.shape == (n, k)
+    for r, (net, layer) in enumerate(pairs):
+        assert _bits(got[r]) == _bits(predict(net, layer, x))
+
+
+def test_step_on_a_member_moves_its_rows_only():
+    pairs = _calibrated_pairs(3, 2)
+    twin_net, twin_layer = pairs[1][0].copy(), copy.deepcopy(pairs[1][1])
+    nets, layers = zip(*pairs)
+    net_stack, layer_stack = Mlp.stack(nets), OutputLayer.stack(layers)
+    names = ("W", "b", "sigma", "mu")
+    before = [net_stack.get_params(), *(getattr(layer_stack, a).copy() for a in names)]
+    x, y = np.linspace(-1.0, 1.0, 5), np.array([40.0, -7.0])
+    acts = net_stack.forward_pass(x)
+    own = popart_sgd_step(nets[1], layers[1], x, y, 0.05, acts=[x, *(a[1] for a in acts[1:])])
+    twin = popart_sgd_step(twin_net, twin_layer, x, y, 0.05)
+    assert _bits(own.normalized_error) == _bits(twin.normalized_error)
+    after = [net_stack.get_params(), *(getattr(layer_stack, a) for a in names)]
+    for old, new in zip(before, after):
+        assert old[[0, 2]].tobytes() == new[[0, 2]].tobytes()
+        assert old[1].tobytes() != new[1].tobytes()
+    assert after[0][1].tobytes() == twin_net.get_params().tobytes()
+    for name, new in zip(names, after[1:]):
+        assert new[1].tobytes() == getattr(twin_layer, name).tobytes(), name
+
+
+def test_layer_stack_gives_outputs_only():
+    layers = [layer for _, layer in _calibrated_pairs(2, 1)]
+    stack = OutputLayer.stack(layers)
+    before = [getattr(stack, a).copy() for a in ("W", "b", "sigma", "mu")]
+    for call in (stack.rescale_to, stack.set_scale_shift):
+        with pytest.raises(TypeError, match="outputs only"):
+            call([2.0], [1.0])
+    for old, name in zip(before, ("W", "b", "sigma", "mu")):
+        assert old.tobytes() == getattr(stack, name).tobytes()
+    with pytest.raises(ValueError, match="same k and m"):
+        OutputLayer.stack([OutputLayer(1, 3, seed=0), OutputLayer(2, 3, seed=0)])
+
+
 def test_popart_step_hand_unroll():
     # identity features, W=1, b=0, fresh stats, beta=0.5, alpha=0.1,
     # x=5, y=10; every intermediate value unrolled by hand
