@@ -158,6 +158,24 @@ class RunRecord:
         return not (np.isfinite(self.rmse).all() and np.isfinite(self.grad_norm).all())
 
     @property
+    def diverged_at(self) -> int | None:
+        """The first step whose recorded error or gradient norm is not
+        finite, or None if the run did not diverge."""
+        bad = ~(np.isfinite(self.rmse) & np.isfinite(self.grad_norm))
+        return int(bad.argmax()) if bad.any() else None
+
+    @property
+    def divergence_cause(self) -> str | None:
+        """Why the run diverged at :attr:`diverged_at`: ``"prediction"`` if
+        its error there is not finite (the prediction before the step was
+        not), ``"loss"`` if it is (the step's loss or gradient was not);
+        None if the run did not diverge."""
+        i = self.diverged_at
+        if i is None:
+            return None
+        return "loss" if math.isfinite(self.rmse[i]) else "prediction"
+
+    @property
     def auc(self) -> float:
         return math.inf if self.diverged else float(self.rmse.sum())
 

@@ -111,8 +111,9 @@ def check_output_preservation(n_trials: int = 10_000, seed: int = 11) -> CheckRe
 def check_sgd_equivalence(
     n_steps: int = 1000, n_probes: int = 20, seed: int = 13
 ) -> CheckResult:
-    """The adaptive-rescale and scaled-update SGD variants trace identical
-    lower-layer parameters and unnormalized outputs from identical inits.
+    """The adaptive-rescale and scaled-update SGD variants trace the same
+    lower-layer parameters and unnormalized outputs from identical inits,
+    within 1e-8 of ``1 + |value|``: the same up to rounding.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)

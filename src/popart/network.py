@@ -67,12 +67,12 @@ class Mlp:
             sizes = self.layer_sizes
             theta = np.zeros(sum(n * (m + 1) for m, n in zip(sizes[:-1], sizes[1:])))
         self._theta = theta
-        self.n_params = theta.size
+        self.n_params = theta.shape[-1]
         self.weights, self.biases = self._views(theta)
         # backward fills this buffer through views built once, here; a
         # layer's bias gradient is its backpropagated seed, and the weight
         # gradient is that seed, as a column, times the layer's input
-        self._grad = np.empty(theta.size)
+        self._grad = np.empty(self.n_params)
         self._grad_weights, self._grad_biases = self._views(self._grad)
         self._grad_bias_columns = [g[:, None] for g in self._grad_biases]
 
@@ -109,11 +109,20 @@ class Mlp:
         for net, row in zip(nets, theta):
             net._bind(row)
         stacked = _Stack.__new__(_Stack)
-        stacked.layer_sizes = list(sizes)
-        stacked._theta = theta
-        stacked.n_params = theta.shape[-1]
-        stacked.weights, stacked.biases = stacked._views(theta)
+        stacked.__setstate__({"layer_sizes": list(sizes), "theta": theta})
         return stacked
+
+    # -- pickling and deep copies ----------------------------------------
+
+    def __getstate__(self) -> dict:
+        return {"layer_sizes": self.layer_sizes, "theta": self._theta}
+
+    def __setstate__(self, state: dict) -> None:
+        """Rebuild ``weights``, ``biases`` and the gradient buffer as views
+        of the restored parameters; copied one by one they would be
+        detached from them, and a step would not move the output."""
+        self.layer_sizes = list(state["layer_sizes"])
+        self._bind(state["theta"])
 
     @property
     def n_inputs(self) -> int:

@@ -11,28 +11,32 @@ terminal reward is 1 or 10**6.
 ``value_iteration`` gives the exact action values, used as the oracle
 for accuracy checks.
 
-The agent evaluates all actions of a state in one forward pass: the
-network's input is a state-action one-hot code, and the codes of a
-state's actions go through the network as one stack, whose rows equal the
-per-action predictions to the last bit.  Every input is one of finitely
-many codes, so a copy of the online network is fully described by its
-value table: the double-Q target network is that table, taken in one
-stacked pass over all non-terminal states at each copy and frozen until
-the next.
+The network's input is a state-action one-hot code, and the codes of
+several states go through the network as one stack, whose rows equal the
+per-code passes to the last bit.  A learned transition takes one such
+pass: :meth:`DoubleQAgent.act` at ``s`` runs it over the actions of ``s``
+and ``s + 1``, the only states a step from ``s`` can reach, and picks its
+action from it; the transition learned next reads the bootstrap action at
+the next state and its SGD step's activations from the same pass.  So a
+step's pass has the same size on a chain of any length.  Every input is one of
+finitely many codes, so a copy of the online network is fully described
+by its value table: the double-Q target network is that table, taken in
+one stacked pass over all non-terminal states at each copy and frozen
+until the next.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .network import Mlp
 from .schedules import bias_corrected
 from .stats import Normalizer, _check_setting, _count
-from .training import OutputLayer, TrainStepReport, popart_sgd_step, predict
+from .training import OutputLayer, TrainStepReport, popart_sgd_step
 
 
 @dataclass
@@ -92,12 +96,26 @@ class EpisodeMetrics:
 MAX_EPISODE_STEPS = 100
 
 
+class _Pass(NamedTuple):
+    """A stacked forward pass over ``codes[lo:hi]``: its activations, one
+    row per code in ``codes`` order, the values ``q[s - lo, a]`` and the
+    greedy action of each state."""
+
+    lo: int
+    hi: int
+    acts: list[np.ndarray]
+    q: np.ndarray
+    greedy: list[int]
+
+
 class DoubleQAgent:
     """Online double Q-learning on a state-action one-hot encoding.
 
     The codes are built once, as ``codes[s, a]`` of shape
-    ``(n_states, n_actions, n_states + n_actions)``; ``codes[s]`` is the
-    stack that evaluates every action of ``s`` in one forward pass.
+    ``(n_states, n_actions, n_states + n_actions)``.  Every value the
+    agent reads comes from one stacked forward pass over the codes of a
+    run of states, ``codes[lo:hi]``, on the current parameters: the values
+    ``q[s, a]`` and each state's greedy action, ties to the lowest index.
 
     The online network carries the adaptive normalization and picks the
     greedy action at the next state; the target network values it.  That
@@ -105,12 +123,15 @@ class DoubleQAgent:
     ``copy_period`` steps exactly, so it is kept as the value table it
     computes: ``target_q`` is :meth:`q_table` as of the last copy.
 
-    A greedy :meth:`act` keeps the activations of its stacked pass over
-    ``codes[s]``, and the next :meth:`learn_transition` from ``s`` hands
-    row ``a`` of them to its SGD step in place of the step's own forward
-    pass, with the same result to the last bit.  They are used once at
-    most: only a learning step moves the parameters, and it drops them
-    first.
+    :meth:`act` at ``s`` keeps its pass over ``codes[s:s + 2]``, greedy
+    action or random.  The next :meth:`learn_transition` reads the greedy
+    action at ``s2`` from it and hands row ``(s, a)`` of its activations to
+    the SGD step in place of the step's own forward pass, with the same
+    result to the last bit.  So a learned transition runs one forward pass
+    of at most ``2 * n_actions`` rows.  The pass is used once at most: only
+    a learning step moves the parameters, and it drops the pass first.  A
+    step with no kept pass, or whose states the kept pass does not cover,
+    makes its own over the states from ``min(s, s2)`` to ``max(s, s2)``.
     """
 
     def __init__(
@@ -138,47 +159,66 @@ class DoubleQAgent:
         self.codes[:, :, : mdp.n_states] = np.eye(mdp.n_states)[:, None, :]
         self.codes[:, :, mdp.n_states :] = np.eye(mdp.n_actions)
         self.codes.flags.writeable = False
+        self._all_codes = self.codes.reshape(-1, n_in)
         self.net = Mlp([n_in, *hidden], rng=self.rng)
         normalizer = Normalizer(k=1, schedule=bias_corrected(beta))
         self.layer = OutputLayer(1, hidden[-1], normalizer=normalizer, rng=self.rng)
         self.step_count = 0
         self.target_q = self.q_table()
-        # (s, net.forward_pass(codes[s])) of the last greedy act(s), until used
-        self._greedy_pass = None
+        # the _pass() of the last act(), until a learning step uses it
+        self._kept: _Pass | None = None
+
+    def _pass(self, lo: int, hi: int) -> _Pass:
+        """One stacked forward pass over ``codes[lo:hi]``, on the current
+        parameters; raises ``IndexError`` unless ``0 <= lo < hi <= n_states``."""
+        if not 0 <= lo < hi <= self.mdp.n_states:
+            raise IndexError(f"states {lo}..{hi - 1} out of range for {self.mdp.n_states} states")
+        n_actions = self.mdp.n_actions
+        acts = self.net.forward_pass(self._all_codes[lo * n_actions : hi * n_actions])
+        q = self.layer.unnormalized_output(acts[-1])[:, 0].reshape(hi - lo, n_actions)
+        # argmax breaks ties to the lowest index; a NaN value wins
+        return _Pass(lo, hi, acts, q, q.argmax(axis=1).tolist())
 
     def q_values(self, s: int) -> np.ndarray:
         """Values of every action at ``s``, from one online forward pass."""
-        return predict(self.net, self.layer, self.codes[s])[:, 0]
+        return self._pass(s, s + 1).q[0]
 
     def act(self, s: int) -> int:
-        self._greedy_pass = None
+        # a step from s ends in s or s + 1: the pass covers both
+        self._kept = kept = self._pass(s, min(s + 2, self.mdp.n_states))
         if self.rng.random() < self.epsilon_greedy:
             return int(self.rng.integers(self.mdp.n_actions))
-        acts = self.net.forward_pass(self.codes[s])
-        self._greedy_pass = (s, acts)
-        return int(np.argmax(self.layer.unnormalized_output(acts[-1])[:, 0]))
+        return kept.greedy[0]
 
-    def double_q_target(self, transition) -> float:
+    def double_q_target(self, transition, a_star: int | None = None) -> float:
         """Reward plus the discounted target-network value of the action
         the online network prefers at the next state; ties go to the
         lowest action index, terminal transitions drop the bootstrap.
+
+        ``a_star`` is that action, from a pass on the current parameters;
+        without it a non-terminal transition makes its own pass over the
+        actions of ``s2``.
         """
         s, a, r, s2, done = transition
         if done:
             return float(r)
-        a_star = int(np.argmax(self.q_values(s2)))
+        if a_star is None:
+            a_star = self._pass(s2, s2 + 1).greedy[0]
         return float(r + self.mdp.gamma * self.target_q[s2, a_star])
 
     def learn_transition(self, transition) -> TrainStepReport:
         s, a, r, s2, done = transition
-        greedy, self._greedy_pass = self._greedy_pass, None
-        y = self.double_q_target(transition)
-        x, acts = self.codes[s, a], None
-        if greedy is not None and greedy[0] == s:
-            # row a of act(s)'s pass, on the parameters this step starts from
-            acts = [stacked[a] for stacked in greedy[1]]
-            x = acts[0]
-        report = popart_sgd_step(self.net, self.layer, x, y, self.alpha, acts=acts)
+        if not 0 <= a < self.mdp.n_actions:
+            raise IndexError(f"action {a} out of range for {self.mdp.n_actions} actions")
+        kept, self._kept = self._kept, None
+        # the states the step reads: s for its own row, s2 for the bootstrap
+        lo, hi = (s, s + 1) if done else (min(s, s2), max(s, s2) + 1)
+        if kept is None or not (kept.lo <= lo and hi <= kept.hi):
+            kept = self._pass(lo, hi)
+        y = self.double_q_target(transition, None if done else kept.greedy[s2 - kept.lo])
+        row = (s - kept.lo) * self.mdp.n_actions + a
+        acts = [stacked[row] for stacked in kept.acts]
+        report = popart_sgd_step(self.net, self.layer, acts[0], y, self.alpha, acts=acts)
         self.step_count += 1
         if self.step_count % self.copy_period == 0:
             self.target_q = self.q_table()
@@ -215,9 +255,7 @@ class DoubleQAgent:
     def q_table(self) -> np.ndarray:
         """Learned Q values for the non-terminal states, shape (n-1, 2),
         from one forward pass of the online network."""
-        codes = self.codes[: self.mdp.terminal]
-        q = predict(self.net, self.layer, codes.reshape(-1, codes.shape[-1]))
-        return q.reshape(codes.shape[:2])
+        return self._pass(0, self.mdp.terminal).q
 
     def greedy_policy(self) -> np.ndarray:
         return np.argmax(self.q_table(), axis=1)

@@ -487,6 +487,42 @@ def test_run_record_diverged_is_derived_from_the_arrays():
         assert rec.diverged and rec.auc == np.inf
 
 
+def test_divergence_step_and_cause_are_derived_from_the_arrays():
+    finite = np.array([1.0, 2.0, 3.0])
+    rec = RunRecord("sgd", 0.1, 0.1, 0, finite, finite)
+    assert rec.diverged_at is None and rec.divergence_cause is None
+    for bad in (np.inf, -np.inf, np.nan):
+        # the error at the step is finite: the step's loss or gradient was not
+        rec = RunRecord("sgd", 0.1, 0.1, 0, finite, np.array([1.0, bad, np.inf]))
+        assert (rec.diverged_at, rec.divergence_cause) == (1, "loss")
+        # the error is not: the prediction the step started from was not
+        rec = RunRecord("sgd", 0.1, 0.1, 0, np.array([1.0, bad, np.inf]), np.array([1.0, bad, 1.0]))
+        assert (rec.diverged_at, rec.divergence_cause) == (1, "prediction")
+        rec = RunRecord("sgd", 0.1, 0.1, 0, np.array([bad, 1.0, 1.0]), finite)
+        assert (rec.diverged_at, rec.divergence_cause) == (0, "prediction")
+
+
+def test_diverging_sgd_run_names_its_step_and_cause():
+    # plain SGD at (3e-5, 0.01) lasts to the spike at step 1000, then its
+    # loss overflows; run_single and a run_grid record agree, and the
+    # popart run beside it does not diverge
+    single = run_single("sgd", 3e-5, 0.01, seed=1000, n_samples=1100)
+    config = ExperimentConfig(
+        methods=("sgd", "popart"), alphas=(3e-5,), betas=(0.01,), n_samples=1100,
+        n_repetitions=1,
+    )
+    (grid_sgd, grid_popart), _ = run_grid(config)
+    assert grid_sgd.method == "sgd" and grid_sgd.seed == single.seed
+    for rec in (single, grid_sgd):
+        i = rec.diverged_at
+        assert 1000 <= i < 1100
+        assert rec.divergence_cause == "loss"
+        assert np.isfinite(rec.rmse[: i + 1]).all() and np.isfinite(rec.grad_norm[:i]).all()
+        assert not np.isfinite(rec.grad_norm[i])
+    assert single.diverged_at == grid_sgd.diverged_at
+    assert grid_popart.diverged_at is None and grid_popart.divergence_cause is None
+
+
 def test_run_grid_workers_match_serial():
     config = ExperimentConfig(
         methods=("sgd", "popart"),

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -241,8 +243,10 @@ def _fresh():
     [
         _fresh,
         lambda: _fresh().copy(),
+        lambda: copy.deepcopy(_fresh()),
+        lambda: pickle.loads(pickle.dumps(_fresh())),
     ],
-    ids=["init", "copy"],
+    ids=["init", "copy", "deepcopy", "pickle"],
 )
 def test_weights_and_biases_are_views_of_params(make):
     net = make()
@@ -263,6 +267,31 @@ def test_copies_share_no_memory():
     params = net.get_params()
     params[...] = 0.0
     assert np.all(net.weights[0] == 6.0)
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
+    ids=["deepcopy", "pickle"],
+)
+def test_restored_copy_steps_and_differentiates_like_the_original(clone):
+    # a deep copy or an unpickled network is bound to parameters of its
+    # own: a step moves its output and leaves the original's alone, and
+    # its gradient buffer is laid out like the original's
+    net = _fresh()
+    other = clone(net)
+    x = np.array([0.3, -0.2, 0.5])
+    acts = net.forward_pass(x)
+    assert not np.shares_memory(other.get_params(), net.get_params())
+    assert other.backward(other.forward_pass(x), np.ones(2)).tobytes() == net.backward(
+        acts, np.ones(2)
+    ).tobytes()
+    before = net.forward(x)
+    other.apply_param_step(np.ones(other.n_params), 0.1)
+    assert not np.array_equal(other.forward(x), before)
+    assert net.forward(x).tobytes() == before.tobytes()
+    net.apply_param_step(np.ones(net.n_params), 0.1)
+    assert other.forward(x).tobytes() == net.forward(x).tobytes()
 
 
 def test_init_draws_each_layer_in_order():

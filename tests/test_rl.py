@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popart.network import Mlp
 from popart.rl import ChainMdp, DoubleQAgent, EpisodeMetrics, train, value_iteration
@@ -37,10 +39,32 @@ def test_double_q_target_terminal_drops_bootstrap():
     assert agent.double_q_target((3, 0, 1000.0, 4, True)) == 1000.0
 
 
+def _online_values(agent, s2, values, elsewhere):
+    """Make every pass of the online network read ``values`` at ``s2`` and
+    ``elsewhere`` at every other state, whichever codes it stacks."""
+    n = agent.mdp.n_states
+    q = np.tile(elsewhere, (n, 1))
+    q[s2] = values
+    forward_pass = agent.net.forward_pass
+    inputs = []
+
+    def recorded(x):
+        inputs[:] = [x]
+        return forward_pass(x)
+
+    def values_of_the_codes(h):
+        x = inputs[0]
+        return q[x[:, :n].argmax(axis=1), x[:, n:].argmax(axis=1)][:, None]
+
+    agent.net.forward_pass = recorded
+    agent.layer.unnormalized_output = values_of_the_codes
+
+
 def test_double_q_target_hand_example():
-    # online prefers action 1 at s'; its value in the target table is 7
+    # online prefers action 1 at s' (and action 0 elsewhere); its value in
+    # the target table is 7
     agent = DoubleQAgent(ChainMdp(), seed=0)
-    agent.q_values = lambda s: np.array([1.0, 2.0])
+    _online_values(agent, 1, [1.0, 2.0], elsewhere=[0.0, 0.0])
     agent.target_q = np.zeros((4, 2))
     agent.target_q[1] = [5.0, 7.0]
     assert agent.double_q_target((0, 0, 0.0, 1, False)) == pytest.approx(0.99 * 7.0)
@@ -48,7 +72,7 @@ def test_double_q_target_hand_example():
 
 def test_double_q_target_tie_breaks_to_lowest_action():
     agent = DoubleQAgent(ChainMdp(), seed=0)
-    agent.q_values = lambda s: np.array([2.0, 2.0])
+    _online_values(agent, 1, [2.0, 2.0], elsewhere=[0.0, 1.0])
     agent.target_q = np.zeros((4, 2))
     agent.target_q[1] = [3.0, 9.0]
     assert agent.double_q_target((0, 0, 0.0, 1, False)) == pytest.approx(0.99 * 3.0)
@@ -73,35 +97,40 @@ def test_target_copy_period_exact():
             assert not np.array_equal(agent.target_q, agent.q_table())
 
 
-def _state_of(agent, x):
-    """The one state whose actions a (stacked) forward-pass input codes."""
-    states = np.argmax(np.atleast_2d(x)[:, : agent.mdp.n_states], axis=1)
-    assert len(set(states.tolist())) == 1
-    return int(states[0])
+def _codes_of(agent, lo, hi):
+    """The stack of the codes of states ``lo`` to ``hi - 1``."""
+    return agent.codes[lo:hi].reshape(-1, agent.codes.shape[-1])
 
 
 def test_double_q_target_one_forward_pass_per_state(monkeypatch):
-    # one online pass for the argmax at s'; the target side is the table
+    # with no action handed in, one online pass over the actions of s'
+    # gives the argmax there; the target side is the table, and a
+    # terminal transition needs neither
     agent = DoubleQAgent(ChainMdp(), seed=0)
-    nets = []
+    inputs = []
     forward_pass = Mlp.forward_pass
 
     def recorded(self, x):
-        nets.append((self, _state_of(agent, x)))
+        assert self is agent.net
+        inputs.append(np.asarray(x))
         return forward_pass(self, x)
 
     monkeypatch.setattr(Mlp, "forward_pass", recorded)
     for s2 in (1, 1, 2):
-        nets.clear()
+        inputs.clear()
         agent.double_q_target((0, 0, 0.0, s2, False))
-        assert nets == [(agent.net, s2)]
+        assert len(inputs) == 1
+        np.testing.assert_array_equal(inputs[0], _codes_of(agent, s2, s2 + 1))
+    inputs.clear()
+    agent.double_q_target((3, 0, 1000.0, 4, True))
+    assert inputs == []
 
 
 @pytest.mark.parametrize("copy_period", [1, 3, 500])
 def test_target_rows_evaluated_once_per_copy(copy_period, monkeypatch):
-    # a step runs the online pass at s', the step's own pass on (s, a),
-    # and, at a copy, one pass over every non-terminal state's actions;
-    # no network is copied
+    # a step with no act before it runs one pass over the states from s to
+    # s', which serves the argmax at s' and the step on (s, a), and, at a
+    # copy, one more over every non-terminal state; no network is copied
     agent = DoubleQAgent(ChainMdp(), copy_period=copy_period, seed=4)
     inputs = []
     forward_pass = Mlp.forward_pass
@@ -116,18 +145,15 @@ def test_target_rows_evaluated_once_per_copy(copy_period, monkeypatch):
 
     monkeypatch.setattr(Mlp, "forward_pass", recorded)
     monkeypatch.setattr(Mlp, "copy", no_copy)
-    every_code = agent.codes[: agent.mdp.terminal].reshape(-1, agent.codes.shape[-1])
     rng = np.random.default_rng(1)
     for step in range(1, 13):
         s, s2 = (int(v) for v in rng.integers(agent.mdp.terminal, size=2))
         inputs.clear()
         agent.learn_transition((s, 0, 0.0, s2, False))
-        np.testing.assert_array_equal(inputs[0], agent.codes[s2])
-        np.testing.assert_array_equal(inputs[1], agent.codes[s, 0])
-        copies = inputs[2:]
-        assert len(copies) == (step % copy_period == 0)
-        for x in copies:
-            np.testing.assert_array_equal(x, every_code)
+        assert len(inputs) == 1 + (step % copy_period == 0)
+        np.testing.assert_array_equal(inputs[0], _codes_of(agent, min(s, s2), max(s, s2) + 1))
+        for x in inputs[1:]:
+            np.testing.assert_array_equal(x, _codes_of(agent, 0, agent.mdp.terminal))
 
 
 def _frozen_values(net, layer, agent):
@@ -149,7 +175,7 @@ def test_codes_are_state_action_one_hots():
 
 
 def test_batched_values_equal_per_action_predictions():
-    # one stacked pass per state gives the per-action predictions bit for bit
+    # stacked passes give the per-action predictions bit for bit
     agent = DoubleQAgent(ChainMdp(terminal_reward=1e3), seed=7)
     train(agent, max_steps=600)
     online = _frozen_values(agent.net, agent.layer, agent)
@@ -179,17 +205,29 @@ def test_target_table_frozen_between_copies():
             np.testing.assert_array_equal(agent.target_q, frozen)
 
 
-def test_greedy_step_reuses_the_action_pass(monkeypatch):
-    # act(s)'s stacked pass stands in for the step's own pass on (s, a):
-    # a step runs that pass and the argmax pass at s', a step into the
-    # terminal state only the first
-    agent = DoubleQAgent(ChainMdp(), epsilon_greedy=0.0, copy_period=10**6, seed=0)
-    calls = []
+def _recorded_states(agent, calls):
+    """A stand-in for ``Mlp.forward_pass`` that appends the first and
+    last state of each stack it is given to ``calls``, and checks that the
+    stack holds every action of each state in between, in order."""
     forward_pass = Mlp.forward_pass
 
-    def counted(self, x):
-        calls.append(_state_of(agent, x))
+    def recorded(self, x):
+        assert self is agent.net
+        lo = int(np.argmax(x[0, : agent.mdp.n_states]))
+        hi = lo + len(x) // agent.mdp.n_actions
+        np.testing.assert_array_equal(x, _codes_of(agent, lo, hi))
+        calls.append((lo, hi))
         return forward_pass(self, x)
+
+    return recorded
+
+
+def test_greedy_step_reuses_the_action_pass(monkeypatch):
+    # act(s)'s pass over the actions of s and s + 1 stands in for the
+    # step's own pass on (s, a) and for the argmax pass at s': each step
+    # runs that one pass, into the terminal state or not
+    agent = DoubleQAgent(ChainMdp(), epsilon_greedy=0.0, copy_period=10**6, seed=0)
+    calls = []
 
     per_step = []
 
@@ -197,14 +235,31 @@ def test_greedy_step_reuses_the_action_pass(monkeypatch):
         per_step.append(len(calls))
         calls.clear()
 
-    monkeypatch.setattr(Mlp, "forward_pass", counted)
+    monkeypatch.setattr(Mlp, "forward_pass", _recorded_states(agent, calls))
     history = train(agent, max_steps=2000, hook=hook)
-    expected = []
-    for episode in history:
-        terminal = int(episode.total_reward != 0.0)
-        expected += [2] * (episode.steps - terminal) + [1] * terminal
-    assert per_step == expected
-    assert 1 in per_step and 2 in per_step
+    assert per_step == [1] * agent.step_count
+    assert any(episode.total_reward != 0.0 for episode in history)
+
+
+@pytest.mark.parametrize("n_states", [5, 60])
+def test_step_pass_does_not_grow_with_the_chain(n_states, monkeypatch):
+    # every learned step, greedy action or random, runs one pass over the
+    # actions of s and s + 1 (s alone at the end of the chain), whatever
+    # the chain's length; only a copy passes over every non-terminal state
+    mdp = ChainMdp(n_states=n_states)
+    agent = DoubleQAgent(mdp, epsilon_greedy=0.5, copy_period=64, seed=2)
+    calls, per_step = [], []
+
+    def hook(report):
+        per_step.append(list(calls))
+        calls.clear()
+
+    monkeypatch.setattr(Mlp, "forward_pass", _recorded_states(agent, calls))
+    train(agent, max_steps=300, hook=hook)
+    for step, passes in enumerate(per_step, start=1):
+        (lo, hi), copies = passes[0], passes[1:]
+        assert hi == min(lo + 2, n_states)
+        assert copies == [(0, mdp.terminal)] * (step % agent.copy_period == 0)
 
 
 def _learned_bits(agent):
@@ -240,6 +295,64 @@ def test_reused_pass_leaves_parameters_bitwise_equal(script):
             plain.learn_transition(transition)
             assert _learned_bits(agent) == _learned_bits(plain)
             a = 1 - a
+
+
+_N_STATES = 4
+_OPS = st.one_of(
+    st.tuples(st.just("act"), st.integers(0, _N_STATES - 1)),
+    # a learn from a given state, or, with None, from the last act's state
+    # and action
+    st.tuples(st.just("learn"), st.none() | st.integers(0, _N_STATES - 2), st.integers(0, 1)),
+    st.tuples(st.just("q_table")),
+    st.tuples(st.just("q_values"), st.integers(0, _N_STATES - 1)),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(epsilon=st.sampled_from([0.0, 0.5, 1.0]), script=st.lists(_OPS, max_size=25))
+def test_kept_pass_leaves_learning_bitwise_equal_in_any_interleaving(epsilon, script):
+    # an agent that acts and reads its values between learns, against one
+    # that only learns the same transitions, and so never has a kept pass
+    mdp = ChainMdp(n_states=_N_STATES, terminal_reward=1e3)
+    agent = DoubleQAgent(mdp, epsilon_greedy=epsilon, copy_period=3, seed=3)
+    plain = DoubleQAgent(mdp, epsilon_greedy=epsilon, copy_period=3, seed=3)
+    acted = None
+    for op, *args in script:
+        if op == "act":
+            s = args[0]
+            acted = (s, agent.act(s))
+        elif op == "learn":
+            s, a = args
+            if s is None:
+                if acted is None or acted[0] == mdp.terminal:
+                    continue
+                s, a = acted
+            s2, r, done = mdp.step(s, a)
+            transition = (s, a, r, s2, done)
+            agent.learn_transition(transition)
+            plain.learn_transition(transition)
+        elif op == "q_table":
+            assert agent.q_table().tobytes() == plain.q_table().tobytes()
+        else:
+            assert agent.q_values(args[0]).tobytes() == plain.q_values(args[0]).tobytes()
+        assert _learned_bits(agent) == _learned_bits(plain)
+    assert agent.step_count == plain.step_count
+
+
+@pytest.mark.parametrize(
+    "transition",
+    [(0, 2, 0.0, 1, False), (0, -1, 0.0, 1, False), (4, 0, 0.0, 5, False), (-1, 0, 0.0, 0, False)],
+    ids=["action-2", "action-minus-1", "next-state", "state"],
+)
+def test_learn_transition_rejects_an_action_or_state_out_of_range(transition):
+    # the pass's rows run over (s, a) in order, so a bare row index would
+    # take (0, 2) for (1, 0); the step raises instead, and nothing moves
+    agent = DoubleQAgent(ChainMdp(), seed=0)
+    before = _learned_bits(agent)
+    agent.act(0)
+    with pytest.raises(IndexError):
+        agent.learn_transition(transition)
+    assert _learned_bits(agent) == before and agent.step_count == 0
 
 
 # step_count and q_table() after 3001 steps at reward 1e3, agent seed 0,

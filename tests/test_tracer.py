@@ -48,19 +48,19 @@ def test_every_traced_function_resolves_and_is_restored():
 
 def test_traced_agent_runs_one_step_call_per_step():
     # the check perfbench/run.py --trace 1 makes: one traced step call per
-    # learned transition; and, with act's pass reused or a random action,
-    # one forward pass per step plus the argmax pass at a non-terminal s'
+    # learned transition; and one forward pass per learned transition, act's,
+    # whether its action was greedy or random, plus one per q_table() call
     tracer = _load_tracer()
     agent = DoubleQAgent(ChainMdp(terminal_reward=1e3), copy_period=64, seed=0)
     with tracer.Tracer().installed() as traced:
-        history = train(agent, max_steps=200)
+        train(agent, max_steps=200)
     counts = traced.call_counts()
     assert counts["training.popart_sgd_step.calls"] == agent.step_count == 200
     assert counts["rl.DoubleQAgent.act.calls"] == agent.step_count
-    terminal = sum(episode.total_reward != 0.0 for episode in history)
     copies = agent.step_count // agent.copy_period
-    assert terminal > 0
-    assert counts["network.forward_pass.calls"] == 2 * agent.step_count - terminal + copies
+    assert counts["rl.DoubleQAgent.q_table.calls"] == copies
+    assert counts["network.forward_pass.calls"] == agent.step_count + copies
+    assert counts["training.predict.calls"] == 0
 
 
 @pytest.mark.parametrize("method", METHODS)
