@@ -44,7 +44,7 @@ import numpy as np
 
 from .network import Mlp
 from .schedules import constant
-from .stats import Normalizer, _check_setting, _count
+from .stats import Normalizer, _check_setting, _count, _real
 from .training import (
     OutputLayer,
     art_only_sgd_step,
@@ -118,8 +118,8 @@ class ExperimentConfig:
             _check_setting(name, getattr(self, name), lambda n: _count(n) >= least)
         for name, ok in [
             ("methods", lambda m: m in METHODS),
-            ("alphas", lambda a: 0.0 < a < math.inf),
-            ("betas", lambda b: 0.0 < b <= 1.0),
+            ("alphas", lambda a: 0.0 < _real(a) < math.inf),
+            ("betas", lambda b: 0.0 < _real(b) <= 1.0),
             ("hidden", lambda n: _count(n) >= 1),
         ]:
             _check_setting(name, getattr(self, name), lambda v: len(v) > 0 and all(map(ok, v)))
@@ -136,10 +136,8 @@ class ExperimentConfig:
         unknown = set(overrides) - set(self.__dataclass_fields__)
         if unknown:
             raise KeyError(f"unknown config keys: {sorted(unknown)}")
-        coerced = {
-            k: tuple(v) if isinstance(getattr(self, k), tuple) else v
-            for k, v in overrides.items()
-        }
+        # a JSON array becomes a tuple; any other value is checked as it is
+        coerced = {k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()}
         return replace(self, **coerced)
 
 
@@ -155,7 +153,7 @@ class RunRecord:
     @property
     def diverged(self) -> bool:
         """Whether any recorded error or gradient norm is non-finite."""
-        return not (np.isfinite(self.rmse).all() and np.isfinite(self.grad_norm).all())
+        return self.diverged_at is not None
 
     @property
     def diverged_at(self) -> int | None:

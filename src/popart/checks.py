@@ -13,6 +13,7 @@ suite; ``ci`` shrinks the stochastic checks for a quick smoke run.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -44,10 +45,20 @@ class CheckResult:
     seconds: float
 
 
-def _result(name, passed, detail, t0) -> CheckResult:
-    return CheckResult(name, bool(passed), detail, time.perf_counter() - t0)
+def _check(name: str):
+    """Make a check that returns ``(passed, detail)`` return its timed
+    :class:`CheckResult`, called ``name``."""
+    def wrap(check):
+        @functools.wraps(check)
+        def run(*args, **kwargs) -> CheckResult:
+            t0 = time.perf_counter()
+            passed, detail = check(*args, **kwargs)
+            return CheckResult(name, bool(passed), detail, time.perf_counter() - t0)
+        return run
+    return wrap
 
 
+@_check("target bound")
 def check_target_bound(
     n_streams: int = 1_000_000,
     stream_len: int = 8,
@@ -55,13 +66,12 @@ def check_target_bound(
     spreads=(1.0, 0.5),
     spike: float = 1e12,
     seed: int = 7,
-) -> CheckResult:
+) -> tuple[bool, str]:
     """Update-then-normalize never exceeds ``s * sqrt((1-beta)/beta)``.
 
     Runs ``n_streams`` independent scalar streams as one wide normalizer;
     streams mix lognormal scales with occasional huge spikes.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst_slack = math.inf
     for beta in betas:
@@ -76,18 +86,13 @@ def check_target_bound(
                 z = np.abs(nrm.normalize(y))
                 worst_slack = min(worst_slack, bound - float(z.max()))
                 if worst_slack < 0:
-                    return _result(
-                        "target bound",
-                        False,
-                        f"violated by {-worst_slack:.3e} at beta={beta}, s={s}",
-                        t0,
-                    )
-    return _result("target bound", True, f"min slack {worst_slack:.3e}", t0)
+                    return False, f"violated by {-worst_slack:.3e} at beta={beta}, s={s}"
+    return True, f"min slack {worst_slack:.3e}"
 
 
-def check_output_preservation(n_trials: int = 10_000, seed: int = 11) -> CheckResult:
+@_check("output preservation")
+def check_output_preservation(n_trials: int = 10_000, seed: int = 11) -> tuple[bool, str]:
     """Rescaling drifts unnormalized outputs by at most 1e-10 relative."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_trials):
@@ -103,19 +108,17 @@ def check_output_preservation(n_trials: int = 10_000, seed: int = 11) -> CheckRe
         after = layer.unnormalized_output(h)
         drift = float(np.max(np.abs(after - before) / (1.0 + np.abs(before))))
         worst = max(worst, drift)
-    return _result(
-        "output preservation", worst <= 1e-10, f"max relative drift {worst:.3e}", t0
-    )
+    return worst <= 1e-10, f"max relative drift {worst:.3e}"
 
 
+@_check("sgd equivalence")
 def check_sgd_equivalence(
     n_steps: int = 1000, n_probes: int = 20, seed: int = 13
-) -> CheckResult:
+) -> tuple[bool, str]:
     """The adaptive-rescale and scaled-update SGD variants trace the same
     lower-layer parameters and unnormalized outputs from identical inits,
     within 1e-8 of ``1 + |value|``: the same up to rounding.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     k, m = 2, 6
     net1 = Mlp([4, 8, m], rng=rng)
@@ -144,19 +147,14 @@ def check_sgd_equivalence(
         rel = float(np.max(np.abs(o1 - o2) / (1.0 + np.abs(o2))))
         worst_out = max(worst_out, rel)
     ok = worst_theta <= 1e-8 and worst_out <= 1e-8
-    return _result(
-        "sgd equivalence",
-        ok,
-        f"max theta diff {worst_theta:.3e}, max output diff {worst_out:.3e}",
-        t0,
-    )
+    return ok, f"max theta diff {worst_theta:.3e}, max output diff {worst_out:.3e}"
 
 
-def check_erf_correspondence(n_samples: int = 1_000_000, seed: int = 17) -> CheckResult:
+@_check("erf correspondence")
+def check_erf_correspondence(n_samples: int = 1_000_000, seed: int = 17) -> tuple[bool, str]:
     """Fraction of normalized normal targets inside [-1, 1] matches
     ``erf(1/(sqrt(2) s))``, and the spread/coverage pair inverts.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     y = rng.normal(3.0, 2.5, n_samples)
     msgs = []
@@ -177,14 +175,14 @@ def check_erf_correspondence(n_samples: int = 1_000_000, seed: int = 17) -> Chec
     )
     ok &= roundtrip <= 1e-6
     msgs.append(f"s(0.95)={s95:.4f}, s(0.99)={s99:.4f}, roundtrip {roundtrip:.2e}")
-    return _result("erf correspondence", ok, "; ".join(msgs), t0)
+    return ok, "; ".join(msgs)
 
 
+@_check("percentile fixed point")
 def check_percentile_fixed_point(
     n_samples: int = 1_000_000, p: float = 0.8, seed: int = 19
-) -> CheckResult:
+) -> tuple[bool, str]:
     """Percentile tracker exceedance converges to ``(1-p)/2``."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     stream = rng.random(n_samples)
     tracker = PercentileTracker(p, schedule=harmonic(0.1, 1000.0))
@@ -194,19 +192,14 @@ def check_percentile_fixed_point(
     below = float(np.mean(stream < tracker.y_min))
     tail = (1.0 - p) / 2.0
     ok = abs(above - tail) <= 0.01 and abs(below - tail) <= 0.01
-    return _result(
-        "percentile fixed point",
-        ok,
-        f"above {above:.4f}, below {below:.4f}, target {tail:.4f}",
-        t0,
-    )
+    return ok, f"above {above:.4f}, below {below:.4f}, target {tail:.4f}"
 
 
+@_check("minibatch extremes")
 def check_minibatch_extremes(
     n_batches: int = 200_000, batch_size: int = 4, seed: int = 23
-) -> CheckResult:
+) -> tuple[bool, str]:
     """Minibatch extreme tracking converges to ``a + B/(B+1)(b-a)``."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     batches = rng.random((n_batches, batch_size))
     tracker = ExtremeTracker(batch_size, schedule=harmonic(0.1, 1000.0))
@@ -216,22 +209,19 @@ def check_minibatch_extremes(
     hi_expect = b / (b + 1.0)
     lo_expect = 1.0 / (b + 1.0)
     ok = abs(tracker.y_max - hi_expect) <= 0.01 and abs(tracker.y_min - lo_expect) <= 0.01
-    return _result(
-        "minibatch extremes",
-        ok,
+    return ok, (
         f"y_max {tracker.y_max:.4f} vs {hi_expect:.4f}, "
-        f"y_min {tracker.y_min:.4f} vs {lo_expect:.4f}",
-        t0,
+        f"y_min {tracker.y_min:.4f} vs {lo_expect:.4f}"
     )
 
 
+@_check("init independence")
 def check_init_independence(
     n_steps: int = 1000, beta: float = 0.1, seed: int = 29
-) -> CheckResult:
+) -> tuple[bool, str]:
     """Bias-corrected averages ignore initialization and match the
     closed-form correction of a constant-step average.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     data = rng.normal(size=n_steps) * 5.0
     inits = (0.0, 1e6)
@@ -257,17 +247,12 @@ def check_init_independence(
         rel = abs(closed - runs[0][t - 1]) / (1.0 + abs(closed))
         worst_closed = max(worst_closed, rel)
     ok = diff <= 1e-12 and worst_closed <= 1e-12
-    return _result(
-        "init independence",
-        ok,
-        f"max init diff {diff:.2e}, max closed-form diff {worst_closed:.2e}",
-        t0,
-    )
+    return ok, f"max init diff {diff:.2e}, max closed-form diff {worst_closed:.2e}"
 
 
-def check_batch_equivalence(stream_len: int = 10_000, seed: int = 31) -> CheckResult:
+@_check("batch equivalence")
+def check_batch_equivalence(stream_len: int = 10_000, seed: int = 31) -> tuple[bool, str]:
     """The 1/t schedule reproduces exact batch mean and second moment."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     data = rng.normal(size=stream_len) * 100.0 + 17.0
     # negligible variance floor: the clamp is a safety device outside the
@@ -288,14 +273,12 @@ def check_batch_equivalence(stream_len: int = 10_000, seed: int = 31) -> CheckRe
             abs(nrm.mu[0] - mu_exact) / (1.0 + abs(mu_exact)),
             abs(nrm.nu[0] - nu_exact) / (1.0 + abs(nu_exact)),
         )
-    return _result(
-        "batch equivalence", worst <= 1e-12, f"max relative diff {worst:.2e}", t0
-    )
+    return worst <= 1e-12, f"max relative diff {worst:.2e}"
 
 
-def check_gradients(n_cases: int = 100, seed: int = 37) -> CheckResult:
+@_check("gradient check")
+def check_gradients(n_cases: int = 100, seed: int = 37) -> tuple[bool, str]:
     """Reverse-mode Jacobian against central finite differences."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_cases):
@@ -317,7 +300,7 @@ def check_gradients(n_cases: int = 100, seed: int = 37) -> CheckResult:
         net.set_params(theta)
         scale = np.maximum(np.abs(fd), 1.0)
         worst = max(worst, float(np.max(np.abs(jac - fd) / scale)))
-    return _result("gradient check", worst < 1e-5, f"max relative error {worst:.2e}", t0)
+    return worst < 1e-5, f"max relative error {worst:.2e}"
 
 
 _CI_SIZES = {

@@ -2,13 +2,19 @@
 
 Subcommands:
 
-- ``binreg``: run the binary-regression sweep and write ``results.csv``,
-  ``summary.json``, and (with ``--svg``) one chart per method.
+- ``binreg``: run the binary-regression sweep and write ``results.csv``
+  (rows sorted by method, alpha, beta and seed), ``summary.json``, and
+  (with ``--svg``) one chart per method.
 - ``rl-demo``: train the chain-MDP double Q-learner and write a per-step
   metrics CSV plus a value-accuracy summary.
 - ``verify``: run the seeded property suites and print a pass/fail table.
 - ``plot``: render from an existing ``results.csv``, without recomputing
   anything, the charts ``binreg --svg`` renders from its own runs.
+
+Each setting has one route: ``--config`` holds the experiment's fields and
+the chain's and agent's (``base_seed`` and ``terminal_reward`` among them;
+the agent seed is ``rl-demo --seed``), and a key left out keeps its class
+default.
 
 A run counts as diverged when its recorded error or gradient norm
 holds a non-finite value; ``binreg`` and ``plot`` chart a method only
@@ -67,32 +73,20 @@ def _ensure_outdir(path: str) -> None:
         raise OSError(f"output directory not writable: {path}: {exc}") from exc
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("POPART_WORKERS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"bad POPART_WORKERS value: {env!r}") from exc
-    return 1
-
-
 def cmd_binreg(args) -> int:
     from . import binreg
     from .plotting import write_charts
 
     overrides = _load_config(args.config)
+    if args.workers < 1:
+        raise ConfigError(f"invalid workers: {args.workers} (must be at least 1)")
     try:
-        config = binreg.ExperimentConfig.profile(args.profile, base_seed=args.seed)
-        config = config.with_overrides(overrides)
+        config = binreg.ExperimentConfig.profile(args.profile).with_overrides(overrides)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     _ensure_outdir(args.out)
-    records, summary = binreg.run_grid(config, workers=_workers(args))
-    if args.sort:
-        records.sort(key=lambda r: (r.method, r.alpha, r.beta, r.seed))
+    records, summary = binreg.run_grid(config, workers=args.workers)
+    records.sort(key=lambda r: (r.method, r.alpha, r.beta, r.seed))
     binreg.write_results_csv(os.path.join(args.out, "results.csv"), records)
     binreg.write_summary_json(os.path.join(args.out, "summary.json"), summary)
     if args.svg:
@@ -109,8 +103,7 @@ def cmd_binreg(args) -> int:
 
 
 RL_HEADER = ["step", "episode", "reward", "grad_norm", "normalized_error"]
-# rl-demo --config keys; each one left out keeps its ChainMdp or
-# DoubleQAgent default, except terminal_reward (--reward-scale * 1000)
+# rl-demo --config keys, for ChainMdp and for DoubleQAgent
 _RL_MDP_KEYS = ("n_states", "terminal_reward", "gamma")
 _RL_AGENT_KEYS = ("hidden", "alpha", "beta", "epsilon_greedy", "copy_period")
 
@@ -120,21 +113,23 @@ def cmd_rl_demo(args) -> int:
     from .rl import ChainMdp, DoubleQAgent, train, value_iteration
 
     cfg = _load_config(args.config)
+    if args.steps < 0:
+        raise ConfigError(f"invalid steps: {args.steps} (must be at least 0)")
     unknown = set(cfg).difference(_RL_MDP_KEYS, _RL_AGENT_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     mdp_cfg = {k: cfg[k] for k in _RL_MDP_KEYS if k in cfg}
-    mdp_cfg.setdefault("terminal_reward", args.reward_scale * 1000.0)
     agent_cfg = {k: cfg[k] for k in _RL_AGENT_KEYS if k in cfg}
     try:
         mdp = ChainMdp(**mdp_cfg)
         agent = DoubleQAgent(mdp, seed=args.seed, **agent_cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    if mdp.terminal_reward == 0:
+    q_star = value_iteration(mdp)
+    if not q_star.all():  # a reward of 0 or below, or one that underflows
         raise ConfigError(
-            "terminal_reward 0: every exact Q value is then 0, so the relative "
-            "Q error is undefined"
+            f"terminal_reward {mdp.terminal_reward:g} with gamma {mdp.gamma:g}: an exact "
+            "Q value is then 0, so the relative Q error is undefined"
         )
     _ensure_outdir(args.out)
     per_step = []  # (grad_norm, normalized_error) of every step
@@ -142,8 +137,25 @@ def cmd_rl_demo(args) -> int:
     def record(report):
         per_step.append((report.gradient_norm, float(np.abs(report.normalized_error).max())))
 
-    # a divergence raises here, before any file is opened
+    # a divergence raises here or in the summary, before any file is opened
     history = train(agent, max_steps=args.steps, hook=record)
+    summary = {"steps": agent.step_count}
+    if args.steps > 0:
+        # weights that grew past the largest double show in the Q table
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = agent.q_table()
+            rel_err = float(np.max(np.abs(q - q_star) / np.abs(q_star)))
+        if not np.isfinite(q).all():
+            raise FloatingPointError(
+                f"training diverged by step {agent.step_count}: non-finite Q values "
+                f"(terminal reward {mdp.terminal_reward:g})"
+            )
+        summary.update(
+            terminal_reward=mdp.terminal_reward,
+            max_relative_q_error=rel_err,
+            greedy_policy=q.argmax(axis=1).tolist(),
+        )
+        print(f"max relative Q error after {agent.step_count} steps: {rel_err:.4f}")
     with atomic_open(os.path.join(args.out, "rl_metrics.csv"), newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RL_HEADER)
@@ -153,19 +165,6 @@ def cmd_rl_demo(args) -> int:
             for reward, row in zip(rewards, per_step[step : step + metrics.steps]):
                 step += 1
                 writer.writerow([step, episode, *map(repr, (reward, *row))])
-
-    summary = {"steps": agent.step_count}
-    if args.steps > 0:
-        q_star = value_iteration(mdp)
-        rel_err = float(np.max(np.abs(agent.q_table() - q_star) / np.abs(q_star)))
-        summary.update(
-            {
-                "terminal_reward": mdp.terminal_reward,
-                "max_relative_q_error": rel_err,
-                "greedy_policy": agent.greedy_policy().tolist(),
-            }
-        )
-        print(f"max relative Q error after {agent.step_count} steps: {rel_err:.4f}")
     with atomic_open(os.path.join(args.out, "rl_summary.json")) as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
@@ -210,11 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("binreg", help="binary regression sweep")
     p.add_argument("--config", help="JSON config overriding experiment fields")
     p.add_argument("--out", default="popart-binreg", help="output directory")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=1000)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--profile", choices=["ci", "full"], default="ci")
     p.add_argument("--svg", action="store_true", help="also write per-method charts")
-    p.add_argument("--sort", action="store_true", help="sort CSV rows")
     p.set_defaults(func=cmd_binreg)
 
     p = sub.add_parser("rl-demo", help="chain-MDP double Q-learning demo")
@@ -222,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="popart-rl", help="output directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=50_000)
-    p.add_argument("--reward-scale", type=float, default=1.0)
     p.set_defaults(func=cmd_rl_demo)
 
     p = sub.add_parser("verify", help="run seeded property suites")

@@ -35,7 +35,7 @@ import numpy as np
 
 from .network import Mlp
 from .schedules import bias_corrected
-from .stats import Normalizer, _check_setting, _count
+from .stats import MAX_TARGET, Normalizer, _check_setting, _count, _real
 from .training import OutputLayer, TrainStepReport, popart_sgd_step
 
 
@@ -57,8 +57,10 @@ class ChainMdp:
 
     def __post_init__(self) -> None:
         _check_setting("n_states", self.n_states, lambda n: _count(n) >= 2)
-        _check_setting("terminal_reward", self.terminal_reward, math.isfinite)
-        _check_setting("gamma", self.gamma, lambda g: 0.0 < g <= 1.0)
+        _check_setting(  # a target the normalizer takes; NaN fails the comparison
+            "terminal_reward", self.terminal_reward, lambda r: abs(_real(r)) <= MAX_TARGET
+        )
+        _check_setting("gamma", self.gamma, lambda g: 0.0 < _real(g) <= 1.0)
 
     @property
     def terminal(self) -> int:
@@ -145,9 +147,9 @@ class DoubleQAgent:
         seed: int = 0,
     ):
         _check_setting("hidden", hidden, lambda h: len(h) > 0 and min(map(_count, h)) >= 1)
-        _check_setting("alpha", alpha, lambda a: 0.0 < a < math.inf)
-        _check_setting("beta", beta, lambda b: 0.0 < b <= 1.0)
-        _check_setting("epsilon_greedy", epsilon_greedy, lambda e: 0.0 <= e <= 1.0)
+        _check_setting("alpha", alpha, lambda a: 0.0 < _real(a) < math.inf)
+        _check_setting("beta", beta, lambda b: 0.0 < _real(b) <= 1.0)
+        _check_setting("epsilon_greedy", epsilon_greedy, lambda e: 0.0 <= _real(e) <= 1.0)
         _check_setting("copy_period", copy_period, lambda c: _count(c) >= 1)
         self.mdp = mdp
         self.alpha = alpha
@@ -216,6 +218,11 @@ class DoubleQAgent:
         if kept is None or not (kept.lo <= lo and hi <= kept.hi):
             kept = self._pass(lo, hi)
         y = self.double_q_target(transition, None if done else kept.greedy[s2 - kept.lo])
+        if not -MAX_TARGET <= y <= MAX_TARGET:  # the target network's values overflowed
+            raise FloatingPointError(
+                f"training diverged at step {self.step_count + 1}: bootstrap target {y:g} "
+                f"out of range (terminal reward {self.mdp.terminal_reward:g})"
+            )
         row = (s - kept.lo) * self.mdp.n_actions + a
         acts = [stacked[row] for stacked in kept.acts]
         report = popart_sgd_step(self.net, self.layer, acts[0], y, self.alpha, acts=acts)
@@ -256,9 +263,6 @@ class DoubleQAgent:
         """Learned Q values for the non-terminal states, shape (n-1, 2),
         from one forward pass of the online network."""
         return self._pass(0, self.mdp.terminal).q
-
-    def greedy_policy(self) -> np.ndarray:
-        return np.argmax(self.q_table(), axis=1)
 
 
 CHECK_EVERY = 2000

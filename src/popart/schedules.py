@@ -10,8 +10,9 @@ Four schedules are provided:
   average keeps the relative weights of a constant-``beta`` average while
   removing any dependence on the initial value.
 - ``HARMONIC``: ``beta_t = beta / (1 + t/tau)``, a Robbins-Monro style
-  schedule (divergent sum, summable squares) used as the default for the
-  percentile and minibatch-extreme trackers.
+  schedule (divergent sum, summable squares) used as the default for
+  :class:`~popart.stats.Normalizer` and for the percentile and
+  minibatch-extreme trackers.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ class StepSizeSchedule:
         self.kind = ScheduleKind(self.kind)
         if self.kind is not ScheduleKind.INVERSE_T and not (0.0 < self.base_beta <= 1.0):
             raise ValueError(f"base_beta must be in (0, 1], got {self.base_beta}")
+        if self.kind is ScheduleKind.BIAS_CORRECTED and 1.0 - self.base_beta == 1.0:
+            raise ValueError(f"base_beta {self.base_beta!r} too small: 1 - base_beta is 1")
         if self.kind is ScheduleKind.HARMONIC and self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
 

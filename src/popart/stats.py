@@ -68,17 +68,30 @@ def _as_floats(y, k: int, limit: float = sys.float_info.max) -> list[float]:
 def _count(n) -> int:
     """``n`` as an int, for a setting that counts something.
 
-    ``operator.index`` takes a bool as 0 or 1; JSON's ``true`` is no count,
-    so a bool raises ``TypeError`` here, which :func:`_check_setting` reports.
+    ``operator.index`` takes a bool as 0 or 1, and an int of any size; a bool
+    (JSON's ``true`` is no count) raises ``TypeError`` here and an int above
+    ``sys.maxsize`` (no array holds more) ``OverflowError``, which
+    :func:`_check_setting` reports.
     """
     if isinstance(n, bool):
         raise TypeError(f"{n!r} is not a count")
-    return operator.index(n)
+    n = operator.index(n)
+    if n > sys.maxsize:
+        raise OverflowError(f"{n} is more than any array holds")
+    return n
+
+
+def _real(x):
+    """``x``, for a real-valued setting; a bool compares as 0 or 1, but
+    JSON's ``true`` is no number, so it raises ``TypeError`` here."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not a number")
+    return x
 
 
 def _check_setting(name: str, value, ok) -> None:
     """Raise ``ValueError`` naming the setting unless ``ok(value)`` is true."""
-    with suppress(TypeError):  # a value of the wrong type is invalid
+    with suppress(TypeError, OverflowError):  # a wrong type or too large a count
         if ok(value):
             return
     raise ValueError(f"invalid {name}: {value!r}")

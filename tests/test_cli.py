@@ -1,8 +1,15 @@
 import hashlib
+import io
 import json
 import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popart.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
 from popart.binreg import RESULTS_HEADER
@@ -22,10 +29,10 @@ GOLDEN_BINREG = {
     "n_samples": 60,
     "n_repetitions": 2,
 }
-# what `popart binreg --sort` wrote for GOLDEN_BINREG before `results.csv`
-# had a reader of its own (the summary re-recorded when sgd's infinite
-# median AUC became null, and again when sgd's alpha and beta did, since no
-# cell of it finished)
+# what `popart binreg --sort`, now plain `popart binreg`, wrote for
+# GOLDEN_BINREG before `results.csv` had a reader of its own (the summary
+# re-recorded when sgd's infinite median AUC became null, and again when
+# sgd's alpha and beta did, since no cell of it finished)
 GOLDEN_BINREG_SHA256 = {
     "results.csv": "a4f7f00c9f0070491960144ccf1c8058980a5d0c5f2e6301587b0818843b4f89",
     "summary.json": "76ca275b8cb6d0729d25ae52d947c02ffe84050116fd30213d35dfee6a2a0fd3",
@@ -68,7 +75,6 @@ def test_binreg_svg_and_sort(tmp_path):
             "--out",
             str(out),
             "--svg",
-            "--sort",
         ]
     )
     assert code == EXIT_OK
@@ -111,24 +117,10 @@ def test_binreg_unwritable_out_is_io_error(tmp_path):
     assert code == EXIT_IO
 
 
-def test_binreg_worker_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("POPART_WORKERS", "not-a-number")
-    code = main(
-        [
-            "binreg",
-            "--config",
-            _write_config(tmp_path, TINY_BINREG),
-            "--out",
-            str(tmp_path / "o"),
-        ]
-    )
-    assert code == EXIT_CONFIG
-
-
 def test_binreg_golden(tmp_path, capsys):
     out = tmp_path / "o"
     cfg = _write_config(tmp_path, GOLDEN_BINREG)
-    assert main(["binreg", "--config", cfg, "--out", str(out), "--sort"]) == EXIT_OK
+    assert main(["binreg", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[-1] == "sgd: every cell diverged"
     sgd = json.loads((out / "summary.json").read_text())["sgd"]
     assert sgd == {"alpha": None, "beta": None, "median_auc": None}
@@ -142,7 +134,7 @@ def test_binreg_deterministic_with_sort(tmp_path):
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        assert main(["binreg", "--config", cfg, "--out", str(out), "--sort"]) == EXIT_OK
+        assert main(["binreg", "--config", cfg, "--out", str(out)]) == EXIT_OK
         outs.append((out / "results.csv").read_text())
     assert outs[0] == outs[1]
 
@@ -211,15 +203,28 @@ def test_rl_demo_steps_count_from_one(tmp_path):
 
 
 def test_rl_demo_divergence_is_one_line_and_exit_code(tmp_path, capsys):
-    # reward 1 (scale 1e-3), agent seed 6: the loss turns non-finite at step 5282
+    # reward 1, agent seed 6: the loss turns non-finite at step 5282
     out = tmp_path / "rl"
-    args = ["rl-demo", "--out", str(out), "--steps", "6000", "--seed", "6"]
-    assert main([*args, "--reward-scale", "0.001"]) == EXIT_DIVERGED
+    path = _write_config(tmp_path, {"terminal_reward": 1.0})
+    args = ["rl-demo", "--config", path, "--out", str(out), "--steps", "6000", "--seed", "6"]
+    assert main(args) == EXIT_DIVERGED
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: training diverged at step 5282: non-finite loss or gradient norm "
         "(terminal reward 1)"
+    ]
+    assert os.listdir(out) == []
+
+
+def test_rl_demo_non_finite_q_table_is_divergence(tmp_path, capsys):
+    # alpha 1e36: both steps have a finite loss, but the weights overflow
+    # the Q table that the summary reads
+    out = tmp_path / "rl"
+    path = _write_config(tmp_path, {"hidden": [4], "n_states": 2, "alpha": 1e36})
+    assert main(["rl-demo", "--config", path, "--out", str(out), "--steps", "2"]) == EXIT_DIVERGED
+    assert capsys.readouterr().err.splitlines() == [
+        "error: training diverged by step 2: non-finite Q values (terminal reward 1000)"
     ]
     assert os.listdir(out) == []
 
@@ -240,6 +245,10 @@ def test_rl_demo_rejects_unknown_config_key(tmp_path):
         {"gamma": "x"},
         {"gamma": 1.5},
         {"terminal_reward": float("inf")},
+        {"terminal_reward": 1.5e154},
+        {"terminal_reward": -1.0},
+        {"gamma": 1e-200},
+        {"beta": 1e-17},
         {"hidden": []},
         {"hidden": [0]},
         {"beta": 0},
@@ -258,20 +267,18 @@ def test_rl_demo_config_out_of_range_is_config_error(tmp_path, capsys, payload):
 
 
 @pytest.mark.parametrize(
-    "args",
-    [["--config", "zero.json"], ["--reward-scale", "0"], ["--reward-scale", "-0"]],
-    ids=["config", "reward-scale", "negative-zero"],
+    ("reward", "shown"), [(0, "0"), (-0.0, "-0")], ids=["config", "negative-zero"]
 )
-def test_rl_demo_zero_terminal_reward_is_config_error(tmp_path, capsys, monkeypatch, args):
+def test_rl_demo_zero_terminal_reward_is_config_error(tmp_path, capsys, reward, shown):
     # every exact value is 0, so the relative Q error would divide by 0
-    monkeypatch.chdir(tmp_path)
-    _write_config(tmp_path, {"terminal_reward": 0}, name="zero.json")
+    path = _write_config(tmp_path, {"terminal_reward": reward})
     out = tmp_path / "o"
-    code = main(["rl-demo", *args, "--out", str(out), "--steps", "10"])
+    code = main(["rl-demo", "--config", path, "--out", str(out), "--steps", "10"])
     assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error: terminal_reward 0: ")
-    assert "every exact Q value is then 0" in err and "undefined" in err
+    assert capsys.readouterr().err == (
+        f"config error: terminal_reward {shown} with gamma 0.99: an exact Q value is "
+        "then 0, so the relative Q error is undefined\n"
+    )
     assert not out.exists()
 
 
@@ -318,6 +325,10 @@ def test_binreg_config_out_of_range_is_config_error(tmp_path, capsys, payload):
 )
 def test_boolean_count_is_config_error(tmp_path, capsys, command, payload):
     # operator.index takes True as 1, but JSON's true is no count
+    _assert_config_error_names_key(tmp_path, capsys, command, payload)
+
+
+def _assert_config_error_names_key(tmp_path, capsys, command, payload):
     out = tmp_path / "o"
     base = TINY_BINREG if command == "binreg" else {}
     path = _write_config(tmp_path, {**base, **payload})
@@ -330,7 +341,196 @@ def test_boolean_count_is_config_error(tmp_path, capsys, command, payload):
     assert not out.exists()
 
 
-# md5s of what `binreg --profile ci --sort --workers 1` writes with
+@pytest.mark.parametrize(
+    ("command", "payload"),
+    [
+        ("binreg", {"n_samples": 2**63}),
+        ("binreg", {"n_repetitions": 2**63}),
+        ("binreg", {"hidden": [2**64]}),
+        ("rl-demo", {"hidden": [2**63]}),
+        ("rl-demo", {"n_states": 2**63}),
+    ],
+    ids=lambda p: p if isinstance(p, str) else json.dumps(p),
+)
+def test_count_no_array_can_hold_is_config_error(tmp_path, capsys, command, payload):
+    # above sys.maxsize, numpy refuses the array with a traceback of its own
+    _assert_config_error_names_key(tmp_path, capsys, command, payload)
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_binreg_workers_below_one_is_config_error(tmp_path, capsys, workers):
+    out = tmp_path / "o"
+    cfg = _write_config(tmp_path, TINY_BINREG)
+    code = main(["binreg", "--config", cfg, "--out", str(out), "--workers", workers])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: invalid workers: {workers} (must be at least 1)\n"
+    assert not out.exists()
+
+
+def test_rl_demo_negative_steps_is_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["rl-demo", "--out", str(out), "--steps", "-1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: invalid steps: -1 (must be at least 0)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["binreg", "--seed", "7"], ["binreg", "--sort"], ["rl-demo", "--reward-scale", "2"]],
+    ids=lambda a: " ".join(a),
+)
+def test_removed_flags_are_rejected(tmp_path, capsys, args):
+    # each setting has one route: base_seed and terminal_reward are config
+    # keys, and binreg always sorts its rows
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(tmp_path / "o")])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_binreg_base_seed_comes_from_config(tmp_path, monkeypatch):
+    # POPART_WORKERS is no route to the worker count either
+    monkeypatch.setenv("POPART_WORKERS", "not-a-number")
+    out = tmp_path / "o"
+    cfg = _write_config(tmp_path, {**TINY_BINREG, "base_seed": 7})
+    assert main(["binreg", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert sorted({int(row.split(",")[3]) for row in rows}) == [7, 8]
+
+
+# a value of each JSON type, most of them valid for no key of either
+# command; JSON's true is also 1 to Python, so half of them hold bools
+_JUNK = st.one_of(
+    st.one_of(st.booleans(), st.lists(st.booleans(), min_size=1, max_size=2)),
+    st.one_of(
+        st.none(),
+        st.integers(-2, 0),
+        st.floats(),
+        st.integers(min_value=sys.maxsize + 1, max_value=2**80),
+        st.text(max_size=3),
+        st.lists(st.lists(st.integers(-1, 2), max_size=2), max_size=2),
+    ),
+)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_FRACTION = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+def _tiny_list(elements):
+    return st.lists(elements, min_size=1, max_size=2)
+
+
+# tiny valid values of each key: no valid size is large, and a key left out
+# takes the tiny value of the base config
+BINREG_BASE = {**TINY_BINREG, "n_samples": 20, "n_repetitions": 1, "hidden": [4]}
+RL_BASE = {"hidden": [4]}
+BINREG_KEYS = {
+    "methods": _tiny_list(st.sampled_from(["sgd", "art", "popart", "normalized_sgd"])),
+    "alphas": _tiny_list(_POSITIVE),
+    "betas": _tiny_list(_FRACTION),
+    "n_samples": st.integers(1, 20),
+    "n_repetitions": st.integers(1, 2),
+    "smoothing_window": st.integers(1, 20),
+    "hidden": _tiny_list(st.integers(1, 4)),
+    "base_seed": st.integers(0, sys.maxsize),
+}
+RL_KEYS = {
+    "n_states": st.integers(2, 6),
+    "terminal_reward": st.floats(allow_nan=False, allow_infinity=False),
+    "gamma": _FRACTION,
+    "hidden": _tiny_list(st.integers(1, 4)),
+    "alpha": _POSITIVE,
+    "beta": _FRACTION,
+    "epsilon_greedy": st.floats(min_value=0.0, max_value=1.0),
+    "copy_period": st.integers(1, 20),
+}
+
+
+@st.composite
+def _configs(draw, base, keys):
+    """``base`` updated with a subset of ``keys``: tiny values, of which
+    at most one is replaced by junk."""
+    config = {**base, **draw(st.fixed_dictionaries({}, optional=keys))}
+    junk_key = draw(st.one_of(st.none(), st.sampled_from(sorted(keys))))
+    if junk_key is not None:
+        config[junk_key] = draw(_JUNK)
+    return config
+
+
+def _run_cli(args, config):
+    """``main(args)`` with ``--config`` and ``--out`` in a fresh directory:
+    its exit code, its stderr and whether ``--out`` exists afterwards."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "config.json")
+        path.write_text(json.dumps(config))
+        out = Path(tmp, "out")
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([*args, "--config", str(path), "--out", str(out)])
+        return code, err.getvalue(), out.exists()
+
+
+def _holds_bool(value):
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
+
+
+def _assert_exit_is_clean(config, code, err, out_exists):
+    """A config error is one line and leaves no ``--out``; JSON's ``true``
+    and ``false`` are no key's value, so a config holding one is an error."""
+    if any(map(_holds_bool, config.values())):
+        assert code == EXIT_CONFIG
+    if code == EXIT_CONFIG:
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out_exists
+
+
+@settings(deadline=None, max_examples=150)
+@given(config=_configs(BINREG_BASE, BINREG_KEYS), svg=st.booleans())
+def test_binreg_config_property(config, svg):
+    # any config ends in success or one config error line, never a traceback
+    code, err, out_exists = _run_cli(["binreg", *(["--svg"] if svg else [])], config)
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    _assert_exit_is_clean(config, code, err, out_exists)
+
+
+@settings(deadline=None, max_examples=150)
+@given(config=_configs(RL_BASE, RL_KEYS), steps=st.integers(0, 20))
+def test_rl_demo_config_property(config, steps):
+    code, err, out_exists = _run_cli(["rl-demo", "--steps", str(steps)], config)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DIVERGED)
+    _assert_exit_is_clean(config, code, err, out_exists)
+
+
+_COMMANDS = {
+    "binreg": (BINREG_BASE, BINREG_KEYS, []),
+    "rl-demo": (RL_BASE, RL_KEYS, ["--steps", "5"]),
+}
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data(), command=st.sampled_from(sorted(_COMMANDS)))
+def test_a_bool_in_place_of_any_config_value_is_config_error(data, command):
+    # operator.index and the comparisons take True as 1, but no key takes a
+    # bool: not as its value, nor as an element of its list
+    base, keys, args = _COMMANDS[command]
+    config = {**base, **data.draw(st.fixed_dictionaries({}, optional=keys))}
+    key = data.draw(st.sampled_from(sorted(keys)))
+    value = data.draw(keys[key])
+    if isinstance(value, list):
+        value[data.draw(st.integers(0, len(value) - 1))] = data.draw(st.booleans())
+    else:
+        value = data.draw(st.booleans())
+    config[key] = value
+    code, err, out_exists = _run_cli([command, *args], config)
+    assert code == EXIT_CONFIG
+    _assert_exit_is_clean(config, code, err, out_exists)
+
+
+# md5s of what `binreg --profile ci --workers 1` writes with
 # CI_DIGEST_CONFIG, the ci grid at one repetition over the spike
 CI_DIGEST_CONFIG = {"n_repetitions": 1, "n_samples": 1100}
 CI_DIGESTS = {
@@ -342,7 +542,7 @@ CI_DIGESTS = {
 def test_binreg_ci_profile_digests(tmp_path):
     out = tmp_path / "ci"
     path = _write_config(tmp_path, CI_DIGEST_CONFIG)
-    args = ["--profile", "ci", "--sort", "--workers", "1", "--config", path, "--out", str(out)]
+    args = ["--profile", "ci", "--workers", "1", "--config", path, "--out", str(out)]
     assert main(["binreg", *args]) == EXIT_OK
     for name, digest in CI_DIGESTS.items():
         assert hashlib.md5((out / name).read_bytes()).hexdigest() == digest, name
@@ -376,7 +576,7 @@ def _svgs(path):
 def test_plot_charts_what_binreg_svg_charts(tmp_path, config, methods):
     out = tmp_path / "run"
     cfg = _write_config(tmp_path, config)
-    assert main(["binreg", "--config", cfg, "--out", str(out), "--svg", "--sort"]) == EXIT_OK
+    assert main(["binreg", "--config", cfg, "--out", str(out), "--svg"]) == EXIT_OK
     plots = tmp_path / "plots"
     assert main(["plot", "--results", str(out / "results.csv"), "--out", str(plots)]) == EXIT_OK
     assert sorted(_svgs(plots)) == methods

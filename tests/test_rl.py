@@ -355,6 +355,25 @@ def test_learn_transition_rejects_an_action_or_state_out_of_range(transition):
     assert _learned_bits(agent) == before and agent.step_count == 0
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan, 1.5e154])
+def test_learn_transition_rejects_a_bootstrap_target_out_of_range(value):
+    # target network values past the normalizer's limit mean the network
+    # diverged: the step says so instead of the normalizer's ValueError
+    agent = DoubleQAgent(ChainMdp(terminal_reward=1.0), seed=0)
+    agent.target_q[1] = value
+    before = _learned_bits(agent)
+    match = r"step 1: bootstrap target .* \(terminal reward 1\)"
+    with pytest.raises(FloatingPointError, match=match):
+        agent.learn_transition((0, ChainMdp.ADVANCE, 0.0, 1, False))
+    assert _learned_bits(agent) == before and agent.step_count == 0
+
+
+@pytest.mark.parametrize("reward", [1.5e154, -1.5e154, math.inf, math.nan])
+def test_chain_rejects_a_terminal_reward_the_normalizer_cannot_take(reward):
+    with pytest.raises(ValueError, match="invalid terminal_reward"):
+        ChainMdp(terminal_reward=reward)
+
+
 # step_count and q_table() after 3001 steps at reward 1e3, agent seed 0,
 # recorded with the target network kept as a copied network, when
 # train(max_steps=3000) still finished the episode it was in; any change to
@@ -447,4 +466,4 @@ def test_learns_chain_values_and_policy():
     err = np.max(np.abs(agent.q_table() - q_star) / np.abs(q_star))
     assert err <= 0.004
     assert agent.step_count <= 50_000
-    np.testing.assert_array_equal(agent.greedy_policy(), [mdp.ADVANCE] * 4)
+    np.testing.assert_array_equal(agent.q_table().argmax(axis=1), [mdp.ADVANCE] * 4)

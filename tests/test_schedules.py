@@ -64,6 +64,13 @@ def test_invalid_base_beta_rejected(beta):
         constant(beta)
 
 
+@pytest.mark.parametrize("beta", [1e-17, 5e-324])
+def test_bias_corrected_rejects_beta_lost_in_one_minus_beta(beta):
+    # 1 - beta rounds to 1, so 1 - (1 - beta)**t is 0 and beta_2 divides by it
+    with pytest.raises(ValueError, match="too small"):
+        bias_corrected(beta)
+
+
 def test_invalid_tau_rejected():
     with pytest.raises(ValueError):
         StepSizeSchedule(ScheduleKind.HARMONIC, base_beta=0.1, tau=0.0)
