@@ -35,7 +35,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from itertools import count
@@ -287,7 +286,9 @@ def run_grid(config: ExperimentConfig, workers: int = 1, progress=None):
     with ``workers > 1`` the seed groups go to a process pool, each split
     into ``workers // gcd(seeds, workers)`` contiguous chunks, so the
     tasks are equal and fill a whole number of rounds of the pool.  The
-    records come back in the order of the loops above, whatever the
+    pool's modules (``concurrent.futures`` and ``multiprocessing``) load
+    on first use with ``workers > 1``, not when this module is imported.
+    The records come back in the order of the loops above, whatever the
     grouping; ``progress(i, n)`` is called for each in that order, as soon
     as it and every record before it are done.
     """
@@ -306,6 +307,10 @@ def run_grid(config: ExperimentConfig, workers: int = 1, progress=None):
     chunks = [part.tolist() for g in groups.values() for part in np.array_split(g, split) if part.size]
     records: list = [None] * len(jobs)
     done = 0
+    if workers > 1:
+        # imported here: concurrent.futures.process pulls in multiprocessing,
+        # about 30 ms at import, and only a pooled sweep needs it
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         tasks = [[jobs[i] for i in chunk] for chunk in chunks]
         results = pool.map(_run_lockstep, tasks) if pool else map(_run_lockstep, tasks)

@@ -152,7 +152,9 @@ def cmd_rl_demo(args) -> int:
             )
         summary.update(
             terminal_reward=mdp.terminal_reward,
-            max_relative_q_error=rel_err,
+            # past the largest double (a reward near the smallest one), null
+            # in JSON, which has no infinity
+            max_relative_q_error=rel_err if np.isfinite(rel_err) else None,
             greedy_policy=q.argmax(axis=1).tolist(),
         )
         print(f"max relative Q error after {agent.step_count} steps: {rel_err:.4f}")

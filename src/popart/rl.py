@@ -73,7 +73,12 @@ class ChainMdp:
 
 
 def value_iteration(mdp: ChainMdp, tol: float = 1e-12) -> np.ndarray:
-    """Exact Q values for the non-terminal states, shape (n_states-1, n_actions)."""
+    """Exact Q values for the non-terminal states, shape (n_states-1, n_actions).
+
+    Sweeps until no value moves by more than ``tol`` times the largest
+    one, or none moves at all, so a reward of any scale gets the same
+    sweeps.
+    """
     n = mdp.n_states - 1
     v = np.zeros(mdp.n_states)
     while True:
@@ -83,7 +88,7 @@ def value_iteration(mdp: ChainMdp, tol: float = 1e-12) -> np.ndarray:
             q[s, mdp.ADVANCE] = r + (0.0 if done else mdp.gamma * v[s2])
             q[s, mdp.STAY] = mdp.gamma * v[s]
         v_new = np.concatenate([q.max(axis=1), [0.0]])
-        if np.max(np.abs(v_new - v)) < tol:
+        if np.max(np.abs(v_new - v)) <= tol * np.max(np.abs(v_new)):
             return q
         v = v_new
 
@@ -151,6 +156,7 @@ class DoubleQAgent:
         _check_setting("beta", beta, lambda b: 0.0 < _real(b) <= 1.0)
         _check_setting("epsilon_greedy", epsilon_greedy, lambda e: 0.0 <= _real(e) <= 1.0)
         _check_setting("copy_period", copy_period, lambda c: _count(c) >= 1)
+        _check_setting("seed", seed, lambda s: _count(s) >= 0)
         self.mdp = mdp
         self.alpha = alpha
         self.epsilon_greedy = epsilon_greedy

@@ -375,6 +375,25 @@ def test_rl_demo_negative_steps_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_rl_demo_relative_error_past_the_largest_double_is_null(tmp_path, capsys):
+    # every exact value is the smallest subnormal, so the learned values'
+    # relative error overflows; the summary stays strict JSON
+    path = _write_config(tmp_path, {"terminal_reward": 5e-324})
+    out = tmp_path / "o"
+    assert main(["rl-demo", "--config", path, "--out", str(out), "--steps", "20"]) == EXIT_OK
+    assert capsys.readouterr().out == "max relative Q error after 20 steps: inf\n"
+    text = (out / "rl_summary.json").read_text()
+    summary = json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in {text}"))
+    assert summary["max_relative_q_error"] is None
+
+
+def test_rl_demo_negative_seed_is_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["rl-demo", "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: invalid seed: -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [["binreg", "--seed", "7"], ["binreg", "--sort"], ["rl-demo", "--reward-scale", "2"]],

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -590,6 +592,21 @@ def test_run_grid_splits_seed_groups_among_workers(n_repetitions, workers):
         assert (a.method, a.alpha, a.beta, a.seed) == (b.method, b.alpha, b.beta, b.seed)
         assert a.rmse.tobytes() == b.rmse.tobytes()
         assert a.grad_norm.tobytes() == b.grad_norm.tobytes()
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # run_grid loads the pool only when it takes workers > 1, so no start-up
+    # of the CLI or of the modules it imports pays for multiprocessing
+    code = (
+        "import sys, popart, popart.binreg, popart.rl, popart.cli, popart.checks, popart.plotting\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"
 
 
 def test_results_csv_bytes_are_csv_writers(tmp_path):

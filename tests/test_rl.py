@@ -34,6 +34,26 @@ def test_value_iteration_scales_linearly_with_reward():
     np.testing.assert_allclose(q2, q1 * 10**6, rtol=1e-10)
 
 
+@pytest.mark.parametrize("reward", [1.0, 1e3, 1e6])
+def test_value_iteration_tables_are_the_discounted_reward(reward):
+    # the fixed point, bit for bit: each state one discount from the next,
+    # staying one discount from itself
+    mdp = ChainMdp(terminal_reward=reward)
+    v = [reward]
+    for _ in range(mdp.n_states - 2):
+        v.insert(0, mdp.gamma * v[0])
+    expected = np.array([[value, mdp.gamma * value] for value in v])
+    assert value_iteration(mdp).tobytes() == expected.tobytes()
+
+
+def test_value_iteration_tiny_reward_is_not_cut_short():
+    # a relative stopping test: a reward below 1e-12 gets every value
+    tiny = value_iteration(ChainMdp(terminal_reward=1e-13))
+    small = value_iteration(ChainMdp(terminal_reward=1e-11))
+    assert tiny.all()
+    np.testing.assert_allclose(tiny, small * 1e-2, rtol=1e-15)
+
+
 def test_double_q_target_terminal_drops_bootstrap():
     agent = DoubleQAgent(ChainMdp(), seed=0)
     assert agent.double_q_target((3, 0, 1000.0, 4, True)) == 1000.0

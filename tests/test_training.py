@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from popart.network import Mlp
@@ -674,6 +674,9 @@ oracle_step = st.tuples(
 )
 
 
+_ZEROS, _ONES = [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]
+
+
 @settings(deadline=None, max_examples=200)
 @given(
     k=st.sampled_from([1, 2, 3]),
@@ -682,6 +685,23 @@ oracle_step = st.tuples(
     alpha=st.sampled_from([0.0, 1e-3, 0.1]),
     scalar_target=st.booleans(),
     steps=st.lists(oracle_step, min_size=1, max_size=6),
+)
+# the weights overflow before the last step, whose caller-side forward pass
+# then meets NaN and inf in its matmul
+@example(
+    k=2,
+    seed=76859726,
+    beta=1.0,
+    alpha=0.001,
+    scalar_target=False,
+    steps=[
+        ("normalized_sgd", [0.0, 3888.0, 0.0], [1.0, 0.3125, 1.0], _ZEROS, False),
+        ("art", _ZEROS, _ONES, _ZEROS, False),
+        ("art", _ZEROS, _ONES, _ZEROS, False),
+        ("normalized_sgd", [0.0, 5.883150358016172e78, 0.0], _ONES, _ZEROS, False),
+        ("art", _ZEROS, _ONES, _ZEROS, False),
+        ("art", _ZEROS, _ONES, _ZEROS, True),
+    ],
 )
 def test_steps_match_the_array_formulation_bitwise(k, seed, beta, alpha, scalar_target, steps):
     rng = np.random.default_rng(seed)
@@ -696,7 +716,6 @@ def test_steps_match_the_array_formulation_bitwise(k, seed, beta, alpha, scalar_
             y = y[0]  # a lone float takes the normalizer's shortcut
         sigma, mu = sigma[:k], mu[:k]
         x = rng.normal(size=3)
-        kw = {"acts": net.forward_pass(x)} if use_acts and kind != "popart_update" else {}
         given = {"normalized_sgd": (sigma,), "popart_update": (sigma, mu)}.get(kind, ())
         live = {
             "popart": popart_sgd_step,
@@ -709,6 +728,7 @@ def test_steps_match_the_array_formulation_bitwise(k, seed, beta, alpha, scalar_
         valid = all(math.isfinite(v) and abs(v) <= limit for v in np.ravel(y))
         before = _oracle_state(net, layer, nrm)
         with np.errstate(all="ignore"):
+            kw = {"acts": net.forward_pass(x)} if use_acts and kind != "popart_update" else {}
             if not valid:
                 with pytest.raises(ValueError):
                     live(net, layer, x, y, *given, alpha, **kw)
