@@ -28,6 +28,7 @@ until the next.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
@@ -72,12 +73,12 @@ class ChainMdp:
         return s2, r, s2 == self.terminal
 
 
-def value_iteration(mdp: ChainMdp, tol: float = 1e-12) -> np.ndarray:
+def value_iteration(mdp: ChainMdp) -> np.ndarray:
     """Exact Q values for the non-terminal states, shape (n_states-1, n_actions).
 
-    Sweeps until no value moves by more than ``tol`` times the largest
-    one, or none moves at all, so a reward of any scale gets the same
-    sweeps.
+    Sweeps until no value moves at all.  The values start at 0 and each
+    sweep settles one more state, right to left, so the loop ends within
+    ``n_states`` sweeps for any reward, gamma or chain length.
     """
     n = mdp.n_states - 1
     v = np.zeros(mdp.n_states)
@@ -88,7 +89,7 @@ def value_iteration(mdp: ChainMdp, tol: float = 1e-12) -> np.ndarray:
             q[s, mdp.ADVANCE] = r + (0.0 if done else mdp.gamma * v[s2])
             q[s, mdp.STAY] = mdp.gamma * v[s]
         v_new = np.concatenate([q.max(axis=1), [0.0]])
-        if np.max(np.abs(v_new - v)) <= tol * np.max(np.abs(v_new)):
+        if np.array_equal(v_new, v):
             return q
         v = v_new
 
@@ -156,7 +157,8 @@ class DoubleQAgent:
         _check_setting("beta", beta, lambda b: 0.0 < _real(b) <= 1.0)
         _check_setting("epsilon_greedy", epsilon_greedy, lambda e: 0.0 <= _real(e) <= 1.0)
         _check_setting("copy_period", copy_period, lambda c: _count(c) >= 1)
-        _check_setting("seed", seed, lambda s: _count(s) >= 0)
+        # any int of at least 0, as default_rng takes, however large
+        _check_setting("seed", seed, lambda s: not isinstance(s, bool) and operator.index(s) >= 0)
         self.mdp = mdp
         self.alpha = alpha
         self.epsilon_greedy = epsilon_greedy

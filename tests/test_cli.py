@@ -394,6 +394,12 @@ def test_rl_demo_negative_seed_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_rl_demo_seed_past_sys_maxsize_runs(tmp_path):
+    # default_rng takes any int of at least 0; only the sign is checked
+    out = tmp_path / "o"
+    assert main(["rl-demo", "--out", str(out), "--seed", str(2**64), "--steps", "5"]) == EXIT_OK
+
+
 @pytest.mark.parametrize(
     "args",
     [["binreg", "--seed", "7"], ["binreg", "--sort"], ["rl-demo", "--reward-scale", "2"]],

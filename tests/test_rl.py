@@ -19,39 +19,27 @@ def test_chain_dynamics():
 
 
 def test_value_iteration_closed_form():
-    mdp = ChainMdp(n_states=5, terminal_reward=1000.0, gamma=0.99)
-    q = value_iteration(mdp)
-    # advancing from state s pays gamma^(3-s) * 1000 in expectation
-    for s in range(4):
-        assert q[s, mdp.ADVANCE] == pytest.approx(1000.0 * 0.99 ** (3 - s), rel=1e-10)
-        # staying just discounts the state's own value
-        assert q[s, mdp.STAY] == pytest.approx(0.99 * q[s, mdp.ADVANCE], rel=1e-10)
+    # the fixed point, bit for bit: each state one discount from the next,
+    # staying one discount from itself; the long chain at gamma 0.5 reaches
+    # values far below the reward, which a relative stop cut off as 0
+    cases = [(5, 0.99, reward) for reward in (1.0, 1e3, 1e6)]
+    cases += [(50, 0.5, 1e3), (50, 0.5, 1e-13), (5, 1e-4, 1.0)]
+    for n_states, gamma, reward in cases:
+        mdp = ChainMdp(n_states=n_states, terminal_reward=reward, gamma=gamma)
+        v = [reward]
+        for _ in range(n_states - 2):
+            v.insert(0, gamma * v[0])
+        expected = np.array([[value, gamma * value] for value in v])
+        q = value_iteration(mdp)
+        assert q.all()
+        assert q.tobytes() == expected.tobytes(), (n_states, gamma, reward)
 
 
 def test_value_iteration_scales_linearly_with_reward():
     q1 = value_iteration(ChainMdp(terminal_reward=1.0))
-    q2 = value_iteration(ChainMdp(terminal_reward=10**6))
-    np.testing.assert_allclose(q2, q1 * 10**6, rtol=1e-10)
-
-
-@pytest.mark.parametrize("reward", [1.0, 1e3, 1e6])
-def test_value_iteration_tables_are_the_discounted_reward(reward):
-    # the fixed point, bit for bit: each state one discount from the next,
-    # staying one discount from itself
-    mdp = ChainMdp(terminal_reward=reward)
-    v = [reward]
-    for _ in range(mdp.n_states - 2):
-        v.insert(0, mdp.gamma * v[0])
-    expected = np.array([[value, mdp.gamma * value] for value in v])
-    assert value_iteration(mdp).tobytes() == expected.tobytes()
-
-
-def test_value_iteration_tiny_reward_is_not_cut_short():
-    # a relative stopping test: a reward below 1e-12 gets every value
-    tiny = value_iteration(ChainMdp(terminal_reward=1e-13))
-    small = value_iteration(ChainMdp(terminal_reward=1e-11))
-    assert tiny.all()
-    np.testing.assert_allclose(tiny, small * 1e-2, rtol=1e-15)
+    for reward in (10**6, 1e-13):  # nothing is cut short below 1e-12
+        q2 = value_iteration(ChainMdp(terminal_reward=reward))
+        np.testing.assert_allclose(q2, q1 * reward, rtol=1e-10)
 
 
 def test_double_q_target_terminal_drops_bootstrap():
