@@ -28,6 +28,16 @@ from __future__ import annotations
 
 import numpy as np
 
+_FLOAT = np.dtype(float)
+
+
+def as_float_array(a) -> np.ndarray:
+    """``np.asarray(a, dtype=float)``.  A float64 array, which that call
+    would return as it is, skips the call."""
+    if type(a) is np.ndarray and a.dtype is _FLOAT:
+        return a
+    return np.asarray(a, dtype=float)
+
 
 def affine(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``w @ a + b`` for one input ``a`` or a stack of them, one per row.
@@ -135,7 +145,7 @@ class Mlp:
     # -- forward -----------------------------------------------------------
 
     def _check_input(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=float)
+        arr = as_float_array(x)
         if arr.ndim not in (1, 2) or arr.shape[-1] != self.n_inputs:
             raise ValueError(
                 f"expected input of length {self.n_inputs}, or a stack of them of "
@@ -171,18 +181,18 @@ class Mlp:
         ``acts`` must come from :meth:`forward_pass` on the same, single,
         input.  Returns a fresh array.
         """
-        v = np.asarray(v, dtype=float)
+        v = as_float_array(v)
         if v.shape != (self.n_outputs,):
             raise ValueError(f"expected seed of length {self.n_outputs}")
-        grad_w, grad_b = self._grad_weights, self._grad_biases
+        grad_w, grad_b, columns = self._grad_weights, self._grad_biases, self._grad_bias_columns
         last = len(self.weights) - 1
         grad_b[last][...] = v
-        for i in range(last, -1, -1):
-            if i < last:
-                # hidden activations are tanh outputs, so tanh' = 1 - a**2
-                g = grad_b[i + 1] @ self.weights[i + 1]
-                np.multiply(g, 1.0 - acts[i + 1] ** 2, out=grad_b[i])
-            np.multiply(self._grad_bias_columns[i], acts[i], out=grad_w[i])
+        np.multiply(columns[last], acts[last], out=grad_w[last])
+        for i in range(last - 1, -1, -1):
+            # hidden activations are tanh outputs, so tanh' = 1 - a**2
+            g = grad_b[i + 1] @ self.weights[i + 1]
+            np.multiply(g, 1.0 - acts[i + 1] ** 2, out=grad_b[i])
+            np.multiply(columns[i], acts[i], out=grad_w[i])
         return self._grad.copy()
 
     def jacobian(self, x) -> np.ndarray:
@@ -205,7 +215,7 @@ class Mlp:
 
     def apply_param_step(self, direction, alpha: float) -> None:
         """In-place ``theta <- theta - alpha * direction``."""
-        direction = np.asarray(direction, dtype=float)
+        direction = as_float_array(direction)
         if direction.shape != (self.n_params,):
             raise ValueError(f"expected direction of length {self.n_params}")
         self._theta -= alpha * direction

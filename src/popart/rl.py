@@ -136,10 +136,14 @@ class DoubleQAgent:
     action at ``s2`` from it and hands row ``(s, a)`` of its activations to
     the SGD step in place of the step's own forward pass, with the same
     result to the last bit.  So a learned transition runs one forward pass
-    of at most ``2 * n_actions`` rows.  The pass is used once at most: only
-    a learning step moves the parameters, and it drops the pass first.  A
-    step with no kept pass, or whose states the kept pass does not cover,
-    makes its own over the states from ``min(s, s2)`` to ``max(s, s2)``.
+    of at most ``2 * n_actions`` rows.  The pass is used once at most: a
+    learning step drops it before it moves the parameters.  A step with no
+    kept pass, or whose states the kept pass does not cover, makes its own
+    over the states from ``min(s, s2)`` to ``max(s, s2)``.  That nothing but
+    :meth:`learn_transition` moves ``net`` or ``layer`` between :meth:`act`
+    and the next :meth:`learn_transition` is the caller's promise; a step
+    after such a move learns from activations and a bootstrap action of
+    the old parameters, silently.
     """
 
     def __init__(
@@ -185,7 +189,7 @@ class DoubleQAgent:
             raise IndexError(f"states {lo}..{hi - 1} out of range for {self.mdp.n_states} states")
         n_actions = self.mdp.n_actions
         acts = self.net.forward_pass(self._all_codes[lo * n_actions : hi * n_actions])
-        q = self.layer.unnormalized_output(acts[-1])[:, 0].reshape(hi - lo, n_actions)
+        q = self.layer.unnormalized_output(acts[-1]).reshape(hi - lo, n_actions)
         # argmax breaks ties to the lowest index; a NaN value wins
         return _Pass(lo, hi, acts, q, q.argmax(axis=1).tolist())
 

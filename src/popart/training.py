@@ -39,6 +39,12 @@ components on Python floats, with the same IEEE operations in the same
 order as numpy's elementwise ones, so the results are the same to the
 last bit.  Every product with ``W``, the features ``h`` or the parameter
 vector stays in numpy, since its bits depend on numpy's summation order.
+At a boundary between the layers, a value is converted once at most: a
+float64 array of the expected shape, which is what the steps hand each
+other, is taken as it is, or read into Python floats with one ``tolist``;
+any other form (a list, another dtype, a scalar) goes through
+``np.asarray`` first.  Both routes make the same checks and give the same
+bits.
 
 These four steps take an optional keyword ``acts``: the activations
 ``net.forward_pass(x)`` that the caller already computed on the current
@@ -59,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Mlp, affine
+from .network import _FLOAT, Mlp, affine, as_float_array
 from .stats import Normalizer, _as_floats
 
 
@@ -138,26 +144,27 @@ class OutputLayer:
     def normalized_output(self, h) -> np.ndarray:
         """``W h + b`` for one feature vector, or one row per row of a
         stack of shape ``(B, m)``."""
-        return affine(self.W, np.asarray(h, dtype=float), self.b)
+        return affine(self.W, as_float_array(h), self.b)
 
     def unnormalized_output(self, h) -> np.ndarray:
         """``sigma * (W h + b) + mu``, row by row for a stack."""
-        h = np.asarray(h, dtype=float)
+        h = as_float_array(h)
         if h.ndim > 1:
-            return self.sigma * self.normalized_output(h) + self.mu
+            return self.sigma * affine(self.W, h, self.b) + self.mu
         out = self.W @ h
         b, sigma, mu = self.b, self.sigma, self.mu
-        for i, z in enumerate(out.tolist()):
-            out[i] = sigma.item(i) * (z + b.item(i)) + mu.item(i)
+        for i in range(self.k):
+            out[i] = sigma.item(i) * (out.item(i) + b.item(i)) + mu.item(i)
         return out
 
     def rescale_to(self, sigma_new, mu_new) -> None:
         """Adopt a new scale/shift without changing unnormalized outputs."""
         sigma_new, mu_new = self._checked(sigma_new, mu_new)
         W, b, sigma, mu = self.W, self.b, self.sigma, self.mu
-        for i, (s_old, m_old, s, m) in enumerate(zip(sigma.tolist(), mu.tolist(), sigma_new, mu_new)):
+        for i in range(self.k):
+            s_old, s, m = sigma.item(i), sigma_new[i], mu_new[i]
             W[i] *= s_old / s
-            b[i] = (s_old * b.item(i) + m_old - m) / s
+            b[i] = (s_old * b.item(i) + mu.item(i) - m) / s
             sigma[i], mu[i] = s, m
 
     def set_scale_shift(self, sigma_new, mu_new) -> None:
@@ -170,8 +177,7 @@ class OutputLayer:
 
     def _checked(self, sigma, mu) -> tuple[list[float], list[float]]:
         """``sigma`` and ``mu`` as ``k`` Python floats each, checked."""
-        sigma = _as_scale(sigma, self.k)
-        mu = np.asarray(mu, dtype=float).reshape(self.k).tolist()
+        sigma, mu = _as_scale(sigma, self.k), _float_list(mu, self.k)
         if not all(map(math.isfinite, mu)):
             raise ValueError("mu_new must be finite")
         return sigma, mu
@@ -186,12 +192,20 @@ class _LayerStack(OutputLayer):
     rescale_to = set_scale_shift = _members_only
 
 
+def _float_list(v, k: int) -> list[float]:
+    """``v`` as ``k`` Python floats; ``ValueError`` unless it holds ``k``
+    values.  A float64 array of shape ``(k,)`` converts in one call."""
+    if type(v) is np.ndarray and v.dtype is _FLOAT and v.shape == (k,):
+        return v.tolist()
+    return np.asarray(v, dtype=float).reshape(k).tolist()
+
+
 def _as_scale(sigma, k: int) -> list[float]:
     """``sigma`` as ``k`` Python floats, checked finite and positive."""
-    values = np.asarray(sigma, dtype=float).reshape(k).tolist()
-    # NaN fails both comparisons
-    if not all(0.0 < s < math.inf for s in values):
-        raise ValueError("sigma must be componentwise finite and positive")
+    values = _float_list(sigma, k)
+    for s in values:
+        if not 0.0 < s < math.inf:  # NaN fails both comparisons
+            raise ValueError("sigma must be componentwise finite and positive")
     return values
 
 
@@ -224,7 +238,7 @@ def _sgd_step(
     once, before anything is mutated; a target the normalizer absorbs is
     checked by :meth:`Normalizer.update`, the first thing that moves.
     """
-    x = np.asarray(x, dtype=float)
+    x = as_float_array(x)
     n_in = net.layer_sizes[0]
     if x.shape != (n_in,):
         raise ValueError(f"expected input of length {n_in}, got shape {x.shape}")
@@ -264,14 +278,19 @@ def _sgd_step(
     if acts is None:
         acts = net.forward_pass(x)
     h = acts[-1]
-    W, b = layer.W, layer.b
-    parts = zip((W @ h).tolist(), b.tolist(), ys)
-    if adoption == _RAW_TARGETS:
-        delta = np.array([z + b_i - y_i for z, b_i, y_i in parts])
-        theta_seed = (delta if sigma is None else delta / sigma**2) @ W
+    W, b, scale, shift = layer.W, layer.b, layer.sigma, layer.mu
+    raw = adoption == _RAW_TARGETS
+    # the error, one output at a time, and with it the bias update, which
+    # reads nothing the rest of the step moves
+    delta = W @ h
+    for i in range(k):
+        y_i = ys[i] if raw else (ys[i] - shift.item(i)) / scale.item(i)
+        b_i = b.item(i)
+        d = delta.item(i) + b_i - y_i
+        delta[i], b[i] = d, b_i - alpha * d
+    if raw and sigma is not None:
+        theta_seed = (delta / sigma**2) @ W
     else:
-        parts = zip(parts, layer.sigma.tolist(), layer.mu.tolist())
-        delta = np.array([z + b_i - (y_i - m) / s for (z, b_i, y_i), s, m in parts])
         theta_seed = delta @ W
     # for two vectors ``.dot`` runs the routine that ``@`` runs, without
     # the matmul machinery's cost per call
@@ -285,11 +304,9 @@ def _sgd_step(
     # one broadcast product, not one per row: where both factors are NaN,
     # numpy's broadcast loop keeps, for some shapes, the other one's NaN
     W -= alpha * (delta[:, None] * h)
-    for i, d in enumerate(delta.tolist()):
-        b[i] = b.item(i) - alpha * d
 
-    if adoption != _RAW_TARGETS:
-        error, scale, shift = delta, layer.sigma.copy(), layer.mu.copy()
+    if not raw:
+        error, scale, shift = delta, scale.copy(), shift.copy()
     elif sigma is None:
         error, scale, shift = delta, None, None
     else:

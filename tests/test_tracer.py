@@ -2,10 +2,13 @@
 wraps every function it traces, and puts each original back.  A traced
 function deleted or renamed in ``src/`` fails here, not only in
 ``perfbench/run.py --trace 1``; so does an agent whose traced step calls
-stop matching its steps."""
+stop matching its steps.  The last test runs that benchmark check itself."""
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,8 @@ import popart.binreg
 from popart.binreg import METHODS, ExperimentConfig, run_grid, run_single
 from popart.rl import ChainMdp, DoubleQAgent, train
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -48,14 +52,23 @@ def test_every_traced_function_resolves_and_is_restored():
 
 def test_traced_agent_runs_one_step_call_per_step():
     # the check perfbench/run.py --trace 1 makes: one traced step call per
-    # learned transition; and one forward pass per learned transition, act's,
-    # whether its action was greedy or random, plus one per q_table() call
+    # learned transition; one call per transition to each layer the step
+    # goes through, so that the per-layer metrics keep timing them; and one
+    # forward pass per learned transition, act's, whether its action was
+    # greedy or random, plus one per q_table() call
     tracer = _load_tracer()
     agent = DoubleQAgent(ChainMdp(terminal_reward=1e3), copy_period=64, seed=0)
     with tracer.Tracer().installed() as traced:
         train(agent, max_steps=200)
     counts = traced.call_counts()
     assert counts["training.popart_sgd_step.calls"] == agent.step_count == 200
+    for layer in (
+        "network.backward",
+        "network.apply_param_step",
+        "stats.Normalizer.update",
+        "training.OutputLayer.rescale_to",
+    ):
+        assert counts[f"{layer}.calls"] == agent.step_count, layer
     assert counts["rl.DoubleQAgent.act.calls"] == agent.step_count
     copies = agent.step_count // agent.copy_period
     assert counts["rl.DoubleQAgent.q_table.calls"] == copies
@@ -100,3 +113,16 @@ def test_traced_run_grid_one_step_call_per_executed_step():
     assert counts["network.forward_pass.calls"] == n * seeds
     assert counts["binreg.BinRegStream.sample.calls"] == n * seeds
     assert counts["binreg.run_single.calls"] == 0
+
+
+def test_perfbench_rl_trace_check_passes():
+    # one untraced and one traced repetition of the rl workload, each checked
+    # against perfbench/reference.json, the traced one also for one step call
+    # per executed step; about 6 s on a 2-vCPU VM.  The spans go to
+    # .perfbench/, which .gitignore lists
+    cmd = [sys.executable, str(PERFBENCH / "run.py"), "--workload", "rl", "--seed", "0",
+           "--seconds", "0", "--trace", "1"]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, done.stdout
