@@ -4,6 +4,13 @@ Learns shift/scale statistics of the targets online, rescales the final
 linear layer so unnormalized outputs are preserved exactly, and trains
 on the bounded normalized errors.  Includes a binary-regression
 experiment harness and a desk-scale double Q-learning demo.
+
+Some exports are read by no command but ``popart verify``, whose checks
+(:mod:`popart.checks`) the acceptance gates run: :func:`popart_sgd_update`,
+the trackers :class:`PercentileTracker` and :class:`ExtremeTracker`,
+:func:`batch_stats`, the erf pair :func:`spread_from_coverage` and
+:func:`coverage_from_spread`, :func:`inverse_t` and
+:meth:`OutputLayer.normalized_output`.  They are gate code, and they stay.
 """
 
 from .network import Mlp

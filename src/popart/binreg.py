@@ -37,13 +37,12 @@ import math
 import os
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
-from itertools import count
 
 import numpy as np
 
 from .network import Mlp
 from .schedules import constant
-from .stats import Normalizer, _check_setting, _count, _real
+from .stats import Normalizer
 from .training import (
     OutputLayer,
     art_only_sgd_step,
@@ -51,6 +50,7 @@ from .training import (
     plain_sgd_step,
     popart_sgd_step,
 )
+from .values import check_setting, count, real
 
 METHODS = ("sgd", "art", "popart", "normalized_sgd")
 
@@ -114,14 +114,14 @@ class ExperimentConfig:
         # every field is checked here, so that a bad one fails before any run
         counts = {"base_seed": 0, "n_samples": 1, "n_repetitions": 1, "smoothing_window": 1}
         for name, least in counts.items():
-            _check_setting(name, getattr(self, name), lambda n: _count(n) >= least)
+            check_setting(name, getattr(self, name), lambda n: count(n) >= least)
         for name, ok in [
             ("methods", lambda m: m in METHODS),
-            ("alphas", lambda a: 0.0 < _real(a) < math.inf),
-            ("betas", lambda b: 0.0 < _real(b) <= 1.0),
-            ("hidden", lambda n: _count(n) >= 1),
+            ("alphas", lambda a: 0.0 < real(a) < math.inf),
+            ("betas", lambda b: 0.0 < real(b) <= 1.0),
+            ("hidden", lambda n: count(n) >= 1),
         ]:
-            _check_setting(name, getattr(self, name), lambda v: len(v) > 0 and all(map(ok, v)))
+            check_setting(name, getattr(self, name), lambda v: len(v) > 0 and all(map(ok, v)))
 
     @classmethod
     def profile(cls, name: str, base_seed: int = 1000) -> "ExperimentConfig":
@@ -160,17 +160,6 @@ class RunRecord:
         finite, or None if the run did not diverge."""
         bad = ~(np.isfinite(self.rmse) & np.isfinite(self.grad_norm))
         return int(bad.argmax()) if bad.any() else None
-
-    @property
-    def divergence_cause(self) -> str | None:
-        """Why the run diverged at :attr:`diverged_at`: ``"prediction"`` if
-        its error there is not finite (the prediction before the step was
-        not), ``"loss"`` if it is (the step's loss or gradient was not);
-        None if the run did not diverge."""
-        i = self.diverged_at
-        if i is None:
-            return None
-        return "loss" if math.isfinite(self.rmse[i]) else "prediction"
 
     @property
     def auc(self) -> float:
@@ -403,7 +392,7 @@ def write_results_csv(path: str, records) -> None:
             head = f"{rec.method},{rec.alpha!r},{rec.beta!r},{rec.seed},"
             fh.writelines(
                 f"{head}{step},{rmse!r},{g!r}\n"
-                for step, rmse, g in zip(count(1), rec.rmse.tolist(), rec.grad_norm.tolist())
+                for step, (rmse, g) in enumerate(zip(rec.rmse.tolist(), rec.grad_norm.tolist()), 1)
             )
 
 

@@ -28,15 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_FLOAT = np.dtype(float)
-
-
-def as_float_array(a) -> np.ndarray:
-    """``np.asarray(a, dtype=float)``.  A float64 array, which that call
-    would return as it is, skips the call."""
-    if type(a) is np.ndarray and a.dtype is _FLOAT:
-        return a
-    return np.asarray(a, dtype=float)
+from .values import as_float_array, check_setting, count
 
 
 def affine(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -60,8 +52,7 @@ class Mlp:
     """
 
     def __init__(self, layer_sizes, seed: int | None = None, rng=None):
-        if len(layer_sizes) < 2:
-            raise ValueError("need at least input and output sizes")
+        check_setting("layer_sizes", layer_sizes, lambda s: len(s) >= 2 and min(map(count, s)) >= 1)
         self.layer_sizes = [int(s) for s in layer_sizes]
         if rng is None:
             rng = np.random.default_rng(seed)

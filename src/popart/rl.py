@@ -36,8 +36,9 @@ import numpy as np
 
 from .network import Mlp
 from .schedules import bias_corrected
-from .stats import MAX_TARGET, Normalizer, _check_setting, _count, _real
+from .stats import MAX_TARGET, Normalizer
 from .training import OutputLayer, TrainStepReport, popart_sgd_step
+from .values import check_setting, count, real
 
 
 @dataclass
@@ -57,11 +58,11 @@ class ChainMdp:
     STAY: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
-        _check_setting("n_states", self.n_states, lambda n: _count(n) >= 2)
-        _check_setting(  # a target the normalizer takes; NaN fails the comparison
-            "terminal_reward", self.terminal_reward, lambda r: abs(_real(r)) <= MAX_TARGET
+        check_setting("n_states", self.n_states, lambda n: count(n) >= 2)
+        check_setting(  # a target the normalizer takes; NaN fails the comparison
+            "terminal_reward", self.terminal_reward, lambda r: abs(real(r)) <= MAX_TARGET
         )
-        _check_setting("gamma", self.gamma, lambda g: 0.0 < _real(g) <= 1.0)
+        check_setting("gamma", self.gamma, lambda g: 0.0 < real(g) <= 1.0)
 
     @property
     def terminal(self) -> int:
@@ -156,13 +157,13 @@ class DoubleQAgent:
         copy_period: int = 500,
         seed: int = 0,
     ):
-        _check_setting("hidden", hidden, lambda h: len(h) > 0 and min(map(_count, h)) >= 1)
-        _check_setting("alpha", alpha, lambda a: 0.0 < _real(a) < math.inf)
-        _check_setting("beta", beta, lambda b: 0.0 < _real(b) <= 1.0)
-        _check_setting("epsilon_greedy", epsilon_greedy, lambda e: 0.0 <= _real(e) <= 1.0)
-        _check_setting("copy_period", copy_period, lambda c: _count(c) >= 1)
+        check_setting("hidden", hidden, lambda h: len(h) > 0 and min(map(count, h)) >= 1)
+        check_setting("alpha", alpha, lambda a: 0.0 < real(a) < math.inf)
+        check_setting("beta", beta, lambda b: 0.0 < real(b) <= 1.0)
+        check_setting("epsilon_greedy", epsilon_greedy, lambda e: 0.0 <= real(e) <= 1.0)
+        check_setting("copy_period", copy_period, lambda c: count(c) >= 1)
         # any int of at least 0, as default_rng takes, however large
-        _check_setting("seed", seed, lambda s: not isinstance(s, bool) and operator.index(s) >= 0)
+        check_setting("seed", seed, lambda s: not isinstance(s, bool) and operator.index(s) >= 0)
         self.mdp = mdp
         self.alpha = alpha
         self.epsilon_greedy = epsilon_greedy
@@ -192,10 +193,6 @@ class DoubleQAgent:
         q = self.layer.unnormalized_output(acts[-1]).reshape(hi - lo, n_actions)
         # argmax breaks ties to the lowest index; a NaN value wins
         return _Pass(lo, hi, acts, q, q.argmax(axis=1).tolist())
-
-    def q_values(self, s: int) -> np.ndarray:
-        """Values of every action at ``s``, from one online forward pass."""
-        return self._pass(s, s + 1).q[0]
 
     def act(self, s: int) -> int:
         # a step from s ends in s or s + 1: the pass covers both

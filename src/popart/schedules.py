@@ -17,8 +17,11 @@ Four schedules are provided:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+
+from .values import check_setting, real
 
 
 class ScheduleKind(str, Enum):
@@ -44,12 +47,13 @@ class StepSizeSchedule:
 
     def __post_init__(self) -> None:
         self.kind = ScheduleKind(self.kind)
-        if self.kind is not ScheduleKind.INVERSE_T and not (0.0 < self.base_beta <= 1.0):
-            raise ValueError(f"base_beta must be in (0, 1], got {self.base_beta}")
+        # NaN fails the comparisons, so it is rejected too
+        if self.kind is not ScheduleKind.INVERSE_T:
+            check_setting("base_beta", self.base_beta, lambda b: 0.0 < real(b) <= 1.0)
         if self.kind is ScheduleKind.BIAS_CORRECTED and 1.0 - self.base_beta == 1.0:
             raise ValueError(f"base_beta {self.base_beta!r} too small: 1 - base_beta is 1")
-        if self.kind is ScheduleKind.HARMONIC and self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if self.kind is ScheduleKind.HARMONIC:
+            check_setting("tau", self.tau, lambda t: 0.0 < real(t) < math.inf)
 
     def beta(self) -> float:
         """Step size for the current value of ``t`` (requires ``t >= 1``)."""

@@ -26,75 +26,15 @@ Also provided:
 from __future__ import annotations
 
 import math
-import operator
-import sys
-from contextlib import suppress
 
 import numpy as np
 
 from .schedules import StepSizeSchedule, harmonic
+from .values import MAX, as_floats, as_vector, check_setting, count, real
 
 DEFAULT_EPSILON = 1e-4
 # the largest magnitude whose square is a finite double
-MAX_TARGET = math.sqrt(sys.float_info.max)
-
-
-def _as_vector(y, k: int, limit: float = sys.float_info.max) -> np.ndarray:
-    """``y`` as a vector of ``k`` floats, each at most ``limit`` in magnitude
-    (by default: finite)."""
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.shape != (k,):
-        raise ValueError(f"expected {k} target components, got shape {arr.shape}")
-    # NaN fails every comparison; for a few components a Python loop is
-    # cheaper than numpy's per-call overhead
-    if not all(-limit <= v <= limit for v in arr.tolist()):
-        if not np.isfinite(arr).all():
-            raise ValueError("non-finite target")
-        raise ValueError(
-            f"target {arr.tolist()} out of range: |y| must be at most {limit:.6g}"
-        )
-    return arr
-
-
-def _as_floats(y, k: int, limit: float = sys.float_info.max) -> list[float]:
-    """:func:`_as_vector`'s check, giving a list of ``k`` Python floats."""
-    if k == 1 and isinstance(y, float) and -limit <= y <= limit:
-        return [float(y)]  # a lone valid float, the common target, skips numpy
-    return _as_vector(y, k, limit).tolist()
-
-
-def _count(n) -> int:
-    """``n`` as an int, for a setting that counts something.
-
-    ``operator.index`` takes a bool as 0 or 1, and an int of any size; a bool
-    (JSON's ``true`` is no count) raises ``TypeError`` here and an int above
-    ``sys.maxsize`` (no array holds more) ``OverflowError``, which
-    :func:`_check_setting` reports.
-    """
-    if isinstance(n, bool):
-        raise TypeError(f"{n!r} is not a count")
-    n = operator.index(n)
-    if n > sys.maxsize:
-        raise OverflowError(f"{n} is more than any array holds")
-    return n
-
-
-def _real(x):
-    """``x``, for a real-valued setting; a bool compares as 0 or 1, but
-    JSON's ``true`` is no number, so it raises ``TypeError`` here."""
-    if isinstance(x, bool):
-        raise TypeError(f"{x!r} is not a number")
-    return x
-
-
-def _check_setting(name: str, value, ok) -> None:
-    """Raise ``ValueError`` naming the setting unless ``ok(value)`` is true."""
-    with suppress(TypeError, OverflowError):  # a wrong type or too large a count
-        if ok(value):
-            return
-    raise ValueError(f"invalid {name}: {value!r}")
+MAX_TARGET = math.sqrt(MAX)
 
 
 class Normalizer:
@@ -112,11 +52,10 @@ class Normalizer:
         epsilon: float = DEFAULT_EPSILON,
         schedule: StepSizeSchedule | None = None,
     ):
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        check_setting("k", k, lambda n: count(n) >= 1)
         # NaN fails the comparison, so it is rejected too
-        _check_setting("spread", spread, lambda s: 0.0 < s < math.inf)
-        _check_setting("epsilon", epsilon, lambda e: 0.0 < e < math.inf)
+        check_setting("spread", spread, lambda s: 0.0 < real(s) < math.inf)
+        check_setting("epsilon", epsilon, lambda e: 0.0 < real(e) < math.inf)
         self.k = k
         self.spread = float(spread)
         self.epsilon = float(epsilon)
@@ -154,7 +93,7 @@ class Normalizer:
             # the same IEEE operations, in the same order, as the array
             # path below, on Python floats: for one component numpy's
             # per-call overhead is most of the cost
-            (target,) = _as_floats(y, 1, MAX_TARGET)
+            (target,) = as_floats(y, 1, -MAX_TARGET, MAX_TARGET, "target")
             beta = self.schedule.step()
             mu, nu = self.mu.item(), self.nu.item()
             mu += beta * (target - mu)
@@ -163,7 +102,7 @@ class Normalizer:
             nu = max(nu, mu_sq + self.epsilon)
             self.mu[0], self.nu[0] = mu, nu
             return np.array([math.sqrt(max(nu - mu_sq, self.epsilon)) / self.spread])
-        arr = _as_vector(y, self.k, MAX_TARGET)
+        arr = as_vector(y, self.k, -MAX_TARGET, MAX_TARGET, "target")
         beta = self.schedule.step()
         self.mu += beta * (arr - self.mu)
         self.nu += beta * (arr**2 - self.nu)
@@ -172,7 +111,8 @@ class Normalizer:
         return self._sigma(mu_sq)
 
     def normalize(self, y) -> np.ndarray:
-        arr = _as_vector(y, self.k)
+        """``(y - mu) / sigma``, for a target :meth:`update` takes."""
+        arr = as_vector(y, self.k, -MAX_TARGET, MAX_TARGET, "target")
         return (arr - self.mu) / self.sigma
 
 
@@ -225,15 +165,12 @@ class PercentileTracker(_BoundsTracker):
     """
 
     def __init__(self, p: float, schedule: StepSizeSchedule | None = None):
-        if not (0.0 < p <= 1.0):
-            raise ValueError(f"p must be in (0, 1], got {p}")
+        check_setting("p", p, lambda p: 0.0 < real(p) <= 1.0)
         super().__init__(schedule)
         self.p = float(p)
 
     def update(self, y: float) -> None:
-        y = float(y)
-        if not math.isfinite(y):
-            raise ValueError("non-finite target")
+        (y,) = as_floats(y, 1, -MAX, MAX, "target")
         if not self.initialized:
             self.y_min = self.y_max = y
             return
@@ -253,19 +190,12 @@ class ExtremeTracker(_BoundsTracker):
     """
 
     def __init__(self, batch_size: int, schedule: StepSizeSchedule | None = None):
-        if batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
+        check_setting("batch_size", batch_size, lambda n: count(n) >= 2)
         super().__init__(schedule)
         self.batch_size = int(batch_size)
 
     def update(self, batch) -> None:
-        arr = np.asarray(batch, dtype=float)
-        if arr.shape != (self.batch_size,):
-            raise ValueError(
-                f"expected batch of {self.batch_size}, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite target")
+        arr = as_vector(batch, self.batch_size, -MAX, MAX, "target")
         lo = float(arr.min())
         hi = float(arr.max())
         if not self.initialized:
@@ -299,13 +229,11 @@ def spread_from_coverage(p: float) -> float:
     """Spread ``s`` such that a fraction ``p`` of normally distributed
     targets lands in ``[-1, 1]`` after normalization: ``p = erf(1/(sqrt(2) s))``.
     """
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must be in (0, 1), got {p}")
+    check_setting("p", p, lambda p: 0.0 < real(p) < 1.0)
     return 1.0 / (math.sqrt(2.0) * _erf_inverse(p))
 
 
 def coverage_from_spread(s: float) -> float:
     """Inverse of :func:`spread_from_coverage`."""
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s}")
+    check_setting("s", s, lambda s: 0.0 < real(s) < math.inf)  # as a Normalizer's spread
     return erf(1.0 / (math.sqrt(2.0) * s))

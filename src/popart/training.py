@@ -39,12 +39,7 @@ components on Python floats, with the same IEEE operations in the same
 order as numpy's elementwise ones, so the results are the same to the
 last bit.  Every product with ``W``, the features ``h`` or the parameter
 vector stays in numpy, since its bits depend on numpy's summation order.
-At a boundary between the layers, a value is converted once at most: a
-float64 array of the expected shape, which is what the steps hand each
-other, is taken as it is, or read into Python floats with one ``tolist``;
-any other form (a list, another dtype, a scalar) goes through
-``np.asarray`` first.  Both routes make the same checks and give the same
-bits.
+Every input is read and checked by :mod:`popart.values`.
 
 These four steps take an optional keyword ``acts``: the activations
 ``net.forward_pass(x)`` that the caller already computed on the current
@@ -65,8 +60,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import _FLOAT, Mlp, affine, as_float_array
-from .stats import Normalizer, _as_floats
+from .network import Mlp, affine
+from .stats import Normalizer
+from .values import MAX, TINY, as_float_array, as_floats, check_setting, count
 
 
 @dataclass
@@ -103,6 +99,8 @@ class OutputLayer:
         seed: int | None = None,
         rng=None,
     ):
+        check_setting("k", k, lambda n: count(n) >= 1)
+        check_setting("m", m, lambda n: count(n) >= 1)
         self.k = int(k)
         self.m = int(m)
         if W is None:
@@ -159,7 +157,8 @@ class OutputLayer:
 
     def rescale_to(self, sigma_new, mu_new) -> None:
         """Adopt a new scale/shift without changing unnormalized outputs."""
-        sigma_new, mu_new = self._checked(sigma_new, mu_new)
+        sigma_new = as_floats(sigma_new, self.k, TINY, MAX, "sigma")
+        mu_new = as_floats(mu_new, self.k, -MAX, MAX, "mu")
         W, b, sigma, mu = self.W, self.b, self.sigma, self.mu
         for i in range(self.k):
             s_old, s, m = sigma.item(i), sigma_new[i], mu_new[i]
@@ -173,14 +172,9 @@ class OutputLayer:
         ``sigma_new`` must be finite and positive and ``mu_new`` finite;
         otherwise nothing changes and ``ValueError`` is raised.
         """
-        self.sigma[...], self.mu[...] = self._checked(sigma_new, mu_new)
-
-    def _checked(self, sigma, mu) -> tuple[list[float], list[float]]:
-        """``sigma`` and ``mu`` as ``k`` Python floats each, checked."""
-        sigma, mu = _as_scale(sigma, self.k), _float_list(mu, self.k)
-        if not all(map(math.isfinite, mu)):
-            raise ValueError("mu_new must be finite")
-        return sigma, mu
+        sigma_new = as_floats(sigma_new, self.k, TINY, MAX, "sigma")
+        mu_new = as_floats(mu_new, self.k, -MAX, MAX, "mu")
+        self.sigma[...], self.mu[...] = sigma_new, mu_new
 
 
 class _LayerStack(OutputLayer):
@@ -190,23 +184,6 @@ class _LayerStack(OutputLayer):
         raise TypeError("a stack of output layers gives outputs only; rescale its members")
 
     rescale_to = set_scale_shift = _members_only
-
-
-def _float_list(v, k: int) -> list[float]:
-    """``v`` as ``k`` Python floats; ``ValueError`` unless it holds ``k``
-    values.  A float64 array of shape ``(k,)`` converts in one call."""
-    if type(v) is np.ndarray and v.dtype is _FLOAT and v.shape == (k,):
-        return v.tolist()
-    return np.asarray(v, dtype=float).reshape(k).tolist()
-
-
-def _as_scale(sigma, k: int) -> list[float]:
-    """``sigma`` as ``k`` Python floats, checked finite and positive."""
-    values = _float_list(sigma, k)
-    for s in values:
-        if not 0.0 < s < math.inf:  # NaN fails both comparisons
-            raise ValueError("sigma must be componentwise finite and positive")
-    return values
 
 
 def predict(net: Mlp, layer: OutputLayer, x) -> np.ndarray:
@@ -258,7 +235,7 @@ def _sgd_step(
         if acts[0] is not x and not np.array_equal(acts[0], x):
             raise ValueError("acts[0] is not the input x: acts come from another input")
     k = layer.k
-    ys = _as_floats(y, k)
+    ys = as_floats(y, k, -MAX, MAX, "target")
     if adoption != _RAW_TARGETS and sigma is None:
         nrm = layer.normalizer
         if nrm is None:
@@ -269,7 +246,7 @@ def _sgd_step(
         # check, before it moves
         sigma, mu = nrm.update(y), nrm.mu
     elif sigma is not None and adoption == _RAW_TARGETS:
-        sigma = np.array(_as_scale(sigma, k))
+        sigma = np.array(as_floats(sigma, k, TINY, MAX, "sigma"))
     if adoption == _COMPENSATE:
         layer.rescale_to(sigma, mu)
     elif adoption == _ADOPT_RAW:

@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -10,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import popart
 from popart.binreg import (
     CI_ALPHAS,
     CI_BETAS,
@@ -489,19 +491,27 @@ def test_run_record_diverged_is_derived_from_the_arrays():
         assert rec.diverged and rec.auc == np.inf
 
 
+def _divergence(rec: RunRecord) -> tuple:
+    """The step a run diverged at and why: ``"loss"`` if the error recorded
+    there is finite (the step's loss or gradient was not), ``"prediction"``
+    if it is not (the prediction the step started from was not)."""
+    i = rec.diverged_at
+    if i is None:
+        return None, None
+    return i, "loss" if math.isfinite(rec.rmse[i]) else "prediction"
+
+
 def test_divergence_step_and_cause_are_derived_from_the_arrays():
     finite = np.array([1.0, 2.0, 3.0])
     rec = RunRecord("sgd", 0.1, 0.1, 0, finite, finite)
-    assert rec.diverged_at is None and rec.divergence_cause is None
+    assert _divergence(rec) == (None, None)
     for bad in (np.inf, -np.inf, np.nan):
-        # the error at the step is finite: the step's loss or gradient was not
         rec = RunRecord("sgd", 0.1, 0.1, 0, finite, np.array([1.0, bad, np.inf]))
-        assert (rec.diverged_at, rec.divergence_cause) == (1, "loss")
-        # the error is not: the prediction the step started from was not
+        assert _divergence(rec) == (1, "loss")
         rec = RunRecord("sgd", 0.1, 0.1, 0, np.array([1.0, bad, np.inf]), np.array([1.0, bad, 1.0]))
-        assert (rec.diverged_at, rec.divergence_cause) == (1, "prediction")
+        assert _divergence(rec) == (1, "prediction")
         rec = RunRecord("sgd", 0.1, 0.1, 0, np.array([bad, 1.0, 1.0]), finite)
-        assert (rec.diverged_at, rec.divergence_cause) == (0, "prediction")
+        assert _divergence(rec) == (0, "prediction")
 
 
 def test_diverging_sgd_run_names_its_step_and_cause():
@@ -516,13 +526,12 @@ def test_diverging_sgd_run_names_its_step_and_cause():
     (grid_sgd, grid_popart), _ = run_grid(config)
     assert grid_sgd.method == "sgd" and grid_sgd.seed == single.seed
     for rec in (single, grid_sgd):
-        i = rec.diverged_at
-        assert 1000 <= i < 1100
-        assert rec.divergence_cause == "loss"
+        i, cause = _divergence(rec)
+        assert 1000 <= i < 1100 and cause == "loss"
         assert np.isfinite(rec.rmse[: i + 1]).all() and np.isfinite(rec.grad_norm[:i]).all()
         assert not np.isfinite(rec.grad_norm[i])
     assert single.diverged_at == grid_sgd.diverged_at
-    assert grid_popart.diverged_at is None and grid_popart.divergence_cause is None
+    assert _divergence(grid_popart) == (None, None)
 
 
 def test_run_grid_workers_match_serial():
@@ -607,6 +616,44 @@ def test_importing_the_package_loads_no_process_pool():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "[]\n"
+
+
+VALUE_READERS = {"as_float_array", "as_vector", "as_floats", "check_setting", "count", "real"}
+
+
+def _defined_names(tree: ast.Module) -> set:
+    """Every function and class the module defines, at any depth, and
+    every name its top level assigns."""
+    names = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_values_are_read_and_checked_in_one_leaf_module():
+    # every value that enters the package is read by popart.values, which
+    # imports no popart module, so every other one can import it
+    package = os.path.dirname(popart.__file__)
+    modules = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    assert "values.py" in modules
+    for name in modules:
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        defined = _defined_names(tree) & VALUE_READERS
+        if name != "values.py":
+            assert not defined, (name, sorted(defined))
+            continue
+        assert defined == VALUE_READERS
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 0 and node.module.split(".")[0] != "popart", node.module
+            elif isinstance(node, ast.Import):
+                assert all(alias.name.split(".")[0] != "popart" for alias in node.names)
 
 
 def test_results_csv_bytes_are_csv_writers(tmp_path):

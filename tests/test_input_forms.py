@@ -124,6 +124,20 @@ def test_layer_rejects_every_form_of_a_bad_shift_alike(method, k, what):
         assert _layer_bits(layer) == before, name
 
 
+@pytest.mark.parametrize("method", ["rescale_to", "set_scale_shift"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_layer_rejects_a_scale_or_shift_of_another_shape(method, k):
+    # a row or a column of k values used to be taken through reshape(k)
+    layer = _layer(k)
+    before = _layer_bits(layer)
+    for bad in (np.ones((1, k)), np.ones((k, 1))):
+        with pytest.raises(ValueError, match="expected"):
+            getattr(layer, method)(bad, np.zeros(k))
+        with pytest.raises(ValueError, match="expected"):
+            getattr(layer, method)(np.ones(k), bad)
+        assert _layer_bits(layer) == before
+
+
 # -- the network's seed and step direction -------------------------------------
 
 

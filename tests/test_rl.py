@@ -187,11 +187,7 @@ def test_batched_values_equal_per_action_predictions():
     agent = DoubleQAgent(ChainMdp(terminal_reward=1e3), seed=7)
     train(agent, max_steps=600)
     online = _frozen_values(agent.net, agent.layer, agent)
-    for s in range(agent.mdp.n_states):
-        np.testing.assert_array_equal(agent.q_values(s), online[s])
-    np.testing.assert_array_equal(
-        agent.q_table(), np.array([agent.q_values(s) for s in range(agent.mdp.terminal)])
-    )
+    np.testing.assert_array_equal(agent._pass(0, agent.mdp.n_states).q, online)
     np.testing.assert_array_equal(agent.q_table(), online[:-1])
 
 
@@ -312,7 +308,6 @@ _OPS = st.one_of(
     # and action
     st.tuples(st.just("learn"), st.none() | st.integers(0, _N_STATES - 2), st.integers(0, 1)),
     st.tuples(st.just("q_table")),
-    st.tuples(st.just("q_values"), st.integers(0, _N_STATES - 1)),
 )
 
 
@@ -350,10 +345,8 @@ def test_kept_pass_leaves_learning_bitwise_equal_in_any_interleaving(epsilon, sc
                 assert len(errors) in (0, 2) and len(set(errors)) <= 1, errors
                 if errors:
                     break
-            elif op == "q_table":
-                assert agent.q_table().tobytes() == plain.q_table().tobytes()
             else:
-                assert agent.q_values(args[0]).tobytes() == plain.q_values(args[0]).tobytes()
+                assert agent.q_table().tobytes() == plain.q_table().tobytes()
             assert _learned_bits(agent) == _learned_bits(plain)
     assert _learned_bits(agent) == _learned_bits(plain)
     assert agent.step_count == plain.step_count

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,8 +74,10 @@ def test_bias_corrected_rejects_beta_lost_in_one_minus_beta(beta):
 
 
 def test_invalid_tau_rejected():
-    with pytest.raises(ValueError):
-        StepSizeSchedule(ScheduleKind.HARMONIC, base_beta=0.1, tau=0.0)
+    # a NaN tau used to pass the "<= 0" check and give NaN step sizes
+    for tau in (0.0, math.nan):
+        with pytest.raises(ValueError, match="invalid tau"):
+            StepSizeSchedule(ScheduleKind.HARMONIC, base_beta=0.1, tau=tau)
 
 
 @settings(deadline=None, max_examples=50)

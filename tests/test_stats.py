@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popart.schedules import bias_corrected, constant, harmonic, inverse_t
+from popart.network import Mlp
+from popart.schedules import StepSizeSchedule, bias_corrected, constant, harmonic, inverse_t
 from popart.stats import (
     MAX_TARGET,
     ExtremeTracker,
@@ -16,6 +17,7 @@ from popart.stats import (
     erf,
     spread_from_coverage,
 )
+from popart.training import OutputLayer
 
 # -- incremental moments ---------------------------------------------------
 
@@ -93,18 +95,34 @@ def test_non_finite_target_rejected():
         n.update(math.inf)
 
 
-@pytest.mark.parametrize("y", [1e160, -1e160, 2 * MAX_TARGET])
-def test_target_too_large_to_square_rejected_without_change(y):
-    # beta 0.5, then 1e160, then 2.0 used to leave nu inf and sigma NaN
-    n = Normalizer(k=1, schedule=constant(0.5))
-    n.update(3.0)
+UNSQUARABLE = [
+    (k, y)
+    for k in (1, 3, 1000)
+    for y in (1e160, -1e160, 2 * MAX_TARGET, math.nan, math.inf, -math.inf)
+]
+
+
+# the k = 1 cases keep the ids they had before k was a parameter
+@pytest.mark.parametrize(
+    "k, y", UNSQUARABLE, ids=[f"{y}" if k == 1 else f"{y}-{k}" for k, y in UNSQUARABLE]
+)
+def test_target_too_large_to_square_rejected_without_change(k, y):
+    # beta 0.5, then 1e160, then 2.0 used to leave nu inf and sigma NaN;
+    # at k = 1000 one bad component among good ones is rejected by one
+    # whole-array test, whose error names it and not all k
+    n = Normalizer(k=k, schedule=constant(0.5))
+    n.update(np.full(k, 3.0))
     t, mu, nu = n.t, n.mu.copy(), n.nu.copy()
-    with pytest.raises(ValueError, match="1.34078e"):
-        n.update(y)
+    target = np.full(k, 2.0)
+    target[k // 2] = y
+    for method in (n.update, n.normalize):
+        with pytest.raises(ValueError, match="1.34078e") as err:
+            method(y if k == 1 else target)  # at k = 1 a lone float, the steps' form
+        assert len(str(err.value)) < 100
     assert n.t == t
     np.testing.assert_array_equal(n.mu, mu)
     np.testing.assert_array_equal(n.nu, nu)
-    n.update(2.0)
+    n.update(np.full(k, 2.0))
     assert np.isfinite(n.sigma).all()
 
 
@@ -117,13 +135,40 @@ def test_largest_target_keeps_statistics_finite():
         assert np.isfinite(n.normalize(y)).all()
 
 
-@pytest.mark.parametrize("name", ["spread", "epsilon"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+# every library constructor's settings, each built with one value in place
+REAL_SETTINGS = {
+    "spread": lambda v: Normalizer(k=1, spread=v),
+    "epsilon": lambda v: Normalizer(k=1, epsilon=v),
+    "base_beta": lambda v: StepSizeSchedule(base_beta=v),
+    "tau": lambda v: harmonic(0.1, tau=v),
+    "p": PercentileTracker,
+}
+COUNT_SETTINGS = {
+    "k": lambda v: Normalizer(k=v),
+    "batch_size": ExtremeTracker,
+    "layer_sizes": lambda v: Mlp([3, v]),
+    "OutputLayer.k": lambda v: OutputLayer(v, 3),
+    "OutputLayer.m": lambda v: OutputLayer(1, v),
+}
+BAD_SETTINGS = [
+    (name, value)
+    for group, extra in [(REAL_SETTINGS, (0.0, -1.0)), (COUNT_SETTINGS, (2.5, 0))]
+    for name in group
+    for value in (math.nan, math.inf, -math.inf, True, *extra)
+]
+
+
+@pytest.mark.parametrize(
+    "name, value", BAD_SETTINGS, ids=[f"{value}-{name}" for name, value in BAD_SETTINGS]
+)
 def test_bad_setting_rejected_by_name(name, value):
     # a NaN or infinite spread or epsilon used to pass the "<= 0" checks
-    # and fail only in a later step, after the statistics had moved
-    with pytest.raises(ValueError, match=f"invalid {name}"):
-        Normalizer(k=1, **{name: value})
+    # and fail only in a later step, after the statistics had moved; a NaN
+    # tau did the same; a bool was taken as a number or a count, and a
+    # float count was truncated or failed in numpy without a name
+    build = {**REAL_SETTINGS, **COUNT_SETTINGS}[name]
+    with pytest.raises(ValueError, match=f"invalid {name.split('.')[-1]}: "):
+        build(value)
 
 
 def test_shape_mismatch_rejected():
@@ -322,8 +367,10 @@ def test_spread_coverage_round_trip_at_the_edges(p):
 
 
 def test_spread_coverage_domain_errors():
-    for bad in (0.0, 1.0, -0.5):
-        with pytest.raises(ValueError):
+    # coverage_from_spread(nan) used to return NaN
+    for bad in (0.0, 1.0, -0.5, math.nan, True):
+        with pytest.raises(ValueError, match="invalid p"):
             spread_from_coverage(bad)
-    with pytest.raises(ValueError):
-        coverage_from_spread(0.0)
+    for bad in (0.0, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="invalid s"):
+            coverage_from_spread(bad)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from popart.network import Mlp
-from popart.schedules import constant
+from popart.schedules import constant, harmonic
 from popart.stats import MAX_TARGET, Normalizer
 from popart.training import (
     OutputLayer,
@@ -505,6 +505,24 @@ def test_rescale_to_rejects_bad_scale_shift_without_change(sigma, mu):
 @pytest.mark.parametrize("y", [1e160, -1e160, [1e155]])
 def test_target_too_large_to_square_rejected_without_change(step, y):
     _assert_rejected_without_change(step, GOOD_X, y)
+
+
+@settings(deadline=None, max_examples=60)
+@given(beta0=st.floats() | st.booleans(), tau=st.floats() | st.booleans())
+@example(beta0=0.1, tau=math.nan)
+def test_no_step_raises_after_its_statistics_moved(beta0, tau):
+    # harmonic(0.1, tau=nan) used to be accepted, and the first popart step
+    # moved the normalizer to t = 1, with NaN mu and nu, before it raised on
+    # sigma; a schedule no step can use now fails when it is built
+    try:
+        schedule = harmonic(beta0, tau)
+    except ValueError:
+        return
+    net = Mlp([2, 3], seed=14)
+    layer = OutputLayer(1, 3, normalizer=Normalizer(k=1, schedule=schedule), seed=15)
+    for y in (2.0, 50.0, -3.0):
+        popart_sgd_step(net, layer, GOOD_X, y, alpha=0.1)
+    assert np.isfinite(layer.sigma).all() and np.isfinite(layer.mu).all()
 
 
 # -- acts: the caller's forward pass stands in for the step's own ----------
