@@ -62,6 +62,14 @@ FULL_GRID = tuple(10.0 ** (-5 + 0.5 * i) for i in range(11))
 CI_ALPHAS = tuple(10.0**e for e in (-5.0, -4.0, -3.0, -2.5, -2.0))
 CI_BETAS = tuple(10.0**e for e in (-4.0, -3.0, -2.0, -1.0, -0.5))
 
+# A sweep holds every run's record until it ends: two float64 traces of
+# n_samples, and about 1 KB besides (its job, record and arrays), as much
+# as RUN_SAMPLES samples.  A grid is at most MAX_GRID_SAMPLES of these
+# 16-byte units, about 2 GiB; the full profile, 24200 runs of 5000
+# samples, is 1.23e8 of them.
+RUN_SAMPLES = 64
+MAX_GRID_SAMPLES = 2**27
+
 RESULTS_HEADER = ["method", "alpha", "beta", "seed", "step", "rmse", "grad_norm"]
 
 
@@ -122,6 +130,13 @@ class ExperimentConfig:
             ("hidden", lambda n: count(n) >= 1),
         ]:
             check_setting(name, getattr(self, name), lambda v: len(v) > 0 and all(map(ok, v)))
+        runs = len(self.methods) * len(self.alphas) * len(self.betas) * self.n_repetitions
+        size = runs * (self.n_samples + RUN_SAMPLES)
+        if size > MAX_GRID_SAMPLES:
+            raise ValueError(
+                f"grid too large: {runs} runs x ({self.n_samples} samples + {RUN_SAMPLES}) = "
+                f"{size} is above the limit of {MAX_GRID_SAMPLES} (2**27, about 2 GiB of records)"
+            )
 
     @classmethod
     def profile(cls, name: str, base_seed: int = 1000) -> "ExperimentConfig":

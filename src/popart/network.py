@@ -22,6 +22,26 @@ a new array to ``net.weights[i]`` detaches it from the parameters.
 :meth:`Mlp.stack` puts the parameter vectors of ``R`` networks of one
 shape into the rows of one ``(R, n_params)`` array, so that one forward
 pass serves them all; each network keeps working on its own row.
+
+The per-sample path, a forward pass of one input, :meth:`Mlp.backward`
+and :meth:`Mlp.apply_param_step`, is numpy's overhead per call more than
+arithmetic, so it is kept lean without changing a bit:
+
+- Each matrix-vector and vector-matrix product goes through the route
+  :func:`product` picks for its contracted axis: ``.dot``, about half the
+  cost of ``@`` on these 10- to 20-wide operands, where that axis has at
+  least 2 entries, and ``@`` where it has 1, where the two differ (see
+  :func:`product`); elsewhere their bytes are equal.  A stacked product,
+  of a stack of inputs or of networks, keeps ``@``.
+- :meth:`Mlp._bind` builds, once per binding, each layer's plan: its
+  weight, bias and gradient views, the route of each of its products and
+  a scratch vector for the hidden layer's ``tanh' = 1 - a*a``.  The
+  forward pass adds the bias to the fresh product and takes ``tanh`` in
+  place; :meth:`Mlp.backward` writes each seed straight into the gradient
+  buffer and returns a copy of it; a parameter step scales the direction
+  into that buffer, which the next backward overwrites, and subtracts it.
+  A network deep copied, unpickled or stacked is bound again, so its plan
+  is its own.
 """
 
 from __future__ import annotations
@@ -43,6 +63,24 @@ def affine(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (w @ a[:, :, None])[:, :, 0] + b
 
 
+def product(contracted: int):
+    """The route of a matrix-vector or vector-matrix product whose
+    contracted axis has ``contracted`` entries: a function ``f(a, b)``,
+    taking ``out=`` like both of them, that gives the bytes of ``a @ b``.
+
+    ``ndarray.dot`` costs about half of ``@`` on small operands and gives
+    the same bytes, except where the contracted axis has one entry: ``@``
+    then adds the lone term to a zero, so a ``-0.0`` term gives ``0.0``,
+    and a zero times inf gives NaN, where ``.dot`` gives ``-0.0`` and 0.
+    """
+    return np.ndarray.dot if contracted > 1 else np.matmul
+
+
+# ``1 - a*a`` subtracts from this zero-dimensional array, which numpy
+# reads faster than the Python float 1.0; the bits are the same
+_ONE = np.array(1.0)
+
+
 class Mlp:
     """Fully connected network, tanh hidden activations, linear output.
 
@@ -62,20 +100,50 @@ class Mlp:
             w[...] = rng.uniform(-bound, bound, size=w.shape)
 
     def _bind(self, theta: np.ndarray | None = None) -> None:
-        """Adopt ``theta`` (zeros if omitted) as the parameter vector and
-        make ``weights`` and ``biases`` views into it."""
+        """Adopt ``theta`` (zeros if omitted) as the parameter vector, make
+        ``weights`` and ``biases`` views into it and, for a single network,
+        build the per-layer plan of the per-sample path (see the module
+        docstring)."""
         if theta is None:
             sizes = self.layer_sizes
             theta = np.zeros(sum(n * (m + 1) for m, n in zip(sizes[:-1], sizes[1:])))
         self._theta = theta
         self.n_params = theta.shape[-1]
         self.weights, self.biases = self._views(theta)
+        if theta.ndim > 1:
+            # a stack runs stacked forward passes only, through affine
+            self._forward = self._hidden = None
+            return
+        last = len(self.weights) - 1
+        # forward: for each layer, the route of w @ a, w, b, and whether
+        # tanh follows
+        self._forward = [
+            (product(w.shape[1]), w, b, i < last)
+            for i, (w, b) in enumerate(zip(self.weights, self.biases))
+        ]
         # backward fills this buffer through views built once, here; a
         # layer's bias gradient is its backpropagated seed, and the weight
-        # gradient is that seed, as a column, times the layer's input
+        # gradient is that seed, as a column, times the layer's input.
+        # The top layer: its weight gradient, seed, seed as a column, index
         self._grad = np.empty(self.n_params)
-        self._grad_weights, self._grad_biases = self._views(self._grad)
-        self._grad_bias_columns = [g[:, None] for g in self._grad_biases]
+        grad_w, grad_b = self._views(self._grad)
+        self._grad_top = grad_w[last], grad_b[last], grad_b[last][:, None], last
+        # hidden layer i, last first: the route of seed_{i+1} @ W_{i+1},
+        # those two operands, seed_i, a scratch vector for tanh', seed_i as
+        # a column, the weight gradient, and i
+        self._hidden = [
+            (
+                product(self.layer_sizes[i + 2]),
+                grad_b[i + 1],
+                self.weights[i + 1],
+                grad_b[i],
+                np.empty(self.layer_sizes[i + 1]),
+                grad_b[i][:, None],
+                grad_w[i],
+                i,
+            )
+            for i in range(last - 1, -1, -1)
+        ]
 
     def _views(self, theta: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer weight and bias views into a parameter-layout vector,
@@ -153,6 +221,14 @@ class Mlp:
         """
         a = self._check_input(x)
         acts = [a]
+        if a.ndim == 1 and self._forward is not None:
+            for route, w, b, hidden in self._forward:
+                a = route(w, a)
+                a += b
+                if hidden:
+                    np.tanh(a, out=a)
+                acts.append(a)
+            return acts
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = affine(w, a, b)
@@ -175,15 +251,16 @@ class Mlp:
         v = as_float_array(v)
         if v.shape != (self.n_outputs,):
             raise ValueError(f"expected seed of length {self.n_outputs}")
-        grad_w, grad_b, columns = self._grad_weights, self._grad_biases, self._grad_bias_columns
-        last = len(self.weights) - 1
-        grad_b[last][...] = v
-        np.multiply(columns[last], acts[last], out=grad_w[last])
-        for i in range(last - 1, -1, -1):
+        grad_w, seed, column, last = self._grad_top
+        seed[...] = v
+        np.multiply(column, acts[last], out=grad_w)
+        for route, seed_above, w_above, seed, deriv, column, grad_w, i in self._hidden:
+            route(seed_above, w_above, out=seed)
             # hidden activations are tanh outputs, so tanh' = 1 - a**2
-            g = grad_b[i + 1] @ self.weights[i + 1]
-            np.multiply(g, 1.0 - acts[i + 1] ** 2, out=grad_b[i])
-            np.multiply(columns[i], acts[i], out=grad_w[i])
+            np.square(acts[i + 1], out=deriv)
+            np.subtract(_ONE, deriv, out=deriv)
+            np.multiply(seed, deriv, out=seed)
+            np.multiply(column, acts[i], out=grad_w)
         return self._grad.copy()
 
     def jacobian(self, x) -> np.ndarray:
@@ -209,7 +286,10 @@ class Mlp:
         direction = as_float_array(direction)
         if direction.shape != (self.n_params,):
             raise ValueError(f"expected direction of length {self.n_params}")
-        self._theta -= alpha * direction
+        # every backward writes all of the gradient buffer before it reads
+        # any, so between calls it is free to hold the scaled step
+        step = np.multiply(alpha, direction, out=self._grad)
+        self._theta -= step
 
     def copy(self) -> "Mlp":
         other = Mlp.__new__(Mlp)

@@ -13,11 +13,20 @@ Four schedules are provided:
   schedule (divergent sum, summable squares) used as the default for
   :class:`~popart.stats.Normalizer` and for the percentile and
   minibatch-extreme trackers.
+
+Every step size lies in ``(0, 1]``.  A harmonic ``beta_t`` shrinks toward
+0 and, in floating point, rounds to 0 once ``t / tau`` is large enough: at
+``t = 1`` for ``harmonic(0.1, tau=5e-324)``, at ``t = 1000`` for
+``harmonic(5e-324)``.  So a harmonic schedule is built only if its
+``beta_t`` stays above 0 up to ``t = sys.maxsize``, the most steps a
+count holds; and a step whose ``beta_t`` would be 0 raises
+``ValueError`` and leaves ``t`` as it was.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,26 +63,42 @@ class StepSizeSchedule:
             raise ValueError(f"base_beta {self.base_beta!r} too small: 1 - base_beta is 1")
         if self.kind is ScheduleKind.HARMONIC:
             check_setting("tau", self.tau, lambda t: 0.0 < real(t) < math.inf)
+            if not self._beta_at(sys.maxsize) > 0.0:
+                raise ValueError(
+                    f"harmonic schedule with base_beta {self.base_beta!r} and tau "
+                    f"{self.tau!r}: beta_t rounds to 0 before t = sys.maxsize ({sys.maxsize})"
+                )
 
     def beta(self) -> float:
         """Step size for the current value of ``t`` (requires ``t >= 1``)."""
         if self.t < 1:
             raise ValueError("schedule not started; t must be >= 1")
+        return self._beta_at(self.t)
+
+    def _beta_at(self, t: int) -> float:
         if self.kind is ScheduleKind.CONSTANT:
             return self.base_beta
         if self.kind is ScheduleKind.INVERSE_T:
-            return 1.0 / self.t
+            return 1.0 / t
         if self.kind is ScheduleKind.BIAS_CORRECTED:
-            if self.t == 1:
+            if t == 1:
                 return 1.0  # beta/(1-(1-beta)) exactly, free of rounding
-            decay = (1.0 - self.base_beta) ** self.t
+            decay = (1.0 - self.base_beta) ** t
             return self.base_beta / (1.0 - decay)
-        return self.base_beta / (1.0 + self.t / self.tau)
+        return self.base_beta / (1.0 + t / self.tau)
 
     def step(self) -> float:
-        """Advance ``t`` by one and return ``beta_t``."""
-        self.t += 1
-        return self.beta()
+        """Advance ``t`` by one and return ``beta_t``.  A ``beta_t`` that
+        rounds to 0 raises ``ValueError`` and leaves ``t`` as it was."""
+        t = self.t + 1
+        beta = self._beta_at(t)
+        if not beta > 0.0:
+            raise ValueError(
+                f"{self.kind.value} step size rounds to 0 at t = {t}; "
+                "every step size must lie in (0, 1]"
+            )
+        self.t = t
+        return beta
 
 
 def constant(beta: float) -> StepSizeSchedule:

@@ -195,9 +195,18 @@ class ExtremeTracker(_BoundsTracker):
         self.batch_size = int(batch_size)
 
     def update(self, batch) -> None:
-        arr = as_vector(batch, self.batch_size, -MAX, MAX, "target")
-        lo = float(arr.min())
-        hi = float(arr.max())
+        """Move the bounds toward the batch's min and max.  Of ``0.0``
+        and ``-0.0`` the min is ``-0.0`` and the max ``0.0``, as in IEEE
+        754's minimum and maximum, wherever they sit in the batch."""
+        # one reading, on Python floats: numpy's cost per call is most of
+        # a reduction of a few values
+        values = as_floats(batch, self.batch_size, -MAX, MAX, "target")
+        lo, hi = min(values), max(values)
+        if lo == 0.0 or hi == 0.0:
+            # min and max return the first of equal values, 0.0 or -0.0
+            signs = [math.copysign(1.0, v) for v in values if v == 0.0]
+            lo = lo if lo else math.copysign(0.0, min(signs))
+            hi = hi if hi else math.copysign(0.0, max(signs))
         if not self.initialized:
             self.y_min, self.y_max = lo, hi
             return

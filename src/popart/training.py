@@ -41,6 +41,17 @@ last bit.  Every product with ``W``, the features ``h`` or the parameter
 vector stays in numpy, since its bits depend on numpy's summation order.
 Every input is read and checked by :mod:`popart.values`.
 
+Each product takes the cheaper numpy route that gives the bytes of ``@``
+(see :func:`popart.network.product`).  ``W h`` contracts ``m`` entries and
+the lower layers' seed ``delta W`` contracts ``k``; each runs ``.dot``
+where that count is at least 2 and ``@`` where it is 1, as ``delta W`` is
+in the sweep and the agent (``k = 1``).  A layer picks its two routes
+when it is built, a stack of layers ``@`` for both.  The three dot
+products behind the gradient norm, ``g.g``, ``delta.delta`` and ``h.h``,
+run ``.dot``, the routine ``@`` runs for two vectors.  The network's
+backward pass and parameter step reuse its buffers (see
+:mod:`popart.network`); ``W``'s own update stays one broadcast product.
+
 These four steps take an optional keyword ``acts``: the activations
 ``net.forward_pass(x)`` that the caller already computed on the current
 parameters, for instance to measure a test error with
@@ -60,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Mlp, affine
+from .network import Mlp, affine, product
 from .stats import Normalizer
 from .values import MAX, TINY, as_float_array, as_floats, check_setting, count
 
@@ -113,6 +124,8 @@ class OutputLayer:
         self.sigma = np.ones(k)
         self.mu = np.zeros(k)
         self.normalizer = normalizer
+        # the routes of W @ h and of delta @ W (see network.product)
+        self._matvec, self._vecmat = product(self.m), product(self.k)
 
     @staticmethod
     def stack(layers) -> "OutputLayer":
@@ -132,6 +145,9 @@ class OutputLayer:
             raise ValueError("stacked output layers must all have the same k and m")
         stacked = _LayerStack.__new__(_LayerStack)
         stacked.k, stacked.m, stacked.normalizer = k, m, None
+        # a stack's products stay stacked matmuls; its members keep their
+        # shapes, and so their routes
+        stacked._matvec = stacked._vecmat = np.matmul
         for name in ("W", "b", "sigma", "mu"):
             rows = np.stack([getattr(layer, name) for layer in layers])
             setattr(stacked, name, rows)
@@ -142,14 +158,17 @@ class OutputLayer:
     def normalized_output(self, h) -> np.ndarray:
         """``W h + b`` for one feature vector, or one row per row of a
         stack of shape ``(B, m)``."""
-        return affine(self.W, as_float_array(h), self.b)
+        h = as_float_array(h)
+        if h.ndim > 1:
+            return affine(self.W, h, self.b)
+        return self._matvec(self.W, h) + self.b
 
     def unnormalized_output(self, h) -> np.ndarray:
         """``sigma * (W h + b) + mu``, row by row for a stack."""
         h = as_float_array(h)
         if h.ndim > 1:
             return self.sigma * affine(self.W, h, self.b) + self.mu
-        out = self.W @ h
+        out = self._matvec(self.W, h)
         b, sigma, mu = self.b, self.sigma, self.mu
         for i in range(self.k):
             out[i] = sigma.item(i) * (out.item(i) + b.item(i)) + mu.item(i)
@@ -259,18 +278,16 @@ def _sgd_step(
     raw = adoption == _RAW_TARGETS
     # the error, one output at a time, and with it the bias update, which
     # reads nothing the rest of the step moves
-    delta = W @ h
+    delta = layer._matvec(W, h)
     for i in range(k):
         y_i = ys[i] if raw else (ys[i] - shift.item(i)) / scale.item(i)
         b_i = b.item(i)
         d = delta.item(i) + b_i - y_i
         delta[i], b[i] = d, b_i - alpha * d
     if raw and sigma is not None:
-        theta_seed = (delta / sigma**2) @ W
+        theta_seed = layer._vecmat(delta / sigma**2, W)
     else:
-        theta_seed = delta @ W
-    # for two vectors ``.dot`` runs the routine that ``@`` runs, without
-    # the matmul machinery's cost per call
+        theta_seed = layer._vecmat(delta, W)
     g_sq = 0.0
     if net.n_params:
         g_theta = net.backward(acts, theta_seed)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popart.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
-from popart.binreg import RESULTS_HEADER
+from popart.binreg import MAX_GRID_SAMPLES, RESULTS_HEADER, RUN_SAMPLES, ExperimentConfig
 
 TINY_BINREG = {
     "methods": ["popart"],
@@ -355,6 +355,37 @@ def _assert_config_error_names_key(tmp_path, capsys, command, payload):
 def test_count_no_array_can_hold_is_config_error(tmp_path, capsys, command, payload):
     # above sys.maxsize, numpy refuses the array with a traceback of its own
     _assert_config_error_names_key(tmp_path, capsys, command, payload)
+
+
+@pytest.mark.parametrize(
+    ("payload", "numbers"),
+    [
+        ({"n_repetitions": 4611686018427387904}, "461168601842738790400 runs x (5000 samples"),
+        ({"n_repetitions": 20649, "n_samples": 1}, "2064900 runs x (1 samples + 64) = 134218500 "),
+        ({"n_samples": 10**6}, "1000 runs x (1000000 samples + 64) = 1000064000"),
+    ],
+    ids=json.dumps,
+)
+def test_binreg_grid_past_the_size_limit_is_config_error(tmp_path, capsys, payload, numbers):
+    # run_grid would hold every record: the first grid grew memory until the
+    # machine ran out.  The config must refuse it before main can run it
+    with pytest.raises(ValueError, match="grid too large"):
+        ExperimentConfig.profile("ci").with_overrides(payload)
+    out = tmp_path / "o"
+    path = _write_config(tmp_path, payload)
+    assert main(["binreg", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: grid too large: {numbers}")
+    assert err.endswith(" is above the limit of 134217728 (2**27, about 2 GiB of records)\n")
+    assert not out.exists()
+
+
+def test_binreg_full_profile_is_within_the_size_limit():
+    config = ExperimentConfig.profile("full")
+    runs = len(config.methods) * len(config.alphas) * len(config.betas) * config.n_repetitions
+    assert runs == 24200 and runs * (config.n_samples + RUN_SAMPLES) <= MAX_GRID_SAMPLES
+    with pytest.raises(ValueError, match="grid too large"):
+        config.with_overrides({"n_repetitions": 55})
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

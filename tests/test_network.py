@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from popart.network import Mlp
+from popart.training import OutputLayer, plain_sgd_step
 
 
 def _straight_line_forward(net, x):
@@ -370,3 +371,95 @@ def test_stack_runs_forward_passes_only():
 def test_stack_rejects_networks_of_other_shapes():
     with pytest.raises(ValueError, match="same layer sizes"):
         Mlp.stack([Mlp([6, 4, 2], seed=0), Mlp([6, 3, 2], seed=0)])
+
+
+# -- product routes: .dot where its bytes equal those of @ ------------------
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan,
+           1e308, -1e308]
+
+
+def mixed(rng, n):
+    """``n`` normal draws with ±0, subnormals, ±inf, NaN and ±1e308 mixed in;
+    or, one time in two, signed zeros and smallest subnormals, whose
+    products with small weights round to zeros of either sign."""
+    if rng.random() < 0.5:
+        return rng.choice([0.0, -0.0, 5e-324, -5e-324], size=n)
+    a = rng.normal(size=n)
+    special = rng.random(n) < 0.4
+    a[special] = rng.choice(SPECIAL, size=int(special.sum()))
+    return a
+
+
+def _matmul_pass(net, x):
+    """The forward pass, every product through ``@``."""
+    a, acts = x, [x]
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = w @ a + b
+        a = z if i == last else np.tanh(z)
+        acts.append(a)
+    return acts
+
+
+def _matmul_backward(net, acts, v):
+    """``backward``, every product through ``@``."""
+    g, parts = v, []
+    last = len(net.weights) - 1
+    for i in range(last, -1, -1):
+        if i < last:
+            g = g * (1.0 - acts[i + 1] ** 2)
+        parts[:0] = [(g[:, None] * acts[i]).ravel(), g]
+        if i:
+            g = g @ net.weights[i]
+    return np.concatenate(parts)
+
+
+# the package's shapes, then a fan-in of 1 (W @ a contracts 1 entry) and an
+# output of width 1 under a hidden layer (seed @ W contracts 1 entry)
+@pytest.mark.parametrize("sizes", [[16, 10, 10, 10], [7, 20, 20], [1, 3, 1], [3, 1, 2], [2, 4, 1, 3]])
+def test_network_product_routes_give_the_bytes_of_matmul(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    net = Mlp(sizes, seed=0)
+    n = net.n_params
+    for trial in range(200):
+        # the weights are views at odd offsets into a flat parameter vector
+        offset = 1 + 2 * (trial % 4)
+        net.__setstate__({"layer_sizes": sizes, "theta": mixed(rng, n + 8)[offset : offset + n]})
+        for b in net.biases:
+            b[...] = -0.0  # adds nothing, and keeps the sign of every zero
+        x, v = mixed(rng, sizes[0]), mixed(rng, sizes[-1])
+        with np.errstate(all="ignore"):
+            acts = net.forward_pass(x)
+            expected = _matmul_pass(net, x)
+            grad, expected_grad = net.backward(acts, v), _matmul_backward(net, acts, v)
+        for i, (a, b) in enumerate(zip(acts, expected)):
+            assert a.tobytes() == b.tobytes(), (trial, i)
+        assert grad.tobytes() == expected_grad.tobytes(), trial
+
+
+# k = 1 over the package's feature widths, then W @ h over 1 feature
+@pytest.mark.parametrize(("k", "m"), [(1, 10), (1, 20), (2, 1), (1, 1), (3, 5)])
+def test_output_layer_product_routes_give_the_bytes_of_matmul(k, m):
+    rng = np.random.default_rng(10 * k + m)
+    net = Mlp([2, m], seed=0)
+    layer = OutputLayer(k, m, seed=0)
+    x = np.zeros(2)
+    seeds = []
+    backward = net.backward
+    net.backward = lambda acts, v: seeds.append(v.copy()) or backward(acts, v)
+    for trial in range(200):
+        # W is a view at an odd offset into a flat vector; b = mu = -0.0 and
+        # y = 0.0 keep the sign of every zero in W @ h
+        offset = 1 + 2 * (trial % 4)
+        layer.W = W = mixed(rng, k * m + 8)[offset : offset + k * m].reshape(k, m)
+        layer.b[...], layer.mu[...] = -0.0, -0.0
+        h = mixed(rng, m)
+        W_before = W.copy()
+        with np.errstate(all="ignore"):
+            assert layer.normalized_output(h).tobytes() == (W @ h - 0.0).tobytes(), trial
+            assert layer.unnormalized_output(h).tobytes() == (W @ h - 0.0).tobytes(), trial
+            report = plain_sgd_step(net, layer, x, [0.0] * k, 0.0, acts=[x, h])
+            delta = report.normalized_error
+            assert delta.tobytes() == (W_before @ h - 0.0 - 0.0).tobytes(), trial
+            assert seeds[-1].tobytes() == (delta @ W_before).tobytes(), trial

@@ -91,3 +91,28 @@ def test_emitted_beta_always_in_unit_interval(kind, base_beta, t):
     s.t = t
     assert 0.0 < s.beta() <= 1.0
 
+
+@pytest.mark.parametrize(("beta0", "tau"), [(0.1, 5e-324), (5e-324, 1000.0)])
+def test_harmonic_whose_step_size_rounds_to_zero_is_rejected(beta0, tau):
+    # 1/tau overflows in the first, so beta_1 was 0.0; in the second
+    # beta_t rounds to 0.0 from t = 1000 on
+    with pytest.raises(ValueError, match=r"rounds to 0 before t = sys\.maxsize"):
+        harmonic(beta0, tau)
+
+
+def exhausted_harmonic():
+    """A harmonic schedule one step short of a step size that rounds to 0:
+    ``1e-300 / (1 + t / 1e-4)`` is below half the smallest double past
+    ``t = 1e30``, far beyond any count a run makes."""
+    s = harmonic(1e-300, tau=1e-4)
+    s.t = 10**30
+    return s
+
+
+def test_step_whose_size_rounds_to_zero_raises_and_keeps_t():
+    s = exhausted_harmonic()
+    with pytest.raises(ValueError, match=r"rounds to 0 at t = 10{29}1; .* \(0, 1\]"):
+        s.step()
+    assert s.t == 10**30
+    s.t = 999
+    assert 0.0 < s.step() <= 1.0 and s.t == 1000

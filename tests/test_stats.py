@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -374,3 +375,75 @@ def test_spread_coverage_domain_errors():
     for bad in (0.0, math.nan, math.inf, True):
         with pytest.raises(ValueError, match="invalid s"):
             coverage_from_spread(bad)
+
+
+# -- a step size that rounds to 0 moves nothing -----------------------------
+
+
+def _exhausted_harmonic():
+    s = harmonic(1e-300, tau=1e-4)
+    s.t = 10**30  # past it, beta_t rounds to 0 (see test_schedules.py)
+    return s
+
+
+@pytest.mark.parametrize(
+    ("make", "value"),
+    [
+        (lambda s: Normalizer(k=1, schedule=s), 2.0),
+        (lambda s: Normalizer(k=2, schedule=s), [2.0, -1.0]),
+        (lambda s: PercentileTracker(0.8, schedule=s), 2.0),
+        (lambda s: ExtremeTracker(2, schedule=s), [2.0, -1.0]),
+    ],
+    ids=["normalizer-k1", "normalizer-k2", "percentile", "extreme"],
+)
+def test_update_whose_step_size_rounds_to_zero_raises_without_change(make, value):
+    stats = make(_exhausted_harmonic())
+    if not isinstance(stats, Normalizer):
+        stats.update(value)  # the first update seeds the bounds, no step
+    before = copy.deepcopy(vars(stats))
+    with pytest.raises(ValueError, match="rounds to 0"):
+        stats.update(value)
+    after = vars(stats)
+    assert after["schedule"].t == 10**30
+    for key, kept in before.items():
+        np.testing.assert_array_equal(after[key], kept, err_msg=key)
+
+
+# -- minibatch extremes: one reading of the batch ----------------------------
+
+
+def test_extreme_tracker_bounds_equal_numpy_min_max_bitwise():
+    rng = np.random.default_rng(8)
+    for size in (2, 3, 4, 9, 17):
+        ours = ExtremeTracker(size, schedule=harmonic(0.1, 1000.0))
+        y_min = y_max = None
+        for batch in rng.normal(size=(200, size)) * 10.0 ** rng.uniform(-300, 300, size=(200, 1)):
+            ours.update(batch)
+            lo, hi = float(batch.min()), float(batch.max())
+            if y_min is None:
+                y_min, y_max = lo, hi
+            else:
+                beta = ours.schedule.beta()
+                y_min += beta * (lo - y_min)
+                y_max += beta * (hi - y_max)
+            assert (ours.y_min, ours.y_max) == (y_min, y_max)
+
+
+@pytest.mark.parametrize(
+    ("batch", "y_min", "y_max"),
+    [
+        ([0.0, -0.0, 1.0], -0.0, 1.0),
+        ([-0.0, 0.0, 1.0], -0.0, 1.0),
+        ([1.0, 0.0, -0.0], -0.0, 1.0),
+        ([-1.0, 0.0, -0.0], -1.0, 0.0),
+        ([-0.0, -1.0, 0.0], -1.0, 0.0),
+        ([-0.0, -0.0, -1.0], -1.0, -0.0),
+        ([0.0, 0.0, 1.0], 0.0, 1.0),
+    ],
+)
+def test_extreme_tracker_orders_signed_zeros_as_ieee_minimum_and_maximum(batch, y_min, y_max):
+    # of 0.0 and -0.0 the min is -0.0 and the max 0.0, wherever they sit;
+    # repr tells the two zeros apart
+    tracker = ExtremeTracker(3)
+    tracker.update(batch)
+    assert (repr(tracker.y_min), repr(tracker.y_max)) == (repr(y_min), repr(y_max))

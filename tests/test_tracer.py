@@ -2,7 +2,8 @@
 wraps every function it traces, and puts each original back.  A traced
 function deleted or renamed in ``src/`` fails here, not only in
 ``perfbench/run.py --trace 1``; so does an agent whose traced step calls
-stop matching its steps.  The last test runs that benchmark check itself."""
+stop matching its steps.  The last two tests run that benchmark check
+itself, on the ``rl`` and ``single`` workloads."""
 
 import importlib
 import importlib.util
@@ -115,14 +116,23 @@ def test_traced_run_grid_one_step_call_per_executed_step():
     assert counts["binreg.run_single.calls"] == 0
 
 
-def test_perfbench_rl_trace_check_passes():
-    # one untraced and one traced repetition of the rl workload, each checked
-    # against perfbench/reference.json, the traced one also for one step call
-    # per executed step; about 6 s on a 2-vCPU VM.  The spans go to
-    # .perfbench/, which .gitignore lists
-    cmd = [sys.executable, str(PERFBENCH / "run.py"), "--workload", "rl", "--seed", "0",
+def _perfbench_trace_check(workload):
+    """One untraced and one traced repetition of ``workload``, each checked
+    against perfbench/reference.json, the traced one also for one step call
+    per executed step.  The spans go to .perfbench/, which .gitignore lists."""
+    cmd = [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload, "--seed", "0",
            "--seconds", "0", "--trace", "1"]
     done = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, done.stdout
+
+
+def test_perfbench_rl_trace_check_passes():
+    # about 6 s on a 2-vCPU VM
+    _perfbench_trace_check("rl")
+
+
+def test_perfbench_single_trace_check_passes():
+    # the workload whose speed the per-sample kernel sets; about 3 s
+    _perfbench_trace_check("single")

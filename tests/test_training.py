@@ -765,3 +765,16 @@ def test_steps_match_the_array_formulation_bitwise(k, seed, beta, alpha, scalar_
         assert [_bits(v) for v in got] == [_bits(v) for v in expected], kind
         assert _oracle_state(net, layer, nrm) == _oracle_state(ref_net, ref_layer, ref_nrm)
         assert _bits(outputs[0]) == _bits(outputs[1])
+
+
+def test_step_whose_step_size_rounds_to_zero_rejected_without_change():
+    # the normalizer's schedule raises on its next step, before anything moves
+    net, layer = _trained()
+    layer.normalizer.schedule = harmonic(1e-300, tau=1e-4)
+    layer.normalizer.schedule.t = 10**30
+    before = _state(net, layer)
+    with pytest.raises(ValueError, match="rounds to 0"):
+        popart_sgd_step(net, layer, GOOD_X, 1.0, 0.1)
+    after = _state(net, layer)
+    for key, value in before.items():
+        np.testing.assert_array_equal(after[key], value, err_msg=key)
