@@ -289,7 +289,8 @@ def run_grid(config: ExperimentConfig, workers: int = 1, progress=None):
     The runs of one seed advance in lockstep (see :func:`_run_lockstep`);
     with ``workers > 1`` the seed groups go to a process pool, each split
     into ``workers // gcd(seeds, workers)`` contiguous chunks, so the
-    tasks are equal and fill a whole number of rounds of the pool.  The
+    tasks are equal and fill a whole number of rounds of the pool, which
+    starts at most one process per task.  The
     pool's modules (``concurrent.futures`` and ``multiprocessing``) load
     on first use with ``workers > 1``, not when this module is imported.
     The records come back in the order of the loops above, whatever the
@@ -315,8 +316,10 @@ def run_grid(config: ExperimentConfig, workers: int = 1, progress=None):
         # imported here: concurrent.futures.process pulls in multiprocessing,
         # about 30 ms at import, and only a pooled sweep needs it
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        tasks = [[jobs[i] for i in chunk] for chunk in chunks]
+    tasks = [[jobs[i] for i in chunk] for chunk in chunks]
+    # the pool forks all its processes at the first task: no more than tasks
+    n_procs = min(workers, len(tasks))
+    with ProcessPoolExecutor(max_workers=n_procs) if workers > 1 else nullcontext() as pool:
         results = pool.map(_run_lockstep, tasks) if pool else map(_run_lockstep, tasks)
         for chunk, recs in zip(chunks, results):
             for i, rec in zip(chunk, recs):

@@ -80,6 +80,10 @@ def cmd_binreg(args) -> int:
     overrides = _load_config(args.config)
     if args.workers < 1:
         raise ConfigError(f"invalid workers: {args.workers} (must be at least 1)")
+    # each worker is a forked process, all of them started at once
+    cpus = os.cpu_count() or 1
+    if args.workers > cpus:
+        raise ConfigError(f"invalid workers: {args.workers} (at most {cpus}, the CPU count)")
     try:
         config = binreg.ExperimentConfig.profile(args.profile).with_overrides(overrides)
     except (KeyError, TypeError, ValueError) as exc:

@@ -7,12 +7,6 @@ pass it exposes the full Jacobian of the outputs with respect to every
 parameter (needed for gradient checking) and a cheaper vector-Jacobian
 product used by the training steps.
 
-The forward pass also takes a stack of inputs of shape ``(B, n_in)`` and
-returns row-stacked activations, equal to the last bit to running it once
-per row: each row goes through its own matrix-vector product (see
-:func:`affine`), not one matrix-matrix product, whose sums may round
-differently.
-
 All parameters live in one flat float64 vector, laid out layer by layer
 as ``W_0, b_0, W_1, b_1, ...`` with each ``W`` row-major.  ``weights[i]``
 and ``biases[i]`` are views into that vector, so a whole-vector update is
@@ -23,25 +17,27 @@ a new array to ``net.weights[i]`` detaches it from the parameters.
 shape into the rows of one ``(R, n_params)`` array, so that one forward
 pass serves them all; each network keeps working on its own row.
 
-The per-sample path, a forward pass of one input, :meth:`Mlp.backward`
-and :meth:`Mlp.apply_param_step`, is numpy's overhead per call more than
-arithmetic, so it is kept lean without changing a bit:
+One forward pass serves one input, a stack of inputs of shape
+``(B, n_in)`` and a stack of networks; each row of its activations equals
+that row's input through that row's network alone, to the last bit.  It
+loops over the per-layer plan :meth:`Mlp._bind` builds for every binding,
+adds the bias to each fresh product and takes ``tanh`` in place.  Each
+product takes one of two routes:
 
-- Each matrix-vector and vector-matrix product goes through the route
-  :func:`product` picks for its contracted axis: ``.dot``, about half the
-  cost of ``@`` on these 10- to 20-wide operands, where that axis has at
-  least 2 entries, and ``@`` where it has 1, where the two differ (see
-  :func:`product`); elsewhere their bytes are equal.  A stacked product,
-  of a stack of inputs or of networks, keeps ``@``.
-- :meth:`Mlp._bind` builds, once per binding, each layer's plan: its
-  weight, bias and gradient views, the route of each of its products and
-  a scratch vector for the hidden layer's ``tanh' = 1 - a*a``.  The
-  forward pass adds the bias to the fresh product and takes ``tanh`` in
-  place; :meth:`Mlp.backward` writes each seed straight into the gradient
-  buffer and returns a copy of it; a parameter step scales the direction
-  into that buffer, which the next backward overwrites, and subtracts it.
-  A network deep copied, unpickled or stacked is bound again, so its plan
-  is its own.
+- One input through one network takes :func:`product`'s route: ``.dot``,
+  about half the cost of ``@`` on these 10- to 20-wide operands, where
+  the contracted axis has at least 2 entries, and ``@`` where it has 1,
+  where the two differ; elsewhere their bytes are equal.
+- A stacked operand, of inputs or of networks, takes
+  :func:`stacked_product`, one matrix-vector product per row.
+
+A single network's plan also serves :meth:`Mlp.backward` and
+:meth:`Mlp.apply_param_step`, per-sample calls whose cost is numpy's
+overhead more than arithmetic: backward writes each seed straight into a
+gradient buffer and returns a copy; a parameter step scales the direction
+into that buffer, which the next backward overwrites, and subtracts it.
+A network deep copied, unpickled or stacked is bound again, so its plan
+is its own.
 """
 
 from __future__ import annotations
@@ -51,16 +47,15 @@ import numpy as np
 from .values import as_float_array, check_setting, count
 
 
-def affine(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``w @ a + b`` for one input ``a`` or a stack of them, one per row.
+def stacked_product(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``w @ a`` for a stack of vectors ``a`` of shape ``(..., n)``, a stack
+    of matrices ``w`` of shape ``(..., m, n)``, or both, paired row by row.
 
     numpy's stacked matmul runs one matrix-vector product per row, so
-    each row of the result matches ``w @ row + b`` bit for bit, which
-    ``a @ w.T`` does not promise.
+    each row of the result matches that row's own ``w @ a`` bit for bit,
+    which ``a @ w.T`` does not promise.
     """
-    if a.ndim == 1:
-        return w @ a + b
-    return (w @ a[:, :, None])[:, :, 0] + b
+    return (w @ a[..., None])[..., 0]
 
 
 def product(contracted: int):
@@ -101,26 +96,25 @@ class Mlp:
 
     def _bind(self, theta: np.ndarray | None = None) -> None:
         """Adopt ``theta`` (zeros if omitted) as the parameter vector, make
-        ``weights`` and ``biases`` views into it and, for a single network,
-        build the per-layer plan of the per-sample path (see the module
-        docstring)."""
+        ``weights`` and ``biases`` views into it and build the per-layer
+        plan of the forward pass and, for a single network, of the
+        backward pass (see the module docstring)."""
         if theta is None:
             sizes = self.layer_sizes
             theta = np.zeros(sum(n * (m + 1) for m, n in zip(sizes[:-1], sizes[1:])))
         self._theta = theta
         self.n_params = theta.shape[-1]
         self.weights, self.biases = self._views(theta)
-        if theta.ndim > 1:
-            # a stack runs stacked forward passes only, through affine
-            self._forward = self._hidden = None
-            return
         last = len(self.weights) - 1
-        # forward: for each layer, the route of w @ a, w, b, and whether
-        # tanh follows
+        # forward: for each layer, the route of w @ a for one input, w, b,
+        # and whether tanh follows
         self._forward = [
-            (product(w.shape[1]), w, b, i < last)
+            (stacked_product if w.ndim > 2 else product(w.shape[1]), w, b, i < last)
             for i, (w, b) in enumerate(zip(self.weights, self.biases))
         ]
+        if theta.ndim > 1:
+            # a stack runs forward passes only
+            return
         # backward fills this buffer through views built once, here; a
         # layer's bias gradient is its backpropagated seed, and the weight
         # gradient is that seed, as a column, times the layer's input.
@@ -217,22 +211,19 @@ class Mlp:
 
         ``x`` is one input of length ``n_inputs`` or a stack of shape
         ``(B, n_inputs)``; for a stack each activation has one row per
-        input, identical to the activations of that input alone.
+        input, identical to the activations of that input alone.  Through
+        a stack of networks (:meth:`stack`) row ``r`` is network ``r``'s,
+        of the one input or of row ``r`` of the stack.
         """
         a = self._check_input(x)
         acts = [a]
-        if a.ndim == 1 and self._forward is not None:
-            for route, w, b, hidden in self._forward:
-                a = route(w, a)
-                a += b
-                if hidden:
-                    np.tanh(a, out=a)
-                acts.append(a)
-            return acts
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = affine(w, a, b)
-            a = z if i == last else np.tanh(z)
+        # a stack of networks has stacked_product as every layer's route
+        stacked = a.ndim > 1
+        for route, w, b, hidden in self._forward:
+            a = stacked_product(w, a) if stacked else route(w, a)
+            a += b
+            if hidden:
+                np.tanh(a, out=a)
             acts.append(a)
         return acts
 

@@ -46,7 +46,8 @@ Each product takes the cheaper numpy route that gives the bytes of ``@``
 the lower layers' seed ``delta W`` contracts ``k``; each runs ``.dot``
 where that count is at least 2 and ``@`` where it is 1, as ``delta W`` is
 in the sweep and the agent (``k = 1``).  A layer picks its two routes
-when it is built, a stack of layers ``@`` for both.  The three dot
+when it is built.  Outputs for a stack of features, or of a stack of
+layers, go through :func:`popart.network.stacked_product`.  The three dot
 products behind the gradient norm, ``g.g``, ``delta.delta`` and ``h.h``,
 run ``.dot``, the routine ``@`` runs for two vectors.  The network's
 backward pass and parameter step reuse its buffers (see
@@ -71,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Mlp, affine, product
+from .network import Mlp, product, stacked_product
 from .stats import Normalizer
 from .values import MAX, TINY, as_float_array, as_floats, check_setting, count
 
@@ -145,9 +146,6 @@ class OutputLayer:
             raise ValueError("stacked output layers must all have the same k and m")
         stacked = _LayerStack.__new__(_LayerStack)
         stacked.k, stacked.m, stacked.normalizer = k, m, None
-        # a stack's products stay stacked matmuls; its members keep their
-        # shapes, and so their routes
-        stacked._matvec = stacked._vecmat = np.matmul
         for name in ("W", "b", "sigma", "mu"):
             rows = np.stack([getattr(layer, name) for layer in layers])
             setattr(stacked, name, rows)
@@ -157,17 +155,18 @@ class OutputLayer:
 
     def normalized_output(self, h) -> np.ndarray:
         """``W h + b`` for one feature vector, or one row per row of a
-        stack of shape ``(B, m)``."""
+        stack of shape ``(B, m)``; for a stack of layers, one row per
+        layer."""
         h = as_float_array(h)
-        if h.ndim > 1:
-            return affine(self.W, h, self.b)
+        if h.ndim > 1 or self.W.ndim > 2:
+            return stacked_product(self.W, h) + self.b
         return self._matvec(self.W, h) + self.b
 
     def unnormalized_output(self, h) -> np.ndarray:
         """``sigma * (W h + b) + mu``, row by row for a stack."""
         h = as_float_array(h)
-        if h.ndim > 1:
-            return self.sigma * affine(self.W, h, self.b) + self.mu
+        if h.ndim > 1 or self.W.ndim > 2:
+            return self.sigma * (stacked_product(self.W, h) + self.b) + self.mu
         out = self._matvec(self.W, h)
         b, sigma, mu = self.b, self.sigma, self.mu
         for i in range(self.k):

@@ -399,6 +399,28 @@ def test_binreg_workers_below_one_is_config_error(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cpus, limit", [(4, 4), (None, 1)])
+def test_binreg_workers_above_cpu_count_is_config_error(tmp_path, capsys, monkeypatch, cpus, limit):
+    # each worker is a forked process and the pool starts them all at once,
+    # so the CLI refuses more than the CPUs, before it makes --out; a pool
+    # that fails on creation keeps a missing check from starting any
+    import concurrent.futures
+
+    def no_pool(max_workers):
+        raise AssertionError(f"a pool of {max_workers} was asked for")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    out = tmp_path / "o"
+    cfg = _write_config(tmp_path, TINY_BINREG)
+    for workers in (str(limit + 1), "100000"):
+        code = main(["binreg", "--config", cfg, "--out", str(out), "--workers", workers])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: invalid workers: {workers} (at most {limit}, the CPU count)\n"
+        assert not out.exists()
+
+
 def test_rl_demo_negative_steps_is_config_error(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["rl-demo", "--out", str(out), "--steps", "-1"]) == EXIT_CONFIG

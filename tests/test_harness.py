@@ -603,6 +603,41 @@ def test_run_grid_splits_seed_groups_among_workers(n_repetitions, workers):
         assert a.grad_norm.tobytes() == b.grad_norm.tobytes()
 
 
+def test_run_grid_asks_the_pool_for_at_most_one_process_per_task(monkeypatch):
+    # the pool forks all of its processes at its first task, so run_grid
+    # asks for no more than it has tasks; a fake pool records the ask and
+    # runs the tasks in this process
+    import concurrent.futures
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    config = ExperimentConfig(
+        methods=("sgd", "popart"), alphas=(1e-2,), betas=(0.01,), n_samples=1010, n_repetitions=2
+    )
+    serial, _ = run_grid(config)
+    # two seeds of two runs each: 3 workers get 4 tasks of one run each,
+    # and so do 100000
+    for workers in (3, 100_000):
+        pooled, _ = run_grid(config, workers=workers)
+        for a, b in zip(pooled, serial):
+            assert a.rmse.tobytes() == b.rmse.tobytes()
+    assert asked == [3, 4]
+
+
 def test_importing_the_package_loads_no_process_pool():
     # run_grid loads the pool only when it takes workers > 1, so no start-up
     # of the CLI or of the modules it imports pays for multiprocessing

@@ -39,19 +39,47 @@ def _assert_bitwise(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("sizes", [[3, 1], [4, 5, 1], [7, 20, 20], [6, 10, 10, 3], [2, 7, 4, 1]])
+def _nan_blind(a):
+    """The bytes of ``a`` with every NaN made the same NaN.
+
+    numpy's elementwise loops give ``NaN + NaN`` the sign and payload of
+    either operand, depending on the arrays' length and on whether they
+    add in place, so a stack and its rows may differ in those and in
+    nothing else.
+    """
+    a = np.array(a, dtype=float)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
+
+
+def _assert_rows_of(stacked, rows, key=np.ndarray.tobytes):
+    """Each layer's stacked activations are the rows' own, stacked: the
+    same shape, and the same ``key``, by default the same bytes."""
+    assert len(stacked) == len(rows[0])
+    for i, a in enumerate(stacked):
+        expected = np.array([r[i] for r in rows])
+        assert a.shape == expected.shape and key(a) == key(expected), i
+
+
+@pytest.mark.parametrize(
+    "sizes", [[3, 1], [4, 5, 1], [7, 20, 20], [6, 10, 10, 3], [2, 7, 4, 1], [4, 1], [1, 3, 1]]
+)
 def test_stacked_forward_pass_equals_per_row_calls_bitwise(sizes):
     rng = np.random.default_rng(len(sizes) * 100 + sizes[-1])
     for seed in range(4):
         net = Mlp(sizes, seed=seed)
         for n_rows in range(1, 9):
             xs = rng.normal(size=(n_rows, sizes[0])) * 10.0 ** rng.uniform(-2, 1)
-            stacked = net.forward_pass(xs)
-            rows = [net.forward_pass(x) for x in xs]
-            assert len(stacked) == len(sizes)
-            for i, a in enumerate(stacked):
-                _assert_bitwise(a, np.array([r[i] for r in rows]))
+            _assert_rows_of(net.forward_pass(xs), [net.forward_pass(x) for x in xs])
             _assert_bitwise(net.forward(xs), np.array([net.forward(x) for x in xs]))
+    # parameters and inputs with signed zeros, subnormals, infinities, NaN
+    # and +-1e308 mixed in
+    for _ in range(50):
+        net.set_params(mixed(rng, net.n_params))
+        xs = np.array([mixed(rng, sizes[0]) for _ in range(rng.integers(1, 6))])
+        with np.errstate(all="ignore"):
+            rows = [net.forward_pass(x) for x in xs]
+            _assert_rows_of(net.forward_pass(xs), rows, _nan_blind)
 
 
 def test_zero_weight_network_outputs_final_bias():
@@ -312,18 +340,31 @@ def _members(sizes, n):
 
 
 @pytest.mark.parametrize("n", [1, 3])
-@pytest.mark.parametrize("sizes", [[16, 10, 10, 10], [16, 5, 3], [4, 1]])
+@pytest.mark.parametrize("sizes", [[16, 10, 10, 10], [16, 5, 3], [4, 1], [1, 3, 1]])
 def test_stack_forward_pass_rows_equal_members_bitwise(sizes, n):
     nets = _members(sizes, n)
     stack = Mlp.stack(nets)
     assert stack.n_params == nets[0].n_params
-    x = np.random.default_rng(1).normal(size=sizes[0])
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=sizes[0])
     stacked = stack.forward_pass(x)
     np.testing.assert_array_equal(stacked[0], x)
     for r, net in enumerate(nets):
         for a, own in zip(stacked[1:], net.forward_pass(x)[1:]):
             assert a.shape == (n, own.size)
             _assert_bitwise(a[r], own)
+    # members' parameters and inputs with signed zeros, subnormals,
+    # infinities, NaN and +-1e308 mixed in; one input shared by every
+    # member, then one input per member
+    for _ in range(50):
+        for net in nets:
+            net.set_params(mixed(rng, net.n_params))
+        x, xs = mixed(rng, sizes[0]), np.array([mixed(rng, sizes[0]) for _ in nets])
+        with np.errstate(all="ignore"):
+            shared = [net.forward_pass(x)[1:] for net in nets]
+            _assert_rows_of(stack.forward_pass(x)[1:], shared, _nan_blind)
+            paired = [net.forward_pass(x) for net, x in zip(nets, xs)]
+            _assert_rows_of(stack.forward_pass(xs), paired, _nan_blind)
 
 
 def test_stack_keeps_each_members_parameters_and_views():

@@ -103,6 +103,27 @@ def test_rescale_preserves_outputs_property(seed):
 # -- popart step: hand unroll ----------------------------------------------
 
 
+def _nan_blind(value):
+    """Bytes of an array with every NaN made the same NaN: a stacked output
+    and its rows, one through numpy's elementwise loops and one through
+    Python floats, may differ in a NaN's sign and in nothing else."""
+    a = np.array(value, dtype=float)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
+
+
+def _special(rng, shape):
+    """Normal draws of ``shape`` with +-0, subnormals, +-inf, NaN and +-1e308
+    mixed in."""
+    a = rng.normal(size=shape)
+    special = rng.random(shape) < 0.4
+    a[special] = rng.choice(
+        [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e308, -1e308],
+        size=int(special.sum()),
+    )
+    return a
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_stacked_predict_equals_per_row_calls_bitwise(k):
     rng = np.random.default_rng(k)
@@ -117,6 +138,19 @@ def test_stacked_predict_equals_per_row_calls_bitwise(k):
         h = net.forward(xs)
         for out in (layer.normalized_output, layer.unnormalized_output):
             assert out(h).tobytes() == np.array([out(row) for row in h]).tobytes()
+    # parameters, features and inputs with special values mixed in, also
+    # through layers 1 wide
+    for sizes in ([5, 8, 6], [4, 1], [1, 3, 1]) * 50:
+        net = Mlp(sizes, seed=k)
+        net.set_params(_special(rng, net.n_params))
+        layer = OutputLayer(k, sizes[-1], W=_special(rng, (k, sizes[-1])), b=_special(rng, k))
+        xs, h = _special(rng, (4, sizes[0])), _special(rng, (4, sizes[-1]))
+        with np.errstate(all="ignore"):
+            layer.rescale_to(rng.uniform(0.5, 2e3, k), rng.normal(size=k) * 100.0)
+            got, rows = predict(net, layer, xs), [predict(net, layer, x) for x in xs]
+            assert _nan_blind(got) == _nan_blind(rows)
+            for out in (layer.normalized_output, layer.unnormalized_output):
+                assert _nan_blind(out(h)) == _nan_blind([out(row) for row in h])
 
 
 def _calibrated_pairs(n, k, sizes=(5, 8, 6)):
@@ -140,11 +174,19 @@ def test_layer_stack_outputs_rows_equal_members_bitwise(n, k):
     pairs = _calibrated_pairs(n, k)
     nets, layers = zip(*pairs)
     net_stack, layer_stack = Mlp.stack(nets), OutputLayer.stack(layers)
-    x = np.random.default_rng(9).normal(size=5)
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=5)
     got = layer_stack.unnormalized_output(net_stack.forward(x))
     assert got.shape == (n, k)
     for r, (net, layer) in enumerate(pairs):
         assert _bits(got[r]) == _bits(predict(net, layer, x))
+    # one feature vector shared by every member
+    h = rng.normal(size=6)
+    for out in ("normalized_output", "unnormalized_output"):
+        got = getattr(layer_stack, out)(h)
+        assert got.shape == (n, k)
+        for r, layer in enumerate(layers):
+            assert _bits(got[r]) == _bits(getattr(layer, out)(h)), (out, r)
 
 
 def test_step_on_a_member_moves_its_rows_only():
