@@ -31,13 +31,12 @@ product takes one of two routes:
 - A stacked operand, of inputs or of networks, takes
   :func:`stacked_product`, one matrix-vector product per row.
 
-A single network's plan also serves :meth:`Mlp.backward` and
-:meth:`Mlp.apply_param_step`, per-sample calls whose cost is numpy's
-overhead more than arithmetic: backward writes each seed straight into a
-gradient buffer and returns a copy; a parameter step scales the direction
-into that buffer, which the next backward overwrites, and subtracts it.
-A network deep copied, unpickled or stacked is bound again, so its plan
-is its own.
+A single network's plan also serves :meth:`Mlp.backward`, a per-sample
+call whose cost is numpy's overhead more than arithmetic: it writes each
+seed straight into the network's gradient buffer and returns a copy.
+:meth:`Mlp.apply_param_step` subtracts ``alpha * direction`` from the
+parameters and uses no buffer of the network's.  A network deep copied,
+unpickled or stacked is bound again, so its plan is its own.
 """
 
 from __future__ import annotations
@@ -160,9 +159,11 @@ class Mlp:
         array, and each member is rebound onto its row: a step on a member
         moves its row of the stack in place, and no other.  The stack's
         ``weights`` and ``biases`` carry a leading run axis, and its
-        :meth:`forward_pass` of one input gives activations of shape
-        ``(R, width)``, row ``r`` equal to member ``r``'s own.  The stack
-        runs forward passes only; steps go to its members.
+        :meth:`forward_pass` of one input, or of ``R`` inputs, one per
+        member, gives activations of shape ``(R, width)``, row ``r`` equal
+        to member ``r``'s own; a stack of any other number of inputs raises
+        ``ValueError``.  The stack runs forward passes only; steps go to
+        its members.
         """
         nets = list(nets)
         sizes = nets[0].layer_sizes
@@ -277,10 +278,7 @@ class Mlp:
         direction = as_float_array(direction)
         if direction.shape != (self.n_params,):
             raise ValueError(f"expected direction of length {self.n_params}")
-        # every backward writes all of the gradient buffer before it reads
-        # any, so between calls it is free to hold the scaled step
-        step = np.multiply(alpha, direction, out=self._grad)
-        self._theta -= step
+        self._theta -= alpha * direction
 
     def copy(self) -> "Mlp":
         other = Mlp.__new__(Mlp)
@@ -291,6 +289,18 @@ class Mlp:
 
 class _Stack(Mlp):
     """What :meth:`Mlp.stack` returns: forward passes only."""
+
+    def _check_input(self, x) -> np.ndarray:
+        """One input, or one per member; a stack of any other number of
+        rows raises here, naming both shapes."""
+        arr = super()._check_input(x)
+        rows = (len(self._theta), self.n_inputs)
+        if arr.ndim > 1 and arr.shape != rows:
+            raise ValueError(
+                f"a stack of {rows[0]} networks takes one input or a stack of shape "
+                f"{rows}, one per network, got shape {arr.shape}"
+            )
+        return arr
 
     def _members_only(self, *args, **kwargs):
         raise TypeError("a stack of networks runs forward passes only; step its members")

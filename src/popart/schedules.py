@@ -14,6 +14,12 @@ Four schedules are provided:
   :class:`~popart.stats.Normalizer` and for the percentile and
   minibatch-extreme trackers.
 
+A schedule hands out its step sizes in one way only:
+:meth:`StepSizeSchedule.step` advances the step count ``t`` and returns
+``beta_t`` for the new ``t``.  The statistics that own a schedule keep no
+count of their own; a :class:`~popart.stats.Normalizer`'s is its
+``schedule.t``.
+
 Every step size lies in ``(0, 1]``.  A harmonic ``beta_t`` shrinks toward
 0 and, in floating point, rounds to 0 once ``t / tau`` is large enough: at
 ``t = 1`` for ``harmonic(0.1, tau=5e-324)``, at ``t = 1000`` for
@@ -45,8 +51,8 @@ class StepSizeSchedule:
     """Emits a step size ``beta_t`` in (0, 1] for each step ``t >= 1``.
 
     ``base_beta`` is ignored by ``INVERSE_T``.  ``tau`` only applies to
-    ``HARMONIC``.  ``t`` starts at 0; call :meth:`step` to advance the
-    counter and obtain the step size for the new step.
+    ``HARMONIC``.  ``t`` counts the steps taken and starts at 0; call
+    :meth:`step` to advance it and obtain the step size for the new step.
     """
 
     kind: ScheduleKind = ScheduleKind.CONSTANT
@@ -68,12 +74,6 @@ class StepSizeSchedule:
                     f"harmonic schedule with base_beta {self.base_beta!r} and tau "
                     f"{self.tau!r}: beta_t rounds to 0 before t = sys.maxsize ({sys.maxsize})"
                 )
-
-    def beta(self) -> float:
-        """Step size for the current value of ``t`` (requires ``t >= 1``)."""
-        if self.t < 1:
-            raise ValueError("schedule not started; t must be >= 1")
-        return self._beta_at(self.t)
 
     def _beta_at(self, t: int) -> float:
         if self.kind is ScheduleKind.CONSTANT:

@@ -9,7 +9,9 @@ target distribution, which is what makes the normalization safe against
 arbitrarily large spikes.  The second moment holds squared targets, so
 :meth:`Normalizer.update` takes any target up to :data:`MAX_TARGET` (about
 1.34e154) in magnitude, the largest whose square is a finite double, and
-rejects larger ones.
+rejects larger ones.  Each update that moves the statistics takes one
+step of the normalizer's :class:`~popart.schedules.StepSizeSchedule`, so
+it advances ``normalizer.schedule.t`` by one; one that raises leaves it.
 
 Also provided:
 
@@ -63,10 +65,6 @@ class Normalizer:
         self.mu = np.zeros(k)
         # the clamped second moment of mu = 0
         self.nu = np.full(k, self.epsilon)
-
-    @property
-    def t(self) -> int:
-        return self.schedule.t
 
     @property
     def sigma(self) -> np.ndarray:

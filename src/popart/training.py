@@ -50,8 +50,8 @@ when it is built.  Outputs for a stack of features, or of a stack of
 layers, go through :func:`popart.network.stacked_product`.  The three dot
 products behind the gradient norm, ``g.g``, ``delta.delta`` and ``h.h``,
 run ``.dot``, the routine ``@`` runs for two vectors.  The network's
-backward pass and parameter step reuse its buffers (see
-:mod:`popart.network`); ``W``'s own update stays one broadcast product.
+backward pass reuses its gradient buffer (see :mod:`popart.network`);
+``W``'s own update stays one broadcast product.
 
 These four steps take an optional keyword ``acts``: the activations
 ``net.forward_pass(x)`` that the caller already computed on the current
@@ -135,10 +135,11 @@ class OutputLayer:
         ``W``, ``b``, ``sigma`` and ``mu`` of the members become the rows
         of arrays with a leading run axis, and each member is rebound onto
         its rows, which its steps and rescales then move in place.  Given
-        a stack of features of shape ``(R, m)``, row ``r`` for member
-        ``r``, :meth:`unnormalized_output` gives row ``r`` exactly what
-        member ``r`` gives for its row.  The stack has no normalizer and
-        gives outputs only; steps and rescales go to its members.
+        one feature vector, or a stack of features of shape ``(R, m)``,
+        row ``r`` for member ``r``, its outputs give row ``r`` exactly what
+        member ``r`` gives for its features; features of any other shape
+        raise ``ValueError``.  The stack has no normalizer and gives
+        outputs only; steps and rescales go to its members.
         """
         layers = list(layers)
         k, m = layers[0].k, layers[0].m
@@ -197,6 +198,24 @@ class OutputLayer:
 
 class _LayerStack(OutputLayer):
     """What :meth:`OutputLayer.stack` returns: outputs only."""
+
+    def _check_features(self, h) -> np.ndarray:
+        """One feature vector, or one per member; any other shape raises
+        here, naming both shapes."""
+        h = as_float_array(h)
+        rows = (len(self.W), self.m)
+        if h.shape != rows and h.shape != rows[1:]:
+            raise ValueError(
+                f"a stack of {rows[0]} output layers takes features of shape {rows[1:]} "
+                f"or {rows}, one row per layer, got shape {h.shape}"
+            )
+        return h
+
+    def normalized_output(self, h) -> np.ndarray:
+        return super().normalized_output(self._check_features(h))
+
+    def unnormalized_output(self, h) -> np.ndarray:
+        return super().unnormalized_output(self._check_features(h))
 
     def _members_only(self, *args, **kwargs):
         raise TypeError("a stack of output layers gives outputs only; rescale its members")

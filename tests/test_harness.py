@@ -583,6 +583,31 @@ def test_lockstep_runs_equal_run_single_bitwise(hidden):
         assert rec.grad_norm.tobytes() == ref.grad_norm.tobytes(), rec
 
 
+def test_sgd_runs_that_differ_only_in_beta_are_bitwise_equal():
+    # plain SGD fits raw targets and never reads its normalizer, so its
+    # beta changes only the record's label: each grid cell of sgd repeats
+    # the run of every other beta, one that runs through the spike at step
+    # 1000 (1e-5) and one that diverges there (3e-5)
+    for alpha in (1e-5, 3e-5):
+        a, b = (run_single("sgd", alpha, beta, 7, n_samples=1010) for beta in (0.01, 0.5))
+        assert (a.beta, b.beta) == (0.01, 0.5)
+        assert a.rmse.tobytes() == b.rmse.tobytes()
+        assert a.grad_norm.tobytes() == b.grad_norm.tobytes()
+    config = ExperimentConfig(
+        methods=("sgd",), alphas=(1e-5, 3e-5), betas=(0.01, 0.5), n_samples=1010, n_repetitions=2
+    )
+    records, _ = run_grid(config)
+    by_beta = {0.01: [], 0.5: []}
+    for rec in records:
+        by_beta[rec.beta].append(rec)
+    assert len(by_beta[0.01]) == len(by_beta[0.5]) == 2 * 2
+    assert any(rec.diverged for rec in records) and not all(rec.diverged for rec in records)
+    for a, b in zip(by_beta[0.01], by_beta[0.5]):
+        assert (a.alpha, a.seed) == (b.alpha, b.seed)
+        assert a.rmse.tobytes() == b.rmse.tobytes()
+        assert a.grad_norm.tobytes() == b.grad_norm.tobytes()
+
+
 @pytest.mark.parametrize("n_repetitions, workers", [(1, 2), (2, 3)])
 def test_run_grid_splits_seed_groups_among_workers(n_repetitions, workers):
     # each seed's runs go out in workers // gcd(seeds, workers) chunks (two

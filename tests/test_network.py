@@ -209,6 +209,31 @@ def test_apply_param_step_contracts():
     np.testing.assert_allclose(a.get_params(), b.get_params(), rtol=1e-12)
 
 
+@pytest.mark.parametrize("sizes", [[3, 1], [1, 3, 1], [4, 5, 2], [16, 10, 10, 10]])
+def test_apply_param_step_equals_theta_minus_alpha_direction_bitwise(sizes):
+    # parameters and directions with +-0, subnormals, +-inf, NaN of either
+    # sign and +-1e308, on a network that has never run backward, and on
+    # one stepping along the gradient its backward has just returned
+    rng = np.random.default_rng(len(sizes) + sizes[0])
+    for trial in range(100):
+        net = Mlp(sizes, seed=trial)
+        n = net.n_params
+        theta = np.copysign(mixed(rng, n), rng.choice([1.0, -1.0], size=n))
+        net.set_params(theta)
+        alpha = float(rng.choice([0.1, 1.0, 3.0, 1e-300]))
+        with np.errstate(all="ignore"):
+            if trial % 2:
+                acts = net.forward_pass(mixed(rng, sizes[0]))
+                direction = net.backward(acts, mixed(rng, sizes[-1]))
+            else:
+                direction = np.copysign(mixed(rng, n), rng.choice([1.0, -1.0], size=n))
+            returned = direction.copy()
+            expected = theta - alpha * direction
+            net.apply_param_step(direction, alpha)
+        assert net.get_params().tobytes() == expected.tobytes(), trial
+        assert direction.tobytes() == returned.tobytes(), trial
+
+
 def test_param_vector_round_trip():
     net = Mlp([3, 5, 2], seed=9)
     theta = net.get_params()
@@ -412,6 +437,17 @@ def test_stack_runs_forward_passes_only():
 def test_stack_rejects_networks_of_other_shapes():
     with pytest.raises(ValueError, match="same layer sizes"):
         Mlp.stack([Mlp([6, 4, 2], seed=0), Mlp([6, 3, 2], seed=0)])
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 4])
+def test_stack_rejects_a_stack_of_inputs_of_another_count(n_rows):
+    # numpy's broadcast error named neither shape, and one row was
+    # broadcast to every member
+    stack = Mlp.stack(_members([6, 4, 2], 3))
+    xs = np.ones((n_rows, 6))
+    for call in (stack.forward_pass, stack.forward):
+        with pytest.raises(ValueError, match=rf"shape \(3, 6\).* got shape \({n_rows}, 6\)"):
+            call(xs)
 
 
 # -- product routes: .dot where its bytes equal those of @ ------------------

@@ -34,8 +34,8 @@ def test_bias_corrected_first_step_is_exactly_one():
 
 def test_bias_corrected_limits():
     s = bias_corrected(0.1)
-    s.t = 10_000
-    assert s.beta() == pytest.approx(0.1, abs=1e-12)
+    s.t = 9_999
+    assert s.step() == pytest.approx(0.1, abs=1e-12)
 
 
 def test_bias_corrected_monotone_decreasing():
@@ -48,16 +48,11 @@ def test_bias_corrected_monotone_decreasing():
 
 def test_harmonic_decay():
     s = harmonic(0.1, tau=1000.0)
-    s.t = 1000
-    assert s.beta() == pytest.approx(0.05)
+    s.t = 999
+    assert s.step() == pytest.approx(0.05)
     # divergent sum, summable squares: beta_t ~ c/t for large t
-    s.t = 10**6
-    assert s.beta() == pytest.approx(0.1 * 1000.0 / (1000.0 + 10**6), rel=1e-6)
-
-
-def test_beta_requires_started_schedule():
-    with pytest.raises(ValueError):
-        constant(0.5).beta()
+    s.t = 10**6 - 1
+    assert s.step() == pytest.approx(0.1 * 1000.0 / (1000.0 + 10**6), rel=1e-6)
 
 
 @pytest.mark.parametrize("beta", [0.0, -0.1, 1.5])
@@ -88,8 +83,8 @@ def test_invalid_tau_rejected():
 )
 def test_emitted_beta_always_in_unit_interval(kind, base_beta, t):
     s = StepSizeSchedule(kind, base_beta=base_beta)
-    s.t = t
-    assert 0.0 < s.beta() <= 1.0
+    s.t = t - 1
+    assert 0.0 < s.step() <= 1.0
 
 
 @pytest.mark.parametrize(("beta0", "tau"), [(0.1, 5e-324), (5e-324, 1000.0)])

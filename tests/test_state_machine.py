@@ -52,7 +52,7 @@ class NormalizerLayerMachine(RuleBasedStateMachine):
     def _state(self):
         nrm, layer = self.nrm, self.layer
         arrays = (nrm.mu, nrm.nu, layer.W, layer.b, layer.sigma, layer.mu)
-        return nrm.t, [a.tobytes() for a in arrays]
+        return nrm.schedule.t, [a.tobytes() for a in arrays]
 
     def _one_bad(self, good, bad, first=True):
         """K components, all ``good`` except the first or last, ``bad``."""

@@ -113,14 +113,14 @@ def test_target_too_large_to_square_rejected_without_change(k, y):
     # whole-array test, whose error names it and not all k
     n = Normalizer(k=k, schedule=constant(0.5))
     n.update(np.full(k, 3.0))
-    t, mu, nu = n.t, n.mu.copy(), n.nu.copy()
+    t, mu, nu = n.schedule.t, n.mu.copy(), n.nu.copy()
     target = np.full(k, 2.0)
     target[k // 2] = y
     for method in (n.update, n.normalize):
         with pytest.raises(ValueError, match="1.34078e") as err:
             method(y if k == 1 else target)  # at k = 1 a lone float, the steps' form
         assert len(str(err.value)) < 100
-    assert n.t == t
+    assert n.schedule.t == t
     np.testing.assert_array_equal(n.mu, mu)
     np.testing.assert_array_equal(n.nu, nu)
     n.update(np.full(k, 2.0))
@@ -183,7 +183,7 @@ REJECTED_TARGETS = [math.nan, math.inf, -math.inf, MAX_TARGET * (1 + 2**-50), -1
 
 
 def _state_bits(n, column):
-    return n.t, n.mu[column].tobytes(), n.nu[column].tobytes()
+    return n.schedule.t, n.mu[column].tobytes(), n.nu[column].tobytes()
 
 
 @settings(deadline=None, max_examples=200)
@@ -416,6 +416,8 @@ def test_extreme_tracker_bounds_equal_numpy_min_max_bitwise():
     rng = np.random.default_rng(8)
     for size in (2, 3, 4, 9, 17):
         ours = ExtremeTracker(size, schedule=harmonic(0.1, 1000.0))
+        # the tracker's step sizes, from a twin of its schedule
+        twin = harmonic(0.1, 1000.0)
         y_min = y_max = None
         for batch in rng.normal(size=(200, size)) * 10.0 ** rng.uniform(-300, 300, size=(200, 1)):
             ours.update(batch)
@@ -423,7 +425,7 @@ def test_extreme_tracker_bounds_equal_numpy_min_max_bitwise():
             if y_min is None:
                 y_min, y_max = lo, hi
             else:
-                beta = ours.schedule.beta()
+                beta = twin.step()
                 y_min += beta * (lo - y_min)
                 y_max += beta * (hi - y_max)
             assert (ours.y_min, ours.y_max) == (y_min, y_max)

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,16 @@ def test_layer_stack_gives_outputs_only():
         assert old.tobytes() == getattr(stack, name).tobytes()
     with pytest.raises(ValueError, match="same k and m"):
         OutputLayer.stack([OutputLayer(1, 3, seed=0), OutputLayer(2, 3, seed=0)])
+
+
+@pytest.mark.parametrize("shape", [(2, 6), (1, 6), (4, 6), (3, 5), (5,)])
+def test_layer_stack_rejects_features_of_another_shape(shape):
+    # numpy's broadcast error named neither shape, and one row was
+    # broadcast to every member
+    stack = OutputLayer.stack(layer for _, layer in _calibrated_pairs(3, 2))
+    for out in (stack.normalized_output, stack.unnormalized_output):
+        with pytest.raises(ValueError, match=rf"\(3, 6\), .* got shape {re.escape(str(shape))}"):
+            out(np.ones(shape))
 
 
 def test_popart_step_hand_unroll():
@@ -466,7 +477,7 @@ def _state(net, layer):
         "b": layer.b.copy(),
         "sigma": layer.sigma.copy(),
         "layer_mu": layer.mu.copy(),
-        "t": nrm.t,
+        "t": nrm.schedule.t,
         "mu": nrm.mu.copy(),
         "nu": nrm.nu.copy(),
     }
@@ -604,12 +615,12 @@ def test_normalizer_of_another_width_rejected_without_change():
     net = Mlp([2, 3], seed=0)
     nrm = Normalizer(k=1, schedule=constant(0.3))
     layer = OutputLayer(2, 3, normalizer=nrm, seed=1)
-    before = [nrm.t, nrm.mu.copy(), nrm.nu.copy(), layer.W.copy(), layer.b.copy()]
+    before = [nrm.schedule.t, nrm.mu.copy(), nrm.nu.copy(), layer.W.copy(), layer.b.copy()]
     with pytest.raises(ValueError, match="expected 2 target components"):
         popart_sgd_step(net, layer, GOOD_X, 1.0, alpha=0.1)
     with pytest.raises(ValueError, match="normalizer has 1 components"):
         popart_sgd_step(net, layer, GOOD_X, [1.0, 2.0], alpha=0.1)
-    after = [nrm.t, nrm.mu, nrm.nu, layer.W, layer.b]
+    after = [nrm.schedule.t, nrm.mu, nrm.nu, layer.W, layer.b]
     for a, b in zip(after, before):
         np.testing.assert_array_equal(a, b)
 
@@ -716,7 +727,7 @@ def _bits(value):
 
 def _oracle_state(net, layer, nrm):
     arrays = (net.get_params(), layer.W, layer.b, layer.sigma, layer.mu, nrm.mu, nrm.nu)
-    return nrm.t, [a.tobytes() for a in arrays]
+    return nrm.schedule.t, [a.tobytes() for a in arrays]
 
 
 ORACLE_KINDS = sorted(STEPS)
