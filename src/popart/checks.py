@@ -7,8 +7,8 @@ correspondence, the percentile and minibatch-extreme fixed points, the
 bias-corrected initialization independence, the batch/incremental
 statistics equivalence, and the Jacobian against finite differences.
 
-The ``full`` profile uses the same sample counts as the acceptance test
-suite; ``ci`` shrinks the stochastic checks for a quick smoke run.
+``popart verify`` runs each check at its default scale, the one the
+acceptance test suite gates on.
 """
 
 from __future__ import annotations
@@ -303,16 +303,6 @@ def check_gradients(n_cases: int = 100, seed: int = 37) -> tuple[bool, str]:
     return worst < 1e-5, f"max relative error {worst:.2e}"
 
 
-_CI_SIZES = {
-    "check_target_bound": {"n_streams": 100_000},
-    "check_output_preservation": {"n_trials": 2000},
-    "check_sgd_equivalence": {"n_steps": 300},
-    "check_erf_correspondence": {"n_samples": 200_000},
-    "check_percentile_fixed_point": {"n_samples": 200_000},
-    "check_minibatch_extremes": {"n_batches": 50_000},
-    "check_gradients": {"n_cases": 30},
-}
-
 ALL_CHECKS = (
     check_target_bound,
     check_output_preservation,
@@ -324,11 +314,3 @@ ALL_CHECKS = (
     check_batch_equivalence,
     check_gradients,
 )
-
-
-def run_all(profile: str = "full") -> list[CheckResult]:
-    results = []
-    for fn in ALL_CHECKS:
-        kwargs = _CI_SIZES.get(fn.__name__, {}) if profile == "ci" else {}
-        results.append(fn(**kwargs))
-    return results

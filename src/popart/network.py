@@ -15,14 +15,15 @@ a new array to ``net.weights[i]`` detaches it from the parameters.
 
 :meth:`Mlp.stack` puts the parameter vectors of ``R`` networks of one
 shape into the rows of one ``(R, n_params)`` array, so that one forward
-pass serves them all; each network keeps working on its own row.
+pass of one shared input serves them all; each network keeps working on
+its own row.
 
 One forward pass serves one input, a stack of inputs of shape
 ``(B, n_in)`` and a stack of networks; each row of its activations equals
-that row's input through that row's network alone, to the last bit.  It
-loops over the per-layer plan :meth:`Mlp._bind` builds for every binding,
-adds the bias to each fresh product and takes ``tanh`` in place.  Each
-product takes one of two routes:
+that row's input, or the shared one, through that row's network alone, to
+the last bit.  It loops over the per-layer plan :meth:`Mlp._bind` builds
+for every binding, adds the bias to each fresh product and takes ``tanh``
+in place.  Each product takes one of two routes:
 
 - One input through one network takes :func:`product`'s route: ``.dot``,
   about half the cost of ``@`` on these 10- to 20-wide operands, where
@@ -159,11 +160,10 @@ class Mlp:
         array, and each member is rebound onto its row: a step on a member
         moves its row of the stack in place, and no other.  The stack's
         ``weights`` and ``biases`` carry a leading run axis, and its
-        :meth:`forward_pass` of one input, or of ``R`` inputs, one per
-        member, gives activations of shape ``(R, width)``, row ``r`` equal
-        to member ``r``'s own; a stack of any other number of inputs raises
-        ``ValueError``.  The stack runs forward passes only; steps go to
-        its members.
+        :meth:`forward_pass` of one input, which every member takes, gives
+        activations of shape ``(R, width)``, row ``r`` equal to member
+        ``r``'s own; an input of any other shape raises ``ValueError``.
+        The stack runs forward passes only; steps go to its members.
         """
         nets = list(nets)
         sizes = nets[0].layer_sizes
@@ -214,7 +214,7 @@ class Mlp:
         ``(B, n_inputs)``; for a stack each activation has one row per
         input, identical to the activations of that input alone.  Through
         a stack of networks (:meth:`stack`) row ``r`` is network ``r``'s,
-        of the one input or of row ``r`` of the stack.
+        of the one input.
         """
         a = self._check_input(x)
         acts = [a]
@@ -291,14 +291,12 @@ class _Stack(Mlp):
     """What :meth:`Mlp.stack` returns: forward passes only."""
 
     def _check_input(self, x) -> np.ndarray:
-        """One input, or one per member; a stack of any other number of
-        rows raises here, naming both shapes."""
-        arr = super()._check_input(x)
-        rows = (len(self._theta), self.n_inputs)
-        if arr.ndim > 1 and arr.shape != rows:
+        """The one input every member takes; any other shape raises here."""
+        arr = as_float_array(x)
+        if arr.shape != (self.n_inputs,):
             raise ValueError(
-                f"a stack of {rows[0]} networks takes one input or a stack of shape "
-                f"{rows}, one per network, got shape {arr.shape}"
+                f"a stack of {len(self._theta)} networks takes one input of length "
+                f"{self.n_inputs}, got shape {arr.shape}"
             )
         return arr
 

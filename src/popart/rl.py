@@ -69,9 +69,20 @@ class ChainMdp:
         return self.n_states - 1
 
     def step(self, s: int, a: int) -> tuple[int, float, bool]:
-        s2 = s + 1 if a == self.ADVANCE else s
-        r = self.terminal_reward if (s2 == self.terminal and s != self.terminal) else 0.0
-        return s2, r, s2 == self.terminal
+        """``(next state, reward, done)``; at the terminal state, which is
+        absorbing, ``(terminal, 0.0, True)``.  A state outside
+        ``[0, n_states)`` or an action outside ``[0, n_actions)`` raises
+        ``IndexError``."""
+        if not 0 <= s < self.n_states:
+            raise IndexError(f"state {s} is outside [0, {self.n_states})")
+        if not 0 <= a < self.n_actions:
+            raise IndexError(f"action {a} is outside [0, {self.n_actions})")
+        terminal = self.terminal
+        if s == terminal:
+            return s, 0.0, True
+        if a == self.ADVANCE:
+            s += 1
+        return s, self.terminal_reward if s == terminal else 0.0, s == terminal
 
 
 def value_iteration(mdp: ChainMdp) -> np.ndarray:

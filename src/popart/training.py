@@ -9,7 +9,8 @@ outputs and :func:`predict` also take a stack of inputs of shape
 ``(B, n)``, one per row, and give each row exactly what that input alone
 gives; the SGD steps take one input at a time.  :meth:`OutputLayer.stack`
 stacks the parameters of ``R`` layers, as :meth:`Mlp.stack` does those of
-``R`` networks, so that one call predicts for all of them.
+``R`` networks, so that one call gives the unnormalized outputs of all of
+them, one feature row each.
 
 Four per-sample squared-loss SGD steps are provided:
 
@@ -46,12 +47,12 @@ Each product takes the cheaper numpy route that gives the bytes of ``@``
 the lower layers' seed ``delta W`` contracts ``k``; each runs ``.dot``
 where that count is at least 2 and ``@`` where it is 1, as ``delta W`` is
 in the sweep and the agent (``k = 1``).  A layer picks its two routes
-when it is built.  Outputs for a stack of features, or of a stack of
-layers, go through :func:`popart.network.stacked_product`.  The three dot
-products behind the gradient norm, ``g.g``, ``delta.delta`` and ``h.h``,
-run ``.dot``, the routine ``@`` runs for two vectors.  The network's
-backward pass reuses its gradient buffer (see :mod:`popart.network`);
-``W``'s own update stays one broadcast product.
+when it is built.  Outputs for a stack of features, through one layer or
+a stack of layers, go through :func:`popart.network.stacked_product`.
+The three dot products behind the gradient norm, ``g.g``,
+``delta.delta`` and ``h.h``, run ``.dot``, the routine ``@`` runs for two
+vectors.  The network's backward pass reuses its gradient buffer (see
+:mod:`popart.network`); ``W``'s own update stays one broadcast product.
 
 These four steps take an optional keyword ``acts``: the activations
 ``net.forward_pass(x)`` that the caller already computed on the current
@@ -135,11 +136,12 @@ class OutputLayer:
         ``W``, ``b``, ``sigma`` and ``mu`` of the members become the rows
         of arrays with a leading run axis, and each member is rebound onto
         its rows, which its steps and rescales then move in place.  Given
-        one feature vector, or a stack of features of shape ``(R, m)``,
-        row ``r`` for member ``r``, its outputs give row ``r`` exactly what
-        member ``r`` gives for its features; features of any other shape
-        raise ``ValueError``.  The stack has no normalizer and gives
-        outputs only; steps and rescales go to its members.
+        features of shape ``(R, m)``, row ``r`` for member ``r``, its
+        :meth:`unnormalized_output` gives row ``r`` exactly what member
+        ``r`` gives for its features; features of any other shape raise
+        ``ValueError``.  The stack has no normalizer and gives unnormalized
+        outputs only; normalized outputs, steps and rescales go to its
+        members.
         """
         layers = list(layers)
         k, m = layers[0].k, layers[0].m
@@ -156,17 +158,16 @@ class OutputLayer:
 
     def normalized_output(self, h) -> np.ndarray:
         """``W h + b`` for one feature vector, or one row per row of a
-        stack of shape ``(B, m)``; for a stack of layers, one row per
-        layer."""
+        stack of shape ``(B, m)``."""
         h = as_float_array(h)
-        if h.ndim > 1 or self.W.ndim > 2:
+        if h.ndim > 1:
             return stacked_product(self.W, h) + self.b
         return self._matvec(self.W, h) + self.b
 
     def unnormalized_output(self, h) -> np.ndarray:
         """``sigma * (W h + b) + mu``, row by row for a stack."""
         h = as_float_array(h)
-        if h.ndim > 1 or self.W.ndim > 2:
+        if h.ndim > 1:
             return self.sigma * (stacked_product(self.W, h) + self.b) + self.mu
         out = self._matvec(self.W, h)
         b, sigma, mu = self.b, self.sigma, self.mu
@@ -197,30 +198,26 @@ class OutputLayer:
 
 
 class _LayerStack(OutputLayer):
-    """What :meth:`OutputLayer.stack` returns: outputs only."""
-
-    def _check_features(self, h) -> np.ndarray:
-        """One feature vector, or one per member; any other shape raises
-        here, naming both shapes."""
-        h = as_float_array(h)
-        rows = (len(self.W), self.m)
-        if h.shape != rows and h.shape != rows[1:]:
-            raise ValueError(
-                f"a stack of {rows[0]} output layers takes features of shape {rows[1:]} "
-                f"or {rows}, one row per layer, got shape {h.shape}"
-            )
-        return h
-
-    def normalized_output(self, h) -> np.ndarray:
-        return super().normalized_output(self._check_features(h))
+    """What :meth:`OutputLayer.stack` returns: unnormalized outputs only."""
 
     def unnormalized_output(self, h) -> np.ndarray:
-        return super().unnormalized_output(self._check_features(h))
+        """One row per member of features of shape ``(R, m)``; any other
+        shape raises here, naming both shapes."""
+        h = as_float_array(h)
+        rows = (len(self.W), self.m)
+        if h.shape != rows:
+            raise ValueError(
+                f"a stack of {rows[0]} output layers takes features of shape {rows}, "
+                f"one row per layer, got shape {h.shape}"
+            )
+        return super().unnormalized_output(h)
 
     def _members_only(self, *args, **kwargs):
-        raise TypeError("a stack of output layers gives outputs only; rescale its members")
+        raise TypeError(
+            "a stack of output layers gives unnormalized outputs only; call its members"
+        )
 
-    rescale_to = set_scale_shift = _members_only
+    normalized_output = rescale_to = set_scale_shift = _members_only
 
 
 def predict(net: Mlp, layer: OutputLayer, x) -> np.ndarray:

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from popart.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main
+from popart import checks
+from popart.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAILED, main
 from popart.binreg import MAX_GRID_SAMPLES, RESULTS_HEADER, RUN_SAMPLES, ExperimentConfig
 
 TINY_BINREG = {
@@ -455,12 +456,18 @@ def test_rl_demo_seed_past_sys_maxsize_runs(tmp_path):
 
 @pytest.mark.parametrize(
     "args",
-    [["binreg", "--seed", "7"], ["binreg", "--sort"], ["rl-demo", "--reward-scale", "2"]],
+    [
+        ["binreg", "--seed", "7"],
+        ["binreg", "--sort"],
+        ["rl-demo", "--reward-scale", "2"],
+        ["verify", "--profile", "ci"],
+    ],
     ids=lambda a: " ".join(a),
 )
 def test_removed_flags_are_rejected(tmp_path, capsys, args):
     # each setting has one route: base_seed and terminal_reward are config
-    # keys, and binreg always sorts its rows
+    # keys, binreg always sorts its rows, and verify runs every check at
+    # the size its acceptance gate uses
     with pytest.raises(SystemExit) as exc:
         main([*args, "--out", str(tmp_path / "o")])
     assert exc.value.code == EXIT_CONFIG
@@ -718,12 +725,23 @@ def test_plot_missing_results_is_io_error(tmp_path):
     assert code == EXIT_IO
 
 
-def test_verify_ci_profile_passes(capsys):
-    code = main(["verify", "--profile", "ci"])
-    out = capsys.readouterr().out
-    assert code == EXIT_OK
-    assert "FAIL" not in out
-    assert out.count("PASS") == 9
+def test_verify_prints_a_row_per_check_and_exits_by_the_result(capsys, monkeypatch):
+    # every check at its gate size runs in test_acceptance; here two fast
+    # real checks give the table, then a failing fake one the exit code
+    fast = (checks.check_init_independence, checks.check_batch_equivalence)
+    monkeypatch.setattr(checks, "ALL_CHECKS", fast)
+    assert main(["verify"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()
+    assert [row[:25] for row in rows] == ["init independence  PASS  ", "batch equivalence  PASS  "]
+
+    def failing():
+        return checks.CheckResult("fails", False, "on purpose", 0.0)
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", (*fast, failing))
+    assert main(["verify"]) == EXIT_VERIFY_FAILED
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 3 and rows[2].startswith("fails              FAIL  (")
+    assert rows[2].endswith("s)  on purpose")
 
 
 def test_no_partial_files_on_failure(tmp_path):

@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -714,6 +716,55 @@ def test_values_are_read_and_checked_in_one_leaf_module():
                 assert node.level == 0 and node.module.split(".")[0] != "popart", node.module
             elif isinstance(node, ast.Import):
                 assert all(alias.name.split(".")[0] != "popart" for alias in node.names)
+
+
+REPO = Path(__file__).resolve().parents[1]
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often ``tree`` names each identifier: as a name, an attribute,
+    an imported name, or a part of a dotted string such as the tracer's
+    ``"Mlp.forward_pass"``."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if DOTTED.fullmatch(node.value):
+                refs.update(node.value.split("."))
+    return refs
+
+
+def test_every_public_name_in_the_package_has_a_caller_outside_the_tests():
+    # no test-only API: every public function, class and method of the
+    # package is named somewhere in src/, demos/, perfbench/ or the README,
+    # apart from its own definition.  Names are matched by spelling, so a
+    # name two definitions share counts as used when either is
+    sources = [
+        *sorted((REPO / "src" / "popart").glob("*.py")),
+        *sorted((REPO / "demos").glob("*.py")),
+        *sorted((REPO / "perfbench").glob("*.py")),
+    ]
+    refs = Counter(re.findall(r"\w+", (REPO / "README.md").read_text(encoding="utf-8")))
+    public = {}
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        refs.update(_references(tree))
+        if path.parent.name != "popart":
+            continue
+        classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        for node in [*tree.body, *(item for cls in classes for item in cls.body)]:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                refs[node.name] -= _references(node)[node.name]
+                if not node.name.startswith("_"):
+                    public.setdefault(node.name, f"{path.name}:{node.lineno}")
+    unused = {where: name for name, where in public.items() if refs[name] <= 0}
+    assert not unused, f"public names no code outside tests/ reads: {unused}"
 
 
 def test_results_csv_bytes_are_csv_writers(tmp_path):

@@ -18,6 +18,20 @@ def test_chain_dynamics():
     assert mdp.step(3, mdp.ADVANCE) == (4, 1000.0, True)
 
 
+def test_chain_terminal_is_absorbing_and_steps_stay_on_the_chain():
+    # step(4, 0) went to state 5, past the end; action 2 acted as STAY, and
+    # state 7 came back as it went in
+    mdp = ChainMdp()
+    for a in (mdp.ADVANCE, mdp.STAY):
+        assert mdp.step(mdp.terminal, a) == (mdp.terminal, 0.0, True)
+    for s in (-1, 5, 7):
+        with pytest.raises(IndexError, match=rf"state {s} is outside \[0, 5\)"):
+            mdp.step(s, mdp.ADVANCE)
+    for a in (-1, 2):
+        with pytest.raises(IndexError, match=rf"action {a} is outside \[0, 2\)"):
+            mdp.step(0, a)
+
+
 def test_value_iteration_closed_form():
     # the fixed point, bit for bit: each state one discount from the next,
     # staying one discount from itself; the long chain at gamma 0.5 reaches

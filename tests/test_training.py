@@ -181,13 +181,6 @@ def test_layer_stack_outputs_rows_equal_members_bitwise(n, k):
     assert got.shape == (n, k)
     for r, (net, layer) in enumerate(pairs):
         assert _bits(got[r]) == _bits(predict(net, layer, x))
-    # one feature vector shared by every member
-    h = rng.normal(size=6)
-    for out in ("normalized_output", "unnormalized_output"):
-        got = getattr(layer_stack, out)(h)
-        assert got.shape == (n, k)
-        for r, layer in enumerate(layers):
-            assert _bits(got[r]) == _bits(getattr(layer, out)(h)), (out, r)
 
 
 def test_step_on_a_member_moves_its_rows_only():
@@ -216,22 +209,23 @@ def test_layer_stack_gives_outputs_only():
     stack = OutputLayer.stack(layers)
     before = [getattr(stack, a).copy() for a in ("W", "b", "sigma", "mu")]
     for call in (stack.rescale_to, stack.set_scale_shift):
-        with pytest.raises(TypeError, match="outputs only"):
+        with pytest.raises(TypeError, match="unnormalized outputs only"):
             call([2.0], [1.0])
+    with pytest.raises(TypeError, match="unnormalized outputs only"):
+        stack.normalized_output(np.ones((2, 6)))
     for old, name in zip(before, ("W", "b", "sigma", "mu")):
         assert old.tobytes() == getattr(stack, name).tobytes()
     with pytest.raises(ValueError, match="same k and m"):
         OutputLayer.stack([OutputLayer(1, 3, seed=0), OutputLayer(2, 3, seed=0)])
 
 
-@pytest.mark.parametrize("shape", [(2, 6), (1, 6), (4, 6), (3, 5), (5,)])
+@pytest.mark.parametrize("shape", [(2, 6), (1, 6), (4, 6), (3, 5), (5,), (6,)])
 def test_layer_stack_rejects_features_of_another_shape(shape):
     # numpy's broadcast error named neither shape, and one row was
-    # broadcast to every member
+    # broadcast to every member; one feature row per member is the only form
     stack = OutputLayer.stack(layer for _, layer in _calibrated_pairs(3, 2))
-    for out in (stack.normalized_output, stack.unnormalized_output):
-        with pytest.raises(ValueError, match=rf"\(3, 6\), .* got shape {re.escape(str(shape))}"):
-            out(np.ones(shape))
+    with pytest.raises(ValueError, match=rf"\(3, 6\), .* got shape {re.escape(str(shape))}"):
+        stack.unnormalized_output(np.ones(shape))
 
 
 def test_popart_step_hand_unroll():
