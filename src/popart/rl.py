@@ -40,6 +40,14 @@ from .stats import MAX_TARGET, Normalizer
 from .training import OutputLayer, TrainStepReport, popart_sgd_step
 from .values import check_setting, count, real
 
+# The most states a chain may have.  A DoubleQAgent holds a one-hot code
+# per state and action, n_states * n_actions * (n_states + n_actions)
+# float64s, which it fills at once: this is the largest chain whose codes
+# fit in 2 GiB (16 * 11584 * 11586 bytes), as binreg's MAX_GRID_SAMPLES
+# bounds a sweep's records.  Time is not bounded: value_iteration takes
+# about n_states**2 steps, over a second at 1000 states.
+MAX_STATES = 11584
+
 
 @dataclass
 class ChainMdp:
@@ -59,6 +67,11 @@ class ChainMdp:
 
     def __post_init__(self) -> None:
         check_setting("n_states", self.n_states, lambda n: count(n) >= 2)
+        if self.n_states > MAX_STATES:
+            raise ValueError(
+                f"invalid n_states: {self.n_states} is above the limit of {MAX_STATES} "
+                "(the agent's state-action codes would take over 2 GiB)"
+            )
         check_setting(  # a target the normalizer takes; NaN fails the comparison
             "terminal_reward", self.terminal_reward, lambda r: abs(real(r)) <= MAX_TARGET
         )

@@ -15,10 +15,10 @@ Four schedules are provided:
   minibatch-extreme trackers.
 
 A schedule hands out its step sizes in one way only:
-:meth:`StepSizeSchedule.step` advances the step count ``t`` and returns
-``beta_t`` for the new ``t``.  The statistics that own a schedule keep no
-count of their own; a :class:`~popart.stats.Normalizer`'s is its
-``schedule.t``.
+:meth:`StepSizeSchedule.step` advances the step count ``t``, which every
+schedule starts at 0 and no constructor takes, and returns ``beta_t`` for
+the new ``t``.  The statistics that own a schedule keep no count of their
+own; a :class:`~popart.stats.Normalizer`'s is its ``schedule.t``.
 
 Every step size lies in ``(0, 1]``.  A harmonic ``beta_t`` shrinks toward
 0 and, in floating point, rounds to 0 once ``t / tau`` is large enough: at
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .values import check_setting, real
@@ -51,14 +51,15 @@ class StepSizeSchedule:
     """Emits a step size ``beta_t`` in (0, 1] for each step ``t >= 1``.
 
     ``base_beta`` is ignored by ``INVERSE_T``.  ``tau`` only applies to
-    ``HARMONIC``.  ``t`` counts the steps taken and starts at 0; call
-    :meth:`step` to advance it and obtain the step size for the new step.
+    ``HARMONIC``.  ``t`` counts the steps taken and starts at 0, which is
+    not a setting; call :meth:`step` to advance it and obtain the step
+    size for the new step.
     """
 
     kind: ScheduleKind = ScheduleKind.CONSTANT
     base_beta: float = 0.1
     tau: float = 1000.0
-    t: int = 0
+    t: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         self.kind = ScheduleKind(self.kind)

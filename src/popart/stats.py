@@ -114,12 +114,11 @@ class Normalizer:
         return (arr - self.mu) / self.sigma
 
 
-def batch_stats(
-    targets, spread: float = 1.0, epsilon: float = DEFAULT_EPSILON
-) -> tuple[float, float]:
+def batch_stats(targets, spread: float = 1.0) -> tuple[float, float]:
     """Shift and scale of a finite batch of scalar targets: the sample
     mean and ``sqrt(mean-of-squares - mean**2) / spread``, with the
-    variance floored at ``epsilon``.
+    variance floored at :data:`DEFAULT_EPSILON`, a :class:`Normalizer`'s
+    default floor.
     """
     arr = np.asarray(targets, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
@@ -127,7 +126,7 @@ def batch_stats(
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite target")
     mu = float(arr.mean())
-    var = max(float((arr**2).mean()) - mu**2, epsilon)
+    var = max(float((arr**2).mean()) - mu**2, DEFAULT_EPSILON)
     return mu, math.sqrt(var) / spread
 
 

@@ -75,7 +75,7 @@ import numpy as np
 
 from .network import Mlp, product, stacked_product
 from .stats import Normalizer
-from .values import MAX, TINY, as_float_array, as_floats, check_setting, count
+from .values import MAX, TINY, as_finite_array, as_float_array, as_floats, check_setting, count
 
 
 @dataclass
@@ -93,8 +93,9 @@ class OutputLayer:
     """Final linear layer ``W h + b`` with its scale/shift calibration.
 
     ``k`` is the number of outputs, ``m`` the width of the feature vector
-    it consumes.  ``sigma`` starts at ones and ``mu`` at zeros, matching a
-    fresh identity normalization.
+    it consumes.  ``W`` and ``b``, when given, are copied; they must have
+    shapes ``(k, m)`` and ``(k,)`` and finite entries.  ``sigma`` starts at
+    ones and ``mu`` at zeros, matching a fresh identity normalization.
 
     ``b``, ``sigma`` and ``mu`` are float arrays of length ``k``, which
     a rescale and a step overwrite in place, component by component, on
@@ -116,13 +117,14 @@ class OutputLayer:
         check_setting("m", m, lambda n: count(n) >= 1)
         self.k = int(k)
         self.m = int(m)
+        # b is read first, so that a bad one leaves rng undrawn
+        self.b = np.zeros(k) if b is None else as_finite_array(b, (self.k,), "b")
         if W is None:
             if rng is None:
                 rng = np.random.default_rng(seed)
             bound = 1.0 / np.sqrt(m)
             W = rng.uniform(-bound, bound, size=(k, m))
-        self.W = np.array(W, dtype=float).reshape(k, m)
-        self.b = np.zeros(k) if b is None else np.array(b, dtype=float).reshape(k)
+        self.W = as_finite_array(W, (self.k, self.m), "W")
         self.sigma = np.ones(k)
         self.mu = np.zeros(k)
         self.normalizer = normalizer

@@ -243,6 +243,7 @@ def test_rl_demo_rejects_unknown_config_key(tmp_path):
         {"copy_period": 0},
         {"copy_period": 2.5},
         {"n_states": 1},
+        {"n_states": 11585},
         {"gamma": "x"},
         {"gamma": 1.5},
         {"terminal_reward": float("inf")},

@@ -680,7 +680,9 @@ def test_importing_the_package_loads_no_process_pool():
     assert proc.stdout == "[]\n"
 
 
-VALUE_READERS = {"as_float_array", "as_vector", "as_floats", "check_setting", "count", "real"}
+VALUE_READERS = {
+    "as_finite_array", "as_float_array", "as_vector", "as_floats", "check_setting", "count", "real"
+}
 
 
 def _defined_names(tree: ast.Module) -> set:
@@ -740,19 +742,24 @@ def _references(tree: ast.AST) -> Counter:
     return refs
 
 
+def _caller_sources() -> list[Path]:
+    """The code outside tests/ whose calls count: the package, the demos
+    and the benchmark."""
+    return [
+        *sorted((REPO / "src" / "popart").glob("*.py")),
+        *sorted((REPO / "demos").glob("*.py")),
+        *sorted((REPO / "perfbench").glob("*.py")),
+    ]
+
+
 def test_every_public_name_in_the_package_has_a_caller_outside_the_tests():
     # no test-only API: every public function, class and method of the
     # package is named somewhere in src/, demos/, perfbench/ or the README,
     # apart from its own definition.  Names are matched by spelling, so a
     # name two definitions share counts as used when either is
-    sources = [
-        *sorted((REPO / "src" / "popart").glob("*.py")),
-        *sorted((REPO / "demos").glob("*.py")),
-        *sorted((REPO / "perfbench").glob("*.py")),
-    ]
     refs = Counter(re.findall(r"\w+", (REPO / "README.md").read_text(encoding="utf-8")))
     public = {}
-    for path in sources:
+    for path in _caller_sources():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         refs.update(_references(tree))
         if path.parent.name != "popart":
@@ -765,6 +772,132 @@ def test_every_public_name_in_the_package_has_a_caller_outside_the_tests():
                     public.setdefault(node.name, f"{path.name}:{node.lineno}")
     unused = {where: name for name, where in public.items() if refs[name] <= 0}
     assert not unused, f"public names no code outside tests/ reads: {unused}"
+
+
+FENCED_PYTHON = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
+# Defaulted parameters that no code outside tests/ passes, kept on purpose:
+# (module.function, parameter) -> why
+UNPASSED_OPTIONS_KEPT = {
+    ("cli.main", "argv"): "the console entry point: the installed script calls main() with "
+    "no arguments, so argparse reads sys.argv, and tests hand it theirs",
+    ("binreg.run_single", "hidden"): "the bitwise oracle of run_grid's lockstep runs, so it "
+    "takes every config.hidden that run_grid takes",
+}
+
+
+def _decorator_names(node) -> set:
+    return {ast.unparse(d).rsplit(".", 1)[-1] for d in node.decorator_list}
+
+
+def _parameter_options(node: ast.FunctionDef, bound: int) -> dict:
+    """The defaulted parameters of ``node``, each mapped to its position
+    among a call's arguments, past the ``bound`` ones (``self`` or
+    ``cls``) that come bound, or to None when it is keyword-only."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args]
+    defaulted = positional[len(positional) - len(args.defaults) :]
+    options = {p.arg: positional.index(p) - bound for p in defaulted}
+    keyword_only = zip(args.kwonlyargs, args.kw_defaults)
+    options.update((p.arg, None) for p, default in keyword_only if default is not None)
+    return options
+
+
+def _field_options(cls: ast.ClassDef) -> dict:
+    """The defaulted constructor fields of dataclass ``cls``, each mapped
+    to its position; a ``ClassVar`` or a ``field(init=False)`` is none."""
+    fields, defaulted = [], set()
+    for node in cls.body:
+        if not isinstance(node, ast.AnnAssign) or "ClassVar" in ast.unparse(node.annotation):
+            continue
+        value = node.value
+        if isinstance(value, ast.Call) and ast.unparse(value.func).endswith("field"):
+            settings = {k.arg: ast.unparse(k.value) for k in value.keywords}
+            if settings.get("init") == "False":
+                continue
+            if {"default", "default_factory"} & set(settings):
+                defaulted.add(node.target.id)
+        elif value is not None:
+            defaulted.add(node.target.id)
+        fields.append(node.target.id)
+    return {name: i for i, name in enumerate(fields) if name in defaulted}
+
+
+def _public_options(tree: ast.Module):
+    """``(qualified name, callee name, options)`` for every public function,
+    method and constructor a module defines, its options being its
+    defaulted parameters or fields; a constructor is called by its class's
+    name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name, _parameter_options(node, 0)
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        if "dataclass" in _decorator_names(node):
+            yield node.name, node.name, _field_options(node)
+        for item in node.body:
+            if not isinstance(item, ast.FunctionDef):
+                continue
+            bound = 0 if "staticmethod" in _decorator_names(item) else 1
+            if item.name == "__init__":
+                yield node.name, node.name, _parameter_options(item, bound)
+            elif not item.name.startswith("_"):
+                yield f"{node.name}.{item.name}", item.name, _parameter_options(item, bound)
+
+
+def _calls(tree: ast.AST):
+    """``(callee name, positional, keywords)`` for each call in ``tree``:
+    how many arguments it passes by position (all of them through
+    ``*args``) and which by keyword (None for a ``**mapping``, which may
+    hold any key).  In a class body, ``cls(...)`` and ``replace(self,
+    ...)`` call the class's constructor."""
+    owner = {}
+    for cls in ast.walk(tree):  # outer classes first, so inner ones win
+        if isinstance(cls, ast.ClassDef):
+            owner.update((node, cls.name) for node in ast.walk(cls))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        args = node.args
+        if name == "cls":
+            name = owner.get(node)
+        elif name == "replace" and args and getattr(args[0], "id", None) == "self":
+            name, args = owner.get(node), args[1:]
+        starred = any(isinstance(a, ast.Starred) for a in args)
+        keywords = {k.arg for k in node.keywords}
+        yield name, math.inf if starred else len(args), keywords
+
+
+def test_every_defaulted_parameter_in_the_package_is_passed_outside_the_tests():
+    # no option with one value in use: every defaulted parameter of a
+    # public function, method or constructor, and every defaulted field of
+    # a public dataclass, is passed by some call in src/, demos/,
+    # perfbench/ or the README's Python blocks, by keyword or by position.
+    # Callees are matched by spelling, as public names are above
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in _caller_sources()]
+    trees += [ast.parse(block) for block in FENCED_PYTHON.findall(readme)]
+    passed = {}
+    for tree in trees:
+        for name, positional, keywords in _calls(tree):
+            passed.setdefault(name, []).append((positional, keywords))
+    unpassed = set()
+    for path in sorted((REPO / "src" / "popart").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for qualified, callee, options in _public_options(tree):
+            for option, position in options.items():
+                if not any(
+                    None in keywords or option in keywords
+                    or (position is not None and position < positional)
+                    for positional, keywords in passed.get(callee, ())
+                ):
+                    unpassed.add((f"{path.stem}.{qualified}", option))
+    assert unpassed <= set(UNPASSED_OPTIONS_KEPT), (
+        f"defaulted parameters no code outside tests/ passes: "
+        f"{sorted(unpassed - set(UNPASSED_OPTIONS_KEPT))}"
+    )
+    # an entry whose parameter gained a caller, or went, is stale
+    assert set(UNPASSED_OPTIONS_KEPT) <= unpassed, sorted(set(UNPASSED_OPTIONS_KEPT) - unpassed)
 
 
 def test_results_csv_bytes_are_csv_writers(tmp_path):

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from popart.network import Mlp
-from popart.rl import ChainMdp, DoubleQAgent, EpisodeMetrics, train, value_iteration
+from popart.rl import (
+    MAX_STATES,
+    ChainMdp,
+    DoubleQAgent,
+    EpisodeMetrics,
+    train,
+    value_iteration,
+)
 from popart.training import predict
 
 
@@ -399,6 +406,17 @@ def test_learn_transition_rejects_a_bootstrap_target_out_of_range(value):
 def test_chain_rejects_a_terminal_reward_the_normalizer_cannot_take(reward):
     with pytest.raises(ValueError, match="invalid terminal_reward"):
         ChainMdp(terminal_reward=reward)
+
+
+def test_chain_too_long_for_the_agent_codes_is_rejected_naming_the_limit():
+    # n_states had no upper limit: an agent on 100,000 states would fill
+    # about 160 GB of one-hot codes.  Only chains are built here
+    assert 16 * MAX_STATES * (MAX_STATES + 2) <= 2**31 < 16 * (MAX_STATES + 1) * (MAX_STATES + 3)
+    assert ChainMdp(n_states=MAX_STATES).terminal == MAX_STATES - 1
+    for n in (MAX_STATES + 1, 100_000):
+        message = f"invalid n_states: {n} is above the limit of 11584 "
+        with pytest.raises(ValueError, match=message):
+            ChainMdp(n_states=n)
 
 
 # step_count and q_table() after 3001 steps at reward 1e3, agent seed 0,

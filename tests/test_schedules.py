@@ -14,6 +14,27 @@ from popart.schedules import (
 )
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"kind": ScheduleKind.HARMONIC, "base_beta": 0.1, "tau": 1000.0, "t": -1001},
+        {"kind": ScheduleKind.INVERSE_T, "t": -1},
+        {"t": 2.5},
+    ],
+    ids=["harmonic-1001", "inverse_t-1", "constant2.5"],
+)
+def test_step_count_is_not_a_constructor_setting(settings):
+    # t counts the steps taken; given to the constructor, t = -1001 made the
+    # next harmonic step divide by zero, t = -1 the next inverse_t step, and
+    # t = 2.5 counted 3.5
+    with pytest.raises(TypeError, match="unexpected keyword argument 't'"):
+        StepSizeSchedule(**settings)
+    schedule = StepSizeSchedule(**{k: v for k, v in settings.items() if k != "t"})
+    assert schedule.t == 0
+    schedule.step()
+    assert schedule.t == 1
+
+
 def test_constant_emits_base_beta():
     s = constant(0.25)
     assert [s.step() for _ in range(5)] == [0.25] * 5

@@ -253,7 +253,8 @@ def test_batch_moments_hand_example():
 
 
 def test_batch_degenerate_targets_hit_floor():
-    mu, sigma = batch_stats([4.0, 4.0, 4.0], epsilon=1e-4)
+    # the floor is DEFAULT_EPSILON, 1e-4, a Normalizer's default
+    mu, sigma = batch_stats([4.0, 4.0, 4.0])
     assert mu == 4.0
     assert sigma == pytest.approx(1e-2)
 

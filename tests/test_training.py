@@ -42,6 +42,49 @@ class IdentityNet:
         pass
 
 
+# -- construction ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    ("k", "m", "setting", "shape"),
+    [(2, 3, "W", (3, 2)), (1, 4, "W", (2, 2)), (1, 4, "W", (4,)), (2, 3, "b", (3,)), (1, 2, "b", ())],
+    ids=["W3x2", "W2x2", "W4", "b3", "b0d"],
+)
+def test_output_layer_rejects_a_misshapen_w_or_b_naming_both_shapes(k, m, setting, shape):
+    # W was reshaped silently: a 3x2 W for k=2, m=3 became 2x3 with its
+    # weights scrambled, and a 2x2 one for k=1, m=4 became 1x4
+    rng = np.random.default_rng(0)
+    state = copy.deepcopy(rng.bit_generator.state)
+    want = {"W": (k, m), "b": (k,)}[setting]
+    message = f"invalid {setting}: expected shape {want}, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        OutputLayer(k, m, rng=rng, **{setting: np.ones(shape)})
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("setting", ["W", "b"])
+def test_output_layer_rejects_a_non_finite_w_or_b(setting, value):
+    given = {"W": np.ones((2, 3)), "b": np.ones(2)}
+    given[setting].flat[-1] = value
+    with pytest.raises(ValueError, match=f"invalid {setting}: every entry must be finite"):
+        OutputLayer(2, 3, **given)
+
+
+@pytest.mark.parametrize("setting", ["W", "b"])
+@pytest.mark.parametrize("value", ["x", [[1.0, 2.0], [3.0]]], ids=["str", "ragged"])
+def test_output_layer_names_a_w_or_b_that_is_not_numbers(setting, value):
+    with pytest.raises(ValueError, match=f"invalid {setting}: "):
+        OutputLayer(2, 3, **{setting: value})
+
+
+def test_output_layer_copies_the_w_and_b_it_is_given():
+    w, b = np.arange(6.0).reshape(2, 3), np.array([1.0, 2.0])
+    layer = OutputLayer(2, 3, W=w, b=b)
+    assert layer.W.tobytes() == w.tobytes() and layer.b.tobytes() == b.tobytes()
+    assert not np.shares_memory(layer.W, w) and not np.shares_memory(layer.b, b)
+
+
 # -- rescaling -------------------------------------------------------------
 
 
@@ -144,7 +187,8 @@ def test_stacked_predict_equals_per_row_calls_bitwise(k):
     for sizes in ([5, 8, 6], [4, 1], [1, 3, 1]) * 50:
         net = Mlp(sizes, seed=k)
         net.set_params(_special(rng, net.n_params))
-        layer = OutputLayer(k, sizes[-1], W=_special(rng, (k, sizes[-1])), b=_special(rng, k))
+        layer = OutputLayer(k, sizes[-1], seed=k)
+        layer.W[...], layer.b[...] = _special(rng, (k, sizes[-1])), _special(rng, k)
         xs, h = _special(rng, (4, sizes[0])), _special(rng, (4, sizes[-1]))
         with np.errstate(all="ignore"):
             layer.rescale_to(rng.uniform(0.5, 2e3, k), rng.normal(size=k) * 100.0)
