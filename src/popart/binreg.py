@@ -295,8 +295,11 @@ def run_grid(config: ExperimentConfig, workers: int = 1, progress=None):
     on first use with ``workers > 1``, not when this module is imported.
     The records come back in the order of the loops above, whatever the
     grouping; ``progress(i, n)`` is called for each in that order, as soon
-    as it and every record before it are done.
+    as it and every record before it are done.  ``workers`` is a count of
+    at least 1; any other value raises ``ValueError`` naming it, before a
+    run starts or a pool exists.
     """
+    check_setting("workers", workers, lambda w: count(w) >= 1)
     jobs = [
         (method, alpha, beta, config.base_seed + rep, config.n_samples, config.hidden)
         for method in config.methods

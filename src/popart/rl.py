@@ -44,8 +44,8 @@ from .values import check_setting, count, real
 # per state and action, n_states * n_actions * (n_states + n_actions)
 # float64s, which it fills at once: this is the largest chain whose codes
 # fit in 2 GiB (16 * 11584 * 11586 bytes), as binreg's MAX_GRID_SAMPLES
-# bounds a sweep's records.  Time is not bounded: value_iteration takes
-# about n_states**2 steps, over a second at 1000 states.
+# bounds a sweep's records.  Time is not bounded by it: the agent's pass
+# over all states at each target copy grows with the square of the length.
 MAX_STATES = 11584
 
 
@@ -101,22 +101,19 @@ class ChainMdp:
 def value_iteration(mdp: ChainMdp) -> np.ndarray:
     """Exact Q values for the non-terminal states, shape (n_states-1, n_actions).
 
-    Sweeps until no value moves at all.  The values start at 0 and each
-    sweep settles one more state, right to left, so the loop ends within
-    ``n_states`` sweeps for any reward, gamma or chain length.
+    One sweep from right to left, one :meth:`ChainMdp.step` per state,
+    since a state's values read only the next state's value.  A state is
+    worth its advance value if that is above 0, else +0.0, the value of
+    staying forever; staying is worth ``gamma`` times the state's value.
     """
-    n = mdp.n_states - 1
-    v = np.zeros(mdp.n_states)
-    while True:
-        q = np.empty((n, mdp.n_actions))
-        for s in range(n):
-            s2, r, done = mdp.step(s, mdp.ADVANCE)
-            q[s, mdp.ADVANCE] = r + (0.0 if done else mdp.gamma * v[s2])
-            q[s, mdp.STAY] = mdp.gamma * v[s]
-        v_new = np.concatenate([q.max(axis=1), [0.0]])
-        if np.array_equal(v_new, v):
-            return q
-        v = v_new
+    q = np.empty((mdp.n_states - 1, mdp.n_actions))
+    v = 0.0  # the terminal state's
+    for s in reversed(range(mdp.terminal)):
+        _, r, done = mdp.step(s, mdp.ADVANCE)
+        advance = r + (0.0 if done else mdp.gamma * v)
+        v = advance if advance > 0.0 else 0.0
+        q[s, mdp.ADVANCE], q[s, mdp.STAY] = advance, mdp.gamma * v
+    return q
 
 
 @dataclass

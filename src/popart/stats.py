@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .schedules import StepSizeSchedule, harmonic
-from .values import MAX, as_floats, as_vector, check_setting, count, real
+from .values import MAX, TINY, as_floats, as_vector, check_setting, count, real
 
 DEFAULT_EPSILON = 1e-4
 # the largest magnitude whose square is a finite double
@@ -44,7 +44,9 @@ class Normalizer:
 
     The scale is diagonal: each component has its own ``mu`` and ``nu``.
     ``nu - mu**2`` is clamped up to ``epsilon`` after every update so the
-    scale is always finite and positive.
+    scale is always finite and positive: a ``spread`` and ``epsilon`` that
+    would put it outside ``[TINY, MAX]`` for some target :meth:`update`
+    takes are rejected here, before any step can move the statistics.
     """
 
     def __init__(
@@ -61,6 +63,16 @@ class Normalizer:
         self.k = k
         self.spread = float(spread)
         self.epsilon = float(epsilon)
+        # bounds of the scale over every target update() takes: the
+        # variance is floored at epsilon, and nu, a mean of squares (each
+        # at most MAX) clamped up to mu**2 + epsilon, is at most MAX +
+        # epsilon; a step takes a scale in [TINY, MAX] only
+        lo, hi = (math.sqrt(v) / self.spread for v in (self.epsilon, MAX + self.epsilon))
+        if not (TINY <= lo and hi <= MAX):
+            raise ValueError(
+                f"invalid spread and epsilon: {spread!r} and {epsilon!r} put the scale in "
+                f"[{lo:g}, {hi:g}], outside [{TINY:g}, {MAX:g}]"
+            )
         self.schedule = schedule if schedule is not None else harmonic()
         self.mu = np.zeros(k)
         # the clamped second moment of mu = 0
@@ -95,6 +107,9 @@ class Normalizer:
             beta = self.schedule.step()
             mu, nu = self.mu.item(), self.nu.item()
             mu += beta * (target - mu)
+            # a mean of targets can round one ulp past them, where mu**2 overflows
+            if not -MAX_TARGET <= mu <= MAX_TARGET:
+                mu = math.copysign(MAX_TARGET, mu)
             nu += beta * (target * target - nu)
             mu_sq = mu * mu
             nu = max(nu, mu_sq + self.epsilon)
@@ -103,6 +118,7 @@ class Normalizer:
         arr = as_vector(y, self.k, -MAX_TARGET, MAX_TARGET, "target")
         beta = self.schedule.step()
         self.mu += beta * (arr - self.mu)
+        np.clip(self.mu, -MAX_TARGET, MAX_TARGET, out=self.mu)
         self.nu += beta * (arr**2 - self.nu)
         mu_sq = self.mu**2
         np.maximum(self.nu, mu_sq + self.epsilon, out=self.nu)

@@ -665,6 +665,21 @@ def test_run_grid_asks_the_pool_for_at_most_one_process_per_task(monkeypatch):
     assert asked == [3, 4]
 
 
+@pytest.mark.parametrize("workers", [0, -1, True, 2.5])
+def test_run_grid_names_a_bad_worker_count_before_any_pool_exists(workers, monkeypatch):
+    # 0 and -1 raised numpy's "number sections must be larger than 0.",
+    # and True ran as 1
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was asked for")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    config = ExperimentConfig(methods=("sgd",), alphas=(1e-2,), betas=(0.01,), n_samples=1010)
+    with pytest.raises(ValueError, match=re.escape(f"invalid workers: {workers!r}")):
+        run_grid(config, workers=workers)
+
+
 def test_importing_the_package_loads_no_process_pool():
     # run_grid loads the pool only when it takes workers > 1, so no start-up
     # of the CLI or of the modules it imports pays for multiprocessing
@@ -844,16 +859,44 @@ def _public_options(tree: ast.Module):
                 yield f"{node.name}.{item.name}", item.name, _parameter_options(item, bound)
 
 
+def _key_sets(tree: ast.Module) -> dict:
+    """``name -> keys`` for each name that ``tree`` binds once, to a dict
+    comprehension keyed by its loop variable over a module-level tuple of
+    strings, as in ``cfg = {k: raw[k] for k in _KEYS if k in raw}``, and
+    never subscripts or calls a method of: its keys are among the tuple's."""
+    tuples = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple):
+            items = [getattr(e, "value", None) for e in node.value.elts]
+            if all(isinstance(item, str) for item in items):
+                tuples.update((getattr(t, "id", None), set(items)) for t in node.targets)
+    stores, touched, keys = Counter(), set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            stores[node.id] += 1
+        elif isinstance(node, (ast.Subscript, ast.Attribute)):
+            touched.add(getattr(node.value, "id", None))  # it may write into the dict
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.DictComp):
+            (target, *more), comp = node.targets, node.value
+            (loop, *loops) = comp.generators
+            names = [getattr(n, "id", None) for n in (target, loop.iter, loop.target, comp.key)]
+            if not (more or loops or None in names) and names[1] in tuples and names[2] == names[3]:
+                keys[names[0]] = tuples[names[1]]
+    return {name: k for name, k in keys.items() if stores[name] == 1 and name not in touched}
+
+
 def _calls(tree: ast.AST):
     """``(callee name, positional, keywords)`` for each call in ``tree``:
     how many arguments it passes by position (all of them through
-    ``*args``) and which by keyword (None for a ``**mapping``, which may
-    hold any key).  In a class body, ``cls(...)`` and ``replace(self,
+    ``*args``) and which by keyword.  A ``**mapping`` passes the keys
+    :func:`_key_sets` finds for it, and any other ``**`` passes None, which
+    stands for any key.  In a class body, ``cls(...)`` and ``replace(self,
     ...)`` call the class's constructor."""
     owner = {}
     for cls in ast.walk(tree):  # outer classes first, so inner ones win
         if isinstance(cls, ast.ClassDef):
             owner.update((node, cls.name) for node in ast.walk(cls))
+    key_sets = _key_sets(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -864,8 +907,28 @@ def _calls(tree: ast.AST):
         elif name == "replace" and args and getattr(args[0], "id", None) == "self":
             name, args = owner.get(node), args[1:]
         starred = any(isinstance(a, ast.Starred) for a in args)
-        keywords = {k.arg for k in node.keywords}
+        keywords = set()
+        for k in node.keywords:
+            mapping = getattr(k.value, "id", None) if k.arg is None else None
+            keywords |= key_sets[mapping] if mapping in key_sets else {k.arg}
         yield name, math.inf if starred else len(args), keywords
+
+
+def test_a_mapping_built_from_a_tuple_of_keys_passes_those_keys_only():
+    # cmd_rl_demo's ChainMdp(**mdp_cfg) counted as passing every field, so
+    # a defaulted field rl-demo --config cannot reach went unseen
+    tree = ast.parse(
+        '_KEYS = ("a", "b")\n'
+        "def f(raw):\n"
+        "    cfg = {k: raw[k] for k in _KEYS if k in raw}\n"
+        "    more = {k: raw[k] for k in _KEYS}\n"
+        "    more['c'] = 1\n"
+        "    g(**cfg)\n"
+        "    g(**more)\n"
+        "    g(x=1, **raw)\n"
+    )
+    calls = [(positional, keywords) for name, positional, keywords in _calls(tree) if name == "g"]
+    assert calls == [(0, {"a", "b"}), (0, {None}), (0, {"x", None})]
 
 
 def test_every_defaulted_parameter_in_the_package_is_passed_outside_the_tests():

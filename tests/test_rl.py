@@ -15,6 +15,7 @@ from popart.rl import (
     train,
     value_iteration,
 )
+from popart.stats import MAX_TARGET
 from popart.training import predict
 
 
@@ -61,6 +62,55 @@ def test_value_iteration_scales_linearly_with_reward():
     for reward in (10**6, 1e-13):  # nothing is cut short below 1e-12
         q2 = value_iteration(ChainMdp(terminal_reward=reward))
         np.testing.assert_allclose(q2, q1 * reward, rtol=1e-10)
+
+
+def _value_iteration_by_sweeps(mdp):
+    """The reference: sweep every state from the values of the previous
+    sweep, starting at 0, until no value moves at all."""
+    n = mdp.n_states - 1
+    v = np.zeros(mdp.n_states)
+    while True:
+        q = np.empty((n, mdp.n_actions))
+        for s in range(n):
+            s2, r, done = mdp.step(s, mdp.ADVANCE)
+            q[s, mdp.ADVANCE] = r + (0.0 if done else mdp.gamma * v[s2])
+            q[s, mdp.STAY] = mdp.gamma * v[s]
+        v_new = np.concatenate([q.max(axis=1), [0.0]])
+        if np.array_equal(v_new, v):
+            return q
+        v = v_new
+
+
+EDGE_REWARDS = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, MAX_TARGET, -MAX_TARGET]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    n_states=st.integers(2, 60),
+    reward=st.one_of(st.sampled_from(EDGE_REWARDS), st.floats(-MAX_TARGET, MAX_TARGET)),
+    gamma=st.one_of(st.sampled_from([5e-324, 0.5, 0.99, 1.0]), st.floats(5e-324, 1.0)),
+)
+def test_one_sweep_gives_the_values_of_sweeping_until_nothing_moves(n_states, reward, gamma):
+    # a state's values read only the next state's value, so the sweeps of
+    # the reference settle one state each, right to left, to the same bits
+    mdp = ChainMdp(n_states=n_states, terminal_reward=reward, gamma=gamma)
+    q, want = value_iteration(mdp), _value_iteration_by_sweeps(mdp)
+    assert (q.shape, q.dtype) == (want.shape, want.dtype)
+    assert q.tobytes() == want.tobytes(), (n_states, reward, gamma)
+
+
+def test_value_iteration_steps_from_each_non_terminal_state_once(monkeypatch):
+    # the sweeps until nothing moved made about 50 passes over 50 states
+    steps = []
+    step = ChainMdp.step
+
+    def counted(self, s, a):
+        steps.append((s, a))
+        return step(self, s, a)
+
+    monkeypatch.setattr(ChainMdp, "step", counted)
+    value_iteration(ChainMdp(n_states=50))
+    assert sorted(steps) == [(s, ChainMdp.ADVANCE) for s in range(49)]
 
 
 def test_double_q_target_terminal_drops_bootstrap():

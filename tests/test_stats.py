@@ -136,6 +136,18 @@ def test_largest_target_keeps_statistics_finite():
         assert np.isfinite(n.normalize(y)).all()
 
 
+def test_a_mean_rounded_past_the_largest_target_is_held_at_it():
+    # -x + (MAX_TARGET + x) rounds one ulp past MAX_TARGET: mu**2 overflowed
+    # nu to inf, sigma was NaN, and the step that read it raised after the
+    # statistics had moved
+    for k in (1, 2):
+        n = Normalizer(k=k, schedule=constant(1.0))
+        n.update([-3.062934649722477e142] * k)
+        sigma = n.update([MAX_TARGET] * k)
+        assert (n.mu == MAX_TARGET).all() and np.isfinite(n.nu).all()
+        assert np.isfinite(sigma).all() and (sigma > 0).all()
+
+
 # every library constructor's settings, each built with one value in place
 REAL_SETTINGS = {
     "spread": lambda v: Normalizer(k=1, spread=v),

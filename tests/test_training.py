@@ -616,6 +616,52 @@ def test_no_step_raises_after_its_statistics_moved(beta0, tau):
     assert np.isfinite(layer.sigma).all() and np.isfinite(layer.mu).all()
 
 
+# settings that put the scale outside [TINY, MAX] at a target update()
+# takes: each step found it only after update() had moved mu, nu and
+# schedule.t, leaving t == 1 behind the ValueError
+SCALE_OUT_OF_RANGE = {
+    "sigma inf": {"spread": 1e-300, "schedule": constant(0.5)},  # at y = 1e10
+    "sigma 0": {"spread": 1e200, "epsilon": 1e-300},  # at y = 0.0
+    "nu inf": {"epsilon": 1e308, "schedule": constant(1.0)},  # at y = MAX_TARGET
+}
+# the last two, at beta 1, put mu one ulp past MAX_TARGET (see test_stats.py)
+EXTREME_TARGETS = [0.0, 1.0, 1e10, -MAX_TARGET, -3.062934649722477e142, MAX_TARGET]
+
+
+@pytest.mark.parametrize("case", sorted(SCALE_OUT_OF_RANGE))
+def test_normalizer_settings_whose_scale_a_target_puts_out_of_range_are_rejected(case):
+    with pytest.raises(ValueError, match=r"invalid spread and epsilon: .* outside \[4\.94066e-324, "):
+        Normalizer(k=1, **SCALE_OUT_OF_RANGE[case])
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    spread=st.floats(5e-324, 1e308),
+    epsilon=st.floats(5e-324, 1e308),
+    beta=st.sampled_from([0.5, 1.0, 1e-3]),
+    ys=st.lists(st.sampled_from(EXTREME_TARGETS), min_size=1, max_size=3),
+    step=st.sampled_from(["popart", "art"]),
+)
+@example(spread=1e-300, epsilon=1e-4, beta=0.5, ys=[1e10], step="popart")
+@example(spread=1e200, epsilon=1e-300, beta=1e-3, ys=[0.0], step="art")
+@example(spread=1.0, epsilon=1e308, beta=1.0, ys=[MAX_TARGET], step="popart")
+@example(spread=1.0, epsilon=1e-4, beta=1.0, ys=[-3.062934649722477e142, MAX_TARGET], step="art")
+def test_no_step_finds_its_normalizers_scale_out_of_range(spread, epsilon, beta, ys, step):
+    # a normalizer that is built gives a scale every step takes, for every
+    # target update() takes; one that could not is not built
+    try:
+        nrm = Normalizer(k=1, spread=spread, epsilon=epsilon, schedule=constant(beta))
+    except ValueError as exc:
+        assert str(exc).startswith("invalid spread and epsilon: ")
+        return
+    net = Mlp([2, 3], seed=14)
+    layer = OutputLayer(1, 3, normalizer=nrm, seed=15)
+    with np.errstate(over="ignore", invalid="ignore"):  # W may overflow: not a raise
+        for y in ys:
+            STEPS[step](net, layer, GOOD_X, y)
+    assert nrm.schedule.t == len(ys)
+
+
 # -- acts: the caller's forward pass stands in for the step's own ----------
 
 BAD_ACTS = {
