@@ -15,7 +15,6 @@ the trackers :class:`PercentileTracker` and :class:`ExtremeTracker`,
 
 from .network import Mlp
 from .schedules import (
-    ScheduleKind,
     StepSizeSchedule,
     bias_corrected,
     constant,
@@ -47,7 +46,6 @@ __all__ = [
     "Normalizer",
     "OutputLayer",
     "PercentileTracker",
-    "ScheduleKind",
     "StepSizeSchedule",
     "TrainStepReport",
     "art_only_sgd_step",

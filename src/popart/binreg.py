@@ -129,7 +129,11 @@ class ExperimentConfig:
             ("betas", lambda b: 0.0 < real(b) <= 1.0),
             ("hidden", lambda n: count(n) >= 1),
         ]:
-            check_setting(name, getattr(self, name), lambda v: len(v) > 0 and all(map(ok, v)))
+            values = getattr(self, name)
+            check_setting(name, values, lambda v: len(v) > 0 and all(map(ok, v)))
+            # a grid value given twice runs its cells twice under one key
+            if name != "hidden" and len(set(values)) < len(values):
+                raise ValueError(f"invalid {name}: {values!r} repeats a value")
         runs = len(self.methods) * len(self.alphas) * len(self.betas) * self.n_repetitions
         size = runs * (self.n_samples + RUN_SAMPLES)
         if size > MAX_GRID_SAMPLES:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import Mlp
-from .schedules import bias_corrected, constant, harmonic, inverse_t
+from .schedules import bias_corrected, constant, inverse_t
 from .stats import (
     ExtremeTracker,
     Normalizer,
@@ -183,7 +183,7 @@ def check_percentile_fixed_point() -> tuple[bool, str]:
     n_samples, p, seed = 1_000_000, 0.8, 19
     rng = np.random.default_rng(seed)
     stream = rng.random(n_samples)
-    tracker = PercentileTracker(p, schedule=harmonic(0.1, 1000.0))
+    tracker = PercentileTracker(p)
     for y in stream:
         tracker.update(y)
     above = float(np.mean(stream > tracker.y_max))
@@ -200,7 +200,7 @@ def check_minibatch_extremes() -> tuple[bool, str]:
     n_batches, batch_size, seed = 200_000, 4, 23
     rng = np.random.default_rng(seed)
     batches = rng.random((n_batches, batch_size))
-    tracker = ExtremeTracker(batch_size, schedule=harmonic(0.1, 1000.0))
+    tracker = ExtremeTracker(batch_size)
     for row in batches:
         tracker.update(row)
     b = batch_size

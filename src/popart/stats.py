@@ -23,6 +23,9 @@ Also provided:
 - :func:`spread_from_coverage` / :func:`coverage_from_spread`: the
   erf correspondence between a desired in-band fraction ``p`` of normal
   targets and the spread ``s``.
+
+Both trackers step with the fixed schedule
+:func:`~popart.schedules.harmonic`, ``beta_t = 0.1 / (1 + t/1000)``.
 """
 
 from __future__ import annotations
@@ -148,10 +151,11 @@ def batch_stats(targets, spread: float = 1.0) -> tuple[float, float]:
 
 class _BoundsTracker:
     """Shared state of the trackers: bounds ``y_min``/``y_max``, NaN until
-    the first update, and the shift and scale derived from them."""
+    the first update, the shift and scale derived from them, and the
+    :func:`~popart.schedules.harmonic` schedule that moves them."""
 
-    def __init__(self, schedule: StepSizeSchedule | None):
-        self.schedule = schedule if schedule is not None else harmonic()
+    def __init__(self):
+        self.schedule = harmonic()
         self.y_min = math.nan
         self.y_max = math.nan
 
@@ -177,9 +181,9 @@ class PercentileTracker(_BoundsTracker):
     the bounds by ``beta_t * (indicator - (1-p)/2)``.
     """
 
-    def __init__(self, p: float, schedule: StepSizeSchedule | None = None):
+    def __init__(self, p: float):
         check_setting("p", p, lambda p: 0.0 < real(p) <= 1.0)
-        super().__init__(schedule)
+        super().__init__()
         self.p = float(p)
 
     def update(self, y: float) -> None:
@@ -202,9 +206,9 @@ class ExtremeTracker(_BoundsTracker):
     :class:`PercentileTracker`.
     """
 
-    def __init__(self, batch_size: int, schedule: StepSizeSchedule | None = None):
+    def __init__(self, batch_size: int):
         check_setting("batch_size", batch_size, lambda n: count(n) >= 2)
-        super().__init__(schedule)
+        super().__init__()
         self.batch_size = int(batch_size)
 
     def update(self, batch) -> None:

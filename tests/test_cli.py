@@ -330,6 +330,24 @@ def test_boolean_count_is_config_error(tmp_path, capsys, command, payload):
     _assert_config_error_names_key(tmp_path, capsys, command, payload)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [{"methods": ["sgd", "sgd"]}, {"alphas": [1e-5, 1e-5]}, {"betas": [0.1, 0.3, 0.1]}],
+    ids=json.dumps,
+)
+def test_binreg_repeated_grid_value_is_config_error(tmp_path, capsys, payload):
+    # a repeated value ran its cells twice under one key: binreg exited 0,
+    # and plot then rejected its results.csv at step 1 of the second copy
+    # (hidden's repeats, as in the default (10, 10, 10), are layer widths)
+    out = tmp_path / "o"
+    path = _write_config(tmp_path, {**TINY_BINREG, "n_samples": 20, **payload})
+    assert main(["binreg", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    ((name, values),) = payload.items()
+    err = capsys.readouterr().err
+    assert err == f"config error: invalid {name}: {tuple(values)!r} repeats a value\n"
+    assert not out.exists()
+
+
 def _assert_config_error_names_key(tmp_path, capsys, command, payload):
     out = tmp_path / "o"
     base = TINY_BINREG if command == "binreg" else {}

@@ -807,34 +807,36 @@ def _decorator_names(node) -> set:
 def _parameter_options(node: ast.FunctionDef, bound: int) -> dict:
     """The defaulted parameters of ``node``, each mapped to its position
     among a call's arguments, past the ``bound`` ones (``self`` or
-    ``cls``) that come bound, or to None when it is keyword-only."""
+    ``cls``) that come bound, or to None when it is keyword-only, and to
+    its default: ``name -> (position, default)``."""
     args = node.args
     positional = [*args.posonlyargs, *args.args]
     defaulted = positional[len(positional) - len(args.defaults) :]
-    options = {p.arg: positional.index(p) - bound for p in defaulted}
+    options = {p.arg: (positional.index(p) - bound, d) for p, d in zip(defaulted, args.defaults)}
     keyword_only = zip(args.kwonlyargs, args.kw_defaults)
-    options.update((p.arg, None) for p, default in keyword_only if default is not None)
+    options.update((p.arg, (None, default)) for p, default in keyword_only if default is not None)
     return options
 
 
 def _field_options(cls: ast.ClassDef) -> dict:
     """The defaulted constructor fields of dataclass ``cls``, each mapped
-    to its position; a ``ClassVar`` or a ``field(init=False)`` is none."""
-    fields, defaulted = [], set()
+    to its position and its default, None for a ``default_factory``; a
+    ``ClassVar`` or a ``field(init=False)`` is none."""
+    fields, defaults = [], {}
     for node in cls.body:
         if not isinstance(node, ast.AnnAssign) or "ClassVar" in ast.unparse(node.annotation):
             continue
         value = node.value
         if isinstance(value, ast.Call) and ast.unparse(value.func).endswith("field"):
-            settings = {k.arg: ast.unparse(k.value) for k in value.keywords}
-            if settings.get("init") == "False":
+            settings = {k.arg: k.value for k in value.keywords}
+            if getattr(settings.get("init"), "value", True) is False:
                 continue
             if {"default", "default_factory"} & set(settings):
-                defaulted.add(node.target.id)
+                defaults[node.target.id] = settings.get("default")
         elif value is not None:
-            defaulted.add(node.target.id)
+            defaults[node.target.id] = value
         fields.append(node.target.id)
-    return {name: i for i, name in enumerate(fields) if name in defaulted}
+    return {name: (i, defaults[name]) for i, name in enumerate(fields) if name in defaults}
 
 
 def _public_options(tree: ast.Module):
@@ -886,10 +888,11 @@ def _key_sets(tree: ast.Module) -> dict:
 
 
 def _calls(tree: ast.AST):
-    """``(callee name, positional, keywords)`` for each call in ``tree``:
-    how many arguments it passes by position (all of them through
-    ``*args``) and which by keyword.  A ``**mapping`` passes the keys
-    :func:`_key_sets` finds for it, and any other ``**`` passes None, which
+    """``(callee name, arguments, keywords)`` for each call in ``tree``: the
+    expressions it passes by position, an ``ast.Starred`` among them for
+    ``*args``, and those it passes by keyword, keyed by name.  A
+    ``**mapping`` passes the mapping under each key :func:`_key_sets`
+    finds for it, and any other ``**`` passes itself under None, which
     stands for any key.  In a class body, ``cls(...)`` and ``replace(self,
     ...)`` call the class's constructor."""
     owner = {}
@@ -906,12 +909,12 @@ def _calls(tree: ast.AST):
             name = owner.get(node)
         elif name == "replace" and args and getattr(args[0], "id", None) == "self":
             name, args = owner.get(node), args[1:]
-        starred = any(isinstance(a, ast.Starred) for a in args)
-        keywords = set()
+        keywords = {}
         for k in node.keywords:
             mapping = getattr(k.value, "id", None) if k.arg is None else None
-            keywords |= key_sets[mapping] if mapping in key_sets else {k.arg}
-        yield name, math.inf if starred else len(args), keywords
+            keys = key_sets[mapping] if mapping in key_sets else {k.arg}
+            keywords.update(dict.fromkeys(keys, k.value))
+        yield name, args, keywords
 
 
 def test_a_mapping_built_from_a_tuple_of_keys_passes_those_keys_only():
@@ -927,40 +930,136 @@ def test_a_mapping_built_from_a_tuple_of_keys_passes_those_keys_only():
         "    g(**more)\n"
         "    g(x=1, **raw)\n"
     )
-    calls = [(positional, keywords) for name, positional, keywords in _calls(tree) if name == "g"]
+    calls = [(len(args), set(keywords)) for name, args, keywords in _calls(tree) if name == "g"]
     assert calls == [(0, {"a", "b"}), (0, {None}), (0, {"x", None})]
+
+
+def _argument(option: str, position, args: list, keywords: dict):
+    """The expression a call gives ``option``, which sits at ``position``
+    (None when keyword-only): by keyword, by position, through a ``*`` or
+    a ``**`` that may hold it, or None when the call leaves it out."""
+    if option in keywords:
+        return keywords[option]
+    if position is not None:
+        for arg in args[: position + 1]:
+            if isinstance(arg, ast.Starred):
+                return arg
+        if position < len(args):
+            return args[position]
+    return keywords.get(None)
+
+
+def _literal(node):
+    """``(True, value)`` for a literal expression, ``(False, None)`` for
+    anything else."""
+    try:
+        return True, ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return False, None
+
+
+DEFAULT = "the default"
+
+
+def _value(given, default):
+    """The value of an option, whose default is ``default``, that a call
+    gives it as ``given``: :data:`DEFAULT` when the call leaves it out or
+    passes a literal equal to its default; the text of a constant
+    expression, a literal or a call whose arguments are all literals; and
+    None, which differs from every value, for a name, a ``*``, a ``**`` or
+    any other expression."""
+    if given is None:
+        return DEFAULT
+    is_literal, value = _literal(given)
+    if is_literal:
+        return DEFAULT if _literal(default) == (True, value) else ast.unparse(given)
+    if isinstance(given, ast.Call) and all(
+        _literal(a)[0] for a in [*given.args, *(k.value for k in given.keywords)]
+    ):
+        return ast.unparse(given)
+    return None
+
+
+def _one_valued_options(callers: list, package: dict) -> set:
+    """``(module.qualified name, option)`` for each option of a public
+    function, method or constructor of the modules in ``package`` (stem ->
+    tree) that the calls in the trees ``callers`` give fewer than two
+    values, in the sense of :func:`_value`; callees are matched by
+    spelling, as public names are above."""
+    calls = {}
+    for tree in callers:
+        for name, args, keywords in _calls(tree):
+            calls.setdefault(name, []).append((args, keywords))
+    found = set()
+    for stem, tree in package.items():
+        for qualified, callee, options in _public_options(tree):
+            for option, (position, default) in options.items():
+                values = {
+                    _value(_argument(option, position, args, keywords), default)
+                    for args, keywords in calls.get(callee, ())
+                }
+                if None not in values and len(values) < 2:
+                    found.add((f"{stem}.{qualified}", option))
+    return found
+
+
+def test_an_option_is_in_use_only_when_calls_give_it_two_values():
+    # harmonic(beta0, tau) was only ever called as harmonic() or
+    # harmonic(0.1, 1000.0), and each tracker's schedule only as
+    # harmonic(0.1, 1000.0): each passed, each with one value in use
+    package = {
+        "m": ast.parse(
+            "def left_out(a=1): pass\n"
+            "def literal(a=1): pass\n"
+            "def two_literals(a=1): pass\n"
+            "def constant_call(a=None): pass\n"
+            "def named(a=1): pass\n"
+            "def starred(a=1, b=2): pass\n"
+            "def mapping(*, a=1): pass\n"
+            "def expression(a=1): pass\n"
+        )
+    }
+    callers = [
+        ast.parse(
+            "left_out()\n"
+            "left_out(1.0)\n"  # a literal equal to the default gives the default
+            "literal(2)\n"
+            "literal(a=2)\n"
+            "two_literals(2)\n"
+            "two_literals()\n"
+            "constant_call(g(1, x='y'))\n"
+            "constant_call(a=g(1, x='y'))\n"
+            "named(n)\n"
+            "starred(0, *rest)\n"
+            "mapping(**kw)\n"
+            "expression(g(n))\n"
+        )
+    ]
+    assert _one_valued_options(callers, package) == {
+        ("m.left_out", "a"),
+        ("m.literal", "a"),
+        ("m.constant_call", "a"),
+        ("m.starred", "a"),
+    }
 
 
 def test_every_defaulted_parameter_in_the_package_is_passed_outside_the_tests():
     # no option with one value in use: every defaulted parameter of a
     # public function, method or constructor, and every defaulted field of
-    # a public dataclass, is passed by some call in src/, demos/,
-    # perfbench/ or the README's Python blocks, by keyword or by position.
-    # Callees are matched by spelling, as public names are above
+    # a public dataclass, is given two different values by the calls in
+    # src/, demos/, perfbench/ and the README's Python blocks, by keyword
+    # or by position; an option no call passes has one, its default
     readme = (REPO / "README.md").read_text(encoding="utf-8")
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in _caller_sources()]
-    trees += [ast.parse(block) for block in FENCED_PYTHON.findall(readme)]
-    passed = {}
-    for tree in trees:
-        for name, positional, keywords in _calls(tree):
-            passed.setdefault(name, []).append((positional, keywords))
-    unpassed = set()
-    for path in sorted((REPO / "src" / "popart").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for qualified, callee, options in _public_options(tree):
-            for option, position in options.items():
-                if not any(
-                    None in keywords or option in keywords
-                    or (position is not None and position < positional)
-                    for positional, keywords in passed.get(callee, ())
-                ):
-                    unpassed.add((f"{path.stem}.{qualified}", option))
-    assert unpassed <= set(UNPASSED_OPTIONS_KEPT), (
-        f"defaulted parameters no code outside tests/ passes: "
-        f"{sorted(unpassed - set(UNPASSED_OPTIONS_KEPT))}"
+    sources = {path: ast.parse(path.read_text(encoding="utf-8")) for path in _caller_sources()}
+    callers = [*sources.values(), *map(ast.parse, FENCED_PYTHON.findall(readme))]
+    package = {path.stem: tree for path, tree in sources.items() if path.parent.name == "popart"}
+    one_valued = _one_valued_options(callers, package)
+    assert one_valued <= set(UNPASSED_OPTIONS_KEPT), (
+        f"defaulted parameters the code outside tests/ gives one value: "
+        f"{sorted(one_valued - set(UNPASSED_OPTIONS_KEPT))}"
     )
-    # an entry whose parameter gained a caller, or went, is stale
-    assert set(UNPASSED_OPTIONS_KEPT) <= unpassed, sorted(set(UNPASSED_OPTIONS_KEPT) - unpassed)
+    # an entry whose parameter gained a second value, or went, is stale
+    assert set(UNPASSED_OPTIONS_KEPT) <= one_valued, sorted(set(UNPASSED_OPTIONS_KEPT) - one_valued)
 
 
 def test_results_csv_bytes_are_csv_writers(tmp_path):
