@@ -50,7 +50,7 @@ from .training import (
     plain_sgd_step,
     popart_sgd_step,
 )
-from .values import check_setting, count, real
+from .values import check_setting, count, is_seed, real
 
 METHODS = ("sgd", "art", "popart", "normalized_sgd")
 
@@ -71,6 +71,14 @@ RUN_SAMPLES = 64
 MAX_GRID_SAMPLES = 2**27
 
 RESULTS_HEADER = ["method", "alpha", "beta", "seed", "step", "rmse", "grad_norm"]
+# what a run's alpha, beta and seed may be: ExperimentConfig checks its grid
+# by these rules, and read_results_csv each run it reads.  A run's seed is
+# base_seed plus its repetition, so it may pass sys.maxsize
+_RUN_RULES = {
+    "alpha": lambda a: 0.0 < real(a) < math.inf,
+    "beta": lambda b: 0.0 < real(b) <= 1.0,
+    "seed": is_seed,
+}
 
 
 class BinRegStream:
@@ -120,13 +128,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # every field is checked here, so that a bad one fails before any run
-        counts = {"base_seed": 0, "n_samples": 1, "n_repetitions": 1, "smoothing_window": 1}
-        for name, least in counts.items():
-            check_setting(name, getattr(self, name), lambda n: count(n) >= least)
+        check_setting("base_seed", self.base_seed, lambda s: is_seed(count(s)))
+        for name in ("n_samples", "n_repetitions", "smoothing_window"):
+            check_setting(name, getattr(self, name), lambda n: count(n) >= 1)
         for name, ok in [
             ("methods", lambda m: m in METHODS),
-            ("alphas", lambda a: 0.0 < real(a) < math.inf),
-            ("betas", lambda b: 0.0 < real(b) <= 1.0),
+            ("alphas", _RUN_RULES["alpha"]),
+            ("betas", _RUN_RULES["beta"]),
             ("hidden", lambda n: count(n) >= 1),
         ]:
             values = getattr(self, name)
@@ -439,9 +447,10 @@ def read_results_csv(path: str) -> list[RunRecord]:
     Rows group into runs by (method, alpha, beta, seed); each run's steps
     must read 1..n in order, with one n for every run in the file, as
     ``binreg`` writes ``n_samples`` rows for each.  A wrong header, a row of
-    the wrong width, an unknown method, a field that does not parse, a step
-    out of order or a run shorter than the longest raises ``ValueError``
-    naming the file and the line.
+    the wrong width, an unknown method, a field that does not parse, an
+    alpha, beta or seed that no :class:`ExperimentConfig` runs, a step out
+    of order or a run shorter than the longest raises ``ValueError`` naming
+    the file and the line.
     """
     runs: dict[tuple, tuple[list, list]] = {}
     with open(path, encoding="utf-8", newline="") as fh:
@@ -457,6 +466,9 @@ def read_results_csv(path: str) -> list[RunRecord]:
                 if method not in METHODS:
                     raise ValueError(f"unknown method {method!r}")
                 key = (method, float(alpha), float(beta), int(seed))
+                if key not in runs:
+                    for (name, ok), value in zip(_RUN_RULES.items(), key[1:]):
+                        check_setting(name, value, ok)
                 rmses, grad_norms = runs.setdefault(key, ([], []))
                 if int(step) != len(rmses) + 1:
                     raise ValueError(f"step {step} of run {key}, expected {len(rmses) + 1}")

@@ -115,7 +115,7 @@ _RL_AGENT_KEYS = ("hidden", "alpha", "beta", "epsilon_greedy", "copy_period")
 
 def cmd_rl_demo(args) -> int:
     from .binreg import atomic_open
-    from .rl import ChainMdp, DoubleQAgent, train, value_iteration
+    from .rl import ChainMdp, DoubleQAgent, exact_q_values, train
 
     cfg = _load_config(args.config)
     if args.steps < 0:
@@ -128,14 +128,9 @@ def cmd_rl_demo(args) -> int:
     try:
         mdp = ChainMdp(**mdp_cfg)
         agent = DoubleQAgent(mdp, seed=args.seed, **agent_cfg)
+        q_star = exact_q_values(mdp)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    q_star = value_iteration(mdp)
-    if not q_star.all():  # a reward of 0 or below, or one that underflows
-        raise ConfigError(
-            f"terminal_reward {mdp.terminal_reward:g} with gamma {mdp.gamma:g}: an exact "
-            "Q value is then 0, so the relative Q error is undefined"
-        )
     _ensure_outdir(args.out)
     per_step = []  # (grad_norm, normalized_error) of every step
 

@@ -15,10 +15,10 @@ The network's input is a state-action one-hot code, and the codes of
 several states go through the network as one stack, whose rows equal the
 per-code passes to the last bit.  A learned transition takes one such
 pass: :meth:`DoubleQAgent.act` at ``s`` runs it over the actions of ``s``
-and ``s + 1``, the only states a step from ``s`` can reach, and picks its
-action from it; the transition learned next reads the bootstrap action at
-the next state and its SGD step's activations from the same pass.  So a
-step's pass has the same size on a chain of any length.  Every input is one of
+and ``s + 1``, the only states a step from ``s`` can reach, and returns it
+with the action it picks; learning that transition reads the bootstrap
+action at the next state and its SGD step's activations from the same pass.
+So a step's pass has the same size on a chain of any length.  Every input is one of
 finitely many codes, so a copy of the online network is fully described
 by its value table: the double-Q target network is that table, taken in
 one stacked pass over all non-terminal states at each copy and frozen
@@ -28,7 +28,6 @@ until the next.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
@@ -38,7 +37,7 @@ from .network import Mlp
 from .schedules import bias_corrected
 from .stats import MAX_TARGET, Normalizer
 from .training import OutputLayer, TrainStepReport, popart_sgd_step
-from .values import check_setting, count, real
+from .values import check_setting, count, is_seed, real
 
 # The most states a chain may have.  A DoubleQAgent holds a one-hot code
 # per state and action, n_states * n_actions * (n_states + n_actions)
@@ -93,9 +92,8 @@ class ChainMdp:
         terminal = self.terminal
         if s == terminal:
             return s, 0.0, True
-        if a == self.ADVANCE:
-            s += 1
-        return s, self.terminal_reward if s == terminal else 0.0, s == terminal
+        s2 = s + 1 if a == self.ADVANCE else s
+        return s2, self.terminal_reward if s2 == terminal else 0.0, s2 == terminal
 
 
 def value_iteration(mdp: ChainMdp) -> np.ndarray:
@@ -128,14 +126,15 @@ MAX_EPISODE_STEPS = 100
 
 class _Pass(NamedTuple):
     """A stacked forward pass over ``codes[lo:hi]``: its activations, one
-    row per code in ``codes`` order, the values ``q[s - lo, a]`` and the
-    greedy action of each state."""
+    row per code in ``codes`` order, the values ``q[s - lo, a]``, the
+    greedy action of each state and the agent's ``step_count`` when it ran."""
 
     lo: int
     hi: int
     acts: list[np.ndarray]
     q: np.ndarray
     greedy: list[int]
+    step_count: int
 
 
 class DoubleQAgent:
@@ -153,19 +152,12 @@ class DoubleQAgent:
     ``copy_period`` steps exactly, so it is kept as the value table it
     computes: ``target_q`` is :meth:`q_table` as of the last copy.
 
-    :meth:`act` at ``s`` keeps its pass over ``codes[s:s + 2]``, greedy
-    action or random.  The next :meth:`learn_transition` reads the greedy
-    action at ``s2`` from it and hands row ``(s, a)`` of its activations to
-    the SGD step in place of the step's own forward pass, with the same
-    result to the last bit.  So a learned transition runs one forward pass
-    of at most ``2 * n_actions`` rows.  The pass is used once at most: a
-    learning step drops it before it moves the parameters.  A step with no
-    kept pass, or whose states the kept pass does not cover, makes its own
-    over the states from ``min(s, s2)`` to ``max(s, s2)``.  That nothing but
-    :meth:`learn_transition` moves ``net`` or ``layer`` between :meth:`act`
-    and the next :meth:`learn_transition` is the caller's promise; a step
-    after such a move learns from activations and a bootstrap action of
-    the old parameters, silently.
+    :meth:`act` at ``s`` returns its action, greedy or random, with its pass
+    over ``codes[s:s + 2]``, and :meth:`train_episode` hands that pass to
+    :meth:`learn_transition`, which reads the greedy action at ``s2`` and row
+    ``(s, a)`` of the activations from it in place of a pass of its own, with
+    the same result to the last bit.  So a learned transition runs one
+    forward pass of at most ``2 * n_actions`` rows, and the agent keeps none.
     """
 
     def __init__(
@@ -183,8 +175,7 @@ class DoubleQAgent:
         check_setting("beta", beta, lambda b: 0.0 < real(b) <= 1.0)
         check_setting("epsilon_greedy", epsilon_greedy, lambda e: 0.0 <= real(e) <= 1.0)
         check_setting("copy_period", copy_period, lambda c: count(c) >= 1)
-        # any int of at least 0, as default_rng takes, however large
-        check_setting("seed", seed, lambda s: not isinstance(s, bool) and operator.index(s) >= 0)
+        check_setting("seed", seed, is_seed)
         self.mdp = mdp
         self.alpha = alpha
         self.epsilon_greedy = epsilon_greedy
@@ -201,8 +192,6 @@ class DoubleQAgent:
         self.layer = OutputLayer(1, hidden[-1], normalizer=normalizer, rng=self.rng)
         self.step_count = 0
         self.target_q = self.q_table()
-        # the _pass() of the last act(), until a learning step uses it
-        self._kept: _Pass | None = None
 
     def _pass(self, lo: int, hi: int) -> _Pass:
         """One stacked forward pass over ``codes[lo:hi]``, on the current
@@ -213,48 +202,45 @@ class DoubleQAgent:
         acts = self.net.forward_pass(self._all_codes[lo * n_actions : hi * n_actions])
         q = self.layer.unnormalized_output(acts[-1]).reshape(hi - lo, n_actions)
         # argmax breaks ties to the lowest index; a NaN value wins
-        return _Pass(lo, hi, acts, q, q.argmax(axis=1).tolist())
+        return _Pass(lo, hi, acts, q, q.argmax(axis=1).tolist(), self.step_count)
 
-    def act(self, s: int) -> int:
+    def act(self, s: int) -> tuple[int, _Pass]:
+        """An epsilon-greedy action at ``s`` and the pass it was read from."""
         # a step from s ends in s or s + 1: the pass covers both
-        self._kept = kept = self._pass(s, min(s + 2, self.mdp.n_states))
-        if self.rng.random() < self.epsilon_greedy:
-            return int(self.rng.integers(self.mdp.n_actions))
-        return kept.greedy[0]
+        seen = self._pass(s, min(s + 2, self.mdp.n_states))
+        explore = self.rng.random() < self.epsilon_greedy
+        return (int(self.rng.integers(self.mdp.n_actions)) if explore else seen.greedy[0]), seen
 
-    def double_q_target(self, transition, a_star: int | None = None) -> float:
-        """Reward plus the discounted target-network value of the action
-        the online network prefers at the next state; ties go to the
-        lowest action index, terminal transitions drop the bootstrap.
+    def double_q_target(self, transition, a_star: int) -> float:
+        """Reward plus the discounted target-network value of ``a_star``, the
+        online network's greedy action at ``s2``; ``done`` drops the bootstrap."""
+        _, _, r, s2, done = transition
+        return float(r if done else r + self.mdp.gamma * self.target_q[s2, a_star])
 
-        ``a_star`` is that action, from a pass on the current parameters;
-        without it a non-terminal transition makes its own pass over the
-        actions of ``s2``.
+    def learn_transition(self, transition, seen: _Pass) -> TrainStepReport:
+        """One SGD step on ``transition``, ``(s, a, r, s2, done)``, from
+        ``seen``, a pass of the current parameters over ``s`` and ``s2``, as
+        a step's ``acts`` must be.  A state or action off the chain raises
+        ``IndexError``; a pass that does not cover both states, or that was
+        made before the last learning step, ``ValueError``; neither moves a thing.
         """
         s, a, r, s2, done = transition
-        if done:
-            return float(r)
-        if a_star is None:
-            a_star = self._pass(s2, s2 + 1).greedy[0]
-        return float(r + self.mdp.gamma * self.target_q[s2, a_star])
-
-    def learn_transition(self, transition) -> TrainStepReport:
-        s, a, r, s2, done = transition
-        if not 0 <= a < self.mdp.n_actions:
-            raise IndexError(f"action {a} out of range for {self.mdp.n_actions} actions")
-        kept, self._kept = self._kept, None
-        # the states the step reads: s for its own row, s2 for the bootstrap
-        lo, hi = (s, s + 1) if done else (min(s, s2), max(s, s2) + 1)
-        if kept is None or not (kept.lo <= lo and hi <= kept.hi):
-            kept = self._pass(lo, hi)
-        y = self.double_q_target(transition, None if done else kept.greedy[s2 - kept.lo])
+        lo, hi = min(s, s2), max(s, s2) + 1
+        if not (0 <= a < self.mdp.n_actions and 0 <= lo and hi <= self.mdp.n_states):
+            raise IndexError(f"transition {transition} is off the chain or its actions")
+        if not (seen.lo <= lo and hi <= seen.hi and seen.step_count == self.step_count):
+            raise ValueError(
+                f"a pass over states {seen.lo}..{seen.hi - 1} made for step {seen.step_count + 1} "
+                f"cannot serve step {self.step_count + 1}, on states {lo}..{hi - 1}"
+            )
+        y = self.double_q_target(transition, seen.greedy[s2 - seen.lo])
         if not -MAX_TARGET <= y <= MAX_TARGET:  # the target network's values overflowed
             raise FloatingPointError(
                 f"training diverged at step {self.step_count + 1}: bootstrap target {y:g} "
                 f"out of range (terminal reward {self.mdp.terminal_reward:g})"
             )
-        row = (s - kept.lo) * self.mdp.n_actions + a
-        acts = [stacked[row] for stacked in kept.acts]
+        row = (s - seen.lo) * self.mdp.n_actions + a
+        acts = [stacked[row] for stacked in seen.acts]
         report = popart_sgd_step(self.net, self.layer, acts[0], y, self.alpha, acts=acts)
         self.step_count += 1
         if self.step_count % self.copy_period == 0:
@@ -272,9 +258,9 @@ class DoubleQAgent:
         metrics = EpisodeMetrics(steps=0, total_reward=0.0)
         s = 0
         for _ in range(min(max_steps, MAX_EPISODE_STEPS)):
-            a = self.act(s)
+            a, seen = self.act(s)
             s2, r, done = self.mdp.step(s, a)
-            report = self.learn_transition((s, a, r, s2, done))
+            report = self.learn_transition((s, a, r, s2, done), seen)
             if hook is not None:
                 hook(report)
             if not (math.isfinite(report.squared_loss) and math.isfinite(report.gradient_norm)):
@@ -295,6 +281,18 @@ class DoubleQAgent:
         return self._pass(0, self.mdp.terminal).q
 
 
+def exact_q_values(mdp: ChainMdp) -> np.ndarray:
+    """:func:`value_iteration`'s values, as a relative Q error divides by
+    them: ``ValueError`` if one is 0, as it is for a terminal reward of 0 or
+    below, or one whose discounted values underflow."""
+    if not (q_star := value_iteration(mdp)).all():
+        raise ValueError(
+            f"terminal_reward {mdp.terminal_reward:g} with gamma {mdp.gamma:g}: an exact "
+            "Q value is then 0, so the relative Q error is undefined"
+        )
+    return q_star
+
+
 CHECK_EVERY = 2000
 
 
@@ -306,25 +304,24 @@ def train(
 
     If ``rel_tol`` is given, training stops early once every learned
     state-action value is within that relative tolerance of the exact
-    values from :func:`value_iteration`, checked every
-    :data:`CHECK_EVERY` steps.  Training stops with
-    ``FloatingPointError``, naming the step and the terminal reward, at
-    the first step whose squared loss or gradient norm is not finite.
+    values from :func:`exact_q_values`, checked every :data:`CHECK_EVERY`
+    steps; a chain one of whose values is 0 raises ``ValueError`` before the
+    first step.  Training stops with ``FloatingPointError``, naming the step
+    and the terminal reward, at the first step whose squared loss or
+    gradient norm is not finite.
 
     ``hook``, if given, is called with the
     :class:`~popart.training.TrainStepReport` of every learning step, in
     order, the diverging step's included.
     """
-    q_star = value_iteration(agent.mdp) if rel_tol is not None else None
-    history: list[EpisodeMetrics] = []
-    next_check = CHECK_EVERY
+    q_star = exact_q_values(agent.mdp) if rel_tol is not None else None
+    history, next_check = [], CHECK_EVERY
     # an overflow shows as the non-finite loss that stops training
     with np.errstate(over="ignore", invalid="ignore"):
         while agent.step_count < max_steps:
             history.append(agent.train_episode(hook, max_steps - agent.step_count))
             if q_star is not None and agent.step_count >= next_check:
                 next_check = agent.step_count + CHECK_EVERY
-                err = np.abs(agent.q_table() - q_star) / np.abs(q_star)
-                if float(err.max()) <= rel_tol:
+                if float((np.abs(agent.q_table() - q_star) / np.abs(q_star)).max()) <= rel_tol:
                     break
     return history

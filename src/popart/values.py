@@ -5,9 +5,10 @@ of constructors and configs are read here; a bad one raises ``ValueError``
 that names it and, for a number, its limit.  :func:`as_vector` and
 :func:`as_floats` read ``k`` components, each in a closed interval
 ``[lo, hi]``, which NaN is never in: a finite value lies in ``[-MAX, MAX]``,
-a scale in ``[TINY, MAX]``.  :func:`check_setting`, with :func:`count` and
-:func:`real`, rejects a setting by its name; :func:`as_finite_array` reads
-an array-valued setting, such as an initial weight matrix.
+a scale in ``[TINY, MAX]``.  :func:`check_setting`, with :func:`count`,
+:func:`real` and :func:`is_seed`, rejects a setting by its name;
+:func:`as_finite_array` reads an array-valued setting, such as an initial
+weight matrix.
 
 At a boundary between the layers, a value is converted once at most: a
 float64 array of the expected shape, which is what the steps hand each
@@ -106,6 +107,12 @@ def real(x):
     if isinstance(x, bool):
         raise TypeError(f"{x!r} is not a number")
     return x
+
+
+def is_seed(s) -> bool:
+    """Whether ``s`` is a seed: an int of at least 0, however large, as
+    ``default_rng`` takes; JSON's ``true`` is none."""
+    return not isinstance(s, bool) and operator.index(s) >= 0
 
 
 def check_setting(name: str, value, ok) -> None:

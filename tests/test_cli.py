@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from popart import checks
 from popart.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAILED, main
-from popart.binreg import MAX_GRID_SAMPLES, RESULTS_HEADER, RUN_SAMPLES, ExperimentConfig
+from popart.binreg import (
+    MAX_GRID_SAMPLES,
+    RESULTS_HEADER,
+    RUN_SAMPLES,
+    ExperimentConfig,
+    read_results_csv,
+)
 
 TINY_BINREG = {
     "methods": ["popart"],
@@ -722,6 +728,44 @@ def test_plot_malformed_results_is_config_error(tmp_path, capsys, kind):
     assert len(err) == 1
     assert f"{results}, line {line}: " in err[0]
     assert not plots.exists()
+
+
+@pytest.mark.parametrize(
+    ("alpha", "beta", "seed", "shown"),
+    [
+        ("inf", "-3.0", "-7", "alpha: inf"),
+        ("0.0", "0.1", "2", "alpha: 0.0"),
+        ("nan", "0.1", "2", "alpha: nan"),
+        ("0.01", "1.5", "2", "beta: 1.5"),
+        ("0.01", "0.0", "2", "beta: 0.0"),
+        ("0.01", "0.1", "-7", "seed: -7"),
+    ],
+)
+def test_plot_rejects_a_run_no_config_runs(tmp_path, capsys, alpha, beta, seed, shown):
+    # plot charted a run at alpha inf, beta -3.0 and seed -7, which binreg
+    # never writes: each value is checked by ExperimentConfig's own rule
+    # at the first line of its run
+    results = tmp_path / "results.csv"
+    rows = "".join(f"\npopart,{alpha},{beta},{seed},{step},1.5,2.5" for step in (1, 2, 3))
+    results.write_text(_HEADER + rows + "\n")
+    plots = tmp_path / "plots"
+    assert main(["plot", "--results", str(results), "--out", str(plots)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: malformed results file {results}, line 2: invalid {shown}\n"
+    assert not plots.exists()
+
+
+def test_plot_reads_a_seed_past_sys_maxsize_that_binreg_writes(tmp_path):
+    # a run's seed is base_seed plus its repetition, which passes
+    # sys.maxsize when base_seed is sys.maxsize
+    config = {**TINY_BINREG, "methods": ["popart"], "n_repetitions": 2, "base_seed": sys.maxsize}
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, config)
+    assert main(["binreg", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    records = read_results_csv(str(out / "results.csv"))
+    assert [r.seed for r in records] == [sys.maxsize, sys.maxsize + 1]
+    plots = tmp_path / "plots"
+    assert main(["plot", "--results", str(out / "results.csv"), "--out", str(plots)]) == EXIT_OK
 
 
 @pytest.mark.parametrize("window", ["0", "-3"])

@@ -12,6 +12,7 @@ from popart.rl import (
     ChainMdp,
     DoubleQAgent,
     EpisodeMetrics,
+    _Pass,
     train,
     value_iteration,
 )
@@ -113,48 +114,54 @@ def test_value_iteration_steps_from_each_non_terminal_state_once(monkeypatch):
     assert sorted(steps) == [(s, ChainMdp.ADVANCE) for s in range(49)]
 
 
+def _fresh_pass(agent, transition):
+    """A pass of the agent's current parameters over the states from
+    ``min(s, s2)`` to ``max(s, s2)``, the ones ``transition`` reads."""
+    s, _, _, s2, _ = transition
+    return agent._pass(min(s, s2), max(s, s2) + 1)
+
+
+def _learn(agent, transition):
+    return agent.learn_transition(transition, _fresh_pass(agent, transition))
+
+
 def test_double_q_target_terminal_drops_bootstrap():
     agent = DoubleQAgent(ChainMdp(), seed=0)
-    assert agent.double_q_target((3, 0, 1000.0, 4, True)) == 1000.0
-
-
-def _online_values(agent, s2, values, elsewhere):
-    """Make every pass of the online network read ``values`` at ``s2`` and
-    ``elsewhere`` at every other state, whichever codes it stacks."""
-    n = agent.mdp.n_states
-    q = np.tile(elsewhere, (n, 1))
-    q[s2] = values
-    forward_pass = agent.net.forward_pass
-    inputs = []
-
-    def recorded(x):
-        inputs[:] = [x]
-        return forward_pass(x)
-
-    def values_of_the_codes(h):
-        x = inputs[0]
-        return q[x[:, :n].argmax(axis=1), x[:, n:].argmax(axis=1)][:, None]
-
-    agent.net.forward_pass = recorded
-    agent.layer.unnormalized_output = values_of_the_codes
+    for a_star in (0, 1):
+        assert agent.double_q_target((3, 0, 1000.0, 4, True), a_star) == 1000.0
 
 
 def test_double_q_target_hand_example():
-    # online prefers action 1 at s' (and action 0 elsewhere); its value in
-    # the target table is 7
+    # the pass handed to the step prefers action 1 at s' = 2, its second
+    # state; that action's value in the target table is 7
     agent = DoubleQAgent(ChainMdp(), seed=0)
-    _online_values(agent, 1, [1.0, 2.0], elsewhere=[0.0, 0.0])
     agent.target_q = np.zeros((4, 2))
-    agent.target_q[1] = [5.0, 7.0]
-    assert agent.double_q_target((0, 0, 0.0, 1, False)) == pytest.approx(0.99 * 7.0)
+    agent.target_q[2] = [5.0, 7.0]
+    targets = []
+    double_q_target = agent.double_q_target
+
+    def recorded(transition, a_star):
+        targets.append(double_q_target(transition, a_star))
+        return targets[-1]
+
+    agent.double_q_target = recorded
+    seen = agent._pass(1, 3)._replace(greedy=[0, 1])
+    agent.learn_transition((1, ChainMdp.ADVANCE, 0.0, 2, False), seen)
+    assert targets == [pytest.approx(0.99 * 7.0)]
+    assert agent.double_q_target((1, 0, 0.0, 2, False), 0) == pytest.approx(0.99 * 5.0)
 
 
 def test_double_q_target_tie_breaks_to_lowest_action():
+    # with W at 0 every value is the output bias's: a pass picks action 0
+    # at every state, and the target is the table's value of that action
     agent = DoubleQAgent(ChainMdp(), seed=0)
-    _online_values(agent, 1, [2.0, 2.0], elsewhere=[0.0, 1.0])
+    agent.layer.W[:] = 0.0
+    seen = agent._pass(0, 5)
+    assert (seen.q == seen.q[0, 0]).all() and seen.greedy == [0] * 5
     agent.target_q = np.zeros((4, 2))
     agent.target_q[1] = [3.0, 9.0]
-    assert agent.double_q_target((0, 0, 0.0, 1, False)) == pytest.approx(0.99 * 3.0)
+    target = agent.double_q_target((0, 0, 0.0, 1, False), seen.greedy[1])
+    assert target == pytest.approx(0.99 * 3.0)
 
 
 def test_fresh_target_net_equals_online_net():
@@ -168,7 +175,7 @@ def test_target_copy_period_exact():
     agent = DoubleQAgent(ChainMdp(), copy_period=3, seed=2)
     for i in range(1, 10):
         before = agent.target_q
-        agent.learn_transition((0, 0, 0.0, 1, False))
+        _learn(agent, (0, 0, 0.0, 1, False))
         if i % 3 == 0:
             np.testing.assert_array_equal(agent.target_q, agent.q_table())
         else:
@@ -181,58 +188,57 @@ def _codes_of(agent, lo, hi):
     return agent.codes[lo:hi].reshape(-1, agent.codes.shape[-1])
 
 
-def test_double_q_target_one_forward_pass_per_state(monkeypatch):
-    # with no action handed in, one online pass over the actions of s'
-    # gives the argmax there; the target side is the table, and a
-    # terminal transition needs neither
-    agent = DoubleQAgent(ChainMdp(), seed=0)
-    inputs = []
+def _recorded_states(agent, calls):
+    """A stand-in for ``Mlp.forward_pass`` that appends the first and
+    last state of each stack it is given to ``calls``, and checks that the
+    stack holds every action of each state in between, in order."""
     forward_pass = Mlp.forward_pass
 
     def recorded(self, x):
         assert self is agent.net
-        inputs.append(np.asarray(x))
+        lo = int(np.argmax(x[0, : agent.mdp.n_states]))
+        hi = lo + len(x) // agent.mdp.n_actions
+        np.testing.assert_array_equal(x, _codes_of(agent, lo, hi))
+        calls.append((lo, hi))
         return forward_pass(self, x)
 
-    monkeypatch.setattr(Mlp, "forward_pass", recorded)
-    for s2 in (1, 1, 2):
-        inputs.clear()
-        agent.double_q_target((0, 0, 0.0, s2, False))
-        assert len(inputs) == 1
-        np.testing.assert_array_equal(inputs[0], _codes_of(agent, s2, s2 + 1))
-    inputs.clear()
-    agent.double_q_target((3, 0, 1000.0, 4, True))
-    assert inputs == []
+    return recorded
+
+
+def test_double_q_target_runs_no_forward_pass(monkeypatch):
+    # the bootstrap action is handed in, from the caller's pass, and the
+    # target side is the table: valuing a transition passes no network
+    agent = DoubleQAgent(ChainMdp(), seed=0)
+    calls = []
+    monkeypatch.setattr(Mlp, "forward_pass", _recorded_states(agent, calls))
+    for transition in [(0, 0, 0.0, 1, False), (2, 1, 0.0, 2, False), (3, 0, 1000.0, 4, True)]:
+        for a_star in (0, 1):
+            agent.double_q_target(transition, a_star)
+    assert calls == []
 
 
 @pytest.mark.parametrize("copy_period", [1, 3, 500])
 def test_target_rows_evaluated_once_per_copy(copy_period, monkeypatch):
-    # a step with no act before it runs one pass over the states from s to
-    # s', which serves the argmax at s' and the step on (s, a), and, at a
-    # copy, one more over every non-terminal state; no network is copied
+    # a step handed a pass over the states from s to s' makes none of its
+    # own: only a copy runs one, over every non-terminal state; no network
+    # is copied
     agent = DoubleQAgent(ChainMdp(), copy_period=copy_period, seed=4)
-    inputs = []
-    forward_pass = Mlp.forward_pass
-
-    def recorded(self, x):
-        assert self is agent.net
-        inputs.append(np.asarray(x))
-        return forward_pass(self, x)
+    calls = []
 
     def no_copy(self):
         raise AssertionError("Mlp.copy called")
 
-    monkeypatch.setattr(Mlp, "forward_pass", recorded)
     monkeypatch.setattr(Mlp, "copy", no_copy)
     rng = np.random.default_rng(1)
     for step in range(1, 13):
         s, s2 = (int(v) for v in rng.integers(agent.mdp.terminal, size=2))
-        inputs.clear()
-        agent.learn_transition((s, 0, 0.0, s2, False))
-        assert len(inputs) == 1 + (step % copy_period == 0)
-        np.testing.assert_array_equal(inputs[0], _codes_of(agent, min(s, s2), max(s, s2) + 1))
-        for x in inputs[1:]:
-            np.testing.assert_array_equal(x, _codes_of(agent, 0, agent.mdp.terminal))
+        transition = (s, 0, 0.0, s2, False)
+        seen = _fresh_pass(agent, transition)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Mlp, "forward_pass", _recorded_states(agent, calls))
+            agent.learn_transition(transition, seen)
+        assert calls == [(0, agent.mdp.terminal)] * (step % copy_period == 0)
 
 
 def _frozen_values(net, layer, agent):
@@ -274,27 +280,10 @@ def test_target_table_frozen_between_copies():
         s = int(rng.integers(agent.mdp.terminal))
         a = int(rng.integers(2))
         s2, r, done = agent.mdp.step(s, a)
-        agent.learn_transition((s, a, r, s2, done))
+        _learn(agent, (s, a, r, s2, done))
         if step % 5:
             assert not np.array_equal(agent.q_table(), frozen)
             np.testing.assert_array_equal(agent.target_q, frozen)
-
-
-def _recorded_states(agent, calls):
-    """A stand-in for ``Mlp.forward_pass`` that appends the first and
-    last state of each stack it is given to ``calls``, and checks that the
-    stack holds every action of each state in between, in order."""
-    forward_pass = Mlp.forward_pass
-
-    def recorded(self, x):
-        assert self is agent.net
-        lo = int(np.argmax(x[0, : agent.mdp.n_states]))
-        hi = lo + len(x) // agent.mdp.n_actions
-        np.testing.assert_array_equal(x, _codes_of(agent, lo, hi))
-        calls.append((lo, hi))
-        return forward_pass(self, x)
-
-    return recorded
 
 
 def test_greedy_step_reuses_the_action_pass(monkeypatch):
@@ -343,40 +332,82 @@ def _learned_bits(agent):
     return [a.tobytes() for a in (*arrays, agent.target_q)]
 
 
+def _untouched(agent):
+    """What a learning step that raises must leave as it was."""
+    return _learned_bits(agent), agent.step_count, agent.rng.bit_generator.state
+
+
 @pytest.mark.parametrize(
     "script",
     [
-        [(1, [0])],  # the step is from another state
-        [(1, [1, 1])],  # the second step finds the pass used
-        [(2, [2]), (1, [2])],  # only the last act's pass counts
-        [(0, [0]), (0, [0, 1]), (3, [3, 3, 2])],
+        [(1, [(0, False)])],  # the step is from another state
+        [(1, [(1, True), (1, False)])],  # the second step finds the pass used
+        [(2, [(2, True)]), (1, [(2, True)])],  # the last act's pass covers both
+        [(0, [(0, True)]), (0, [(0, True), (1, False)]), (3, [(3, True), (3, False), (2, False)])],
     ],
     ids=["other-state", "used-once", "last-act", "mixed"],
 )
 def test_reused_pass_leaves_parameters_bitwise_equal(script):
-    # an agent that acts before learning against one that only learns,
-    # which never has a pass to reuse; actions alternate, so the reused
-    # row is not always the one act chose
+    # an agent handed the pass of its last act against one handed a fresh
+    # pass at each step; actions alternate, so the reused row is not always
+    # the one act chose.  Where act's pass does not serve (True marks where
+    # it does), the step raises and nothing moves
     mdp = ChainMdp(terminal_reward=1e3)
     agent = DoubleQAgent(mdp, epsilon_greedy=0.0, copy_period=3, seed=3)
     plain = DoubleQAgent(mdp, epsilon_greedy=0.0, copy_period=3, seed=3)
     a = 0
     for acted, learned in script:
-        agent.act(acted)
-        for s in learned:
+        _, seen = agent.act(acted)
+        for s, serves in learned:
             s2, r, done = mdp.step(s, a)
             transition = (s, a, r, s2, done)
-            agent.learn_transition(transition)
-            plain.learn_transition(transition)
+            if serves:
+                agent.learn_transition(transition, seen)
+                _learn(plain, transition)
+            else:
+                before = _untouched(agent)
+                with pytest.raises(ValueError, match="cannot serve step"):
+                    agent.learn_transition(transition, seen)
+                assert _untouched(agent) == before
             assert _learned_bits(agent) == _learned_bits(plain)
             a = 1 - a
+
+
+@pytest.mark.parametrize(
+    ("acted", "transition"),
+    [(1, (0, 0, 0.0, 1, False)), (0, (1, 0, 0.0, 2, False)), (2, (3, 0, 1e3, 4, True))],
+    ids=["below", "above", "terminal"],
+)
+def test_a_pass_that_does_not_cover_the_step_raises_and_nothing_moves(acted, transition):
+    agent = DoubleQAgent(ChainMdp(), seed=0)
+    _, seen = agent.act(acted)
+    before = _untouched(agent)
+    s, _, _, s2, _ = transition
+    match = rf"over states {acted}..{acted + 1} made for step 1 cannot serve step 1, on states "
+    with pytest.raises(ValueError, match=match + rf"{min(s, s2)}..{max(s, s2)}$"):
+        agent.learn_transition(transition, seen)
+    assert _untouched(agent) == before
+
+
+@pytest.mark.parametrize("made_by", ["act", "_pass"])
+def test_a_pass_reused_after_a_learning_step_raises_and_nothing_moves(made_by):
+    # the parameters moved since the pass was made: its activations and
+    # greedy actions are stale, so the step refuses it, at a target copy too
+    agent = DoubleQAgent(ChainMdp(), copy_period=1, seed=0)
+    seen = agent.act(0)[1] if made_by == "act" else agent._pass(0, 2)
+    transition = (0, ChainMdp.ADVANCE, 0.0, 1, False)
+    agent.learn_transition(transition, seen)
+    before = _untouched(agent)
+    with pytest.raises(ValueError, match=r"made for step 1 cannot serve step 2, on states 0..1"):
+        agent.learn_transition(transition, seen)
+    assert _untouched(agent) == before
 
 
 _N_STATES = 4
 _OPS = st.one_of(
     st.tuples(st.just("act"), st.integers(0, _N_STATES - 1)),
     # a learn from a given state, or, with None, from the last act's state
-    # and action
+    # and action on the last act's pass
     st.tuples(st.just("learn"), st.none() | st.integers(0, _N_STATES - 2), st.integers(0, 1)),
     st.tuples(st.just("q_table")),
 )
@@ -384,12 +415,15 @@ _OPS = st.one_of(
 
 @settings(deadline=None, max_examples=60)
 @given(epsilon=st.sampled_from([0.0, 0.5, 1.0]), script=st.lists(_OPS, max_size=25))
-def test_kept_pass_leaves_learning_bitwise_equal_in_any_interleaving(epsilon, script):
-    # an agent that acts and reads its values between learns, against one
-    # that only learns the same transitions, and so never has a kept pass
-    # and, where the script makes them diverge (the same terminal transition
-    # six times in a row from the fresh agent overflows), under train()'s
-    # errstate, they diverge alike: to the same bits, or to the same error
+def test_a_step_on_acts_pass_equals_a_step_on_a_fresh_pass(epsilon, script):
+    # an agent that acts, reads its values and learns from act's pass,
+    # against one that only learns the same transitions, each from a fresh
+    # pass over the states from min(s, s2) to max(s, s2): they stay equal
+    # to the last bit.  A learn from act's pass after another learn raises
+    # and moves nothing.  Where the script makes them diverge (the same
+    # terminal transition six times in a row from the fresh agent
+    # overflows), under train()'s errstate, they diverge alike: to the same
+    # error.  The agent keeps no pass between calls
     mdp = ChainMdp(n_states=_N_STATES, terminal_reward=1e3)
     agent = DoubleQAgent(mdp, epsilon_greedy=epsilon, copy_period=3, seed=3)
     plain = DoubleQAgent(mdp, epsilon_greedy=epsilon, copy_period=3, seed=3)
@@ -398,19 +432,28 @@ def test_kept_pass_leaves_learning_bitwise_equal_in_any_interleaving(epsilon, sc
         for op, *args in script:
             if op == "act":
                 s = args[0]
-                acted = (s, agent.act(s))
+                acted = (s, *agent.act(s))
             elif op == "learn":
                 s, a = args
+                seen = None
                 if s is None:
                     if acted is None or acted[0] == mdp.terminal:
                         continue
-                    s, a = acted
+                    s, a, seen = acted
                 s2, r, done = mdp.step(s, a)
                 transition = (s, a, r, s2, done)
+                if seen is not None and seen.step_count != agent.step_count:
+                    before = _untouched(agent)
+                    with pytest.raises(ValueError, match="cannot serve step"):
+                        agent.learn_transition(transition, seen)
+                    assert _untouched(agent) == before
+                    continue
+                if seen is None:
+                    seen = _fresh_pass(agent, transition)
                 errors = []
-                for learner in (agent, plain):
+                for learner, handed in ((agent, seen), (plain, _fresh_pass(plain, transition))):
                     try:
-                        learner.learn_transition(transition)
+                        learner.learn_transition(transition, handed)
                     except FloatingPointError as exc:
                         errors.append(str(exc))
                 assert len(errors) in (0, 2) and len(set(errors)) <= 1, errors
@@ -419,6 +462,7 @@ def test_kept_pass_leaves_learning_bitwise_equal_in_any_interleaving(epsilon, sc
             else:
                 assert agent.q_table().tobytes() == plain.q_table().tobytes()
             assert _learned_bits(agent) == _learned_bits(plain)
+            assert not [v for v in vars(agent).values() if isinstance(v, _Pass)]
     assert _learned_bits(agent) == _learned_bits(plain)
     assert agent.step_count == plain.step_count
 
@@ -432,11 +476,11 @@ def test_learn_transition_rejects_an_action_or_state_out_of_range(transition):
     # the pass's rows run over (s, a) in order, so a bare row index would
     # take (0, 2) for (1, 0); the step raises instead, and nothing moves
     agent = DoubleQAgent(ChainMdp(), seed=0)
-    before = _learned_bits(agent)
-    agent.act(0)
-    with pytest.raises(IndexError):
-        agent.learn_transition(transition)
-    assert _learned_bits(agent) == before and agent.step_count == 0
+    _, seen = agent.act(0)
+    before = _untouched(agent)
+    with pytest.raises(IndexError, match=r"is off the chain or its actions"):
+        agent.learn_transition(transition, seen)
+    assert _untouched(agent) == before
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan, 1.5e154])
@@ -448,7 +492,7 @@ def test_learn_transition_rejects_a_bootstrap_target_out_of_range(value):
     before = _learned_bits(agent)
     match = r"step 1: bootstrap target .* \(terminal reward 1\)"
     with pytest.raises(FloatingPointError, match=match):
-        agent.learn_transition((0, ChainMdp.ADVANCE, 0.0, 1, False))
+        _learn(agent, (0, ChainMdp.ADVANCE, 0.0, 1, False))
     assert _learned_bits(agent) == before and agent.step_count == 0
 
 
@@ -537,8 +581,8 @@ def test_train_episode_metrics_shape():
     learned = []
     learn_transition = agent.learn_transition
 
-    def learn_and_keep(transition):
-        report = learn_transition(transition)
+    def learn_and_keep(transition, seen):
+        report = learn_transition(transition, seen)
         learned.append(report)
         return report
 
@@ -561,6 +605,23 @@ def test_train_stops_at_max_steps_exactly():
     assert train(agent, max_steps=3000) == []
 
 
+@pytest.mark.parametrize(
+    ("reward", "gamma"), [(0.0, 0.99), (-0.0, 0.99), (-1.0, 0.99), (5e-324, 0.5)]
+)
+def test_train_to_a_tolerance_refuses_a_chain_with_an_exact_value_of_0(reward, gamma):
+    # the relative error divides by the exact values: numpy warned of a
+    # division by zero at step 2000, and the tolerance never stopped training
+    agent = DoubleQAgent(ChainMdp(terminal_reward=reward, gamma=gamma), seed=0)
+    before = _untouched(agent)
+    match = rf"^terminal_reward {reward:g} with gamma {gamma:g}: an exact Q value is then 0"
+    with pytest.raises(ValueError, match=match):
+        train(agent, max_steps=4000, rel_tol=0.05)
+    assert _untouched(agent) == before
+    # with no tolerance there is nothing to divide
+    train(agent, max_steps=10)
+    assert agent.step_count == 10
+
+
 def test_normalized_targets_bounded_regardless_of_reward_scale():
     # per-step normalized targets obey the update-then-normalize bound
     # with the agent's beta, identically at reward 1 and reward 1000
@@ -573,7 +634,7 @@ def test_normalized_targets_bounded_regardless_of_reward_scale():
             agent.train_episode()
         nrm = agent.layer.normalizer
         assert np.all(np.isfinite(nrm.sigma))
-        y = agent.double_q_target((3, 0, reward, 4, True))
+        y = agent.double_q_target((3, 0, reward, 4, True), 0)
         nrm.update(y)
         assert abs(nrm.normalize(y)[0]) <= bound + 1e-9
 
