@@ -209,10 +209,11 @@ class _Run:
             method, alpha, beta, seed, np.full(n_samples, np.inf), np.full(n_samples, np.inf)
         )
 
-    def advance(self, i: int, x, y: float, acts, pred: float) -> bool:
+    def advance(self, i: int, y: float, acts, pred: float) -> bool:
         """Record the test error ``|pred - y|`` of step ``i``, take the
-        method's public step on ``(x, y)`` with the activations ``acts``,
-        and record its gradient norm.  Return False at the first
+        method's public step on ``acts``, the forward pass of the sample's
+        input that gave ``pred``, and target ``y``, and record its
+        gradient norm.  Return False at the first
         non-finite prediction or loss: the run has diverged, and the rest
         of its trace stays ``inf``."""
         if not math.isfinite(pred):
@@ -220,14 +221,14 @@ class _Run:
         self.record.rmse[i] = abs(pred - y)
         method, net, layer, alpha = self.method, self.net, self.layer, self.alpha
         if method == "popart":
-            report = popart_sgd_step(net, layer, x, y, alpha, acts=acts)
+            report = popart_sgd_step(net, layer, acts, y, alpha)
         elif method == "art":
-            report = art_only_sgd_step(net, layer, x, y, alpha, acts=acts)
+            report = art_only_sgd_step(net, layer, acts, y, alpha)
         elif method == "sgd":
-            report = plain_sgd_step(net, layer, x, y, alpha, acts=acts)
+            report = plain_sgd_step(net, layer, acts, y, alpha)
         else:
             sigma = layer.normalizer.update(y)
-            report = normalized_sgd_step(net, layer, x, y, sigma, alpha, acts=acts)
+            report = normalized_sgd_step(net, layer, acts, y, sigma, alpha)
         self.record.grad_norm[i] = report.gradient_norm
         return math.isfinite(report.squared_loss)
 
@@ -256,7 +257,7 @@ def run_single(
             # one forward pass serves the test error and the step: nothing
             # touches the net in between
             acts = net.forward_pass(x)
-            if not run.advance(i, x, y, acts, layer.unnormalized_output(acts[-1])[0]):
+            if not run.advance(i, y, acts, layer.unnormalized_output(acts[-1])[0]):
                 break
     return run.record
 
@@ -284,7 +285,7 @@ def _run_lockstep(jobs) -> list[RunRecord]:
             acts = net.forward_pass(x)
             preds = layer.unnormalized_output(acts[-1])[:, 0].tolist()
             rows = list(zip(*acts[1:]))
-            live = [(r, run) for r, run in live if run.advance(i, x, y, [x, *rows[r]], preds[r])]
+            live = [(r, run) for r, run in live if run.advance(i, y, [x, *rows[r]], preds[r])]
             if not live:
                 break
     return [run.record for run in runs]

@@ -131,8 +131,8 @@ def check_sgd_equivalence() -> tuple[bool, str]:
         y = rng.normal(size=k) * 3.0
         sigma = 10.0 ** rng.uniform(-0.5, 0.5, k)
         mu = rng.normal(size=k)
-        popart_sgd_update(net1, layer1, x, y, sigma, mu, alpha)
-        normalized_sgd_step(net2, layer2, x, y, sigma, alpha)
+        popart_sgd_update(net1, layer1, net1.forward_pass(x), y, sigma, mu, alpha)
+        normalized_sgd_step(net2, layer2, net2.forward_pass(x), y, sigma, alpha)
         p1, p2 = net1.get_params(), net2.get_params()
         rel = float(np.max(np.abs(p1 - p2) / (1.0 + np.abs(p2))))
         worst_theta = max(worst_theta, rel)

@@ -219,10 +219,11 @@ class DoubleQAgent:
 
     def learn_transition(self, transition, seen: _Pass) -> TrainStepReport:
         """One SGD step on ``transition``, ``(s, a, r, s2, done)``, from
-        ``seen``, a pass of the current parameters over ``s`` and ``s2``, as
-        a step's ``acts`` must be.  A state or action off the chain raises
-        ``IndexError``; a pass that does not cover both states, or that was
-        made before the last learning step, ``ValueError``; neither moves a thing.
+        ``seen``, a pass of the current parameters over ``s`` and ``s2``,
+        whose row of ``(s, a)`` is the step's ``acts``.  A state or action
+        off the chain raises ``IndexError``; a pass that does not cover both
+        states, or that was made before the last learning step,
+        ``ValueError``; neither moves a thing.
         """
         s, a, r, s2, done = transition
         lo, hi = min(s, s2), max(s, s2) + 1
@@ -241,7 +242,7 @@ class DoubleQAgent:
             )
         row = (s - seen.lo) * self.mdp.n_actions + a
         acts = [stacked[row] for stacked in seen.acts]
-        report = popart_sgd_step(self.net, self.layer, acts[0], y, self.alpha, acts=acts)
+        report = popart_sgd_step(self.net, self.layer, acts, y, self.alpha)
         self.step_count += 1
         if self.step_count % self.copy_period == 0:
             self.target_q = self.q_table()

@@ -49,7 +49,9 @@ class Normalizer:
     ``nu - mu**2`` is clamped up to ``epsilon`` after every update so the
     scale is always finite and positive: a ``spread`` and ``epsilon`` that
     would put it outside ``[TINY, MAX]`` for some target :meth:`update`
-    takes are rejected here, before any step can move the statistics.
+    takes, or whose scales a rescale cannot take from 1 or into one another
+    by a finite, positive ratio, are rejected here, before any step can
+    move the statistics.
     """
 
     def __init__(
@@ -69,12 +71,15 @@ class Normalizer:
         # bounds of the scale over every target update() takes: the
         # variance is floored at epsilon, and nu, a mean of squares (each
         # at most MAX) clamped up to mu**2 + epsilon, is at most MAX +
-        # epsilon; a step takes a scale in [TINY, MAX] only
+        # epsilon; a step takes a scale in [TINY, MAX] only, and rescales a
+        # layer from 1, a fresh layer's scale, or from one of these scales
+        # to another by a ratio that must be finite and positive
         lo, hi = (math.sqrt(v) / self.spread for v in (self.epsilon, MAX + self.epsilon))
-        if not (TINY <= lo and hi <= MAX):
+        if not (TINY <= lo and hi <= MAX and max(hi, 1.0) / min(lo, 1.0) < math.inf):
             raise ValueError(
                 f"invalid spread and epsilon: {spread!r} and {epsilon!r} put the scale in "
-                f"[{lo:g}, {hi:g}], outside [{TINY:g}, {MAX:g}]"
+                f"[{lo:g}, {hi:g}], outside [{TINY:g}, {MAX:g}] or too wide for a rescale "
+                "from 1 or within it"
             )
         self.schedule = schedule if schedule is not None else harmonic()
         self.mu = np.zeros(k)

@@ -54,27 +54,22 @@ The three dot products behind the gradient norm, ``g.g``,
 vectors.  The network's backward pass reuses its gradient buffer (see
 :mod:`popart.network`); ``W``'s own update stays one broadcast product.
 
-These four steps take an optional keyword ``acts``: the activations
-``net.forward_pass(x)`` that the caller already computed on the current
-parameters, for instance to measure a test error with
-``layer.unnormalized_output(acts[-1])`` before the step.  The step then
-uses them in place of its own forward pass; the rescale and the
-statistics update only move the output layer, so the result is the same
-to the last bit.  ``acts`` is checked together with the other inputs: it
-must have one entry per layer, each as wide as that layer, and ``acts[0]``
-must equal ``x``.  That it belongs to the current parameters is the
-caller's promise.
+A step takes ``acts``, the activations ``net.forward_pass(x)`` of its
+input on the current parameters, where a caller may have read its test
+error, and checks only that they have one entry per layer, each as wide
+as that layer.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .network import Mlp, product, stacked_product
-from .stats import Normalizer
+from .stats import MAX_TARGET, Normalizer
 from .values import MAX, TINY, as_finite_array, as_float_array, as_floats, check_setting, count
 
 
@@ -178,25 +173,29 @@ class OutputLayer:
         return out
 
     def rescale_to(self, sigma_new, mu_new) -> None:
-        """Adopt a new scale/shift without changing unnormalized outputs."""
+        """Adopt a new scale/shift without changing unnormalized outputs.
+
+        A ratio ``sigma_old / sigma_new`` of 0 or not finite, which would
+        take a row of ``W`` to 0 or inf, raises ``ValueError`` naming
+        ``sigma`` before anything changes.  A finite ratio can still
+        overflow an entry of ``W`` or the new ``b``; that is not checked,
+        since a step rescales after its statistics moved and must not
+        raise then: its loss and gradient norm show it.
+        """
         sigma_new = as_floats(sigma_new, self.k, TINY, MAX, "sigma")
         mu_new = as_floats(mu_new, self.k, -MAX, MAX, "mu")
         W, b, sigma, mu = self.W, self.b, self.sigma, self.mu
+        for i, s in enumerate(sigma_new):
+            if not 0.0 < sigma.item(i) / s < math.inf:
+                raise ValueError(
+                    f"sigma {s!r} at component {i}: the rescale from {sigma.item(i)!r} "
+                    f"would multiply W by {sigma.item(i) / s!r}"
+                )
         for i in range(self.k):
             s_old, s, m = sigma.item(i), sigma_new[i], mu_new[i]
             W[i] *= s_old / s
             b[i] = (s_old * b.item(i) + mu.item(i) - m) / s
             sigma[i], mu[i] = s, m
-
-    def set_scale_shift(self, sigma_new, mu_new) -> None:
-        """Adopt a new scale/shift *without* compensation (outputs move).
-
-        ``sigma_new`` must be finite and positive and ``mu_new`` finite;
-        otherwise nothing changes and ``ValueError`` is raised.
-        """
-        sigma_new = as_floats(sigma_new, self.k, TINY, MAX, "sigma")
-        mu_new = as_floats(mu_new, self.k, -MAX, MAX, "mu")
-        self.sigma[...], self.mu[...] = sigma_new, mu_new
 
 
 class _LayerStack(OutputLayer):
@@ -219,7 +218,7 @@ class _LayerStack(OutputLayer):
             "a stack of output layers gives unnormalized outputs only; call its members"
         )
 
-    normalized_output = rescale_to = set_scale_shift = _members_only
+    normalized_output = rescale_to = _members_only
 
 
 def predict(net: Mlp, layer: OutputLayer, x) -> np.ndarray:
@@ -235,41 +234,40 @@ def predict(net: Mlp, layer: OutputLayer, x) -> np.ndarray:
 _COMPENSATE = "compensate"  # rescale W, b so unnormalized outputs stay put
 _ADOPT_RAW = "adopt raw"  # adopt as is, so unnormalized outputs move
 _RAW_TARGETS = "raw targets"  # keep the identity and fit raw targets
+# the smallest scale whose square is a normal double, not 0
+_MIN_SEED_SCALE = math.sqrt(sys.float_info.min)
 
 
 def _sgd_step(
-    net, layer: OutputLayer, x, y, alpha, adoption, sigma=None, mu=None, acts=None
+    net, layer: OutputLayer, acts, y, alpha, adoption, sigma=None, mu=None
 ) -> TrainStepReport:
     """The one squared-loss SGD step behind every public variant.
 
-    With ``_COMPENSATE`` or ``_ADOPT_RAW`` the new scale/shift is
-    ``(sigma, mu)``, or, if ``sigma`` is None, the layer normalizer's
-    statistics after it absorbs ``y``.  With ``_RAW_TARGETS`` a given
-    ``sigma`` only divides the lower-layer seed by ``sigma**2``.  ``acts``,
-    if given, is ``net.forward_pass(x)`` on the current parameters and
-    stands in for the step's own forward pass.  Every input is checked
-    once, before anything is mutated; a target the normalizer absorbs is
-    checked by :meth:`Normalizer.update`, the first thing that moves.
+    ``acts`` is ``net.forward_pass(x)`` on the current parameters; the
+    rescale and the statistics update move only the output layer, so the
+    step learns from it what a pass of its own would give.  With
+    ``_COMPENSATE`` or ``_ADOPT_RAW`` the new scale/shift is ``(sigma,
+    mu)``, or, if ``sigma`` is None, the layer normalizer's statistics
+    after it absorbs ``y``.  With ``_RAW_TARGETS`` a given ``sigma`` only
+    divides the lower-layer seed by ``sigma**2``, which must be a positive
+    finite double.  Every input is checked once, before anything is
+    mutated; a target the normalizer absorbs is checked by
+    :meth:`Normalizer.update`, the first thing that moves.
     """
-    x = as_float_array(x)
-    n_in = net.layer_sizes[0]
-    if x.shape != (n_in,):
-        raise ValueError(f"expected input of length {n_in}, got shape {x.shape}")
-    if acts is not None:
-        if len(acts) != len(net.layer_sizes):
+    if len(acts) != len(net.layer_sizes):
+        raise ValueError(
+            f"expected {len(net.layer_sizes)} activations, one per layer, got {len(acts)}"
+        )
+    for i, (a, n) in enumerate(zip(acts, net.layer_sizes)):
+        # an array's own shape, without np.shape's dispatch cost
+        shape = a.shape if isinstance(a, np.ndarray) else np.shape(a)
+        if shape != (n,):
             raise ValueError(
-                f"expected {len(net.layer_sizes)} activations, one per layer, got {len(acts)}"
+                f"expected acts[{i}] of length {n}, got shape {shape}: "
+                "acts come from another network or input"
             )
-        for i, (a, n) in enumerate(zip(acts, net.layer_sizes)):
-            # an array's own shape, without np.shape's dispatch cost
-            shape = a.shape if isinstance(a, np.ndarray) else np.shape(a)
-            if shape != (n,):
-                raise ValueError(
-                    f"expected acts[{i}] of length {n}, got shape {shape}: "
-                    "acts come from another network"
-                )
-        if acts[0] is not x and not np.array_equal(acts[0], x):
-            raise ValueError("acts[0] is not the input x: acts come from another input")
+    # read before anything moves: the features take methods of an array
+    h = as_float_array(acts[-1])
     k = layer.k
     ys = as_floats(y, k, -MAX, MAX, "target")
     if adoption != _RAW_TARGETS and sigma is None:
@@ -282,15 +280,13 @@ def _sgd_step(
         # check, before it moves
         sigma, mu = nrm.update(y), nrm.mu
     elif sigma is not None and adoption == _RAW_TARGETS:
-        sigma = np.array(as_floats(sigma, k, TINY, MAX, "sigma"))
+        sigma = np.array(as_floats(sigma, k, _MIN_SEED_SCALE, MAX_TARGET, "sigma"))
     if adoption == _COMPENSATE:
         layer.rescale_to(sigma, mu)
     elif adoption == _ADOPT_RAW:
-        layer.set_scale_shift(sigma, mu)
+        # the normalizer keeps its scale and shift in range
+        layer.sigma[...], layer.mu[...] = sigma, mu
 
-    if acts is None:
-        acts = net.forward_pass(x)
-    h = acts[-1]
     W, b, scale, shift = layer.W, layer.b, layer.sigma, layer.mu
     raw = adoption == _RAW_TARGETS
     # the error, one output at a time, and with it the bias update, which
@@ -305,11 +301,9 @@ def _sgd_step(
         theta_seed = layer._vecmat(delta / sigma**2, W)
     else:
         theta_seed = layer._vecmat(delta, W)
-    g_sq = 0.0
-    if net.n_params:
-        g_theta = net.backward(acts, theta_seed)
-        g_sq = float(g_theta.dot(g_theta))
-        net.apply_param_step(g_theta, alpha)
+    g_theta = net.backward(acts, theta_seed)
+    g_sq = float(g_theta.dot(g_theta))
+    net.apply_param_step(g_theta, alpha)
     d_sq = float(delta.dot(delta))
     grad_norm = math.sqrt(g_sq + d_sq * (1.0 + float(h.dot(h))))
     # one broadcast product, not one per row: where both factors are NaN,
@@ -326,67 +320,56 @@ def _sgd_step(
 
 
 def popart_sgd_update(
-    net, layer: OutputLayer, x, y, sigma_new, mu_new, alpha: float
+    net, layer: OutputLayer, acts, y, sigma_new, mu_new, alpha: float
 ) -> TrainStepReport:
     """One output-preserving SGD step with an externally supplied new
     scale/shift (useful when the statistics live elsewhere).
 
     ``W`` and ``b`` are first rescaled so unnormalized outputs are
     unchanged, then SGD consumes the normalized error under the new
-    scale/shift.
+    scale/shift.  ``acts`` is ``net.forward_pass(x)``, as for every step.
     """
-    return _sgd_step(net, layer, x, y, alpha, _COMPENSATE, sigma_new, mu_new)
+    return _sgd_step(net, layer, acts, y, alpha, _COMPENSATE, sigma_new, mu_new)
 
 
-def popart_sgd_step(
-    net, layer: OutputLayer, x, y, alpha: float, *, acts=None
-) -> TrainStepReport:
+def popart_sgd_step(net, layer: OutputLayer, acts, y, alpha: float) -> TrainStepReport:
     """One squared-loss SGD step with adaptive normalization and
-    output-preserving rescale.
+    output-preserving rescale, on the forward pass ``acts`` of the input.
 
     Order matters: the statistics absorb the new target first, then ``W``
     and ``b`` are rescaled so outputs are unchanged, and only then does
     SGD consume the (bounded) normalized error.
-
-    ``acts``: see the module docstring.
     """
-    return _sgd_step(net, layer, x, y, alpha, _COMPENSATE, acts=acts)
+    return _sgd_step(net, layer, acts, y, alpha, _COMPENSATE)
 
 
-def art_only_sgd_step(
-    net, layer: OutputLayer, x, y, alpha: float, *, acts=None
-) -> TrainStepReport:
+def art_only_sgd_step(net, layer: OutputLayer, acts, y, alpha: float) -> TrainStepReport:
     """Like :func:`popart_sgd_step` but without the compensating rescale:
     the new scale/shift is adopted directly, so unnormalized outputs for
     other inputs drift whenever the statistics move.
-
-    ``acts``: see the module docstring.
     """
-    return _sgd_step(net, layer, x, y, alpha, _ADOPT_RAW, acts=acts)
+    return _sgd_step(net, layer, acts, y, alpha, _ADOPT_RAW)
 
 
-def plain_sgd_step(
-    net, layer: OutputLayer, x, y, alpha: float, *, acts=None
-) -> TrainStepReport:
+def plain_sgd_step(net, layer: OutputLayer, acts, y, alpha: float) -> TrainStepReport:
     """Baseline squared-loss SGD on raw targets; no statistics anywhere.
 
     Equivalent to :func:`art_only_sgd_step` with the scale frozen at one
     and the shift at zero.
-
-    ``acts``: see the module docstring.
     """
-    return _sgd_step(net, layer, x, y, alpha, _RAW_TARGETS, acts=acts)
+    return _sgd_step(net, layer, acts, y, alpha, _RAW_TARGETS)
 
 
 def normalized_sgd_step(
-    net, layer: OutputLayer, x, y, sigma, alpha: float, *, acts=None
+    net, layer: OutputLayer, acts, y, sigma, alpha: float
 ) -> TrainStepReport:
     """Scaled-update SGD: the top layer fits raw targets, while the
     lower-layer update is divided by the squared scale.
 
     ``sigma`` must come from the same statistics stream the adaptive
-    variant would use; the layer's own scale/shift stay at identity.
-
-    ``acts``: see the module docstring.
+    variant would use; the layer's own scale/shift stay at identity.  Each
+    component must lie in ``[sqrt(sys.float_info.min), MAX_TARGET]``, about
+    ``[1.49e-154, 1.34e154]``, where its square is a positive finite double;
+    any other raises ``ValueError`` naming ``sigma`` before anything moves.
     """
-    return _sgd_step(net, layer, x, y, alpha, _RAW_TARGETS, sigma, acts=acts)
+    return _sgd_step(net, layer, acts, y, alpha, _RAW_TARGETS, sigma)

@@ -28,8 +28,8 @@ def _run_lockstep(seed, n_steps, alpha=1e-3, with_shift=True):
         y = rng.normal(scale=3.0)
         sigma = 10.0 ** rng.uniform(-0.5, 0.5, size=1)
         mu = rng.normal(size=1) if with_shift else np.zeros(1)
-        popart_sgd_update(net_a, layer_a, x, y, sigma, mu, alpha)
-        normalized_sgd_step(net_b, layer_b, x, y, sigma, alpha)
+        popart_sgd_update(net_a, layer_a, net_a.forward_pass(x), y, sigma, mu, alpha)
+        normalized_sgd_step(net_b, layer_b, net_b.forward_pass(x), y, sigma, alpha)
     theta_diff = np.max(np.abs(net_a.get_params() - net_b.get_params()))
     theta_scale = max(np.max(np.abs(net_b.get_params())), 1.0)
     out_diff = 0.0

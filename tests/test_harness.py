@@ -1062,6 +1062,28 @@ def test_every_defaulted_parameter_in_the_package_is_passed_outside_the_tests():
     assert set(UNPASSED_OPTIONS_KEPT) <= one_valued, sorted(set(UNPASSED_OPTIONS_KEPT) - one_valued)
 
 
+def test_the_readme_python_blocks_run():
+    # in order and in one namespace, as a reader pastes them, with the names
+    # they take as given bound to small values: a signature change that
+    # leaves the README behind fails here
+    stream = BinRegStream(seed=0)
+    x0, x1, x2 = (stream.sample()[0] for _ in range(3))
+    namespace = {
+        "my_stream": [stream.sample() for _ in range(3)],
+        "x0": x0,
+        "x1": x1,
+        "x2": x2,
+        "nets": [Mlp([16, 10], seed=seed) for seed in range(2)],
+        "layers": [OutputLayer(1, 10, seed=seed) for seed in range(2)],
+    }
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = FENCED_PYTHON.findall(readme)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["values"].shape == (2, 1)
+
+
 def test_results_csv_bytes_are_csv_writers(tmp_path):
     rmse = np.array([1.5, 1e-300, 123456.789, np.inf, np.inf])
     grad_norm = np.array([0.1, 2.0**-1074, 7e22, np.nan, np.inf])

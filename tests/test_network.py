@@ -533,7 +533,7 @@ def test_output_layer_product_routes_give_the_bytes_of_matmul(k, m):
         with np.errstate(all="ignore"):
             assert layer.normalized_output(h).tobytes() == (W @ h - 0.0).tobytes(), trial
             assert layer.unnormalized_output(h).tobytes() == (W @ h - 0.0).tobytes(), trial
-            report = plain_sgd_step(net, layer, x, [0.0] * k, 0.0, acts=[x, h])
+            report = plain_sgd_step(net, layer, [x, h], [0.0] * k, 0.0)
             delta = report.normalized_error
             assert delta.tobytes() == (W_before @ h - 0.0 - 0.0).tobytes(), trial
             assert seeds[-1].tobytes() == (delta @ W_before).tobytes(), trial

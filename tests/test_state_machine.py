@@ -93,17 +93,17 @@ class NormalizerLayerMachine(RuleBasedStateMachine):
     def rescale_to_given(self, sigma, mu):
         self._rescale_preserving_outputs(sigma[: self.K], mu[: self.K])
 
-    @rule(bad=invalid_scale, good=valid_scale, mu=valid_shift, raw=st.booleans())
-    def rescale_rejects_invalid_scale(self, bad, good, mu, raw):
-        call = self.layer.set_scale_shift if raw else self.layer.rescale_to
+    @rule(bad=invalid_scale, good=valid_scale, mu=valid_shift)
+    def rescale_rejects_invalid_scale(self, bad, good, mu):
         self._assert_raises_and_changes_nothing(
-            call, self._one_bad(good, bad, first=False), [mu] * self.K
+            self.layer.rescale_to, self._one_bad(good, bad, first=False), [mu] * self.K
         )
 
-    @rule(sigma=valid_scale, good=valid_shift, bad=invalid_shift, raw=st.booleans())
-    def rescale_rejects_invalid_shift(self, sigma, good, bad, raw):
-        call = self.layer.set_scale_shift if raw else self.layer.rescale_to
-        self._assert_raises_and_changes_nothing(call, [sigma] * self.K, self._one_bad(good, bad))
+    @rule(sigma=valid_scale, good=valid_shift, bad=invalid_shift)
+    def rescale_rejects_invalid_shift(self, sigma, good, bad):
+        self._assert_raises_and_changes_nothing(
+            self.layer.rescale_to, [sigma] * self.K, self._one_bad(good, bad)
+        )
 
     @invariant()
     def sigma_finite_and_positive(self):

@@ -26,7 +26,6 @@ class IdentityNet:
 
     def __init__(self, n):
         self.layer_sizes = [n, n]
-        self.n_params = 0
 
     def forward_pass(self, x):
         arr = np.asarray(x, dtype=float)
@@ -35,10 +34,10 @@ class IdentityNet:
     def forward(self, x):
         return self.forward_pass(x)[-1]
 
-    def backward(self, acts, v):  # pragma: no cover - never called, no params
+    def backward(self, acts, v):  # no params: an empty gradient
         return np.zeros(0)
 
-    def apply_param_step(self, direction, alpha):  # pragma: no cover
+    def apply_param_step(self, direction, alpha):
         pass
 
 
@@ -208,7 +207,8 @@ def _calibrated_pairs(n, k, sizes=(5, 8, 6)):
         nrm = Normalizer(k=k, schedule=constant(0.3))
         layer = OutputLayer(k, sizes[-1], normalizer=nrm, rng=rng)
         layer.rescale_to(rng.uniform(0.5, 2e3, k), rng.normal(size=k) * 100.0)
-        popart_sgd_step(net, layer, rng.normal(size=sizes[0]), rng.normal(size=k) * 50.0, 0.1)
+        acts = net.forward_pass(rng.normal(size=sizes[0]))
+        popart_sgd_step(net, layer, acts, rng.normal(size=k) * 50.0, 0.1)
         pairs.append((net, layer))
     return pairs
 
@@ -236,8 +236,8 @@ def test_step_on_a_member_moves_its_rows_only():
     before = [net_stack.get_params(), *(getattr(layer_stack, a).copy() for a in names)]
     x, y = np.linspace(-1.0, 1.0, 5), np.array([40.0, -7.0])
     acts = net_stack.forward_pass(x)
-    own = popart_sgd_step(nets[1], layers[1], x, y, 0.05, acts=[x, *(a[1] for a in acts[1:])])
-    twin = popart_sgd_step(twin_net, twin_layer, x, y, 0.05)
+    own = popart_sgd_step(nets[1], layers[1], [x, *(a[1] for a in acts[1:])], y, 0.05)
+    twin = popart_sgd_step(twin_net, twin_layer, twin_net.forward_pass(x), y, 0.05)
     assert _bits(own.normalized_error) == _bits(twin.normalized_error)
     after = [net_stack.get_params(), *(getattr(layer_stack, a) for a in names)]
     for old, new in zip(before, after):
@@ -252,9 +252,8 @@ def test_layer_stack_gives_outputs_only():
     layers = [layer for _, layer in _calibrated_pairs(2, 1)]
     stack = OutputLayer.stack(layers)
     before = [getattr(stack, a).copy() for a in ("W", "b", "sigma", "mu")]
-    for call in (stack.rescale_to, stack.set_scale_shift):
-        with pytest.raises(TypeError, match="unnormalized outputs only"):
-            call([2.0], [1.0])
+    with pytest.raises(TypeError, match="unnormalized outputs only"):
+        stack.rescale_to([2.0], [1.0])
     with pytest.raises(TypeError, match="unnormalized outputs only"):
         stack.normalized_output(np.ones((2, 6)))
     for old, name in zip(before, ("W", "b", "sigma", "mu")):
@@ -278,7 +277,7 @@ def test_popart_step_hand_unroll():
     net = IdentityNet(1)
     nrm = Normalizer(k=1, epsilon=1e-12, schedule=constant(0.5))
     layer = OutputLayer(1, 1, normalizer=nrm, W=np.array([[1.0]]), b=np.array([0.0]))
-    report = popart_sgd_step(net, layer, np.array([5.0]), 10.0, alpha=0.1)
+    report = popart_sgd_step(net, layer, net.forward_pass([5.0]), 10.0, alpha=0.1)
     assert nrm.mu[0] == pytest.approx(5.0)
     assert nrm.nu[0] == pytest.approx(50.0, abs=1e-9)
     assert layer.sigma[0] == pytest.approx(5.0, abs=1e-9)
@@ -314,7 +313,7 @@ def test_popart_step_matches_straight_line_oracle(seed):
     net = IdentityNet(1)
     layer = OutputLayer(1, 1, W=np.array([[W0]]), b=np.array([b0]))
     report = popart_sgd_update(
-        net, layer, np.array([h]), y, [sigma_new], [mu_new], alpha
+        net, layer, net.forward_pass([h]), y, [sigma_new], [mu_new], alpha
     )
     w_exp, b_exp, d_exp = _straight_line_popart_step(
         W0, b0, 1.0, 0.0, mu_new, sigma_new, h, y, alpha
@@ -337,7 +336,7 @@ def test_zero_error_fixed_point():
     y = predict(net, layer, x)[0]
     theta = net.get_params()
     w = layer.W.copy()
-    report = popart_sgd_step(net, layer, x, y, alpha=0.1)
+    report = popart_sgd_step(net, layer, net.forward_pass(x), y, alpha=0.1)
     assert abs(report.normalized_error[0]) < 1e-9
     np.testing.assert_allclose(net.get_params(), theta, atol=1e-9)
     np.testing.assert_allclose(layer.W, w, atol=1e-9)
@@ -351,7 +350,7 @@ def test_double_update_order_via_hook():
     x = np.array([0.5, -1.0])
     h = net.forward(x)  # features before the step mutates theta
     before = copy.deepcopy(layer)
-    report = popart_sgd_step(net, layer, x, 7.0, alpha=0.05)
+    report = popart_sgd_step(net, layer, net.forward_pass(x), 7.0, alpha=0.05)
     before.rescale_to(report.scale, report.shift)
     expected = (before.W @ h + before.b) - (7.0 - report.shift) / report.scale
     np.testing.assert_allclose(report.normalized_error, expected, rtol=1e-12)
@@ -368,7 +367,7 @@ def test_normalized_error_respects_target_bound():
     bound = math.sqrt((1.0 - beta) / beta)
     for i in range(500):
         y = 1e9 if i % 100 == 99 else rng.normal()
-        popart_sgd_step(net, layer, rng.normal(size=2), y, alpha=1e-3)
+        popart_sgd_step(net, layer, net.forward_pass(rng.normal(size=2)), y, alpha=1e-3)
         # target-side component of delta obeys the update-then-normalize bound
         assert abs((y - nrm.mu[0]) / nrm.sigma[0]) <= bound + 1e-9
 
@@ -390,8 +389,8 @@ def test_art_without_change_matches_popart():
     x = np.array([0.2, 0.9])
     net_a, layer_a = build()
     net_b, layer_b = build()
-    popart_sgd_step(net_a, layer_a, x, 4.0, alpha=0.1)
-    art_only_sgd_step(net_b, layer_b, x, 4.0, alpha=0.1)
+    popart_sgd_step(net_a, layer_a, net_a.forward_pass(x), 4.0, alpha=0.1)
+    art_only_sgd_step(net_b, layer_b, net_b.forward_pass(x), 4.0, alpha=0.1)
     np.testing.assert_allclose(net_a.get_params(), net_b.get_params(), rtol=1e-10)
     np.testing.assert_allclose(layer_a.W, layer_b.W, rtol=1e-10)
     np.testing.assert_allclose(layer_a.b, layer_b.b, rtol=1e-10)
@@ -412,12 +411,12 @@ def test_spike_drifts_art_but_not_popart():
 
     net, layer = build()
     before = predict(net, layer, probe)[0]
-    popart_sgd_step(net, layer, x, 1e6, alpha=0.0)
+    popart_sgd_step(net, layer, net.forward_pass(x), 1e6, alpha=0.0)
     assert predict(net, layer, probe)[0] == pytest.approx(before, rel=1e-10)
 
     net, layer = build()
     before = predict(net, layer, probe)[0]
-    art_only_sgd_step(net, layer, x, 1e6, alpha=0.0)
+    art_only_sgd_step(net, layer, net.forward_pass(x), 1e6, alpha=0.0)
     assert abs(predict(net, layer, probe)[0] - before) > 1.0
 
 
@@ -431,8 +430,8 @@ def test_plain_sgd_equals_normalized_sgd_with_unit_scale():
     net_a, layer_a = build()
     net_b, layer_b = build()
     for y in (3.0, -2.0, 5.0):
-        plain_sgd_step(net_a, layer_a, x, y, alpha=0.05)
-        normalized_sgd_step(net_b, layer_b, x, y, [1.0], alpha=0.05)
+        plain_sgd_step(net_a, layer_a, net_a.forward_pass(x), y, alpha=0.05)
+        normalized_sgd_step(net_b, layer_b, net_b.forward_pass(x), y, [1.0], alpha=0.05)
     np.testing.assert_allclose(net_a.get_params(), net_b.get_params(), rtol=1e-12)
     np.testing.assert_allclose(layer_a.W, layer_b.W, rtol=1e-12)
     np.testing.assert_allclose(layer_a.b, layer_b.b, rtol=1e-12)
@@ -444,12 +443,12 @@ def test_plain_sgd_trivial_cases():
     x = np.array([0.1, 0.2])
     y = predict(net, layer, x)[0]
     theta = net.get_params()
-    report = plain_sgd_step(net, layer, x, y, alpha=0.1)
+    report = plain_sgd_step(net, layer, net.forward_pass(x), y, alpha=0.1)
     assert report.squared_loss == pytest.approx(0.0, abs=1e-20)
     np.testing.assert_allclose(net.get_params(), theta, atol=1e-12)
 
     w = layer.W.copy()
-    plain_sgd_step(net, layer, x, y + 5.0, alpha=0.0)
+    plain_sgd_step(net, layer, net.forward_pass(x), y + 5.0, alpha=0.0)
     np.testing.assert_array_equal(layer.W, w)
 
 
@@ -457,7 +456,7 @@ def test_report_invariants():
     net = Mlp([2, 3], seed=12)
     nrm = Normalizer(k=1, schedule=constant(0.2))
     layer = OutputLayer(1, 3, normalizer=nrm, seed=13)
-    report = popart_sgd_step(net, layer, np.array([0.3, 0.4]), 2.0, alpha=0.01)
+    report = popart_sgd_step(net, layer, net.forward_pass([0.3, 0.4]), 2.0, alpha=0.01)
     assert report.squared_loss >= 0.0
     assert report.gradient_norm >= 0.0
     np.testing.assert_array_equal(report.scale, layer.sigma)
@@ -468,34 +467,36 @@ def test_missing_normalizer_raises():
     net = Mlp([2, 3], seed=0)
     layer = OutputLayer(1, 3, seed=0)
     with pytest.raises(ValueError):
-        popart_sgd_step(net, layer, np.array([0.0, 0.0]), 1.0, alpha=0.1)
+        popart_sgd_step(net, layer, net.forward_pass([0.0, 0.0]), 1.0, alpha=0.1)
     with pytest.raises(ValueError):
-        art_only_sgd_step(net, layer, np.array([0.0, 0.0]), 1.0, alpha=0.1)
+        art_only_sgd_step(net, layer, net.forward_pass([0.0, 0.0]), 1.0, alpha=0.1)
 
 
 def test_normalized_sgd_rejects_bad_scale():
     net = Mlp([2, 3], seed=0)
     layer = OutputLayer(1, 3, seed=0)
     with pytest.raises(ValueError):
-        normalized_sgd_step(net, layer, np.array([0.0, 0.0]), 1.0, [0.0], alpha=0.1)
+        normalized_sgd_step(net, layer, net.forward_pass([0.0, 0.0]), 1.0, [0.0], alpha=0.1)
 
 
 # -- every input is checked before anything moves ---------------------------
 
 STEPS = {
-    "popart": lambda net, layer, x, y, **kw: popart_sgd_step(net, layer, x, y, 0.1, **kw),
-    "art": lambda net, layer, x, y, **kw: art_only_sgd_step(net, layer, x, y, 0.1, **kw),
-    "sgd": lambda net, layer, x, y, **kw: plain_sgd_step(net, layer, x, y, 0.1, **kw),
-    "normalized_sgd": lambda net, layer, x, y, **kw: normalized_sgd_step(
-        net, layer, x, y, [2.0], 0.1, **kw
+    "popart": lambda net, layer, acts, y: popart_sgd_step(net, layer, acts, y, 0.1),
+    "art": lambda net, layer, acts, y: art_only_sgd_step(net, layer, acts, y, 0.1),
+    "sgd": lambda net, layer, acts, y: plain_sgd_step(net, layer, acts, y, 0.1),
+    "normalized_sgd": lambda net, layer, acts, y: normalized_sgd_step(
+        net, layer, acts, y, [2.0], 0.1
     ),
-    "popart_update": lambda net, layer, x, y: popart_sgd_update(
-        net, layer, x, y, [2.0], [1.0], 0.1
+    "popart_update": lambda net, layer, acts, y: popart_sgd_update(
+        net, layer, acts, y, [2.0], [1.0], 0.1
     ),
 }
-# the steps that take the caller's forward pass as ``acts``
-ACTS_STEPS = sorted(set(STEPS) - {"popart_update"})
 GOOD_X = np.array([0.3, -0.4])
+
+
+def _good_acts(net):
+    return net.forward_pass(GOOD_X)
 
 
 def _trained():
@@ -503,7 +504,7 @@ def _trained():
     nrm = Normalizer(k=1, schedule=constant(0.3))
     layer = OutputLayer(1, 3, normalizer=nrm, seed=15)
     for y in (2.0, 50.0, -3.0):
-        popart_sgd_step(net, layer, GOOD_X, y, alpha=0.1)
+        popart_sgd_step(net, layer, _good_acts(net), y, alpha=0.1)
     return net, layer
 
 
@@ -521,13 +522,12 @@ def _state(net, layer):
     }
 
 
-def _assert_rejected_without_change(step, x, y, acts_of=None):
-    """``acts_of(net)``, if given, makes the ``acts`` passed to the step."""
+def _assert_rejected_without_change(step, y, acts_of=_good_acts):
+    """``acts_of(net)`` makes the ``acts`` passed to the step."""
     net, layer = _trained()
     before = _state(net, layer)
-    kw = {} if acts_of is None else {"acts": acts_of(net)}
     with pytest.raises(ValueError):
-        STEPS[step](net, layer, x, y, **kw)
+        STEPS[step](net, layer, acts_of(net), y)
     after = _state(net, layer)
     for key, value in before.items():
         np.testing.assert_array_equal(after[key], value, err_msg=key)
@@ -536,30 +536,36 @@ def _assert_rejected_without_change(step, x, y, acts_of=None):
 @pytest.mark.parametrize("step", sorted(STEPS))
 @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf, [math.nan]])
 def test_non_finite_target_rejected_without_change(step, y):
-    _assert_rejected_without_change(step, GOOD_X, y)
+    _assert_rejected_without_change(step, y)
 
 
 @pytest.mark.parametrize("step", sorted(STEPS))
 @pytest.mark.parametrize("y", [[1.0, 2.0], np.ones((1, 1))])
 def test_misshapen_target_rejected_without_change(step, y):
-    _assert_rejected_without_change(step, GOOD_X, y)
+    _assert_rejected_without_change(step, y)
 
 
 @pytest.mark.parametrize("step", sorted(STEPS))
 # a stack of inputs, which predict takes, is not one step
 @pytest.mark.parametrize("x", [np.zeros(3), np.zeros(1), np.zeros((2, 1)), 0.5, np.zeros((1, 2))])
 def test_misshapen_input_rejected_without_change(step, x):
-    _assert_rejected_without_change(step, x, 1.0)
+    # the input heads the pass, and is checked with its other entries
+    _assert_rejected_without_change(step, 1.0, lambda net: [x, *_good_acts(net)[1:]])
 
 
 def test_bad_scale_rejected_without_change():
-    for bad in ([0.0], [-1.0], [math.nan], [math.inf]):
+    # 1e-200 squared is 0, so the seed went NaN after b had moved, and 1e160
+    # squared is inf, so the lower layers stopped learning; only
+    # normalized_sgd_step squares its scale
+    squared_out_of_range = ([1e-200], [1e160])
+    for bad in ([0.0], [-1.0], [math.nan], [math.inf], *squared_out_of_range):
         net, layer = _trained()
         before = _state(net, layer)
-        with pytest.raises(ValueError):
-            normalized_sgd_step(net, layer, GOOD_X, 1.0, bad, alpha=0.1)
-        with pytest.raises(ValueError):
-            popart_sgd_update(net, layer, GOOD_X, 1.0, bad, [0.0], alpha=0.1)
+        with pytest.raises(ValueError, match=r"sigma .* outside \[1\.49167e-154, 1\.34078e\+154\]"):
+            normalized_sgd_step(net, layer, _good_acts(net), 1.0, bad, alpha=0.1)
+        if bad not in squared_out_of_range:
+            with pytest.raises(ValueError):
+                popart_sgd_update(net, layer, _good_acts(net), 1.0, bad, [0.0], alpha=0.1)
         after = _state(net, layer)
         for key, value in before.items():
             np.testing.assert_array_equal(after[key], value, err_msg=key)
@@ -570,7 +576,7 @@ def test_bad_shift_rejected_without_change(bad):
     net, layer = _trained()
     before = _state(net, layer)
     with pytest.raises(ValueError):
-        popart_sgd_update(net, layer, GOOD_X, 1.0, [2.0], [bad], alpha=0.1)
+        popart_sgd_update(net, layer, _good_acts(net), 1.0, [2.0], [bad], alpha=0.1)
     after = _state(net, layer)
     for key, value in before.items():
         np.testing.assert_array_equal(after[key], value, err_msg=key)
@@ -579,13 +585,14 @@ def test_bad_shift_rejected_without_change(bad):
 @pytest.mark.parametrize(
     "sigma, mu",
     [([math.nan], [0.0]), ([math.inf], [0.0]), ([0.0], [0.0]), ([1.0], [math.inf]),
-     ([1.0], [math.nan])],
+     ([1.0], [math.nan]), ([5e-324], [0.0])],
 )
 def test_rescale_to_rejects_bad_scale_shift_without_change(sigma, mu):
+    # at 5e-324 the ratio 2 / 5e-324 is inf: W went to +-inf and the output to NaN
     layer = OutputLayer(1, 3, seed=0)
     layer.rescale_to([2.0], [1.0])
     before = [layer.W.copy(), layer.b.copy(), layer.sigma.copy(), layer.mu.copy()]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sigma|mu"):
         layer.rescale_to(sigma, mu)
     after = [layer.W, layer.b, layer.sigma, layer.mu]
     for name, a, b in zip(("W", "b", "sigma", "mu"), after, before):
@@ -595,7 +602,7 @@ def test_rescale_to_rejects_bad_scale_shift_without_change(sigma, mu):
 @pytest.mark.parametrize("step", ["popart", "art"])
 @pytest.mark.parametrize("y", [1e160, -1e160, [1e155]])
 def test_target_too_large_to_square_rejected_without_change(step, y):
-    _assert_rejected_without_change(step, GOOD_X, y)
+    _assert_rejected_without_change(step, y)
 
 
 # each constructor, from a setting it takes or ignores
@@ -621,7 +628,7 @@ def test_no_step_raises_after_its_statistics_moved(kind, beta):
     net = Mlp([2, 3], seed=14)
     layer = OutputLayer(1, 3, normalizer=Normalizer(k=1, schedule=schedule), seed=15)
     for y in (2.0, 50.0, -3.0):
-        popart_sgd_step(net, layer, GOOD_X, y, alpha=0.1)
+        popart_sgd_step(net, layer, _good_acts(net), y, alpha=0.1)
     assert np.isfinite(layer.sigma).all() and np.isfinite(layer.mu).all()
 
 
@@ -632,6 +639,10 @@ SCALE_OUT_OF_RANGE = {
     "sigma inf": {"spread": 1e-300, "schedule": constant(0.5)},  # at y = 1e10
     "sigma 0": {"spread": 1e200, "epsilon": 1e-300},  # at y = 0.0
     "nu inf": {"epsilon": 1e308, "schedule": constant(1.0)},  # at y = MAX_TARGET
+    # scales a rescale cannot join: the first popart step took W by 1 / 1e-310
+    # = inf at y = 0, or a ratio from 1e-160 to 1.34e154 is inf
+    "ratio from 1 inf": {"spread": 1e160, "epsilon": 1e-300},
+    "ratio within inf": {"epsilon": 1e-320},
 }
 # the last two, at beta 1, put mu one ulp past MAX_TARGET (see test_stats.py)
 EXTREME_TARGETS = [0.0, 1.0, 1e10, -MAX_TARGET, -3.062934649722477e142, MAX_TARGET]
@@ -655,6 +666,10 @@ def test_normalizer_settings_whose_scale_a_target_puts_out_of_range_are_rejected
 @example(spread=1e200, epsilon=1e-300, beta=1e-3, ys=[0.0], step="art")
 @example(spread=1.0, epsilon=1e308, beta=1.0, ys=[MAX_TARGET], step="popart")
 @example(spread=1.0, epsilon=1e-4, beta=1.0, ys=[-3.062934649722477e142, MAX_TARGET], step="art")
+# the scale 1e-310 at y = 0, which a rescale from 1 cannot reach
+@example(spread=1e160, epsilon=1e-300, beta=0.5, ys=[0.0], step="popart")
+# a finite ratio whose new bias overflows: W and b go non-finite, no raise
+@example(spread=1.7976931348623157e298, epsilon=1.0, beta=1.0, ys=[1e10], step="popart")
 def test_no_step_finds_its_normalizers_scale_out_of_range(spread, epsilon, beta, ys, step):
     # a normalizer that is built gives a scale every step takes, for every
     # target update() takes; one that could not is not built
@@ -667,41 +682,48 @@ def test_no_step_finds_its_normalizers_scale_out_of_range(spread, epsilon, beta,
     layer = OutputLayer(1, 3, normalizer=nrm, seed=15)
     with np.errstate(over="ignore", invalid="ignore"):  # W may overflow: not a raise
         for y in ys:
-            STEPS[step](net, layer, GOOD_X, y)
+            STEPS[step](net, layer, _good_acts(net), y)
     assert nrm.schedule.t == len(ys)
 
 
-# -- acts: the caller's forward pass stands in for the step's own ----------
+# -- acts: the forward pass a step learns from --------------------------------
 
 BAD_ACTS = {
-    "one short": lambda net: net.forward_pass(GOOD_X)[:-1],
-    "one extra": lambda net: net.forward_pass(GOOD_X) + [np.zeros(3)],
-    "other input": lambda net: net.forward_pass(-GOOD_X),
+    "one short": lambda net: _good_acts(net)[:-1],
+    "one extra": lambda net: _good_acts(net) + [np.zeros(3)],
     # same depth and input, other hidden width
     "other net": lambda net: Mlp([2, 4], seed=0).forward_pass(GOOD_X),
+    "stack of one": lambda net: net.forward_pass(GOOD_X[None]),
 }
 
 
-@pytest.mark.parametrize("step", ACTS_STEPS)
+@pytest.mark.parametrize("step", sorted(STEPS))
 @pytest.mark.parametrize("acts", sorted(BAD_ACTS))
 def test_bad_acts_rejected_without_change(step, acts):
-    _assert_rejected_without_change(step, GOOD_X, 1.0, BAD_ACTS[acts])
+    _assert_rejected_without_change(step, 1.0, BAD_ACTS[acts])
 
 
-@pytest.mark.parametrize("step", ACTS_STEPS)
-# acts of an equal input built apart from x are accepted too
-@pytest.mark.parametrize("acts_x", [GOOD_X, list(GOOD_X)], ids=["x", "copy of x"])
-def test_given_acts_give_identical_step(step, acts_x):
+@pytest.mark.parametrize("step", sorted(STEPS))
+# arrays, or copies of them as lists: list features used to raise
+# AttributeError after the parameters and statistics had moved
+@pytest.mark.parametrize("form", [np.asarray, list], ids=["x", "copy of x"])
+def test_given_acts_give_identical_step(step, form):
+    # a pass put together as the lockstep sweep does, from the input and
+    # the rows of a stacked pass, gives the step what its own input's pass
+    # gives, to the last bit
     net, layer = _trained()
-    expected_report = STEPS[step](net, layer, GOOD_X, 7.0)
+    expected_report = STEPS[step](net, layer, _good_acts(net), 7.0)
     expected = _state(net, layer)
     net, layer = _trained()
-    report = STEPS[step](net, layer, GOOD_X, 7.0, acts=net.forward_pass(acts_x))
+    rows = net.forward_pass(np.stack([GOOD_X, -GOOD_X]))
+    acts = [GOOD_X, *(a[0] for a in rows[1:])]
+    report = STEPS[step](net, layer, [form(a) for a in acts], 7.0)
     state = _state(net, layer)
     for key, value in expected.items():
         np.testing.assert_array_equal(state[key], value, err_msg=key)
     np.testing.assert_array_equal(report.normalized_error, expected_report.normalized_error)
     assert report.gradient_norm == expected_report.gradient_norm
+
 
 
 def test_normalizer_of_another_width_rejected_without_change():
@@ -710,9 +732,9 @@ def test_normalizer_of_another_width_rejected_without_change():
     layer = OutputLayer(2, 3, normalizer=nrm, seed=1)
     before = [nrm.schedule.t, nrm.mu.copy(), nrm.nu.copy(), layer.W.copy(), layer.b.copy()]
     with pytest.raises(ValueError, match="expected 2 target components"):
-        popart_sgd_step(net, layer, GOOD_X, 1.0, alpha=0.1)
+        popart_sgd_step(net, layer, _good_acts(net), 1.0, alpha=0.1)
     with pytest.raises(ValueError, match="normalizer has 1 components"):
-        popart_sgd_step(net, layer, GOOD_X, [1.0, 2.0], alpha=0.1)
+        popart_sgd_step(net, layer, _good_acts(net), [1.0, 2.0], alpha=0.1)
     after = [nrm.schedule.t, nrm.mu, nrm.nu, layer.W, layer.b]
     for a, b in zip(after, before):
         np.testing.assert_array_equal(a, b)
@@ -834,7 +856,6 @@ oracle_step = st.tuples(
     st.lists(oracle_target, min_size=3, max_size=3),  # y, cut to k components
     st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3),  # a given sigma
     st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),  # a given mu
-    st.booleans(),  # pass the caller's forward pass as acts
 )
 
 
@@ -850,8 +871,8 @@ _ZEROS, _ONES = [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]
     scalar_target=st.booleans(),
     steps=st.lists(oracle_step, min_size=1, max_size=6),
 )
-# the weights overflow before the last step, whose caller-side forward pass
-# then meets NaN and inf in its matmul
+# the weights overflow before the last step, whose forward pass then meets
+# NaN and inf in its matmul
 @example(
     k=2,
     seed=76859726,
@@ -859,12 +880,12 @@ _ZEROS, _ONES = [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]
     alpha=0.001,
     scalar_target=False,
     steps=[
-        ("normalized_sgd", [0.0, 3888.0, 0.0], [1.0, 0.3125, 1.0], _ZEROS, False),
-        ("art", _ZEROS, _ONES, _ZEROS, False),
-        ("art", _ZEROS, _ONES, _ZEROS, False),
-        ("normalized_sgd", [0.0, 5.883150358016172e78, 0.0], _ONES, _ZEROS, False),
-        ("art", _ZEROS, _ONES, _ZEROS, False),
-        ("art", _ZEROS, _ONES, _ZEROS, True),
+        ("normalized_sgd", [0.0, 3888.0, 0.0], [1.0, 0.3125, 1.0], _ZEROS),
+        ("art", _ZEROS, _ONES, _ZEROS),
+        ("art", _ZEROS, _ONES, _ZEROS),
+        ("normalized_sgd", [0.0, 5.883150358016172e78, 0.0], _ONES, _ZEROS),
+        ("art", _ZEROS, _ONES, _ZEROS),
+        ("art", _ZEROS, _ONES, _ZEROS),
     ],
 )
 def test_steps_match_the_array_formulation_bitwise(k, seed, beta, alpha, scalar_target, steps):
@@ -874,7 +895,7 @@ def test_steps_match_the_array_formulation_bitwise(k, seed, beta, alpha, scalar_
     layer = OutputLayer(k, 5, normalizer=nrm, rng=rng)
     ref_net, ref_layer, ref_nrm = net.copy(), _RefLayer(layer), copy.deepcopy(nrm)
     probe = rng.normal(size=5)
-    for kind, y, sigma, mu, use_acts in steps:
+    for kind, y, sigma, mu in steps:
         y = y[:k]
         if k == 1 and scalar_target:
             y = y[0]  # a lone float takes the normalizer's shortcut
@@ -892,13 +913,13 @@ def test_steps_match_the_array_formulation_bitwise(k, seed, beta, alpha, scalar_
         valid = all(math.isfinite(v) and abs(v) <= limit for v in np.ravel(y))
         before = _oracle_state(net, layer, nrm)
         with np.errstate(all="ignore"):
-            kw = {"acts": net.forward_pass(x)} if use_acts and kind != "popart_update" else {}
+            acts = net.forward_pass(x)
             if not valid:
                 with pytest.raises(ValueError):
-                    live(net, layer, x, y, *given, alpha, **kw)
+                    live(net, layer, acts, y, *given, alpha)
                 assert _oracle_state(net, layer, nrm) == before
                 continue
-            report = live(net, layer, x, y, *given, alpha, **kw)
+            report = live(net, layer, acts, y, *given, alpha)
             expected = _ref_step(ref_net, ref_layer, ref_nrm, x, y, alpha, kind, *given)
             outputs = (layer.unnormalized_output(probe), ref_layer.unnormalized_output(probe))
         got = (
