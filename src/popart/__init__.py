@@ -8,9 +8,9 @@ experiment harness and a desk-scale double Q-learning demo.
 Some exports are read by no command but ``popart verify``, whose checks
 (:mod:`popart.checks`) the acceptance gates run: :func:`popart_sgd_update`,
 the trackers :class:`PercentileTracker` and :class:`ExtremeTracker`,
-:func:`batch_stats`, the erf pair :func:`spread_from_coverage` and
-:func:`coverage_from_spread`, :func:`inverse_t` and
-:meth:`OutputLayer.normalized_output`.  They are gate code, and they stay.
+:func:`batch_stats`, :func:`inverse_t` and the erf pair
+:func:`spread_from_coverage` and :func:`coverage_from_spread`.  They are
+gate code, and they stay.
 """
 
 from .network import Mlp

@@ -442,6 +442,15 @@ def write_summary_json(path: str, summary: dict) -> None:
         fh.write("\n")
 
 
+def _whole_lines(fh):
+    """The lines of ``fh``; a last line with no line break is yielded, so
+    that its row is read and counted, and then raises ``ValueError``."""
+    for line in fh:
+        yield line
+        if not line.endswith("\n"):
+            raise ValueError("the last row has no line break: the file is cut short")
+
+
 def read_results_csv(path: str) -> list[RunRecord]:
     """The records :func:`write_results_csv` wrote to ``path``, in file order.
 
@@ -450,12 +459,13 @@ def read_results_csv(path: str) -> list[RunRecord]:
     ``binreg`` writes ``n_samples`` rows for each.  A wrong header, a row of
     the wrong width, an unknown method, a field that does not parse, an
     alpha, beta or seed that no :class:`ExperimentConfig` runs, a step out
-    of order or a run shorter than the longest raises ``ValueError`` naming
-    the file and the line.
+    of order, a run shorter than the longest or a last row with no line
+    break, where a file was cut short mid-row, raises ``ValueError`` naming
+    the file and the line.  The file is read one line at a time.
     """
     runs: dict[tuple, tuple[list, list]] = {}
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_whole_lines(fh))
         try:
             header = next(reader, None)
             if header != RESULTS_HEADER:

@@ -139,7 +139,7 @@ def check_sgd_equivalence() -> tuple[bool, str]:
     worst_out = 0.0
     for x in probes:
         o1 = layer1.unnormalized_output(net1.forward(x))
-        o2 = layer2.normalized_output(net2.forward(x))
+        o2 = layer2.unnormalized_output(net2.forward(x))
         rel = float(np.max(np.abs(o1 - o2) / (1.0 + np.abs(o2))))
         worst_out = max(worst_out, rel)
     ok = worst_theta <= 1e-8 and worst_out <= 1e-8

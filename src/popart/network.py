@@ -81,14 +81,15 @@ class Mlp:
 
     ``layer_sizes`` lists the input width, hidden widths, and output
     width, e.g. ``[16, 10, 10, 10]``.  Weights are initialized uniformly
-    in ``[-1/sqrt(fan_in), 1/sqrt(fan_in)]`` from a seeded generator.
+    in ``[-1/sqrt(fan_in), 1/sqrt(fan_in)]``, drawn from ``rng``: a
+    ``numpy.random.Generator``, which the draws advance, or a seed for
+    ``numpy.random.default_rng`` (None for fresh entropy).
     """
 
-    def __init__(self, layer_sizes, seed: int | None = None, rng=None):
+    def __init__(self, layer_sizes, rng=None):
         check_setting("layer_sizes", layer_sizes, lambda s: len(s) >= 2 and min(map(count, s)) >= 1)
         self.layer_sizes = [int(s) for s in layer_sizes]
-        if rng is None:
-            rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(rng)
         self._bind()
         for w in self.weights:
             bound = 1.0 / np.sqrt(w.shape[1])
@@ -173,18 +174,23 @@ class Mlp:
         for net, row in zip(nets, theta):
             net._bind(row)
         stacked = _Stack.__new__(_Stack)
-        stacked.__setstate__({"layer_sizes": list(sizes), "theta": theta})
+        stacked.layer_sizes = list(sizes)
+        stacked._bind(theta)
         return stacked
 
     # -- pickling and deep copies ----------------------------------------
 
     def __getstate__(self) -> dict:
+        """The layer sizes and the parameter vector, all that pickling and
+        :func:`copy.deepcopy` keep; see :meth:`__setstate__`."""
         return {"layer_sizes": self.layer_sizes, "theta": self._theta}
 
     def __setstate__(self, state: dict) -> None:
         """Rebuild ``weights``, ``biases`` and the gradient buffer as views
-        of the restored parameters; copied one by one they would be
-        detached from them, and a step would not move the output."""
+        of the restored parameters.  No command pickles or deep copies a
+        network, but the pair stays: without it each view would be copied
+        on its own, detached from ``theta``, and a step on the copy would
+        not move its output."""
         self.layer_sizes = list(state["layer_sizes"])
         self._bind(state["theta"])
 

@@ -156,8 +156,8 @@ def batch_stats(targets, spread: float = 1.0) -> tuple[float, float]:
 
 class _BoundsTracker:
     """Shared state of the trackers: bounds ``y_min``/``y_max``, NaN until
-    the first update, the shift and scale derived from them, and the
-    :func:`~popart.schedules.harmonic` schedule that moves them."""
+    the first update, and the :func:`~popart.schedules.harmonic` schedule
+    that moves them."""
 
     def __init__(self):
         self.schedule = harmonic()
@@ -167,14 +167,6 @@ class _BoundsTracker:
     @property
     def initialized(self) -> bool:
         return math.isfinite(self.y_min)
-
-    @property
-    def mu(self) -> float:
-        return 0.5 * (self.y_max + self.y_min)
-
-    @property
-    def sigma(self) -> float:
-        return 0.5 * (self.y_max - self.y_min)
 
 
 class PercentileTracker(_BoundsTracker):
@@ -206,9 +198,7 @@ class ExtremeTracker(_BoundsTracker):
     """Moving average of minibatch extremes.
 
     ``y_min`` and ``y_max`` chase the min and max of each minibatch of a
-    fixed size ``B``; the first minibatch seeds both.  The derived shift
-    and scale are the midpoint and half-range, as for
-    :class:`PercentileTracker`.
+    fixed size ``B``; the first minibatch seeds both.
     """
 
     def __init__(self, batch_size: int):

@@ -5,7 +5,7 @@ with the scale/shift pair ``(sigma, mu)`` it is currently calibrated to,
 so the unnormalized prediction is ``sigma * (W h + b) + mu``.  When the
 statistics move, :meth:`OutputLayer.rescale_to` compensates ``W`` and
 ``b`` so the unnormalized outputs are unchanged pointwise.  The layer's
-outputs and :func:`predict` also take a stack of inputs of shape
+output and :func:`predict` also take a stack of inputs of shape
 ``(B, n)``, one per row, and give each row exactly what that input alone
 gives; the SGD steps take one input at a time.  :meth:`OutputLayer.stack`
 stacks the parameters of ``R`` layers, as :meth:`Mlp.stack` does those of
@@ -89,8 +89,12 @@ class OutputLayer:
 
     ``k`` is the number of outputs, ``m`` the width of the feature vector
     it consumes.  ``W`` and ``b``, when given, are copied; they must have
-    shapes ``(k, m)`` and ``(k,)`` and finite entries.  ``sigma`` starts at
-    ones and ``mu`` at zeros, matching a fresh identity normalization.
+    shapes ``(k, m)`` and ``(k,)`` and finite entries.  Without ``W``, it
+    is drawn uniformly in ``[-1/sqrt(m), 1/sqrt(m)]`` from ``rng``: a
+    ``numpy.random.Generator``, which the draw advances, or a seed for
+    ``numpy.random.default_rng`` (None for fresh entropy).  ``sigma``
+    starts at ones and ``mu`` at zeros, matching a fresh identity
+    normalization.
 
     ``b``, ``sigma`` and ``mu`` are float arrays of length ``k``, which
     a rescale and a step overwrite in place, component by component, on
@@ -105,7 +109,6 @@ class OutputLayer:
         normalizer: Normalizer | None = None,
         W: np.ndarray | None = None,
         b: np.ndarray | None = None,
-        seed: int | None = None,
         rng=None,
     ):
         check_setting("k", k, lambda n: count(n) >= 1)
@@ -115,10 +118,8 @@ class OutputLayer:
         # b is read first, so that a bad one leaves rng undrawn
         self.b = np.zeros(k) if b is None else as_finite_array(b, (self.k,), "b")
         if W is None:
-            if rng is None:
-                rng = np.random.default_rng(seed)
             bound = 1.0 / np.sqrt(m)
-            W = rng.uniform(-bound, bound, size=(k, m))
+            W = np.random.default_rng(rng).uniform(-bound, bound, size=(k, m))
         self.W = as_finite_array(W, (self.k, self.m), "W")
         self.sigma = np.ones(k)
         self.mu = np.zeros(k)
@@ -137,8 +138,7 @@ class OutputLayer:
         :meth:`unnormalized_output` gives row ``r`` exactly what member
         ``r`` gives for its features; features of any other shape raise
         ``ValueError``.  The stack has no normalizer and gives unnormalized
-        outputs only; normalized outputs, steps and rescales go to its
-        members.
+        outputs only; steps and rescales go to its members.
         """
         layers = list(layers)
         k, m = layers[0].k, layers[0].m
@@ -152,14 +152,6 @@ class OutputLayer:
             for layer, row in zip(layers, rows):
                 setattr(layer, name, row)
         return stacked
-
-    def normalized_output(self, h) -> np.ndarray:
-        """``W h + b`` for one feature vector, or one row per row of a
-        stack of shape ``(B, m)``."""
-        h = as_float_array(h)
-        if h.ndim > 1:
-            return stacked_product(self.W, h) + self.b
-        return self._matvec(self.W, h) + self.b
 
     def unnormalized_output(self, h) -> np.ndarray:
         """``sigma * (W h + b) + mu``, row by row for a stack."""
@@ -218,14 +210,17 @@ class _LayerStack(OutputLayer):
             "a stack of output layers gives unnormalized outputs only; call its members"
         )
 
-    normalized_output = rescale_to = _members_only
+    rescale_to = _members_only
 
 
 def predict(net: Mlp, layer: OutputLayer, x) -> np.ndarray:
     """Unnormalized prediction ``sigma * (W h(x) + b) + mu``.
 
     For a stack of inputs of shape ``(B, n_in)`` it returns one row per
-    input, each equal to the prediction for that input alone.
+    input, each equal to the prediction for that input alone.  No command
+    calls it, since each already holds its forward pass; it stays as the
+    README's one-call prediction, and ``perfbench/tracer.py`` times it by
+    name.
     """
     return layer.unnormalized_output(net.forward(x))
 

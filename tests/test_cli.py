@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -753,6 +754,31 @@ def test_plot_rejects_a_run_no_config_runs(tmp_path, capsys, alpha, beta, seed, 
     err = capsys.readouterr().err
     assert err == f"config error: malformed results file {results}, line 2: invalid {shown}\n"
     assert not plots.exists()
+
+
+def test_plot_rejects_a_file_cut_mid_row(tmp_path, capsys):
+    # a 40-sample run cut 4 bytes short read as 40 steps, its last
+    # grad_norm cut to 2.150773394395; every cut that does not follow a line
+    # break raises at the line it cut.  A cut at a line break of a file
+    # with one run still reads as a shorter run
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, {**TINY_BINREG, "n_repetitions": 1})
+    assert main(["binreg", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    data = (out / "results.csv").read_bytes()
+    cut, plots = tmp_path / "cut.csv", tmp_path / "plots"
+    capsys.readouterr()
+    for end in range(len(data)):
+        if data[end - 1 : end] == b"\n":
+            continue
+        cut.write_bytes(data[:end])
+        line = data[:end].count(b"\n") + 1
+        with pytest.raises(ValueError, match=f"^{re.escape(str(cut))}, line {line}: ") as caught:
+            read_results_csv(str(cut))
+        if end == len(data) - 4:
+            assert str(caught.value).endswith("the last row has no line break: the file is cut short")
+        assert main(["plot", "--results", str(cut), "--out", str(plots)]) == EXIT_CONFIG, end
+        assert capsys.readouterr().err == f"config error: malformed results file {caught.value}\n"
+        assert not plots.exists()
 
 
 def test_plot_reads_a_seed_past_sys_maxsize_that_binreg_writes(tmp_path):

@@ -35,7 +35,7 @@ def _run_lockstep(seed, n_steps, alpha=1e-3, with_shift=True):
     out_diff = 0.0
     for p in probes:
         f_a = layer_a.unnormalized_output(net_a.forward(p))
-        f_b = layer_b.normalized_output(net_b.forward(p))
+        f_b = layer_b.unnormalized_output(net_b.forward(p))
         out_diff = max(out_diff, float(np.max(np.abs(f_a - f_b) / (1.0 + np.abs(f_b)))))
     return theta_diff / theta_scale, out_diff
 

@@ -1073,8 +1073,8 @@ def test_the_readme_python_blocks_run():
         "x0": x0,
         "x1": x1,
         "x2": x2,
-        "nets": [Mlp([16, 10], seed=seed) for seed in range(2)],
-        "layers": [OutputLayer(1, 10, seed=seed) for seed in range(2)],
+        "nets": [Mlp([16, 10], rng=seed) for seed in range(2)],
+        "layers": [OutputLayer(1, 10, rng=seed) for seed in range(2)],
     }
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     blocks = FENCED_PYTHON.findall(readme)

@@ -56,7 +56,7 @@ SHIFTS = _values(-1e3, 1e3)
 
 
 def _layer(k: int) -> OutputLayer:
-    layer = OutputLayer(k, 3, seed=k)
+    layer = OutputLayer(k, 3, rng=k)
     layer.b[...] = np.linspace(-1.0, 2.0, k)
     layer.sigma[...], layer.mu[...] = np.linspace(0.5, 2.0, k), np.linspace(-3.0, 1.0, k)
     return layer
@@ -67,7 +67,7 @@ def _layer_bits(layer: OutputLayer) -> tuple:
 
 
 def _net(n_out: int) -> Mlp:
-    return Mlp([2, 3, n_out], seed=n_out)
+    return Mlp([2, 3, n_out], rng=n_out)
 
 
 # -- the output layer's scale and shift ---------------------------------------

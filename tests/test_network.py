@@ -27,7 +27,7 @@ def _straight_line_forward(net, x):
 
 
 def test_forward_matches_straight_line_oracle():
-    net = Mlp([4, 5, 3], seed=1734)
+    net = Mlp([4, 5, 3], rng=1734)
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = rng.normal(size=4)
@@ -67,7 +67,7 @@ def _assert_rows_of(stacked, rows, key=np.ndarray.tobytes):
 def test_stacked_forward_pass_equals_per_row_calls_bitwise(sizes):
     rng = np.random.default_rng(len(sizes) * 100 + sizes[-1])
     for seed in range(4):
-        net = Mlp(sizes, seed=seed)
+        net = Mlp(sizes, rng=seed)
         for n_rows in range(1, 9):
             xs = rng.normal(size=(n_rows, sizes[0])) * 10.0 ** rng.uniform(-2, 1)
             _assert_rows_of(net.forward_pass(xs), [net.forward_pass(x) for x in xs])
@@ -83,7 +83,7 @@ def test_stacked_forward_pass_equals_per_row_calls_bitwise(sizes):
 
 
 def test_zero_weight_network_outputs_final_bias():
-    net = Mlp([3, 4, 2], seed=0)
+    net = Mlp([3, 4, 2], rng=0)
     for w in net.weights:
         w[...] = 0.0
     net.biases[-1][:] = [1.5, -2.0]
@@ -91,7 +91,7 @@ def test_zero_weight_network_outputs_final_bias():
 
 
 def test_single_linear_layer_identity():
-    net = Mlp([3, 3], seed=0)
+    net = Mlp([3, 3], rng=0)
     net.weights[0][...] = np.eye(3)
     x = np.array([0.3, -1.2, 4.0])
     np.testing.assert_allclose(net.forward(x), x)
@@ -99,7 +99,7 @@ def test_single_linear_layer_identity():
 
 def test_linear_layer_jacobian_analytic():
     # single linear layer: d out_j / d W[j, i] = x_i, d out_j / d b_j = 1
-    net = Mlp([3, 2], seed=1)
+    net = Mlp([3, 2], rng=1)
     x = np.array([2.0, -1.0, 0.5])
     jac = net.jacobian(x)
     assert jac.shape == (net.n_params, 2)
@@ -129,7 +129,7 @@ def _fd_jacobian(net, x, h=1e-5):
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(42)
     for seed in range(5):
-        net = Mlp([3, 4, 2], seed=seed)
+        net = Mlp([3, 4, 2], rng=seed)
         x = rng.normal(size=3)
         jac = net.jacobian(x)
         fd = _fd_jacobian(net, x)
@@ -138,7 +138,7 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_saturated_hidden_units_kill_gradients():
-    net = Mlp([2, 3, 1], seed=7)
+    net = Mlp([2, 3, 1], rng=7)
     jac = net.jacobian(np.array([1e6, -1e6]))
     # entries for the first-layer weights: tanh' at saturation is ~0
     first_layer = jac[: net.weights[0].size, 0]
@@ -146,7 +146,7 @@ def test_saturated_hidden_units_kill_gradients():
 
 
 def test_backward_is_vector_jacobian_product():
-    net = Mlp([4, 6, 3], seed=3)
+    net = Mlp([4, 6, 3], rng=3)
     x = np.random.default_rng(1).normal(size=4)
     v = np.array([0.7, -1.1, 0.4])
     acts = net.forward_pass(x)
@@ -170,7 +170,7 @@ def _reference_backward(net, acts, v):
 @pytest.mark.parametrize("sizes", [[3, 1], [4, 6, 3], [7, 20, 20], [5, 10, 10, 10, 2]])
 def test_backward_equals_reference_bitwise(sizes):
     rng = np.random.default_rng(len(sizes))
-    net = Mlp(sizes, seed=sum(sizes))
+    net = Mlp(sizes, rng=sum(sizes))
     for _ in range(20):
         acts = net.forward_pass(rng.normal(size=sizes[0]) * 2.0)
         v = rng.normal(size=sizes[-1]) * 10.0 ** rng.uniform(-3, 3)
@@ -178,7 +178,7 @@ def test_backward_equals_reference_bitwise(sizes):
 
 
 def test_backward_returns_fresh_arrays():
-    net = Mlp([3, 4, 2], seed=0)
+    net = Mlp([3, 4, 2], rng=0)
     acts = net.forward_pass([0.1, -0.2, 0.3])
     first = net.backward(acts, [1.0, 0.0])
     kept = first.copy()
@@ -190,7 +190,7 @@ def test_backward_returns_fresh_arrays():
 
 
 def test_apply_param_step_contracts():
-    net = Mlp([3, 4, 2], seed=5)
+    net = Mlp([3, 4, 2], rng=5)
     theta = net.get_params()
     direction = np.arange(net.n_params, dtype=float)
 
@@ -201,8 +201,8 @@ def test_apply_param_step_contracts():
     np.testing.assert_allclose(net.get_params(), 0.0, atol=1e-15)
 
     # two half steps equal one full step
-    a = Mlp([3, 4, 2], seed=5)
-    b = Mlp([3, 4, 2], seed=5)
+    a = Mlp([3, 4, 2], rng=5)
+    b = Mlp([3, 4, 2], rng=5)
     a.apply_param_step(direction, 0.2)
     b.apply_param_step(direction, 0.1)
     b.apply_param_step(direction, 0.1)
@@ -216,7 +216,7 @@ def test_apply_param_step_equals_theta_minus_alpha_direction_bitwise(sizes):
     # one stepping along the gradient its backward has just returned
     rng = np.random.default_rng(len(sizes) + sizes[0])
     for trial in range(100):
-        net = Mlp(sizes, seed=trial)
+        net = Mlp(sizes, rng=trial)
         n = net.n_params
         theta = np.copysign(mixed(rng, n), rng.choice([1.0, -1.0], size=n))
         net.set_params(theta)
@@ -235,29 +235,45 @@ def test_apply_param_step_equals_theta_minus_alpha_direction_bitwise(sizes):
 
 
 def test_param_vector_round_trip():
-    net = Mlp([3, 5, 2], seed=9)
+    net = Mlp([3, 5, 2], rng=9)
     theta = net.get_params()
-    other = Mlp([3, 5, 2], seed=10)
+    other = Mlp([3, 5, 2], rng=10)
     other.set_params(theta)
     np.testing.assert_array_equal(other.get_params(), theta)
 
 
 def test_determinism_same_seed_bit_identical():
-    a = Mlp([16, 10, 10, 10], seed=123)
-    b = Mlp([16, 10, 10, 10], seed=123)
+    a = Mlp([16, 10, 10, 10], rng=123)
+    b = Mlp([16, 10, 10, 10], rng=123)
     np.testing.assert_array_equal(a.get_params(), b.get_params())
     x = np.ones(16)
     np.testing.assert_array_equal(a.forward(x), b.forward(x))
 
 
+@pytest.mark.parametrize("seed", [0, 123, 2**64 + 5])
+def test_an_int_rng_gives_the_parameters_of_its_generator(seed):
+    # each constructor hands rng to np.random.default_rng, which seeds a
+    # Generator from an int and returns a Generator as it is
+    makers = {
+        "Mlp": (lambda rng: Mlp([4, 6, 3], rng=rng), Mlp.get_params),
+        "OutputLayer": (lambda rng: OutputLayer(2, 5, rng=rng), lambda layer: layer.W),
+    }
+    for name, (make, read) in makers.items():
+        gen = np.random.default_rng(seed)
+        assert read(make(seed)).tobytes() == read(make(gen)).tobytes(), name
+        # the draws advance the caller's Generator, as binreg and the agent,
+        # which draw a network and then its layer from one, expect
+        assert gen.bit_generator.state != np.random.default_rng(seed).bit_generator.state, name
+
+
 def test_init_bounds_respect_fan_in():
-    net = Mlp([100, 50], seed=0)
+    net = Mlp([100, 50], rng=0)
     assert np.max(np.abs(net.weights[0])) <= 0.1
     assert np.all(net.biases[0] == 0.0)
 
 
 def test_dimension_errors():
-    net = Mlp([3, 2], seed=0)
+    net = Mlp([3, 2], rng=0)
     # a short input, a scalar, a stack of short inputs, a 3-D stack
     for x in ([1.0, 2.0], 1.0, np.zeros((2, 2)), np.zeros((2, 1, 3))):
         with pytest.raises(ValueError):
@@ -289,7 +305,7 @@ def _assert_views_of_params(net):
 
 
 def _fresh():
-    return Mlp([3, 4, 5, 2], seed=21)
+    return Mlp([3, 4, 5, 2], rng=21)
 
 
 @pytest.mark.parametrize(
@@ -350,7 +366,7 @@ def test_restored_copy_steps_and_differentiates_like_the_original(clone):
 
 def test_init_draws_each_layer_in_order():
     rng = np.random.default_rng(5)
-    net = Mlp([4, 3, 2], seed=5)
+    net = Mlp([4, 3, 2], rng=5)
     for w, fan_in in zip(net.weights, (4, 3)):
         bound = 1.0 / np.sqrt(fan_in)
         np.testing.assert_array_equal(w, rng.uniform(-bound, bound, size=w.shape))
@@ -361,7 +377,7 @@ def test_init_draws_each_layer_in_order():
 
 
 def _members(sizes, n):
-    return [Mlp(sizes, seed=seed) for seed in range(n)]
+    return [Mlp(sizes, rng=seed) for seed in range(n)]
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -433,7 +449,7 @@ def test_stack_runs_forward_passes_only():
 
 def test_stack_rejects_networks_of_other_shapes():
     with pytest.raises(ValueError, match="same layer sizes"):
-        Mlp.stack([Mlp([6, 4, 2], seed=0), Mlp([6, 3, 2], seed=0)])
+        Mlp.stack([Mlp([6, 4, 2], rng=0), Mlp([6, 3, 2], rng=0)])
 
 
 @pytest.mark.parametrize("n_rows", [1, 2, 3, 4])
@@ -494,7 +510,7 @@ def _matmul_backward(net, acts, v):
 @pytest.mark.parametrize("sizes", [[16, 10, 10, 10], [7, 20, 20], [1, 3, 1], [3, 1, 2], [2, 4, 1, 3]])
 def test_network_product_routes_give_the_bytes_of_matmul(sizes):
     rng = np.random.default_rng(sum(sizes))
-    net = Mlp(sizes, seed=0)
+    net = Mlp(sizes, rng=0)
     n = net.n_params
     for trial in range(200):
         # the weights are views at odd offsets into a flat parameter vector
@@ -516,8 +532,8 @@ def test_network_product_routes_give_the_bytes_of_matmul(sizes):
 @pytest.mark.parametrize(("k", "m"), [(1, 10), (1, 20), (2, 1), (1, 1), (3, 5)])
 def test_output_layer_product_routes_give_the_bytes_of_matmul(k, m):
     rng = np.random.default_rng(10 * k + m)
-    net = Mlp([2, m], seed=0)
-    layer = OutputLayer(k, m, seed=0)
+    net = Mlp([2, m], rng=0)
+    layer = OutputLayer(k, m, rng=0)
     x = np.zeros(2)
     seeds = []
     backward = net.backward
@@ -531,7 +547,6 @@ def test_output_layer_product_routes_give_the_bytes_of_matmul(k, m):
         h = mixed(rng, m)
         W_before = W.copy()
         with np.errstate(all="ignore"):
-            assert layer.normalized_output(h).tobytes() == (W @ h - 0.0).tobytes(), trial
             assert layer.unnormalized_output(h).tobytes() == (W @ h - 0.0).tobytes(), trial
             report = plain_sgd_step(net, layer, [x, h], [0.0] * k, 0.0)
             delta = report.normalized_error

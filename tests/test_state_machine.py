@@ -47,7 +47,7 @@ class NormalizerLayerMachine(RuleBasedStateMachine):
     def build(self, beta, corrected, spread, seed):
         schedule = bias_corrected(beta) if corrected else constant(beta)
         self.nrm = Normalizer(k=self.K, spread=spread, schedule=schedule)
-        self.layer = OutputLayer(self.K, M, normalizer=self.nrm, seed=seed)
+        self.layer = OutputLayer(self.K, M, normalizer=self.nrm, rng=seed)
 
     def _state(self):
         nrm, layer = self.nrm, self.layer

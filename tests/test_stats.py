@@ -304,12 +304,6 @@ def test_percentile_tracker_step_magnitude():
     assert tr.y_max == pytest.approx(0.25, abs=1e-9)
 
 
-def test_percentile_tracker_derived_stats():
-    tr = PercentileTracker(p=0.8)
-    tr.y_min, tr.y_max = 2.0, 8.0
-    assert tr.mu == 5.0 and tr.sigma == 3.0
-
-
 def test_percentile_tracker_uniform_fixed_point():
     # Uniform[0,1], p=0.8: fixed point y_max=0.9, y_min=0.1
     rng = np.random.default_rng(11)

@@ -88,7 +88,7 @@ def test_output_layer_copies_the_w_and_b_it_is_given():
 
 
 def test_identity_rescale_is_a_no_op():
-    layer = OutputLayer(2, 3, seed=0)
+    layer = OutputLayer(2, 3, rng=0)
     w, b = layer.W.copy(), layer.b.copy()
     layer.rescale_to(layer.sigma, layer.mu)
     np.testing.assert_array_equal(layer.W, w)
@@ -122,7 +122,7 @@ def test_rescale_general_formula():
 
 
 def test_rescale_rejects_nonpositive_scale():
-    layer = OutputLayer(1, 2, seed=0)
+    layer = OutputLayer(1, 2, rng=0)
     with pytest.raises(ValueError):
         layer.rescale_to([0.0], [0.0])
     with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ def _special(rng, shape):
 @pytest.mark.parametrize("k", [1, 3])
 def test_stacked_predict_equals_per_row_calls_bitwise(k):
     rng = np.random.default_rng(k)
-    net = Mlp([5, 8, 6], seed=k)
+    net = Mlp([5, 8, 6], rng=k)
     layer = OutputLayer(k, 6, rng=rng)
     layer.rescale_to(rng.uniform(0.5, 2e3, k), rng.normal(size=k) * 100.0)
     for n_rows in range(1, 9):
@@ -179,22 +179,22 @@ def test_stacked_predict_equals_per_row_calls_bitwise(k):
         got = predict(net, layer, xs)
         assert got.shape == (n_rows, k) and got.tobytes() == expected.tobytes()
         h = net.forward(xs)
-        for out in (layer.normalized_output, layer.unnormalized_output):
-            assert out(h).tobytes() == np.array([out(row) for row in h]).tobytes()
+        out = layer.unnormalized_output
+        assert out(h).tobytes() == np.array([out(row) for row in h]).tobytes()
     # parameters, features and inputs with special values mixed in, also
     # through layers 1 wide
     for sizes in ([5, 8, 6], [4, 1], [1, 3, 1]) * 50:
-        net = Mlp(sizes, seed=k)
+        net = Mlp(sizes, rng=k)
         net.set_params(_special(rng, net.n_params))
-        layer = OutputLayer(k, sizes[-1], seed=k)
+        layer = OutputLayer(k, sizes[-1], rng=k)
         layer.W[...], layer.b[...] = _special(rng, (k, sizes[-1])), _special(rng, k)
         xs, h = _special(rng, (4, sizes[0])), _special(rng, (4, sizes[-1]))
         with np.errstate(all="ignore"):
             layer.rescale_to(rng.uniform(0.5, 2e3, k), rng.normal(size=k) * 100.0)
             got, rows = predict(net, layer, xs), [predict(net, layer, x) for x in xs]
             assert _nan_blind(got) == _nan_blind(rows)
-            for out in (layer.normalized_output, layer.unnormalized_output):
-                assert _nan_blind(out(h)) == _nan_blind([out(row) for row in h])
+            out = layer.unnormalized_output
+            assert _nan_blind(out(h)) == _nan_blind([out(row) for row in h])
 
 
 def _calibrated_pairs(n, k, sizes=(5, 8, 6)):
@@ -203,7 +203,7 @@ def _calibrated_pairs(n, k, sizes=(5, 8, 6)):
     pairs = []
     for seed in range(n):
         rng = np.random.default_rng(seed)
-        net = Mlp(list(sizes), seed=seed)
+        net = Mlp(list(sizes), rng=seed)
         nrm = Normalizer(k=k, schedule=constant(0.3))
         layer = OutputLayer(k, sizes[-1], normalizer=nrm, rng=rng)
         layer.rescale_to(rng.uniform(0.5, 2e3, k), rng.normal(size=k) * 100.0)
@@ -254,12 +254,10 @@ def test_layer_stack_gives_outputs_only():
     before = [getattr(stack, a).copy() for a in ("W", "b", "sigma", "mu")]
     with pytest.raises(TypeError, match="unnormalized outputs only"):
         stack.rescale_to([2.0], [1.0])
-    with pytest.raises(TypeError, match="unnormalized outputs only"):
-        stack.normalized_output(np.ones((2, 6)))
     for old, name in zip(before, ("W", "b", "sigma", "mu")):
         assert old.tobytes() == getattr(stack, name).tobytes()
     with pytest.raises(ValueError, match="same k and m"):
-        OutputLayer.stack([OutputLayer(1, 3, seed=0), OutputLayer(2, 3, seed=0)])
+        OutputLayer.stack([OutputLayer(1, 3, rng=0), OutputLayer(2, 3, rng=0)])
 
 
 @pytest.mark.parametrize("shape", [(2, 6), (1, 6), (4, 6), (3, 5), (5,), (6,)])
@@ -326,11 +324,11 @@ def test_popart_step_matches_straight_line_oracle(seed):
 def test_zero_error_fixed_point():
     # converged stats and y equal to the current unnormalized output:
     # delta = 0, nothing moves
-    net = Mlp([2, 3], seed=0)
+    net = Mlp([2, 3], rng=0)
     nrm = Normalizer(k=1, schedule=constant(1e-12))
     nrm.update(0.0)
     nrm.mu[0], nrm.nu[0] = 5.0, 29.0  # sigma = 2
-    layer = OutputLayer(1, 3, normalizer=nrm, seed=1)
+    layer = OutputLayer(1, 3, normalizer=nrm, rng=1)
     layer.rescale_to(nrm.sigma, nrm.mu)
     x = np.array([0.3, -0.7])
     y = predict(net, layer, x)[0]
@@ -344,9 +342,9 @@ def test_zero_error_fixed_point():
 
 def test_double_update_order_via_hook():
     # the normalized error must use post-rescale W, b and post-update stats
-    net = Mlp([2, 3], seed=2)
+    net = Mlp([2, 3], rng=2)
     nrm = Normalizer(k=1, schedule=constant(0.3))
-    layer = OutputLayer(1, 3, normalizer=nrm, seed=3)
+    layer = OutputLayer(1, 3, normalizer=nrm, rng=3)
     x = np.array([0.5, -1.0])
     h = net.forward(x)  # features before the step mutates theta
     before = copy.deepcopy(layer)
@@ -360,9 +358,9 @@ def test_double_update_order_via_hook():
 
 def test_normalized_error_respects_target_bound():
     beta = 0.01
-    net = Mlp([2, 4], seed=0)
+    net = Mlp([2, 4], rng=0)
     nrm = Normalizer(k=1, schedule=constant(beta))
-    layer = OutputLayer(1, 4, normalizer=nrm, seed=1)
+    layer = OutputLayer(1, 4, normalizer=nrm, rng=1)
     rng = np.random.default_rng(8)
     bound = math.sqrt((1.0 - beta) / beta)
     for i in range(500):
@@ -378,11 +376,11 @@ def test_normalized_error_respects_target_bound():
 def test_art_without_change_matches_popart():
     # if the stats do not move, rescale is the identity and both agree
     def build():
-        net = Mlp([2, 3], seed=4)
+        net = Mlp([2, 3], rng=4)
         nrm = Normalizer(k=1, schedule=constant(1e-15))
         nrm.update(3.0)
         nrm.mu[0], nrm.nu[0] = 2.0, 8.0
-        layer = OutputLayer(1, 3, normalizer=nrm, seed=5)
+        layer = OutputLayer(1, 3, normalizer=nrm, rng=5)
         layer.rescale_to(nrm.sigma, nrm.mu)
         return net, layer
 
@@ -400,10 +398,10 @@ def test_spike_drifts_art_but_not_popart():
     # alpha=0 isolates the effect of adopting new statistics: popart
     # compensates W, b and outputs stand still; art does not and they move
     def build():
-        net = Mlp([2, 3], seed=6)
+        net = Mlp([2, 3], rng=6)
         nrm = Normalizer(k=1, schedule=constant(0.5))
         nrm.update(1.0)
-        layer = OutputLayer(1, 3, normalizer=nrm, seed=7)
+        layer = OutputLayer(1, 3, normalizer=nrm, rng=7)
         return net, layer
 
     x = np.array([0.4, -0.6])
@@ -422,8 +420,8 @@ def test_spike_drifts_art_but_not_popart():
 
 def test_plain_sgd_equals_normalized_sgd_with_unit_scale():
     def build():
-        net = Mlp([2, 3], seed=8)
-        layer = OutputLayer(1, 3, seed=9)
+        net = Mlp([2, 3], rng=8)
+        layer = OutputLayer(1, 3, rng=9)
         return net, layer
 
     x = np.array([1.0, -0.5])
@@ -438,8 +436,8 @@ def test_plain_sgd_equals_normalized_sgd_with_unit_scale():
 
 
 def test_plain_sgd_trivial_cases():
-    net = Mlp([2, 3], seed=10)
-    layer = OutputLayer(1, 3, seed=11)
+    net = Mlp([2, 3], rng=10)
+    layer = OutputLayer(1, 3, rng=11)
     x = np.array([0.1, 0.2])
     y = predict(net, layer, x)[0]
     theta = net.get_params()
@@ -453,9 +451,9 @@ def test_plain_sgd_trivial_cases():
 
 
 def test_report_invariants():
-    net = Mlp([2, 3], seed=12)
+    net = Mlp([2, 3], rng=12)
     nrm = Normalizer(k=1, schedule=constant(0.2))
-    layer = OutputLayer(1, 3, normalizer=nrm, seed=13)
+    layer = OutputLayer(1, 3, normalizer=nrm, rng=13)
     report = popart_sgd_step(net, layer, net.forward_pass([0.3, 0.4]), 2.0, alpha=0.01)
     assert report.squared_loss >= 0.0
     assert report.gradient_norm >= 0.0
@@ -464,8 +462,8 @@ def test_report_invariants():
 
 
 def test_missing_normalizer_raises():
-    net = Mlp([2, 3], seed=0)
-    layer = OutputLayer(1, 3, seed=0)
+    net = Mlp([2, 3], rng=0)
+    layer = OutputLayer(1, 3, rng=0)
     with pytest.raises(ValueError):
         popart_sgd_step(net, layer, net.forward_pass([0.0, 0.0]), 1.0, alpha=0.1)
     with pytest.raises(ValueError):
@@ -473,8 +471,8 @@ def test_missing_normalizer_raises():
 
 
 def test_normalized_sgd_rejects_bad_scale():
-    net = Mlp([2, 3], seed=0)
-    layer = OutputLayer(1, 3, seed=0)
+    net = Mlp([2, 3], rng=0)
+    layer = OutputLayer(1, 3, rng=0)
     with pytest.raises(ValueError):
         normalized_sgd_step(net, layer, net.forward_pass([0.0, 0.0]), 1.0, [0.0], alpha=0.1)
 
@@ -500,9 +498,9 @@ def _good_acts(net):
 
 
 def _trained():
-    net = Mlp([2, 3], seed=14)
+    net = Mlp([2, 3], rng=14)
     nrm = Normalizer(k=1, schedule=constant(0.3))
-    layer = OutputLayer(1, 3, normalizer=nrm, seed=15)
+    layer = OutputLayer(1, 3, normalizer=nrm, rng=15)
     for y in (2.0, 50.0, -3.0):
         popart_sgd_step(net, layer, _good_acts(net), y, alpha=0.1)
     return net, layer
@@ -589,7 +587,7 @@ def test_bad_shift_rejected_without_change(bad):
 )
 def test_rescale_to_rejects_bad_scale_shift_without_change(sigma, mu):
     # at 5e-324 the ratio 2 / 5e-324 is inf: W went to +-inf and the output to NaN
-    layer = OutputLayer(1, 3, seed=0)
+    layer = OutputLayer(1, 3, rng=0)
     layer.rescale_to([2.0], [1.0])
     before = [layer.W.copy(), layer.b.copy(), layer.sigma.copy(), layer.mu.copy()]
     with pytest.raises(ValueError, match="sigma|mu"):
@@ -625,8 +623,8 @@ def test_no_step_raises_after_its_statistics_moved(kind, beta):
         schedule = SCHEDULE_MAKERS[kind](beta)
     except ValueError:
         return
-    net = Mlp([2, 3], seed=14)
-    layer = OutputLayer(1, 3, normalizer=Normalizer(k=1, schedule=schedule), seed=15)
+    net = Mlp([2, 3], rng=14)
+    layer = OutputLayer(1, 3, normalizer=Normalizer(k=1, schedule=schedule), rng=15)
     for y in (2.0, 50.0, -3.0):
         popart_sgd_step(net, layer, _good_acts(net), y, alpha=0.1)
     assert np.isfinite(layer.sigma).all() and np.isfinite(layer.mu).all()
@@ -678,8 +676,8 @@ def test_no_step_finds_its_normalizers_scale_out_of_range(spread, epsilon, beta,
     except ValueError as exc:
         assert str(exc).startswith("invalid spread and epsilon: ")
         return
-    net = Mlp([2, 3], seed=14)
-    layer = OutputLayer(1, 3, normalizer=nrm, seed=15)
+    net = Mlp([2, 3], rng=14)
+    layer = OutputLayer(1, 3, normalizer=nrm, rng=15)
     with np.errstate(over="ignore", invalid="ignore"):  # W may overflow: not a raise
         for y in ys:
             STEPS[step](net, layer, _good_acts(net), y)
@@ -692,7 +690,7 @@ BAD_ACTS = {
     "one short": lambda net: _good_acts(net)[:-1],
     "one extra": lambda net: _good_acts(net) + [np.zeros(3)],
     # same depth and input, other hidden width
-    "other net": lambda net: Mlp([2, 4], seed=0).forward_pass(GOOD_X),
+    "other net": lambda net: Mlp([2, 4], rng=0).forward_pass(GOOD_X),
     "stack of one": lambda net: net.forward_pass(GOOD_X[None]),
 }
 
@@ -727,9 +725,9 @@ def test_given_acts_give_identical_step(step, form):
 
 
 def test_normalizer_of_another_width_rejected_without_change():
-    net = Mlp([2, 3], seed=0)
+    net = Mlp([2, 3], rng=0)
     nrm = Normalizer(k=1, schedule=constant(0.3))
-    layer = OutputLayer(2, 3, normalizer=nrm, seed=1)
+    layer = OutputLayer(2, 3, normalizer=nrm, rng=1)
     before = [nrm.schedule.t, nrm.mu.copy(), nrm.nu.copy(), layer.W.copy(), layer.b.copy()]
     with pytest.raises(ValueError, match="expected 2 target components"):
         popart_sgd_step(net, layer, _good_acts(net), 1.0, alpha=0.1)
