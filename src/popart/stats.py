@@ -1,21 +1,31 @@
 """Adaptive normalization statistics for streaming targets.
 
 The central object is :class:`Normalizer`, which maintains a running shift
-``mu`` (first moment) and second moment ``nu`` per output component, and
-derives the scale as ``sigma = sqrt(nu - mu**2) / spread``.  Updating the
-statistics *before* consuming a target guarantees the normalized target is
-bounded by ``spread * sqrt((1 - beta_t) / beta_t)`` regardless of the
+``mu`` and variance ``var`` per output component, and derives the scale as
+``sigma = sqrt(var) / spread``.  ``var`` is floored at ``epsilon``, the one
+floor; the second moment ``nu = var + mu**2`` is derived for readers.
+Updating the statistics *before* consuming a target bounds the normalized
+target by ``spread * sqrt((1 - beta_t) / beta_t)`` regardless of the
 target distribution, which is what makes the normalization safe against
-arbitrarily large spikes.  The second moment holds squared targets, so
-:meth:`Normalizer.update` takes any target up to :data:`MAX_TARGET` (about
-1.34e154) in magnitude, the largest whose square is a finite double, and
-rejects larger ones.  Each update that moves the statistics takes one
-step of the normalizer's :class:`~popart.schedules.StepSizeSchedule`, so
-it advances ``normalizer.schedule.t`` by one; one that raises leaves it.
+arbitrarily large spikes.  With ``d = y - mu``, the update leaves ``y -
+mu = (1 - beta)*d`` and ``var >= beta*(1 - beta)*d**2``; nothing cancels,
+so in floats the bound holds up to the rounding of ``d``, ``beta*d`` and
+``mu``:
+
+    |z| <= spread*sqrt((1 - beta_t)/beta_t) * (1 + 2**-49)
+           + 2**-50 * max(|y|, |mu_prev|) / sigma
+
+where ``z = normalize(y)`` just after ``update(y)``, ``mu_prev`` is ``mu``
+before it and ``sigma`` after it.  :meth:`Normalizer.update` takes any
+target up to :data:`MAX_TARGET` (about 1.34e154) in magnitude, the largest
+whose square is a finite double, and rejects larger ones.  Each update that
+moves the statistics takes one step of the normalizer's
+:class:`~popart.schedules.StepSizeSchedule`, so it advances
+``normalizer.schedule.t`` by one; one that raises leaves it.
 
 Also provided:
 
-- :func:`batch_stats`: one-shot moment statistics of a finite batch.
+- :func:`batch_stats`: one-shot shift and scale of a finite batch.
 - :class:`PercentileTracker`: stochastic-approximation tracking of the
   values that a fraction ``(1-p)/2`` of targets exceed / fall below.
 - :class:`ExtremeTracker`: moving average of minibatch min/max, which for
@@ -45,13 +55,17 @@ MAX_TARGET = math.sqrt(MAX)
 class Normalizer:
     """Running shift/scale statistics for ``k`` output components.
 
-    The scale is diagonal: each component has its own ``mu`` and ``nu``.
-    ``nu - mu**2`` is clamped up to ``epsilon`` after every update so the
-    scale is always finite and positive: a ``spread`` and ``epsilon`` that
-    would put it outside ``[TINY, MAX]`` for some target :meth:`update`
-    takes, or whose scales a rescale cannot take from 1 or into one another
-    by a finite, positive ratio, are rejected here, before any step can
-    move the statistics.
+    The scale is diagonal: each component has its own ``mu`` and ``var``,
+    and ``sigma = sqrt(var) / spread``.  ``var`` is the one floored value:
+    it is clamped up to ``epsilon`` after every update, so the scale is
+    always finite and positive.  ``nu``, the second moment ``var + mu**2``,
+    is derived for readers.  Just after ``update(y)``, ``|normalize(y)|``
+    is at most ``spread*sqrt((1 - beta_t)/beta_t)*(1 + 2**-49) +
+    2**-50*max(|y|, |mu_prev|)/sigma``, as the module docstring shows.  A
+    ``spread`` and ``epsilon`` that would put the scale outside ``[TINY,
+    MAX]`` for some target :meth:`update` takes, or whose scales a rescale
+    cannot take from 1 or into one another by a finite, positive ratio,
+    are rejected here, before any step can move the statistics.
     """
 
     def __init__(
@@ -68,12 +82,12 @@ class Normalizer:
         self.k = k
         self.spread = float(spread)
         self.epsilon = float(epsilon)
-        # bounds of the scale over every target update() takes: the
-        # variance is floored at epsilon, and nu, a mean of squares (each
-        # at most MAX) clamped up to mu**2 + epsilon, is at most MAX +
-        # epsilon; a step takes a scale in [TINY, MAX] only, and rescales a
-        # layer from 1, a fresh layer's scale, or from one of these scales
-        # to another by a ratio that must be finite and positive
+        # bounds of the scale over every target update() takes: var is
+        # floored at epsilon, and is the variance of targets within
+        # MAX_TARGET (at most MAX) plus at most epsilon; a step takes a
+        # scale in [TINY, MAX] only, and rescales a layer from 1, a fresh
+        # layer's scale, or from one of these scales to another by a ratio
+        # that must be finite and positive
         lo, hi = (math.sqrt(v) / self.spread for v in (self.epsilon, MAX + self.epsilon))
         if not (TINY <= lo and hi <= MAX and max(hi, 1.0) / min(lo, 1.0) < math.inf):
             raise ValueError(
@@ -83,29 +97,28 @@ class Normalizer:
             )
         self.schedule = schedule if schedule is not None else harmonic()
         self.mu = np.zeros(k)
-        # the clamped second moment of mu = 0
-        self.nu = np.full(k, self.epsilon)
+        self.var = np.full(k, self.epsilon)
+
+    @property
+    def nu(self) -> np.ndarray:
+        """Second moment per component, ``var + mu**2``: a new array on
+        each read, so a write to it changes nothing."""
+        return self.var + self.mu**2
 
     @property
     def sigma(self) -> np.ndarray:
-        """Scale per component: ``sqrt(nu - mu**2) / spread``.
-
-        The variance is floored at ``epsilon`` here as well as in the
-        stored state: when ``mu**2`` is huge the stored clamp can be lost
-        to rounding (``mu**2 + epsilon`` rounds back to ``mu**2``).
-        """
-        return self._sigma(self.mu**2)
-
-    def _sigma(self, mu_sq: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum(self.nu - mu_sq, self.epsilon)) / self.spread
+        """Scale per component: ``sqrt(var) / spread``."""
+        return np.sqrt(self.var) / self.spread
 
     def update(self, y) -> np.ndarray:
-        """Move ``mu`` and ``nu`` toward the new target, clamp, and return
-        the new :attr:`sigma`.
+        """Move ``mu`` and ``var`` toward the new target and return the new
+        :attr:`sigma`.
 
-        ``y`` is checked before anything moves: a non-finite target, or
-        one above :data:`MAX_TARGET` in magnitude (its square would
-        overflow ``nu``), raises ``ValueError``.
+        With ``d = y - mu``: ``mu += beta*d``, held within
+        :data:`MAX_TARGET`, and ``var = max((1 - beta)*var + (beta*(1 -
+        beta)*d)*d, epsilon)``, whose products stay within ``MAX``.  ``y``
+        is checked before anything moves: a non-finite target, or one above
+        :data:`MAX_TARGET` in magnitude, raises ``ValueError``.
         """
         if self.k == 1:
             # the same IEEE operations, in the same order, as the array
@@ -113,24 +126,22 @@ class Normalizer:
             # per-call overhead is most of the cost
             (target,) = as_floats(y, 1, -MAX_TARGET, MAX_TARGET, "target")
             beta = self.schedule.step()
-            mu, nu = self.mu.item(), self.nu.item()
-            mu += beta * (target - mu)
-            # a mean of targets can round one ulp past them, where mu**2 overflows
+            mu = self.mu.item()
+            d = target - mu
+            mu += beta * d
+            # a mean of targets can round one ulp past them
             if not -MAX_TARGET <= mu <= MAX_TARGET:
                 mu = math.copysign(MAX_TARGET, mu)
-            nu += beta * (target * target - nu)
-            mu_sq = mu * mu
-            nu = max(nu, mu_sq + self.epsilon)
-            self.mu[0], self.nu[0] = mu, nu
-            return np.array([math.sqrt(max(nu - mu_sq, self.epsilon)) / self.spread])
+            var = max(self.var.item() * (1 - beta) + beta * (1 - beta) * d * d, self.epsilon)
+            self.mu[0], self.var[0] = mu, var
+            return np.array([math.sqrt(var) / self.spread])
         arr = as_vector(y, self.k, -MAX_TARGET, MAX_TARGET, "target")
         beta = self.schedule.step()
-        self.mu += beta * (arr - self.mu)
+        d = arr - self.mu
+        self.mu += beta * d
         np.clip(self.mu, -MAX_TARGET, MAX_TARGET, out=self.mu)
-        self.nu += beta * (arr**2 - self.nu)
-        mu_sq = self.mu**2
-        np.maximum(self.nu, mu_sq + self.epsilon, out=self.nu)
-        return self._sigma(mu_sq)
+        self.var[:] = np.maximum(self.var * (1 - beta) + beta * (1 - beta) * d * d, self.epsilon)
+        return self.sigma
 
     def normalize(self, y) -> np.ndarray:
         """``(y - mu) / sigma``, for a target :meth:`update` takes."""
@@ -140,9 +151,10 @@ class Normalizer:
 
 def batch_stats(targets, spread: float = 1.0) -> tuple[float, float]:
     """Shift and scale of a finite batch of scalar targets: the sample
-    mean and ``sqrt(mean-of-squares - mean**2) / spread``, with the
+    mean and ``sqrt(mean((targets - mean)**2)) / spread``, with the
     variance floored at :data:`DEFAULT_EPSILON`, a :class:`Normalizer`'s
-    default floor.
+    default floor.  The variance is a mean of squared deviations, so it
+    does not cancel when the spread is small next to the targets.
     """
     arr = np.asarray(targets, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
@@ -150,7 +162,7 @@ def batch_stats(targets, spread: float = 1.0) -> tuple[float, float]:
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite target")
     mu = float(arr.mean())
-    var = max(float((arr**2).mean()) - mu**2, DEFAULT_EPSILON)
+    var = max(float(((arr - mu) ** 2).mean()), DEFAULT_EPSILON)
     return mu, math.sqrt(var) / spread
 
 

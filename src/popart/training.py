@@ -173,6 +173,14 @@ class OutputLayer:
         overflow an entry of ``W`` or the new ``b``; that is not checked,
         since a step rescales after its statistics moved and must not
         raise then: its loss and gradient norm show it.
+
+        Output preservation is limited by cancellation: the new ``b``
+        carries ``(mu_old - mu_new) / sigma_new``, and ``W h + b`` then loses
+        what is below that term's rounding.  A shift far outside the
+        outputs erases them without a raise:
+        ``OutputLayer(1, 3, rng=0).rescale_to([1.0], [1e308])`` sets ``b``
+        to -1e308 and takes the output at features ``(0.5, -1, 0.25)`` from
+        0.2124 to 0.0.
         """
         sigma_new = as_floats(sigma_new, self.k, TINY, MAX, "sigma")
         mu_new = as_floats(mu_new, self.k, -MAX, MAX, "mu")

@@ -6,16 +6,21 @@ visible in the run log).
 """
 
 import contextlib
+import math
 import os
 import sys
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from popart import checks
 from popart.binreg import ExperimentConfig, run_grid
 from popart.rl import ChainMdp, DoubleQAgent, train, value_iteration
+from popart.schedules import bias_corrected, constant, harmonic, inverse_t
+from popart.stats import MAX_TARGET, Normalizer
 
 _CAPSYS = None
 
@@ -50,6 +55,88 @@ def test_criterion_01_target_bound():
     _assert_check(
         1, "update-then-normalize bound", checks.check_target_bound(), budget=30.0
     )
+
+
+# Gate 1's streams are wide.  The bound must hold as well on near-constant
+# streams far from 0, where a variance taken as nu - mu**2 cancels, and in
+# floats up to the rounding of mu, as the README states it.
+
+
+def _float_bound(nrm, beta, y, mu_before):
+    """``spread*sqrt((1-beta)/beta)``, widened by the rounding of ``d``,
+    ``beta*d`` and ``mu`` in one update."""
+    exact = nrm.spread * math.sqrt((1.0 - beta) / beta)
+    return exact * (1 + 2**-49) + 2**-50 * max(abs(y), abs(mu_before)) / nrm.sigma[0]
+
+
+def _assert_bound_over(nrm, twin, ys):
+    """Feed ``ys`` to ``nrm``; ``twin`` is a fresh copy of its schedule."""
+    for y in ys:
+        mu_before = nrm.mu[0]
+        nrm.update([y] * nrm.k)
+        beta = twin.step()
+        assert np.isfinite(nrm.var).all() and np.isfinite(nrm.sigma).all()
+        z = np.abs(nrm.normalize([y] * nrm.k))
+        assert (z <= _float_bound(nrm, beta, y, mu_before)).all(), (y, z, beta)
+
+
+def test_target_bound_holds_where_the_spread_is_small_next_to_the_targets():
+    # nu - mu**2 cancelled to 0 here, and the floor put sigma at 0.01:
+    # the second target normalized to 6,553,600 where the bound is 0.995
+    nrm = Normalizer(k=1, schedule=bias_corrected(0.01))
+    nrm.update(1e20)
+    nrm.update(1e20 + 2**17)
+    twin = bias_corrected(0.01)
+    twin.step()
+    beta = twin.step()
+    exact = math.sqrt((1 - beta) / beta)
+    z = abs(nrm.normalize(1e20 + 2**17)[0])
+    assert exact < z <= _float_bound(nrm, beta, 1e20 + 2**17, 1e20)
+    assert z == pytest.approx(1.0000126, abs=1e-7)
+
+
+SCHEDULE_KINDS = {
+    "constant": constant,
+    "bias_corrected": bias_corrected,
+    "inverse_t": lambda beta: inverse_t(),
+    "harmonic": lambda beta: harmonic(),
+}
+
+
+@st.composite
+def near_constant_streams(draw):
+    """Targets a few ulps to a few parts in 1e9 around one centre of any
+    size up to MAX_TARGET, with now and then any target up to it."""
+    centre = draw(st.floats(-MAX_TARGET, MAX_TARGET))
+    scale = abs(centre) * draw(st.sampled_from([2.0**-52, 2.0**-40, 1e-9]))
+    near = st.integers(-64, 64).map(lambda j: centre + j * scale)
+    far = st.floats(-MAX_TARGET, MAX_TARGET)
+    ys = draw(st.lists(st.one_of(near, near, near, far), min_size=1, max_size=40))
+    return [min(max(y, -MAX_TARGET), MAX_TARGET) for y in ys]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    ys=near_constant_streams(),
+    kind=st.sampled_from(sorted(SCHEDULE_KINDS)),
+    beta=st.floats(1e-4, 1.0),
+    spread=st.sampled_from([0.5, 1.0, 2.0]),
+    k=st.sampled_from([1, 2]),
+)
+def test_target_bound_holds_in_floats_on_near_constant_streams(ys, kind, beta, spread, k):
+    # at k = 1 the update runs on Python floats, at k = 2 on arrays
+    make = SCHEDULE_KINDS[kind]
+    nrm = Normalizer(k=k, spread=spread, schedule=make(beta))
+    _assert_bound_over(nrm, make(beta), ys)
+
+
+@pytest.mark.parametrize("beta", [0.25, 0.375, 0.5, 1.0])
+@pytest.mark.parametrize("k", [1, 2])
+def test_alternating_largest_targets_keep_the_variance_finite(beta, k):
+    # each product of the variance update stays within MAX at +-MAX_TARGET
+    nrm = Normalizer(k=k, schedule=constant(beta))
+    _assert_bound_over(nrm, constant(beta), [MAX_TARGET, -MAX_TARGET] * 100)
+    assert (nrm.var <= MAX_TARGET**2).all()
 
 
 def test_criterion_02_output_preservation():

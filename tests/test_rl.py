@@ -328,7 +328,7 @@ def test_step_pass_does_not_grow_with_the_chain(n_states, monkeypatch):
 
 def _learned_bits(agent):
     layer, nrm = agent.layer, agent.layer.normalizer
-    arrays = (agent.net.get_params(), layer.W, layer.b, layer.sigma, layer.mu, nrm.mu, nrm.nu)
+    arrays = (agent.net.get_params(), layer.W, layer.b, layer.sigma, layer.mu, nrm.mu, nrm.var)
     return [a.tobytes() for a in (*arrays, agent.target_q)]
 
 
@@ -515,14 +515,15 @@ def test_chain_too_long_for_the_agent_codes_is_rejected_naming_the_limit():
 
 # step_count and q_table() after 3001 steps at reward 1e3, agent seed 0,
 # recorded with the target network kept as a copied network, when
-# train(max_steps=3000) still finished the episode it was in; any change to
-# the arithmetic of the rl loop fails here
+# train(max_steps=3000) still finished the episode it was in, and re-recorded
+# when the normalizer came to store the variance; any change to the
+# arithmetic of the rl loop fails here
 GOLDEN_RL_STEPS = 3001
 GOLDEN_RL_Q = [
-    [281.9455498848282, 230.36388710414425],
-    [329.37866742185315, 272.9396537422699],
-    [297.61225692817015, 244.66246002791888],
-    [424.1357032239319, 365.56752086848013],
+    [281.9455498848282, 230.3638871041507],
+    [329.3786674218528, 272.9396537422758],
+    [297.61225692816924, 244.66246002792434],
+    [424.1357032239312, 365.56752086848564],
 ]
 
 
@@ -538,16 +539,16 @@ def test_rl_golden():
 # epsilon floor, at 1e6 they are three decades above the 1e3 run's
 GOLDEN_RL_Q_AT = {
     1.0: [
-        [0.4640140832154547, 0.19483469156550304],
-        [0.5825474176231834, 0.32658793540875836],
-        [0.6377299556184729, 0.35912698887847977],
-        [0.8656796890753661, 0.5753601727553086],
+        [0.46401408321545956, 0.19483469156547834],
+        [0.5825474176231891, 0.32658793540873793],
+        [0.6377299556184793, 0.35912698887845795],
+        [0.8656796890753709, 0.5753601727552886],
     ],
     1e6: [
-        [282355.5511280979, 230756.59055854927],
-        [329713.2431231484, 273247.4191746721],
-        [297979.09508193913, 245006.9928521874],
-        [424747.8377376114, 366139.19194225245],
+        [282355.5511280979, 230756.5905585562],
+        [329713.2431231481, 273247.4191746784],
+        [297979.0950819384, 245006.99285219336],
+        [424747.83773761056, 366139.191942258],
     ],
 }
 

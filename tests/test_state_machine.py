@@ -51,7 +51,7 @@ class NormalizerLayerMachine(RuleBasedStateMachine):
 
     def _state(self):
         nrm, layer = self.nrm, self.layer
-        arrays = (nrm.mu, nrm.nu, layer.W, layer.b, layer.sigma, layer.mu)
+        arrays = (nrm.mu, nrm.var, layer.W, layer.b, layer.sigma, layer.mu)
         return nrm.schedule.t, [a.tobytes() for a in arrays]
 
     def _one_bad(self, good, bad, first=True):

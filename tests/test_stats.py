@@ -66,7 +66,7 @@ def test_variance_floor_after_every_update():
     n = Normalizer(k=1, epsilon=1e-4, schedule=constant(0.3))
     for _ in range(100):
         n.update(4.0)  # degenerate stream, variance would be 0
-        assert n.nu[0] - n.mu[0] ** 2 >= 1e-4 - 1e-12  # ulp slack on nu ~ 16
+        assert n.var[0] >= 1e-4
         assert n.sigma[0] ** 2 >= 1e-4 * (1.0 - 1e-12)
 
 
@@ -112,7 +112,7 @@ def test_target_too_large_to_square_rejected_without_change(k, y):
     # whole-array test, whose error names it and not all k
     n = Normalizer(k=k, schedule=constant(0.5))
     n.update(np.full(k, 3.0))
-    t, mu, nu = n.schedule.t, n.mu.copy(), n.nu.copy()
+    t, mu, var = n.schedule.t, n.mu.copy(), n.var.copy()
     target = np.full(k, 2.0)
     target[k // 2] = y
     for method in (n.update, n.normalize):
@@ -121,7 +121,7 @@ def test_target_too_large_to_square_rejected_without_change(k, y):
         assert len(str(err.value)) < 100
     assert n.schedule.t == t
     np.testing.assert_array_equal(n.mu, mu)
-    np.testing.assert_array_equal(n.nu, nu)
+    np.testing.assert_array_equal(n.var, var)
     n.update(np.full(k, 2.0))
     assert np.isfinite(n.sigma).all()
 
@@ -193,7 +193,7 @@ REJECTED_TARGETS = [math.nan, math.inf, -math.inf, MAX_TARGET * (1 + 2**-50), -1
 
 
 def _state_bits(n, column):
-    return n.schedule.t, n.mu[column].tobytes(), n.nu[column].tobytes()
+    return n.schedule.t, n.mu[column].tobytes(), n.var[column].tobytes()
 
 
 @settings(deadline=None, max_examples=200)
@@ -216,7 +216,7 @@ def test_one_component_update_matches_the_array_update(ys, kind, beta, spread, e
         return Normalizer(k=k, spread=spread, epsilon=epsilon, schedule=schedule)
 
     one, two = make(1), make(2)
-    mu, nu = one.mu, one.nu
+    mu, var = one.mu, one.var
     for y in ys:
         if not abs(y) <= MAX_TARGET:
             before = _state_bits(one, 0), _state_bits(two, 0), _state_bits(two, 1)
@@ -234,7 +234,7 @@ def test_one_component_update_matches_the_array_update(ys, kind, beta, spread, e
             assert one.sigma.tobytes() == two.sigma[column].tobytes()
         assert sigma_one.tobytes() == one.sigma.tobytes()
     # the statistics are updated in place, in the arrays callers hold
-    assert one.mu is mu and one.nu is nu
+    assert one.mu is mu and one.var is var
 
 
 @settings(deadline=None, max_examples=100)
@@ -267,6 +267,14 @@ def test_batch_degenerate_targets_hit_floor():
     mu, sigma = batch_stats([4.0, 4.0, 4.0])
     assert mu == 4.0
     assert sigma == pytest.approx(1e-2)
+
+
+def test_batch_scale_does_not_cancel_when_the_spread_is_small_next_to_the_targets():
+    # mean-of-squares - mean**2 cancelled to 0 here, and the floor gave a
+    # scale of 0.01 for two targets 2**17 apart
+    mu, sigma = batch_stats([1e20, 1e20 + 2**17])
+    assert mu == 1e20 + 2**16
+    assert sigma == 2**16
 
 
 def test_batch_stats_errors():

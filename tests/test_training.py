@@ -327,7 +327,7 @@ def test_zero_error_fixed_point():
     net = Mlp([2, 3], rng=0)
     nrm = Normalizer(k=1, schedule=constant(1e-12))
     nrm.update(0.0)
-    nrm.mu[0], nrm.nu[0] = 5.0, 29.0  # sigma = 2
+    nrm.mu[0], nrm.var[0] = 5.0, 4.0  # sigma = 2
     layer = OutputLayer(1, 3, normalizer=nrm, rng=1)
     layer.rescale_to(nrm.sigma, nrm.mu)
     x = np.array([0.3, -0.7])
@@ -379,7 +379,7 @@ def test_art_without_change_matches_popart():
         net = Mlp([2, 3], rng=4)
         nrm = Normalizer(k=1, schedule=constant(1e-15))
         nrm.update(3.0)
-        nrm.mu[0], nrm.nu[0] = 2.0, 8.0
+        nrm.mu[0], nrm.var[0] = 2.0, 4.0  # sigma = 2
         layer = OutputLayer(1, 3, normalizer=nrm, rng=5)
         layer.rescale_to(nrm.sigma, nrm.mu)
         return net, layer
@@ -516,7 +516,7 @@ def _state(net, layer):
         "layer_mu": layer.mu.copy(),
         "t": nrm.schedule.t,
         "mu": nrm.mu.copy(),
-        "nu": nrm.nu.copy(),
+        "var": nrm.var.copy(),
     }
 
 
@@ -728,12 +728,12 @@ def test_normalizer_of_another_width_rejected_without_change():
     net = Mlp([2, 3], rng=0)
     nrm = Normalizer(k=1, schedule=constant(0.3))
     layer = OutputLayer(2, 3, normalizer=nrm, rng=1)
-    before = [nrm.schedule.t, nrm.mu.copy(), nrm.nu.copy(), layer.W.copy(), layer.b.copy()]
+    before = [nrm.schedule.t, nrm.mu.copy(), nrm.var.copy(), layer.W.copy(), layer.b.copy()]
     with pytest.raises(ValueError, match="expected 2 target components"):
         popart_sgd_step(net, layer, _good_acts(net), 1.0, alpha=0.1)
     with pytest.raises(ValueError, match="normalizer has 1 components"):
         popart_sgd_step(net, layer, _good_acts(net), [1.0, 2.0], alpha=0.1)
-    after = [nrm.schedule.t, nrm.mu, nrm.nu, layer.W, layer.b]
+    after = [nrm.schedule.t, nrm.mu, nrm.var, layer.W, layer.b]
     for a, b in zip(after, before):
         np.testing.assert_array_equal(a, b)
 
@@ -750,11 +750,13 @@ def _ref_update(nrm, y):
     """``Normalizer.update`` on arrays, for any ``k``; ``y`` is valid."""
     arr = np.asarray(y, dtype=float).reshape(nrm.k)
     beta = nrm.schedule.step()
-    nrm.mu += beta * (arr - nrm.mu)
-    nrm.nu += beta * (arr**2 - nrm.nu)
-    mu_sq = nrm.mu**2
-    np.maximum(nrm.nu, mu_sq + nrm.epsilon, out=nrm.nu)
-    return np.sqrt(np.maximum(nrm.nu - mu_sq, nrm.epsilon)) / nrm.spread
+    d = arr - nrm.mu
+    nrm.mu += beta * d
+    np.clip(nrm.mu, -MAX_TARGET, MAX_TARGET, out=nrm.mu)
+    nrm.var *= 1 - beta
+    nrm.var += beta * (1 - beta) * d * d
+    np.maximum(nrm.var, nrm.epsilon, out=nrm.var)
+    return np.sqrt(nrm.var) / nrm.spread
 
 
 class _RefLayer:
@@ -839,7 +841,7 @@ def _bits(value):
 
 
 def _oracle_state(net, layer, nrm):
-    arrays = (net.get_params(), layer.W, layer.b, layer.sigma, layer.mu, nrm.mu, nrm.nu)
+    arrays = (net.get_params(), layer.W, layer.b, layer.sigma, layer.mu, nrm.mu, nrm.var)
     return nrm.schedule.t, [a.tobytes() for a in arrays]
 
 
