@@ -138,8 +138,8 @@ def check_sgd_equivalence() -> tuple[bool, str]:
         worst_theta = max(worst_theta, rel)
     worst_out = 0.0
     for x in probes:
-        o1 = layer1.unnormalized_output(net1.forward(x))
-        o2 = layer2.unnormalized_output(net2.forward(x))
+        o1 = layer1.unnormalized_output(net1.forward_pass(x)[-1])
+        o2 = layer2.unnormalized_output(net2.forward_pass(x)[-1])
         rel = float(np.max(np.abs(o1 - o2) / (1.0 + np.abs(o2))))
         worst_out = max(worst_out, rel)
     ok = worst_theta <= 1e-8 and worst_out <= 1e-8
@@ -293,9 +293,9 @@ def check_gradients() -> tuple[bool, str]:
             d = np.zeros_like(theta)
             d[i] = eps
             net.set_params(theta + d)
-            hi = net.forward(x)
+            hi = net.forward_pass(x)[-1]
             net.set_params(theta - d)
-            lo = net.forward(x)
+            lo = net.forward_pass(x)[-1]
             fd[i] = (hi - lo) / (2 * eps)
         net.set_params(theta)
         scale = np.maximum(np.abs(fd), 1.0)

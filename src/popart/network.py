@@ -194,30 +194,22 @@ class Mlp:
         self.layer_sizes = list(state["layer_sizes"])
         self._bind(state["theta"])
 
-    @property
-    def n_inputs(self) -> int:
-        return self.layer_sizes[0]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.layer_sizes[-1]
-
     # -- forward -----------------------------------------------------------
 
     def _check_input(self, x) -> np.ndarray:
         arr = as_float_array(x)
-        if arr.ndim not in (1, 2) or arr.shape[-1] != self.n_inputs:
+        if arr.ndim not in (1, 2) or arr.shape[-1] != self.layer_sizes[0]:
             raise ValueError(
-                f"expected input of length {self.n_inputs}, or a stack of them of "
-                f"shape (B, {self.n_inputs}), got shape {arr.shape}"
+                f"expected input of length {self.layer_sizes[0]}, or a stack of them of "
+                f"shape (B, {self.layer_sizes[0]}), got shape {arr.shape}"
             )
         return arr
 
     def forward_pass(self, x) -> list[np.ndarray]:
         """Activations of every layer, input first, output last.
 
-        ``x`` is one input of length ``n_inputs`` or a stack of shape
-        ``(B, n_inputs)``; for a stack each activation has one row per
+        ``x`` is one input of length ``layer_sizes[0]`` or a stack of shape
+        ``(B, layer_sizes[0])``; for a stack each activation has one row per
         input, identical to the activations of that input alone.  Through
         a stack of networks (:meth:`stack`) row ``r`` is network ``r``'s,
         of the one input.
@@ -234,10 +226,6 @@ class Mlp:
             acts.append(a)
         return acts
 
-    def forward(self, x) -> np.ndarray:
-        """Output for one input, or one row per input of a stack."""
-        return self.forward_pass(x)[-1]
-
     # -- derivatives -------------------------------------------------------
 
     def backward(self, acts: list[np.ndarray], v: np.ndarray) -> np.ndarray:
@@ -247,8 +235,8 @@ class Mlp:
         input.  Returns a fresh array.
         """
         v = as_float_array(v)
-        if v.shape != (self.n_outputs,):
-            raise ValueError(f"expected seed of length {self.n_outputs}")
+        if v.shape != (self.layer_sizes[-1],):
+            raise ValueError(f"expected seed of length {self.layer_sizes[-1]}")
         grad_w, seed, column, last = self._grad_top
         seed[...] = v
         np.multiply(column, acts[last], out=grad_w)
@@ -262,9 +250,9 @@ class Mlp:
         return self._grad.copy()
 
     def jacobian(self, x) -> np.ndarray:
-        """Exact Jacobian of shape ``(n_params, n_outputs)``."""
+        """Exact Jacobian of shape ``(n_params, layer_sizes[-1])``."""
         acts = self.forward_pass(x)
-        m = self.n_outputs
+        m = self.layer_sizes[-1]
         cols = [self.backward(acts, np.eye(m)[j]) for j in range(m)]
         return np.stack(cols, axis=1)
 
@@ -299,10 +287,10 @@ class _Stack(Mlp):
     def _check_input(self, x) -> np.ndarray:
         """The one input every member takes; any other shape raises here."""
         arr = as_float_array(x)
-        if arr.shape != (self.n_inputs,):
+        if arr.shape != (self.layer_sizes[0],):
             raise ValueError(
                 f"a stack of {len(self._theta)} networks takes one input of length "
-                f"{self.n_inputs}, got shape {arr.shape}"
+                f"{self.layer_sizes[0]}, got shape {arr.shape}"
             )
         return arr
 

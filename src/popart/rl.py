@@ -39,15 +39,6 @@ from .stats import MAX_TARGET, Normalizer
 from .training import OutputLayer, TrainStepReport, popart_sgd_step
 from .values import check_setting, count, is_seed, real
 
-# The most states a chain may have.  A DoubleQAgent holds a one-hot code
-# per state and action, n_states * n_actions * (n_states + n_actions)
-# float64s, which it fills at once: this is the largest chain whose codes
-# fit in 2 GiB (16 * 11584 * 11586 bytes), as binreg's MAX_GRID_SAMPLES
-# bounds a sweep's records.  Time is not bounded by it: the agent's pass
-# over all states at each target copy grows with the square of the length.
-MAX_STATES = 11584
-
-
 @dataclass
 class ChainMdp:
     """Linear chain with an absorbing terminal state at the right end.
@@ -66,11 +57,6 @@ class ChainMdp:
 
     def __post_init__(self) -> None:
         check_setting("n_states", self.n_states, lambda n: count(n) >= 2)
-        if self.n_states > MAX_STATES:
-            raise ValueError(
-                f"invalid n_states: {self.n_states} is above the limit of {MAX_STATES} "
-                "(the agent's state-action codes would take over 2 GiB)"
-            )
         check_setting(  # a target the normalizer takes; NaN fails the comparison
             "terminal_reward", self.terminal_reward, lambda r: abs(real(r)) <= MAX_TARGET
         )
@@ -141,7 +127,9 @@ class DoubleQAgent:
     """Online double Q-learning on a state-action one-hot encoding.
 
     The codes are built once, as ``codes[s, a]`` of shape
-    ``(n_states, n_actions, n_states + n_actions)``.  Every value the
+    ``(n_states, n_actions, n_states + n_actions)``, float64s, and may take
+    at most 2 GiB: a longer chain than 11584 states raises ``ValueError``
+    naming that limit before anything is built.  Every value the
     agent reads comes from one stacked forward pass over the codes of a
     run of states, ``codes[lo:hi]``, on the current parameters: the values
     ``q[s, a]`` and each state's greedy action, ties to the lowest index.
@@ -176,12 +164,18 @@ class DoubleQAgent:
         check_setting("epsilon_greedy", epsilon_greedy, lambda e: 0.0 <= real(e) <= 1.0)
         check_setting("copy_period", copy_period, lambda c: count(c) >= 1)
         check_setting("seed", seed, is_seed)
+        # the one-hot codes, float64s filled at once below, may take at most
+        # 2 GiB, as binreg's MAX_GRID_SAMPLES bounds a sweep's records.  Time
+        # is not bounded by it: the pass over all states at each target copy
+        # grows with the square of the length
+        n_in = mdp.n_states + mdp.n_actions
+        if 8 * mdp.n_states * mdp.n_actions * n_in > 2**31:
+            raise ValueError(f"invalid n_states: {mdp.n_states} states' codes take over 2 GiB")
         self.mdp = mdp
         self.alpha = alpha
         self.epsilon_greedy = epsilon_greedy
         self.copy_period = copy_period
         self.rng = np.random.default_rng(seed)
-        n_in = mdp.n_states + mdp.n_actions
         self.codes = np.zeros((mdp.n_states, mdp.n_actions, n_in))
         self.codes[:, :, : mdp.n_states] = np.eye(mdp.n_states)[:, None, :]
         self.codes[:, :, mdp.n_states :] = np.eye(mdp.n_actions)

@@ -87,8 +87,10 @@ class Normalizer:
         # MAX_TARGET (at most MAX) plus at most epsilon; a step takes a
         # scale in [TINY, MAX] only, and rescales a layer from 1, a fresh
         # layer's scale, or from one of these scales to another by a ratio
-        # that must be finite and positive
+        # that must be finite and positive.  A step reads them to check a
+        # layer's scale before the statistics move
         lo, hi = (math.sqrt(v) / self.spread for v in (self.epsilon, MAX + self.epsilon))
+        self._scale_range = lo, hi
         if not (TINY <= lo and hi <= MAX and max(hi, 1.0) / min(lo, 1.0) < math.inf):
             raise ValueError(
                 f"invalid spread and epsilon: {spread!r} and {epsilon!r} put the scale in "
@@ -154,16 +156,23 @@ def batch_stats(targets, spread: float = 1.0) -> tuple[float, float]:
     mean and ``sqrt(mean((targets - mean)**2)) / spread``, with the
     variance floored at :data:`DEFAULT_EPSILON`, a :class:`Normalizer`'s
     default floor.  The variance is a mean of squared deviations, so it
-    does not cancel when the spread is small next to the targets.
+    does not cancel when the spread is small next to the targets.  A batch
+    whose sum or variance is past ``MAX``, the largest double, such as
+    ``[1e200, -1e200]``, raises ``ValueError`` naming that limit.
     """
     arr = np.asarray(targets, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need at least 2 targets")
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite target")
-    mu = float(arr.mean())
-    var = max(float(((arr - mu) ** 2).mean()), DEFAULT_EPSILON)
-    return mu, math.sqrt(var) / spread
+    # overflow raises below: a sum past MAX gives an inf mean, or a NaN one
+    # where partial sums overflow both ways, and then a variance that is too
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = float(arr.mean())
+        var = float(((arr - mu) ** 2).mean())
+    if not var < math.inf:
+        raise ValueError(f"batch mean {mu:g} or variance {var:g} past the largest double, {MAX:g}")
+    return mu, math.sqrt(max(var, DEFAULT_EPSILON)) / spread
 
 
 class _BoundsTracker:
@@ -239,12 +248,8 @@ class ExtremeTracker(_BoundsTracker):
         self.y_max += beta * (hi - self.y_max)
 
 
-# the standard library's error function, under the name the package exports
-erf = math.erf
-
-
 def _erf_inverse(p: float) -> float:
-    """Inverse of :func:`erf` on (0, 1), to about double precision over
+    """Inverse of :func:`math.erf` on (0, 1), to about double precision over
     the whole interval."""
     if p < 1e-8:
         # erfinv(p) = sqrt(pi)/2 * (p + pi/12 * p**3 + ...), one term suffices
@@ -269,4 +274,4 @@ def spread_from_coverage(p: float) -> float:
 def coverage_from_spread(s: float) -> float:
     """Inverse of :func:`spread_from_coverage`."""
     check_setting("s", s, lambda s: 0.0 < real(s) < math.inf)  # as a Normalizer's spread
-    return erf(1.0 / (math.sqrt(2.0) * s))
+    return math.erf(1.0 / (math.sqrt(2.0) * s))

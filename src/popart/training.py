@@ -230,7 +230,7 @@ def predict(net: Mlp, layer: OutputLayer, x) -> np.ndarray:
     README's one-call prediction, and ``perfbench/tracer.py`` times it by
     name.
     """
-    return layer.unnormalized_output(net.forward(x))
+    return layer.unnormalized_output(net.forward_pass(x)[-1])
 
 
 # How a step takes on its scale/shift before the gradient step.
@@ -279,6 +279,16 @@ def _sgd_step(
             raise ValueError("layer has no normalizer attached")
         if nrm.k != k:
             raise ValueError(f"normalizer has {nrm.k} components, the layer {k} outputs")
+        if adoption == _COMPENSATE:
+            # the rescale from the layer's scale to any the update gives
+            # must multiply W by a finite, positive ratio
+            lo, hi = nrm._scale_range
+            for i, s_old in enumerate(layer.sigma.tolist()):
+                if not (0.0 < s_old / hi and s_old / lo < math.inf):
+                    raise ValueError(
+                        f"layer scale {s_old!r} at component {i} is beyond a rescale to "
+                        f"the normalizer's scales [{lo:g}, {hi:g}]"
+                    )
         # the statistics update checks that y can be squared, the last
         # check, before it moves
         sigma, mu = nrm.update(y), nrm.mu
@@ -341,7 +351,15 @@ def popart_sgd_step(net, layer: OutputLayer, acts, y, alpha: float) -> TrainStep
 
     Order matters: the statistics absorb the new target first, then ``W``
     and ``b`` are rescaled so outputs are unchanged, and only then does
-    SGD consume the (bounded) normalized error.
+    SGD consume the (bounded) normalized error.  Before anything moves, the
+    step checks that the rescale from the layer's scale, which a caller may
+    have set by hand, to every scale the normalizer can give, from
+    ``sqrt(epsilon) / spread`` to ``sqrt(MAX + epsilon) / spread``,
+    multiplies ``W`` by a finite, positive ratio; if not, it raises
+    ``ValueError`` naming both.  The check is conservative: it tests both
+    ends of that range, not the scale this update gives, so at the
+    defaults a layer scale below about ``3.3e-170`` or above about
+    ``1.8e306`` raises.
     """
     return _sgd_step(net, layer, acts, y, alpha, _COMPENSATE)
 

@@ -34,8 +34,8 @@ def _run_lockstep(seed, n_steps, alpha=1e-3, with_shift=True):
     theta_scale = max(np.max(np.abs(net_b.get_params())), 1.0)
     out_diff = 0.0
     for p in probes:
-        f_a = layer_a.unnormalized_output(net_a.forward(p))
-        f_b = layer_b.unnormalized_output(net_b.forward(p))
+        f_a = layer_a.unnormalized_output(net_a.forward_pass(p)[-1])
+        f_b = layer_b.unnormalized_output(net_b.forward_pass(p)[-1])
         out_diff = max(out_diff, float(np.max(np.abs(f_a - f_b) / (1.0 + np.abs(f_b)))))
     return theta_diff / theta_scale, out_diff
 

@@ -1,5 +1,6 @@
 import ast
 import csv
+import importlib
 import io
 import json
 import math
@@ -1082,6 +1083,51 @@ def test_the_readme_python_blocks_run():
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["values"].shape == (2, 1)
+
+
+# a backticked dotted name, alone or called: `popart.rl.train` or `Mlp.stack(nets)`
+README_DOTTED_NAME = re.compile(r"`([A-Za-z_]\w*(?:\.\w+)+)[`(]")
+
+
+def _unresolved_readme_names(names) -> list[str]:
+    """The names of ``names`` that the README may not name, as they no
+    longer resolve: each ``popart.<module>.<name>...`` path, and each
+    ``<Class>.<attr>...`` of a class ``popart`` exports, whose attributes
+    are looked up on the class (its methods, properties and constants)."""
+    unresolved = []
+    for name in names:
+        first, *rest = name.split(".")
+        if first == "popart":
+            # the longest leading run that is a module, then attributes
+            for cut in range(len(rest), -1, -1):
+                try:
+                    obj = importlib.import_module(".".join([first, *rest[:cut]]))
+                except ModuleNotFoundError:
+                    continue
+                rest = rest[cut:]
+                break
+        elif first in popart.__all__ and isinstance(getattr(popart, first), type):
+            obj = getattr(popart, first)
+        else:
+            continue  # another package's, or a file name
+        for attr in rest:
+            if not hasattr(obj, attr):
+                unresolved.append(name)
+                break
+            obj = getattr(obj, attr)
+    return unresolved
+
+
+def test_every_package_name_the_readme_gives_resolves():
+    # a name the README gives in backticks, of a popart module's attribute
+    # or an exported class's, exists: prose that names a deleted method or
+    # constant fails here
+    names = README_DOTTED_NAME.findall((REPO / "README.md").read_text(encoding="utf-8"))
+    assert "popart.stats.Normalizer" in names and "Mlp.stack" in names
+    assert not _unresolved_readme_names(names), _unresolved_readme_names(names)
+    # deleted from the package, so the guard must not resolve them
+    gone = ["Mlp.forward", "Mlp.n_inputs", "popart.rl.MAX_STATES", "popart.stats.erf"]
+    assert _unresolved_readme_names(gone) == gone
 
 
 def test_results_csv_bytes_are_csv_writers(tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from popart.network import Mlp
 from popart.rl import (
-    MAX_STATES,
     ChainMdp,
     DoubleQAgent,
     EpisodeMetrics,
@@ -502,15 +501,36 @@ def test_chain_rejects_a_terminal_reward_the_normalizer_cannot_take(reward):
         ChainMdp(terminal_reward=reward)
 
 
-def test_chain_too_long_for_the_agent_codes_is_rejected_naming_the_limit():
+def test_chain_too_long_for_the_agent_codes_is_rejected_naming_the_limit(monkeypatch):
     # n_states had no upper limit: an agent on 100,000 states would fill
-    # about 160 GB of one-hot codes.  Only chains are built here
-    assert 16 * MAX_STATES * (MAX_STATES + 2) <= 2**31 < 16 * (MAX_STATES + 1) * (MAX_STATES + 3)
-    assert ChainMdp(n_states=MAX_STATES).terminal == MAX_STATES - 1
-    for n in (MAX_STATES + 1, 100_000):
-        message = f"invalid n_states: {n} is above the limit of 11584 "
+    # about 160 GB of one-hot codes.  The agent, which fills them, rejects a
+    # chain whose codes, 16 * n * (n + 2) bytes, take over 2 GiB (11584
+    # states fit), before it builds anything; the chain and its exact values
+    # take any length
+    assert 16 * 11584 * 11586 <= 2**31 < 16 * 11585 * 11587
+
+    class Allocated(Exception):
+        pass
+
+    zeros = np.zeros
+
+    def zeros_up_to_a_gigabyte(shape, *args, **kwargs):
+        if math.prod(np.atleast_1d(shape)) > 2**27:
+            raise Allocated(shape)
+        return zeros(shape, *args, **kwargs)
+
+    # 11584 states pass the check and reach the codes, which are not built
+    monkeypatch.setattr(np, "zeros", zeros_up_to_a_gigabyte)
+    with pytest.raises(Allocated) as got:
+        DoubleQAgent(ChainMdp(n_states=11584))
+    assert got.value.args == ((11584, 2, 11586),)
+    monkeypatch.undo()
+    for n in (11585, 100_000):
+        mdp = ChainMdp(n_states=n, terminal_reward=1.0, gamma=1.0)
+        message = f"invalid n_states: {n} states' codes take over 2 GiB"
         with pytest.raises(ValueError, match=message):
-            ChainMdp(n_states=n)
+            DoubleQAgent(mdp)
+    np.testing.assert_array_equal(value_iteration(mdp), np.ones((n - 1, 2)))
 
 
 # step_count and q_table() after 3001 steps at reward 1e3, agent seed 0,

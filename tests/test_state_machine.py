@@ -4,7 +4,9 @@ Rules mix statistics updates, rescales and invalid calls.  After every
 call: ``sigma`` is finite and positive, a rescale preserved the
 unnormalized outputs on fixed probes, and a call that raised changed
 nothing.  The machine runs with one output, which the normalizer updates
-on Python floats, and with two, which it updates as arrays.
+on Python floats, and with two, which it updates as arrays.  A second
+machine adds a network under the layer, popart steps and rescales by hand
+to extreme scales.
 """
 
 import math
@@ -15,9 +17,10 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from popart.network import Mlp
 from popart.schedules import bias_corrected, constant
 from popart.stats import MAX_TARGET, Normalizer
-from popart.training import OutputLayer
+from popart.training import OutputLayer, popart_sgd_step
 
 M = 3
 # fixed feature vectors the unnormalized outputs are compared on
@@ -33,17 +36,25 @@ valid_scale = st.floats(1e-2, 1e100)
 valid_shift = st.floats(-1e100, 1e100)
 invalid_scale = st.sampled_from([0.0, -0.0, -1.0, -1e-300, math.nan, math.inf])
 invalid_shift = st.sampled_from([math.nan, math.inf, -math.inf])
+# beyond a rescale to or from the normalizer's scales at some target
+extreme_scale = st.sampled_from([1e-300, 1e300])
+network_input = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)
+# a step's target: often one that takes the scale to either end of its range
+step_target = st.one_of(st.sampled_from([0.0, 1e30, -MAX_TARGET]), finite_target)
+
+
+BUILD = dict(
+    beta=st.floats(1e-3, 1.0),
+    corrected=st.booleans(),
+    spread=st.sampled_from([0.5, 1.0, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
 
 
 class NormalizerLayerMachine(RuleBasedStateMachine):
     K = 2  # outputs
 
-    @initialize(
-        beta=st.floats(1e-3, 1.0),
-        corrected=st.booleans(),
-        spread=st.sampled_from([0.5, 1.0, 2.0]),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @initialize(**BUILD)
     def build(self, beta, corrected, spread, seed):
         schedule = bias_corrected(beta) if corrected else constant(beta)
         self.nrm = Normalizer(k=self.K, spread=spread, schedule=schedule)
@@ -115,8 +126,91 @@ class OneOutputMachine(NormalizerLayerMachine):
     K = 1
 
 
+class StepMachine(NormalizerLayerMachine):
+    """The machine above with a network under the layer, popart steps and
+    rescales by hand to extreme scales, after which a step must raise and
+    change nothing, or go through.
+
+    A step can take ``W`` where a later rescale overflows: at ``beta = 1``
+    its normalized error is the shift's jump over the floored scale, 1e105
+    at a target of 1e103, and ``W`` grows by that.  So once a step or an
+    extreme scale went through, a rescale here is not checked for
+    preservation; the machine above checks it on every run.
+    """
+
+    @initialize(
+        **BUILD,
+        # 1e-300 puts the least scale near 1e-150, so that a scale of 1e300
+        # is beyond a rescale to it
+        epsilon=st.sampled_from([1e-4, 1e-300]),
+    )
+    def build(self, beta, corrected, spread, seed, epsilon):
+        schedule = bias_corrected(beta) if corrected else constant(beta)
+        self.nrm = Normalizer(k=self.K, spread=spread, epsilon=epsilon, schedule=schedule)
+        self.layer = OutputLayer(self.K, M, normalizer=self.nrm, rng=seed)
+        self.net = Mlp([2, M], rng=seed)
+        self.stepped = False
+
+    def _state(self):
+        t, arrays = super()._state()
+        return t, arrays + [self.net.get_params().tobytes()]
+
+    def _rescale_preserving_outputs(self, sigma, mu):
+        if not self.stepped:
+            super()._rescale_preserving_outputs(sigma, mu)
+            return
+        before = self._state()
+        with np.errstate(over="ignore", invalid="ignore"):  # W may overflow
+            try:
+                self.layer.rescale_to(sigma, mu)
+            except ValueError:
+                # from a scale set by hand that no finite ratio leaves
+                assert self._state() == before
+
+    @rule(x=network_input, y=st.lists(step_target, min_size=2, max_size=2))
+    def popart_step(self, x, y):
+        before = self._state()
+        # W may overflow, which the step's loss and gradient norm show
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                popart_sgd_step(self.net, self.layer, self.net.forward_pass(x), y[: self.K], 1e-3)
+            except ValueError as exc:
+                # a layer scale no rescale to the normalizer's scales reaches
+                assert str(exc).startswith("layer scale ")
+                assert self._state() == before
+                return
+        self.stepped = True
+
+    @rule(
+        scale=extreme_scale,
+        last=st.booleans(),
+        x=network_input,
+        y=st.lists(step_target, min_size=2, max_size=2),
+    )
+    def rescale_to_an_extreme_scale_and_step(self, scale, last, x, y):
+        # by hand, keeping the shift; W may overflow
+        sigma = self.layer.sigma.copy()
+        sigma[-1 if last else 0] = scale
+        before = self._state()
+        with np.errstate(over="ignore"):
+            try:
+                self.layer.rescale_to(sigma, self.layer.mu.copy())
+            except ValueError:
+                # the ratio from 1e300 to 1e-300 is inf
+                assert self._state() == before
+                return
+        self.stepped = True
+        self.popart_step(x, y)
+
+
+class OneOutputStepMachine(StepMachine):
+    K = 1
+
+
 MACHINE_SETTINGS = settings(max_examples=60, stateful_step_count=30, deadline=None)
-NormalizerLayerMachine.TestCase.settings = MACHINE_SETTINGS
-OneOutputMachine.TestCase.settings = MACHINE_SETTINGS
+for machine in (NormalizerLayerMachine, OneOutputMachine, StepMachine, OneOutputStepMachine):
+    machine.TestCase.settings = MACHINE_SETTINGS
 TestNormalizerLayerMachine = NormalizerLayerMachine.TestCase
 TestOneOutputMachine = OneOutputMachine.TestCase
+TestStepMachine = StepMachine.TestCase
+TestOneOutputStepMachine = OneOutputStepMachine.TestCase

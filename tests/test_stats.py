@@ -14,7 +14,6 @@ from popart.stats import (
     PercentileTracker,
     batch_stats,
     coverage_from_spread,
-    erf,
     spread_from_coverage,
 )
 from popart.training import OutputLayer
@@ -284,6 +283,25 @@ def test_batch_stats_errors():
         batch_stats([1.0, math.nan])
 
 
+@pytest.mark.parametrize(
+    "targets",
+    [
+        [1e200, -1e200],
+        [1e308, 1e308],
+        # within MAX_TARGET, yet their deviations square past the largest double
+        [1.3e154, -1.3e154, -1.3e154],
+        # partial sums overflow both ways: the mean is NaN
+        [1e308, 1e308, -1e308, -1e308, 0.0, 0.0, 0.0, 0.0],
+    ],
+)
+def test_batch_stats_past_the_largest_double_raises_naming_it(targets):
+    # these gave an infinite scale or mean, or NaN, with a numpy warning;
+    # the suite turns any warning into an error
+    message = r"or variance .* past the largest double, 1\.79769e\+308$"
+    with pytest.raises(ValueError, match=message):
+        batch_stats(targets)
+
+
 # -- percentile tracker ----------------------------------------------------
 
 
@@ -355,12 +373,12 @@ def test_extreme_tracker_uniform_pairs_limit():
 
 
 def test_erf_reference_values():
-    # frozen from standard tables; the rational approximation is good to
-    # about 1.5e-7 absolute
-    assert erf(0.0) == pytest.approx(0.0, abs=2e-7)
-    assert erf(1.0) == pytest.approx(0.8427007929, abs=2e-7)
-    assert erf(-1.0) == pytest.approx(-0.8427007929, abs=2e-7)
-    assert erf(2.0) == pytest.approx(0.9953222650, abs=2e-7)
+    # erf(x), frozen from standard tables, is the coverage of the spread
+    # 1/(sqrt(2) x), and that spread is the one the coverage gives back
+    for x, erf_x in ((1e-3, 0.0011283787909692363), (1.0, 0.8427007929), (2.0, 0.9953222650)):
+        s = 1.0 / (math.sqrt(2.0) * x)
+        assert coverage_from_spread(s) == pytest.approx(erf_x, abs=2e-10)
+        assert spread_from_coverage(erf_x) == pytest.approx(s, rel=1e-8)
 
 
 def test_spread_coverage_reference_values():

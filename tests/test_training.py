@@ -31,9 +31,6 @@ class IdentityNet:
         arr = np.asarray(x, dtype=float)
         return [arr, arr]
 
-    def forward(self, x):
-        return self.forward_pass(x)[-1]
-
     def backward(self, acts, v):  # no params: an empty gradient
         return np.zeros(0)
 
@@ -178,7 +175,7 @@ def test_stacked_predict_equals_per_row_calls_bitwise(k):
         expected = np.array([predict(net, layer, x) for x in xs])
         got = predict(net, layer, xs)
         assert got.shape == (n_rows, k) and got.tobytes() == expected.tobytes()
-        h = net.forward(xs)
+        h = net.forward_pass(xs)[-1]
         out = layer.unnormalized_output
         assert out(h).tobytes() == np.array([out(row) for row in h]).tobytes()
     # parameters, features and inputs with special values mixed in, also
@@ -221,7 +218,7 @@ def test_layer_stack_outputs_rows_equal_members_bitwise(n, k):
     net_stack, layer_stack = Mlp.stack(nets), OutputLayer.stack(layers)
     rng = np.random.default_rng(9)
     x = rng.normal(size=5)
-    got = layer_stack.unnormalized_output(net_stack.forward(x))
+    got = layer_stack.unnormalized_output(net_stack.forward_pass(x)[-1])
     assert got.shape == (n, k)
     for r, (net, layer) in enumerate(pairs):
         assert _bits(got[r]) == _bits(predict(net, layer, x))
@@ -346,7 +343,7 @@ def test_double_update_order_via_hook():
     nrm = Normalizer(k=1, schedule=constant(0.3))
     layer = OutputLayer(1, 3, normalizer=nrm, rng=3)
     x = np.array([0.5, -1.0])
-    h = net.forward(x)  # features before the step mutates theta
+    h = net.forward_pass(x)[-1]  # features before the step mutates theta
     before = copy.deepcopy(layer)
     report = popart_sgd_step(net, layer, net.forward_pass(x), 7.0, alpha=0.05)
     before.rescale_to(report.scale, report.shift)
@@ -682,6 +679,56 @@ def test_no_step_finds_its_normalizers_scale_out_of_range(spread, epsilon, beta,
         for y in ys:
             STEPS[step](net, layer, _good_acts(net), y)
     assert nrm.schedule.t == len(ys)
+
+
+@pytest.mark.parametrize(
+    ("epsilon", "scale", "y"), [(1e-4, 1e-300, 1e30), (1e-300, 1e300, 0.0)], ids=["tiny", "huge"]
+)
+def test_popart_step_rejects_a_layer_scale_no_rescale_reaches_without_change(epsilon, scale, y):
+    # a layer rescaled by hand to a scale whose ratio to the normalizer's
+    # next one is 0 or inf: the step raised in its rescale, after the
+    # statistics had moved (to t = 1, mu = 5e29 in the first case).  It now
+    # checks the layer's scale against the normalizer's scale range first
+    net = Mlp([2, 3], rng=0)
+    nrm = Normalizer(k=1, epsilon=epsilon, schedule=constant(0.5))
+    layer = OutputLayer(1, 3, normalizer=nrm, rng=1)
+    layer.rescale_to([scale], [0.0])
+    before = _state(net, layer)
+    # the range, [sqrt(epsilon), sqrt(MAX + epsilon)] at spread 1, is named
+    message = re.escape(f"layer scale {scale!r} at component 0 ") + ".* " + re.escape(
+        f"[{math.sqrt(epsilon):g}, {MAX_TARGET:g}]"
+    )
+    with pytest.raises(ValueError, match=message):
+        popart_sgd_step(net, layer, net.forward_pass([0.3, -0.4]), y, 0.1)
+    after = _state(net, layer)
+    for key, value in before.items():
+        np.testing.assert_array_equal(after[key], value, err_msg=key)
+
+
+@pytest.mark.parametrize(
+    ("scale", "taken"),
+    [(1e-200, False), (3.2e-170, False), (3.4e-170, True), (1.7e306, True), (1.8e306, False)],
+)
+def test_popart_step_checks_the_layer_scale_against_every_scale_not_the_next(scale, taken):
+    # the check is conservative: at the default epsilon the normalizer's
+    # scales run from 0.01 to sqrt(MAX), so a layer scale below about
+    # 3.3e-170 or above about 1.8e306 raises although the rescale to the
+    # scale this target gives, about 0.5, is finite and positive
+    net = Mlp([2, 3], rng=0)
+    layer = OutputLayer(1, 3, normalizer=Normalizer(k=1, schedule=constant(0.5)), rng=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # W may overflow: not a raise
+        # popart_sgd_update takes the scale; only its rescale checks it
+        popart_sgd_update(net, layer, _good_acts(net), 0.0, [scale], [0.0], 0.1)
+        before = _state(net, layer)
+        if taken:
+            popart_sgd_step(net, layer, _good_acts(net), 1.0, 0.1)
+            assert layer.normalizer.schedule.t == 1
+            return
+        with pytest.raises(ValueError, match=re.escape(f"layer scale {scale!r} at component 0 ")):
+            popart_sgd_step(net, layer, _good_acts(net), 1.0, 0.1)
+    after = _state(net, layer)
+    for key, value in before.items():
+        np.testing.assert_array_equal(after[key], value, err_msg=key)
 
 
 # -- acts: the forward pass a step learns from --------------------------------
