@@ -127,12 +127,13 @@ class DoubleQAgent:
     """Online double Q-learning on a state-action one-hot encoding.
 
     The codes are built once, as ``codes[s, a]`` of shape
-    ``(n_states, n_actions, n_states + n_actions)``, float64s, and may take
-    at most 2 GiB: a longer chain than 11584 states raises ``ValueError``
-    naming that limit before anything is built.  Every value the
-    agent reads comes from one stacked forward pass over the codes of a
-    run of states, ``codes[lo:hi]``, on the current parameters: the values
-    ``q[s, a]`` and each state's greedy action, ties to the lowest index.
+    ``(n_states, n_actions, n_states + n_actions)``, float64s whose ones are
+    set in place, and may take at most 2 GiB: a longer chain than 11584
+    states raises ``ValueError`` naming that limit before anything is
+    built.  Every value the agent reads comes from one stacked forward
+    pass over the codes of a run of states, ``codes[lo:hi]``, on the
+    current parameters: the values ``q[s, a]`` and each state's greedy
+    action, ties to the lowest index.
 
     The online network carries the adaptive normalization and picks the
     greedy action at the next state; the target network values it.  That
@@ -177,7 +178,10 @@ class DoubleQAgent:
         self.copy_period = copy_period
         self.rng = np.random.default_rng(seed)
         self.codes = np.zeros((mdp.n_states, mdp.n_actions, n_in))
-        self.codes[:, :, : mdp.n_states] = np.eye(mdp.n_states)[:, None, :]
+        # the ones set in place: an identity of n_states**2 floats to copy
+        # them from would take half as much memory again as the codes
+        states = np.arange(mdp.n_states)
+        self.codes[states, :, states] = 1.0
         self.codes[:, :, mdp.n_states :] = np.eye(mdp.n_actions)
         self.codes.flags.writeable = False
         self._all_codes = self.codes.reshape(-1, n_in)

@@ -17,8 +17,10 @@ Four schedules are provided, each built by the function of its name:
 A schedule hands out its step sizes in one way only:
 :meth:`StepSizeSchedule.step` advances the step count ``t``, which every
 schedule starts at 0 and no constructor takes, and returns ``beta_t`` for
-the new ``t``.  The statistics that own a schedule keep no count of their
-own; a :class:`~popart.stats.Normalizer`'s is its ``schedule.t``.
+the new ``t``.  :meth:`StepSizeSchedule.beta_at` gives the step size of
+any step and moves nothing.  The statistics that own a schedule keep no
+count of their own; a :class:`~popart.stats.Normalizer`'s is its
+``schedule.t``.
 
 Every step size lies in ``(0, 1]``, up to ``t = sys.maxsize``, the most
 steps a count holds: there ``beta_t`` is about 1.08e-17 for
@@ -52,28 +54,32 @@ class StepSizeSchedule:
         """Advance ``t`` by one and return ``beta_t``."""
         t = self.t + 1
         self.t = t
-        return self._beta_at(t)
+        return self.beta_at(t)
+
+    def beta_at(self, t: int) -> float:
+        """``beta_t`` for step ``t``, by the subclass's rule; ``t`` stays."""
+        raise NotImplementedError
 
 
 class _Constant(StepSizeSchedule):
-    def _beta_at(self, t: int) -> float:
+    def beta_at(self, t: int) -> float:
         return self.base_beta
 
 
 class _InverseT(StepSizeSchedule):
-    def _beta_at(self, t: int) -> float:
+    def beta_at(self, t: int) -> float:
         return 1.0 / t
 
 
 class _BiasCorrected(StepSizeSchedule):
-    def _beta_at(self, t: int) -> float:
+    def beta_at(self, t: int) -> float:
         if t == 1:
             return 1.0  # beta/(1-(1-beta)) exactly, free of rounding
         return self.base_beta / (1.0 - (1.0 - self.base_beta) ** t)
 
 
 class _Harmonic(StepSizeSchedule):
-    def _beta_at(self, t: int) -> float:
+    def beta_at(self, t: int) -> float:
         return self.base_beta / (1.0 + t / 1000.0)
 
 

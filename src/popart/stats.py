@@ -22,6 +22,8 @@ whose square is a finite double, and rejects larger ones.  Each update that
 moves the statistics takes one step of the normalizer's
 :class:`~popart.schedules.StepSizeSchedule`, so it advances
 ``normalizer.schedule.t`` by one; one that raises leaves it.
+:meth:`Normalizer.next_state` computes the same statistics and moves
+nothing, not even ``t``.
 
 Also provided:
 
@@ -66,6 +68,10 @@ class Normalizer:
     MAX]`` for some target :meth:`update` takes, or whose scales a rescale
     cannot take from 1 or into one another by a finite, positive ratio,
     are rejected here, before any step can move the statistics.
+    :meth:`next_state` gives what :meth:`update` would write, and writes
+    nothing, so a compensating step rescales its layer to exactly the next
+    scale, and raises there if no finite, positive ratio takes the layer's
+    scale to it, before the statistics move.
     """
 
     def __init__(
@@ -87,10 +93,8 @@ class Normalizer:
         # MAX_TARGET (at most MAX) plus at most epsilon; a step takes a
         # scale in [TINY, MAX] only, and rescales a layer from 1, a fresh
         # layer's scale, or from one of these scales to another by a ratio
-        # that must be finite and positive.  A step reads them to check a
-        # layer's scale before the statistics move
+        # that must be finite and positive
         lo, hi = (math.sqrt(v) / self.spread for v in (self.epsilon, MAX + self.epsilon))
-        self._scale_range = lo, hi
         if not (TINY <= lo and hi <= MAX and max(hi, 1.0) / min(lo, 1.0) < math.inf):
             raise ValueError(
                 f"invalid spread and epsilon: {spread!r} and {epsilon!r} put the scale in "
@@ -112,22 +116,24 @@ class Normalizer:
         """Scale per component: ``sqrt(var) / spread``."""
         return np.sqrt(self.var) / self.spread
 
-    def update(self, y) -> np.ndarray:
-        """Move ``mu`` and ``var`` toward the new target and return the new
-        :attr:`sigma`.
+    def next_state(self, y) -> tuple:
+        """The ``mu``, ``var`` and ``sigma`` that :meth:`update` gives for
+        ``y``, with nothing moved: ``schedule.t`` stays.  Each is a float
+        when ``k`` is 1, as a one-component target may be, and a new array
+        of ``k`` otherwise.
 
-        With ``d = y - mu``: ``mu += beta*d``, held within
-        :data:`MAX_TARGET`, and ``var = max((1 - beta)*var + (beta*(1 -
-        beta)*d)*d, epsilon)``, whose products stay within ``MAX``.  ``y``
-        is checked before anything moves: a non-finite target, or one above
+        With ``beta`` the schedule's next step size and ``d = y - mu``:
+        ``mu + beta*d``, held within :data:`MAX_TARGET`, and ``max((1 -
+        beta)*var + (beta*(1 - beta)*d)*d, epsilon)``, whose products stay
+        within ``MAX``.  A non-finite target, or one above
         :data:`MAX_TARGET` in magnitude, raises ``ValueError``.
         """
+        beta = self.schedule.beta_at(self.schedule.t + 1)
         if self.k == 1:
             # the same IEEE operations, in the same order, as the array
             # path below, on Python floats: for one component numpy's
             # per-call overhead is most of the cost
             (target,) = as_floats(y, 1, -MAX_TARGET, MAX_TARGET, "target")
-            beta = self.schedule.step()
             mu = self.mu.item()
             d = target - mu
             mu += beta * d
@@ -135,15 +141,22 @@ class Normalizer:
             if not -MAX_TARGET <= mu <= MAX_TARGET:
                 mu = math.copysign(MAX_TARGET, mu)
             var = max(self.var.item() * (1 - beta) + beta * (1 - beta) * d * d, self.epsilon)
-            self.mu[0], self.var[0] = mu, var
-            return np.array([math.sqrt(var) / self.spread])
+            return mu, var, math.sqrt(var) / self.spread
         arr = as_vector(y, self.k, -MAX_TARGET, MAX_TARGET, "target")
-        beta = self.schedule.step()
         d = arr - self.mu
-        self.mu += beta * d
-        np.clip(self.mu, -MAX_TARGET, MAX_TARGET, out=self.mu)
-        self.var[:] = np.maximum(self.var * (1 - beta) + beta * (1 - beta) * d * d, self.epsilon)
-        return self.sigma
+        mu = np.clip(self.mu + beta * d, -MAX_TARGET, MAX_TARGET)
+        var = np.maximum(self.var * (1 - beta) + beta * (1 - beta) * d * d, self.epsilon)
+        return mu, var, np.sqrt(var) / self.spread
+
+    def update(self, y) -> np.ndarray:
+        """Write :meth:`next_state`'s ``mu`` and ``var`` into the arrays
+        the normalizer holds, take one step of its schedule and return the
+        new :attr:`sigma`, an array.  A target :meth:`next_state` rejects
+        raises before anything moves."""
+        mu, var, sigma = self.next_state(y)
+        self.schedule.step()
+        self.mu[...], self.var[...] = mu, var
+        return np.array(sigma, ndmin=1)
 
     def normalize(self, y) -> np.ndarray:
         """``(y - mu) / sigma``, for a target :meth:`update` takes."""
@@ -159,7 +172,11 @@ def batch_stats(targets, spread: float = 1.0) -> tuple[float, float]:
     does not cancel when the spread is small next to the targets.  A batch
     whose sum or variance is past ``MAX``, the largest double, such as
     ``[1e200, -1e200]``, raises ``ValueError`` naming that limit.
+    ``spread`` is checked as a :class:`Normalizer`'s is, a positive finite
+    number; one so small that the scale passes ``MAX`` raises
+    ``ValueError`` naming the scale.
     """
+    check_setting("spread", spread, lambda s: 0.0 < real(s) < math.inf)
     arr = np.asarray(targets, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need at least 2 targets")
@@ -172,7 +189,10 @@ def batch_stats(targets, spread: float = 1.0) -> tuple[float, float]:
         var = float(((arr - mu) ** 2).mean())
     if not var < math.inf:
         raise ValueError(f"batch mean {mu:g} or variance {var:g} past the largest double, {MAX:g}")
-    return mu, math.sqrt(max(var, DEFAULT_EPSILON)) / spread
+    scale = math.sqrt(max(var, DEFAULT_EPSILON)) / spread
+    if not scale <= MAX:
+        raise ValueError(f"scale {scale:g} at spread {spread!r} past the largest double, {MAX:g}")
+    return mu, scale
 
 
 class _BoundsTracker:

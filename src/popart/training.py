@@ -170,9 +170,11 @@ class OutputLayer:
         A ratio ``sigma_old / sigma_new`` of 0 or not finite, which would
         take a row of ``W`` to 0 or inf, raises ``ValueError`` naming
         ``sigma`` before anything changes.  A finite ratio can still
-        overflow an entry of ``W`` or the new ``b``; that is not checked,
-        since a step rescales after its statistics moved and must not
-        raise then: its loss and gradient norm show it.
+        overflow an entry of ``W`` or the new ``b``; that is not checked.
+        In a step such an overflow shows as a non-finite loss or gradient
+        norm, at which a binreg run records its divergence and the agent's
+        training stops with ``FloatingPointError``; a raise here would
+        change how a diverging run is recorded.
 
         Output preservation is limited by cancellation: the new ``b``
         carries ``(mu_old - mu_new) / sigma_new``, and ``W h + b`` then loses
@@ -251,11 +253,14 @@ def _sgd_step(
     step learns from it what a pass of its own would give.  With
     ``_COMPENSATE`` or ``_ADOPT_RAW`` the new scale/shift is ``(sigma,
     mu)``, or, if ``sigma`` is None, the layer normalizer's statistics
-    after it absorbs ``y``.  With ``_RAW_TARGETS`` a given ``sigma`` only
-    divides the lower-layer seed by ``sigma**2``, which must be a positive
-    finite double.  Every input is checked once, before anything is
-    mutated; a target the normalizer absorbs is checked by
-    :meth:`Normalizer.update`, the first thing that moves.
+    after it absorbs ``y``: :meth:`Normalizer.next_state` computes them,
+    the layer adopts them, and :meth:`Normalizer.update` then writes them.
+    With ``_RAW_TARGETS`` a given ``sigma`` only divides the lower-layer
+    seed by ``sigma**2``, which must be a positive finite double.  Every
+    input is checked before anything is mutated: a target the normalizer
+    absorbs by :meth:`Normalizer.next_state`, and the ratio from the
+    layer's scale to the new one by :meth:`OutputLayer.rescale_to`, the
+    first thing that moves.
     """
     if len(acts) != len(net.layer_sizes):
         raise ValueError(
@@ -273,32 +278,26 @@ def _sgd_step(
     h = as_float_array(acts[-1])
     k = layer.k
     ys = as_floats(y, k, -MAX, MAX, "target")
-    if adoption != _RAW_TARGETS and sigma is None:
+    if absorb := adoption != _RAW_TARGETS and sigma is None:
         nrm = layer.normalizer
         if nrm is None:
             raise ValueError("layer has no normalizer attached")
         if nrm.k != k:
             raise ValueError(f"normalizer has {nrm.k} components, the layer {k} outputs")
-        if adoption == _COMPENSATE:
-            # the rescale from the layer's scale to any the update gives
-            # must multiply W by a finite, positive ratio
-            lo, hi = nrm._scale_range
-            for i, s_old in enumerate(layer.sigma.tolist()):
-                if not (0.0 < s_old / hi and s_old / lo < math.inf):
-                    raise ValueError(
-                        f"layer scale {s_old!r} at component {i} is beyond a rescale to "
-                        f"the normalizer's scales [{lo:g}, {hi:g}]"
-                    )
-        # the statistics update checks that y can be squared, the last
-        # check, before it moves
-        sigma, mu = nrm.update(y), nrm.mu
+        # the statistics after the update, which checks that y can be
+        # squared, computed before anything moves
+        mu, _, sigma = nrm.next_state(y)
     elif sigma is not None and adoption == _RAW_TARGETS:
         sigma = np.array(as_floats(sigma, k, _MIN_SEED_SCALE, MAX_TARGET, "sigma"))
     if adoption == _COMPENSATE:
+        # its ratio check, the last check, raises before it writes
         layer.rescale_to(sigma, mu)
     elif adoption == _ADOPT_RAW:
         # the normalizer keeps its scale and shift in range
         layer.sigma[...], layer.mu[...] = sigma, mu
+    if absorb:
+        # writes the statistics computed above; it cannot raise now
+        nrm.update(y)
 
     W, b, scale, shift = layer.W, layer.b, layer.sigma, layer.mu
     raw = adoption == _RAW_TARGETS
@@ -351,15 +350,12 @@ def popart_sgd_step(net, layer: OutputLayer, acts, y, alpha: float) -> TrainStep
 
     Order matters: the statistics absorb the new target first, then ``W``
     and ``b`` are rescaled so outputs are unchanged, and only then does
-    SGD consume the (bounded) normalized error.  Before anything moves, the
-    step checks that the rescale from the layer's scale, which a caller may
-    have set by hand, to every scale the normalizer can give, from
-    ``sqrt(epsilon) / spread`` to ``sqrt(MAX + epsilon) / spread``,
-    multiplies ``W`` by a finite, positive ratio; if not, it raises
-    ``ValueError`` naming both.  The check is conservative: it tests both
-    ends of that range, not the scale this update gives, so at the
-    defaults a layer scale below about ``3.3e-170`` or above about
-    ``1.8e306`` raises.
+    SGD consume the (bounded) normalized error.  The step computes the
+    statistics with :meth:`Normalizer.next_state`, rescales to them, and
+    only then has :meth:`Normalizer.update` write them.  So a layer scale,
+    which a caller may have set by hand, that no finite, positive ratio
+    takes to the next scale raises the rescale's ``ValueError`` naming
+    both scales, and nothing has moved; every other layer scale is taken.
     """
     return _sgd_step(net, layer, acts, y, alpha, _COMPENSATE)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,34 @@ def test_codes_are_state_action_one_hots():
             np.testing.assert_array_equal(agent.codes[s, a], expected)
     with pytest.raises(ValueError):
         agent.codes[0, 0, 0] = 2.0
+
+
+@pytest.mark.parametrize("n_states", [2, 5, 50])
+def test_codes_equal_the_codes_copied_from_identities(n_states):
+    # the codes were copied from np.eye(n_states) and np.eye(n_actions)
+    agent = DoubleQAgent(ChainMdp(n_states=n_states), seed=0)
+    n, n_actions = n_states, agent.mdp.n_actions
+    expected = np.zeros((n, n_actions, n + n_actions))
+    expected[:, :, :n] = np.eye(n)[:, None, :]
+    expected[:, :, n:] = np.eye(n_actions)
+    assert agent.codes.shape == expected.shape
+    assert agent.codes.tobytes() == expected.tobytes()
+
+
+def test_building_the_codes_takes_no_identity_of_the_chain():
+    # an identity of n_states**2 floats, 18 MB at 1500 states, was the
+    # temporary the ones were copied from, half as much again as the codes.
+    # A small agent first, so that what a first build loads once is not
+    # counted; the rest of the 2 MiB is about 1.5 MB of q_table()'s pass
+    DoubleQAgent(ChainMdp(n_states=3), seed=0)
+    tracemalloc.start()
+    try:
+        agent = DoubleQAgent(ChainMdp(n_states=1500), seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert agent.codes.nbytes == 1500 * 2 * 1502 * 8
+    assert peak <= agent.codes.nbytes + 2 * 2**20
 
 
 def test_batched_values_equal_per_action_predictions():

@@ -36,7 +36,7 @@ valid_scale = st.floats(1e-2, 1e100)
 valid_shift = st.floats(-1e100, 1e100)
 invalid_scale = st.sampled_from([0.0, -0.0, -1.0, -1e-300, math.nan, math.inf])
 invalid_shift = st.sampled_from([math.nan, math.inf, -math.inf])
-# beyond a rescale to or from the normalizer's scales at some target
+# beyond a rescale to or from the normalizer's next scale at some target
 extreme_scale = st.sampled_from([1e-300, 1e300])
 network_input = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)
 # a step's target: often one that takes the scale to either end of its range
@@ -175,8 +175,11 @@ class StepMachine(NormalizerLayerMachine):
             try:
                 popart_sgd_step(self.net, self.layer, self.net.forward_pass(x), y[: self.K], 1e-3)
             except ValueError as exc:
-                # a layer scale no rescale to the normalizer's scales reaches
-                assert str(exc).startswith("layer scale ")
+                # a layer scale set by hand that no finite, positive ratio
+                # takes to the next scale: the rescale raises, and the
+                # normalizer, whose next statistics the step computed
+                # without a write, has not moved either
+                assert str(exc).startswith("sigma ") and " the rescale from " in str(exc)
                 assert self._state() == before
                 return
         self.stepped = True

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -236,6 +238,63 @@ def test_one_component_update_matches_the_array_update(ys, kind, beta, spread, e
     assert one.mu is mu and one.var is var
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    k=st.sampled_from([1, 3]),
+    ys=st.lists(
+        st.lists(
+            st.one_of(st.floats(-MAX_TARGET, MAX_TARGET), st.sampled_from(REJECTED_TARGETS)),
+            min_size=3,
+            max_size=3,
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    kind=st.sampled_from([*sorted(SCHEDULES), "harmonic"]),
+    beta=st.floats(1e-4, 1.0),
+    spread=st.floats(1e-3, 1e3),
+    epsilon=st.floats(1e-300, 1e3),
+)
+def test_next_state_is_what_update_writes_and_moves_nothing(k, ys, kind, beta, spread, epsilon):
+    # next_state gives the bytes update then writes and returns, with the
+    # schedule's next step size, and moves nothing; it raises exactly
+    # where update raises, with the same message, and update then moves
+    # nothing either
+    if kind in ("constant", "bias_corrected"):
+        schedule = SCHEDULES[kind](beta)
+    else:
+        schedule = {"inverse_t": inverse_t, "harmonic": harmonic}[kind]()
+    n = Normalizer(k=k, spread=spread, epsilon=epsilon, schedule=schedule)
+
+    def state():
+        return n.schedule.t, n.mu.tobytes(), n.var.tobytes()
+
+    for y in ys:
+        target = y[0] if k == 1 else y
+        before = state()
+        try:
+            mu, var, sigma = n.next_state(target)
+        except ValueError as exc:
+            assert state() == before
+            with pytest.raises(ValueError) as again:
+                n.update(target)
+            assert str(again.value) == str(exc)
+            assert state() == before
+            continue
+        assert state() == before
+        # a float each at k = 1, new arrays of k otherwise
+        for value in (mu, var, sigma):
+            if k == 1:
+                assert type(value) is float
+            else:
+                assert value.shape == (k,) and value is not n.mu and value is not n.var
+        returned = n.update(target)
+        assert n.schedule.t == before[0] + 1
+        assert np.array(mu, ndmin=1).tobytes() == n.mu.tobytes()
+        assert np.array(var, ndmin=1).tobytes() == n.var.tobytes()
+        assert np.array(sigma, ndmin=1).tobytes() == returned.tobytes() == n.sigma.tobytes()
+
+
 @settings(deadline=None, max_examples=100)
 @given(
     ys=st.lists(st.floats(-MAX_TARGET, MAX_TARGET), min_size=1, max_size=20),
@@ -281,6 +340,23 @@ def test_batch_stats_errors():
         batch_stats([1.0])
     with pytest.raises(ValueError):
         batch_stats([1.0, math.nan])
+
+
+@pytest.mark.parametrize("spread", [-1.0, 0.0, math.nan, True])
+def test_batch_stats_rejects_a_spread_a_normalizer_rejects(spread):
+    # these gave the scale -0.5, ZeroDivisionError, NaN and 0.5
+    with pytest.raises(ValueError, match=f"^invalid spread: {re.escape(repr(spread))}$"):
+        batch_stats([1.0, 2.0], spread=spread)
+
+
+def test_batch_stats_names_a_scale_a_small_spread_takes_past_the_largest_double():
+    # the spread 1e-320 gave the scale inf
+    message = r"^scale inf at spread 1e-320 past the largest double, 1\.79769e\+308$"
+    with pytest.raises(ValueError, match=message):
+        batch_stats([1.0, 2.0], spread=1e-320)
+    # the smallest spread whose scale 0.5 / spread is finite is taken
+    spread = math.nextafter(0.5 / sys.float_info.max, math.inf)
+    assert batch_stats([1.0, 2.0], spread=spread)[1] <= sys.float_info.max
 
 
 @pytest.mark.parametrize(

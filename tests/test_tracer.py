@@ -54,7 +54,9 @@ def test_every_traced_function_resolves_and_is_restored():
 def test_traced_agent_runs_one_step_call_per_step():
     # the check perfbench/run.py --trace 1 makes: one traced step call per
     # learned transition; one call per transition to each layer the step
-    # goes through, so that the per-layer metrics keep timing them; and one
+    # goes through, so that the per-layer metrics keep timing them, and
+    # one schedule step, so that reading the next statistics ahead of the
+    # rescale leaves the schedule to the update; and one
     # forward pass per learned transition, act's, whether its action was
     # greedy or random, plus one per q_table() call
     tracer = _load_tracer()
@@ -67,6 +69,7 @@ def test_traced_agent_runs_one_step_call_per_step():
         "network.backward",
         "network.apply_param_step",
         "stats.Normalizer.update",
+        "schedules.StepSizeSchedule.step",
         "training.OutputLayer.rescale_to",
     ):
         assert counts[f"{layer}.calls"] == agent.step_count, layer
@@ -91,6 +94,9 @@ def test_traced_run_single_layer_calls_per_step(method):
     for name in ("network.forward_pass", "network.backward", "network.apply_param_step"):
         assert counts[f"{name}.calls"] == n, name
     assert counts["stats.Normalizer.update.calls"] == (0 if method == "sgd" else n)
+    # one schedule step per statistics update: computing the next
+    # statistics ahead of a rescale must not advance the schedule
+    assert counts["schedules.StepSizeSchedule.step.calls"] == (0 if method == "sgd" else n)
     assert counts["training.OutputLayer.rescale_to.calls"] == (n if method == "popart" else 0)
     assert counts["binreg.BinRegStream.sample.calls"] == n
 

@@ -682,21 +682,26 @@ def test_no_step_finds_its_normalizers_scale_out_of_range(spread, epsilon, beta,
 
 
 @pytest.mark.parametrize(
-    ("epsilon", "scale", "y"), [(1e-4, 1e-300, 1e30), (1e-300, 1e300, 0.0)], ids=["tiny", "huge"]
+    ("epsilon", "scale", "y", "next_scale", "ratio"),
+    [(1e-4, 1e-300, 1e30, 5e29, 0.0), (1e-300, 1e300, 0.0, 1e-150, math.inf)],
+    ids=["tiny", "huge"],
 )
-def test_popart_step_rejects_a_layer_scale_no_rescale_reaches_without_change(epsilon, scale, y):
+def test_popart_step_rejects_a_layer_scale_no_rescale_reaches_without_change(
+    epsilon, scale, y, next_scale, ratio
+):
     # a layer rescaled by hand to a scale whose ratio to the normalizer's
-    # next one is 0 or inf: the step raised in its rescale, after the
-    # statistics had moved (to t = 1, mu = 5e29 in the first case).  It now
-    # checks the layer's scale against the normalizer's scale range first
+    # next one is 0 or inf: the step's rescale raises, and since the step
+    # computes the next statistics before anything moves, the normalizer
+    # has not moved either (a step that updated first left t = 1 and mu =
+    # 5e29 in the first case)
     net = Mlp([2, 3], rng=0)
     nrm = Normalizer(k=1, epsilon=epsilon, schedule=constant(0.5))
     layer = OutputLayer(1, 3, normalizer=nrm, rng=1)
     layer.rescale_to([scale], [0.0])
     before = _state(net, layer)
-    # the range, [sqrt(epsilon), sqrt(MAX + epsilon)] at spread 1, is named
-    message = re.escape(f"layer scale {scale!r} at component 0 ") + ".* " + re.escape(
-        f"[{math.sqrt(epsilon):g}, {MAX_TARGET:g}]"
+    message = re.escape(
+        f"sigma {next_scale!r} at component 0: the rescale from {scale!r} "
+        f"would multiply W by {ratio!r}"
     )
     with pytest.raises(ValueError, match=message):
         popart_sgd_step(net, layer, net.forward_pass([0.3, -0.4]), y, 0.1)
@@ -705,15 +710,35 @@ def test_popart_step_rejects_a_layer_scale_no_rescale_reaches_without_change(eps
         np.testing.assert_array_equal(after[key], value, err_msg=key)
 
 
+# at constant(0.5) and the default epsilon, the scale the first update
+# gives: 0.5000499975... at the target 1, 0.01 (the floor) at 0 and 5e129
+# at 1e130; the largest layer scale whose ratio to the first is finite
+_NEXT_SCALE = math.sqrt(1e-4 * 0.5 + 0.5 * 0.5 * 1.0 * 1.0)
+_EDGE = 8.989364475941173e307
+assert _EDGE / _NEXT_SCALE < math.inf and math.nextafter(_EDGE, math.inf) / _NEXT_SCALE == math.inf
+
+
 @pytest.mark.parametrize(
-    ("scale", "taken"),
-    [(1e-200, False), (3.2e-170, False), (3.4e-170, True), (1.7e306, True), (1.8e306, False)],
+    ("scale", "y", "next_scale", "taken"),
+    [
+        (1e-200, 1.0, _NEXT_SCALE, True),
+        (1e-200, 1e130, 5e129, False),  # the ratio 2e-330 rounds to 0
+        (3.2e-170, 1.0, _NEXT_SCALE, True),
+        (3.4e-170, 1.0, _NEXT_SCALE, True),
+        (1.7e306, 0.0, 0.01, True),
+        (1.8e306, 1.0, _NEXT_SCALE, True),
+        (1.8e306, 0.0, 0.01, False),  # the ratio 1.8e308 rounds to inf
+        (_EDGE, 1.0, _NEXT_SCALE, True),
+        (math.nextafter(_EDGE, math.inf), 1.0, _NEXT_SCALE, False),
+    ],
 )
-def test_popart_step_checks_the_layer_scale_against_every_scale_not_the_next(scale, taken):
-    # the check is conservative: at the default epsilon the normalizer's
-    # scales run from 0.01 to sqrt(MAX), so a layer scale below about
-    # 3.3e-170 or above about 1.8e306 raises although the rescale to the
-    # scale this target gives, about 0.5, is finite and positive
+def test_popart_step_checks_the_layer_scale_against_every_scale_not_the_next(
+    scale, y, next_scale, taken
+):
+    # the step checks the layer's scale against the scale this target
+    # gives, exactly: one layer scale is taken at one target and rejected
+    # at another.  A check against both ends of the normalizer's range,
+    # [0.01, sqrt(MAX)], rejected 1e-200, 3.2e-170 and 1.8e306 at any target
     net = Mlp([2, 3], rng=0)
     layer = OutputLayer(1, 3, normalizer=Normalizer(k=1, schedule=constant(0.5)), rng=1)
     with np.errstate(over="ignore", invalid="ignore"):  # W may overflow: not a raise
@@ -721,11 +746,14 @@ def test_popart_step_checks_the_layer_scale_against_every_scale_not_the_next(sca
         popart_sgd_update(net, layer, _good_acts(net), 0.0, [scale], [0.0], 0.1)
         before = _state(net, layer)
         if taken:
-            popart_sgd_step(net, layer, _good_acts(net), 1.0, 0.1)
+            popart_sgd_step(net, layer, _good_acts(net), y, 0.1)
             assert layer.normalizer.schedule.t == 1
+            assert layer.sigma.tobytes() == np.array([next_scale]).tobytes()
+            assert layer.sigma.tobytes() == layer.normalizer.sigma.tobytes()
             return
-        with pytest.raises(ValueError, match=re.escape(f"layer scale {scale!r} at component 0 ")):
-            popart_sgd_step(net, layer, _good_acts(net), 1.0, 0.1)
+        message = re.escape(f"sigma {next_scale!r} at component 0: the rescale from {scale!r} ")
+        with pytest.raises(ValueError, match=message):
+            popart_sgd_step(net, layer, _good_acts(net), y, 0.1)
     after = _state(net, layer)
     for key, value in before.items():
         np.testing.assert_array_equal(after[key], value, err_msg=key)
