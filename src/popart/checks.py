@@ -121,8 +121,9 @@ def check_sgd_equivalence() -> tuple[bool, str]:
     net2 = net1.copy()
     w0 = rng.normal(size=(k, m)) * 0.3
     b0 = rng.normal(size=k) * 0.1
-    layer1 = OutputLayer(k, m, W=w0, b=b0)
-    layer2 = OutputLayer(k, m, W=w0, b=b0)
+    layer1, layer2 = OutputLayer(k, m, rng=0), OutputLayer(k, m, rng=0)
+    for layer in (layer1, layer2):
+        layer.W[...], layer.b[...] = w0, b0
     probes = rng.normal(size=(n_probes, 4))
     alpha = 1e-3
     worst_theta = 0.0

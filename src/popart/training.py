@@ -70,7 +70,7 @@ import numpy as np
 
 from .network import Mlp, product, stacked_product
 from .stats import MAX_TARGET, Normalizer
-from .values import MAX, TINY, as_finite_array, as_float_array, as_floats, check_setting, count
+from .values import MAX, TINY, as_float_array, as_floats, check_setting, count
 
 
 @dataclass
@@ -88,13 +88,12 @@ class OutputLayer:
     """Final linear layer ``W h + b`` with its scale/shift calibration.
 
     ``k`` is the number of outputs, ``m`` the width of the feature vector
-    it consumes.  ``W`` and ``b``, when given, are copied; they must have
-    shapes ``(k, m)`` and ``(k,)`` and finite entries.  Without ``W``, it
-    is drawn uniformly in ``[-1/sqrt(m), 1/sqrt(m)]`` from ``rng``: a
-    ``numpy.random.Generator``, which the draw advances, or a seed for
-    ``numpy.random.default_rng`` (None for fresh entropy).  ``sigma``
-    starts at ones and ``mu`` at zeros, matching a fresh identity
-    normalization.
+    it consumes.  ``W`` is drawn uniformly in ``[-1/sqrt(m), 1/sqrt(m)]``
+    from ``rng``: a ``numpy.random.Generator``, which the draw advances,
+    or a seed for ``numpy.random.default_rng`` (None for fresh entropy).
+    ``b`` starts at zeros, ``sigma`` at ones and ``mu`` at zeros, matching
+    a fresh identity normalization.  To start from given weights, write
+    them in place (``layer.W[...] = w``), as for :class:`Mlp`.
 
     ``b``, ``sigma`` and ``mu`` are float arrays of length ``k``, which
     a rescale and a step overwrite in place, component by component, on
@@ -102,25 +101,14 @@ class OutputLayer:
     ``W`` stay in numpy.  A stack of inputs is computed with numpy alone.
     """
 
-    def __init__(
-        self,
-        k: int,
-        m: int,
-        normalizer: Normalizer | None = None,
-        W: np.ndarray | None = None,
-        b: np.ndarray | None = None,
-        rng=None,
-    ):
+    def __init__(self, k: int, m: int, normalizer: Normalizer | None = None, rng=None):
         check_setting("k", k, lambda n: count(n) >= 1)
         check_setting("m", m, lambda n: count(n) >= 1)
         self.k = int(k)
         self.m = int(m)
-        # b is read first, so that a bad one leaves rng undrawn
-        self.b = np.zeros(k) if b is None else as_finite_array(b, (self.k,), "b")
-        if W is None:
-            bound = 1.0 / np.sqrt(m)
-            W = np.random.default_rng(rng).uniform(-bound, bound, size=(k, m))
-        self.W = as_finite_array(W, (self.k, self.m), "W")
+        bound = 1.0 / np.sqrt(m)
+        self.W = np.random.default_rng(rng).uniform(-bound, bound, size=(k, m))
+        self.b = np.zeros(k)
         self.sigma = np.ones(k)
         self.mu = np.zeros(k)
         self.normalizer = normalizer
@@ -356,6 +344,14 @@ def popart_sgd_step(net, layer: OutputLayer, acts, y, alpha: float) -> TrainStep
     which a caller may have set by hand, that no finite, positive ratio
     takes to the next scale raises the rescale's ``ValueError`` naming
     both scales, and nothing has moved; every other layer scale is taken.
+
+    The normalizer's bound covers the normalized target just after the
+    update, not the step's normalized error, which carries the preserved
+    prediction.  At a step size of 1 (``constant(1.0)``, or the first step
+    of ``bias_corrected``) the scale drops to its floor whatever the
+    target, and that error is unbounded: a target of 1e103 on a fresh
+    layer, whose output is near 0, gives a normalized error of about
+    -1e103 / 0.01 = -1e105 at the default floor.
     """
     return _sgd_step(net, layer, acts, y, alpha, _COMPENSATE)
 

@@ -6,9 +6,7 @@ that names it and, for a number, its limit.  :func:`as_vector` and
 :func:`as_floats` read ``k`` components, each in a closed interval
 ``[lo, hi]``, which NaN is never in: a finite value lies in ``[-MAX, MAX]``,
 a scale in ``[TINY, MAX]``.  :func:`check_setting`, with :func:`count`,
-:func:`real` and :func:`is_seed`, rejects a setting by its name;
-:func:`as_finite_array` reads an array-valued setting, such as an initial
-weight matrix.
+:func:`real` and :func:`is_seed`, rejects a setting by its name.
 
 At a boundary between the layers, a value is converted once at most: a
 float64 array of the expected shape, which is what the steps hand each
@@ -72,21 +70,6 @@ def as_floats(v, k: int, lo: float, hi: float, what: str) -> list[float]:
         else:
             return values
     return as_vector(v, k, lo, hi, what).tolist()
-
-
-def as_finite_array(a, shape: tuple, name: str) -> np.ndarray:
-    """A float64 copy of ``a``, the setting ``name``.  Unless it is numeric
-    with ``shape`` and finite entries, ``ValueError`` names the setting
-    and, for a wrong shape, both shapes."""
-    try:
-        arr = np.array(a, dtype=float)
-    except (TypeError, ValueError) as exc:  # not numbers, or a ragged nesting
-        raise ValueError(f"invalid {name}: {exc}") from exc
-    if arr.shape != shape:
-        raise ValueError(f"invalid {name}: expected shape {shape}, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"invalid {name}: every entry must be finite")
-    return arr
 
 
 def count(n) -> int:

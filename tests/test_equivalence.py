@@ -15,7 +15,8 @@ def _paired_setup(seed):
     net_a = Mlp([4, 6, 5], rng=rng)
     layer_a = OutputLayer(1, 5, rng=rng)
     net_b = net_a.copy()
-    layer_b = OutputLayer(1, 5, W=layer_a.W.copy(), b=layer_a.b.copy())
+    layer_b = OutputLayer(1, 5, rng=0)
+    layer_b.W[...], layer_b.b[...] = layer_a.W, layer_a.b
     return net_a, layer_a, net_b, layer_b
 
 

@@ -696,9 +696,7 @@ def test_importing_the_package_loads_no_process_pool():
     assert proc.stdout == "[]\n"
 
 
-VALUE_READERS = {
-    "as_finite_array", "as_float_array", "as_vector", "as_floats", "check_setting", "count", "real"
-}
+VALUE_READERS = {"as_float_array", "as_vector", "as_floats", "check_setting", "count", "real"}
 
 
 def _defined_names(tree: ast.Module) -> set:

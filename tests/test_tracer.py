@@ -122,6 +122,26 @@ def test_traced_run_grid_one_step_call_per_executed_step():
     assert counts["binreg.run_single.calls"] == 0
 
 
+def test_traced_run_grid_stops_drawing_once_every_run_of_a_seed_has_diverged():
+    # at alpha 1 every run has diverged by step 7, and a seed group whose
+    # runs have all diverged draws no further sample: 17 draws and stacked
+    # passes over both seeds, where 2 * 1010 would mean it ran on
+    tracer = _load_tracer()
+    n = 1010
+    config = ExperimentConfig(alphas=(1.0,), betas=(0.1, 0.01), n_samples=n, n_repetitions=2)
+    with tracer.Tracer().installed() as traced:
+        records, _ = run_grid(config)
+    counts = traced.call_counts()
+    assert all(r.diverged_at is not None and r.diverged_at <= 7 for r in records)
+    assert counts["binreg.BinRegStream.sample.calls"] == 17
+    assert counts["network.forward_pass.calls"] == 17
+    for rec in records:
+        ref = run_single(rec.method, rec.alpha, rec.beta, rec.seed, n_samples=n)
+        # tobytes, not array_equal, which finds NaN unequal to NaN
+        assert rec.rmse.tobytes() == ref.rmse.tobytes(), rec
+        assert rec.grad_norm.tobytes() == ref.grad_norm.tobytes(), rec
+
+
 def _perfbench_trace_check(workload):
     """One untraced and one traced repetition of ``workload``, each checked
     against perfbench/reference.json, the traced one also for one step call
