@@ -193,7 +193,13 @@ class DoubleQAgent:
 
     def _pass(self, lo: int, hi: int) -> _Pass:
         """One stacked forward pass over ``codes[lo:hi]``, on the current
-        parameters; raises ``IndexError`` unless ``0 <= lo < hi <= n_states``."""
+        parameters; raises ``IndexError`` unless ``0 <= lo < hi <= n_states``.
+
+        Each value ``q[s - lo, a]`` has the bytes that row's features give
+        through :meth:`OutputLayer.unnormalized_output` alone, and each
+        state's greedy action is ``argmax``'s: ties go to the lowest
+        action, and a NaN value wins.
+        """
         if not 0 <= lo < hi <= self.mdp.n_states:
             raise IndexError(f"states {lo}..{hi - 1} out of range for {self.mdp.n_states} states")
         n_actions = self.mdp.n_actions
@@ -318,7 +324,14 @@ def train(
     ``hook``, if given, is called with the
     :class:`~popart.training.TrainStepReport` of every learning step, in
     order, the diverging step's included.
+
+    ``max_steps`` must be a count, an int of at least 0 and not a bool, and
+    ``rel_tol`` None or a positive finite number; any other value raises
+    ``ValueError`` naming the setting before the first step.
     """
+    check_setting("max_steps", max_steps, lambda n: count(n) >= 0)
+    # NaN fails the comparison, so it is rejected too
+    check_setting("rel_tol", rel_tol, lambda t: t is None or 0.0 < real(t) < math.inf)
     q_star = exact_q_values(agent.mdp) if rel_tol is not None else None
     history, next_check = [], CHECK_EVERY
     # an overflow shows as the non-finite loss that stops training

@@ -23,7 +23,9 @@ moves the statistics takes one step of the normalizer's
 :class:`~popart.schedules.StepSizeSchedule`, so it advances
 ``normalizer.schedule.t`` by one; one that raises leaves it.
 :meth:`Normalizer.next_state` computes the same statistics and moves
-nothing, not even ``t``.
+nothing, not even ``t``.  A training step computes them once, with
+:meth:`Normalizer.next_state`, and hands them to :meth:`Normalizer.update`,
+which writes them as they are.
 
 Also provided:
 
@@ -120,7 +122,8 @@ class Normalizer:
         """The ``mu``, ``var`` and ``sigma`` that :meth:`update` gives for
         ``y``, with nothing moved: ``schedule.t`` stays.  Each is a float
         when ``k`` is 1, as a one-component target may be, and a new array
-        of ``k`` otherwise.
+        of ``k`` otherwise.  A step that computed them here hands them to
+        :meth:`update`, so they are computed once.
 
         With ``beta`` the schedule's next step size and ``d = y - mu``:
         ``mu + beta*d``, held within :data:`MAX_TARGET`, and ``max((1 -
@@ -148,15 +151,23 @@ class Normalizer:
         var = np.maximum(self.var * (1 - beta) + beta * (1 - beta) * d * d, self.epsilon)
         return mu, var, np.sqrt(var) / self.spread
 
-    def update(self, y) -> np.ndarray:
+    def update(self, y, *, _state: tuple | None = None) -> np.ndarray | None:
         """Write :meth:`next_state`'s ``mu`` and ``var`` into the arrays
         the normalizer holds, take one step of its schedule and return the
         new :attr:`sigma`, an array.  A target :meth:`next_state` rejects
-        raises before anything moves."""
-        mu, var, sigma = self.next_state(y)
+        raises before anything moves.
+
+        ``_state`` is a training step's private handover, not for other
+        callers: the step has called ``next_state(y)`` on the normalizer
+        as it stands, checked ``y`` there, and hands over what that call
+        returned, so ``update`` writes its ``mu`` and ``var`` without
+        computing them again, takes the schedule's step and returns None,
+        since the step holds ``sigma``.
+        """
+        mu, var, sigma = self.next_state(y) if _state is None else _state
         self.schedule.step()
         self.mu[...], self.var[...] = mu, var
-        return np.array(sigma, ndmin=1)
+        return np.array(sigma, ndmin=1) if _state is None else None
 
     def normalize(self, y) -> np.ndarray:
         """``(y - mu) / sigma``, for a target :meth:`update` takes."""

@@ -26,10 +26,13 @@ Four per-sample squared-loss SGD steps are provided:
 
 All four run through one private step core and differ only in how the
 new scale/shift is adopted and where ``sigma`` enters the lower-layer
-update.  Each step checks every input before it mutates ``net`` and
-``layer`` in place, and returns a :class:`TrainStepReport`.  Errors
-follow the convention ``delta = prediction - target``, with subtractive
-updates.
+update.  A step that adopts the normalizer's statistics computes them
+once, with :meth:`~popart.stats.Normalizer.next_state`, before anything
+moves, and hands them to :meth:`~popart.stats.Normalizer.update`, which
+writes them as they are.  Each step checks every input before it
+mutates ``net`` and ``layer`` in place, and returns a
+:class:`TrainStepReport`.  Errors follow the convention ``delta =
+prediction - target``, with subtractive updates.
 
 A step works on vectors of length ``k``, the number of outputs, which is
 small; numpy's overhead per call would dominate them.  So the per-output
@@ -48,7 +51,9 @@ the lower layers' seed ``delta W`` contracts ``k``; each runs ``.dot``
 where that count is at least 2 and ``@`` where it is 1, as ``delta W`` is
 in the sweep and the agent (``k = 1``).  A layer picks its two routes
 when it is built.  Outputs for a stack of features, through one layer or
-a stack of layers, go through :func:`popart.network.stacked_product`.
+a stack of layers, go through :func:`popart.network.stacked_product`;
+each finishes ``sigma * (o + b) + mu`` in place on that product, with
+no temporaries.
 The three dot products behind the gradient norm, ``g.g``,
 ``delta.delta`` and ``h.h``, run ``.dot``, the routine ``@`` runs for two
 vectors.  The network's backward pass reuses its gradient buffer (see
@@ -145,7 +150,13 @@ class OutputLayer:
         """``sigma * (W h + b) + mu``, row by row for a stack."""
         h = as_float_array(h)
         if h.ndim > 1:
-            return self.sigma * (stacked_product(self.W, h) + self.b) + self.mu
+            # in place on the fresh product, with no temporaries: out *=
+            # sigma gives the bits of sigma * out, as sigma is never NaN
+            out = stacked_product(self.W, h)
+            out += self.b
+            out *= self.sigma
+            out += self.mu
+            return out
         out = self._matvec(self.W, h)
         b, sigma, mu = self.b, self.sigma, self.mu
         for i in range(self.k):
@@ -242,7 +253,8 @@ def _sgd_step(
     ``_COMPENSATE`` or ``_ADOPT_RAW`` the new scale/shift is ``(sigma,
     mu)``, or, if ``sigma`` is None, the layer normalizer's statistics
     after it absorbs ``y``: :meth:`Normalizer.next_state` computes them,
-    the layer adopts them, and :meth:`Normalizer.update` then writes them.
+    the layer adopts them, and :meth:`Normalizer.update` then writes them
+    as computed, handed over as its private ``_state``.
     With ``_RAW_TARGETS`` a given ``sigma`` only divides the lower-layer
     seed by ``sigma**2``, which must be a positive finite double.  Every
     input is checked before anything is mutated: a target the normalizer
@@ -273,8 +285,9 @@ def _sgd_step(
         if nrm.k != k:
             raise ValueError(f"normalizer has {nrm.k} components, the layer {k} outputs")
         # the statistics after the update, which checks that y can be
-        # squared, computed before anything moves
-        mu, _, sigma = nrm.next_state(y)
+        # squared, computed before anything moves and written by update
+        state = nrm.next_state(y)
+        mu, _, sigma = state
     elif sigma is not None and adoption == _RAW_TARGETS:
         sigma = np.array(as_floats(sigma, k, _MIN_SEED_SCALE, MAX_TARGET, "sigma"))
     if adoption == _COMPENSATE:
@@ -285,7 +298,7 @@ def _sgd_step(
         layer.sigma[...], layer.mu[...] = sigma, mu
     if absorb:
         # writes the statistics computed above; it cannot raise now
-        nrm.update(y)
+        nrm.update(y, _state=state)
 
     W, b, scale, shift = layer.W, layer.b, layer.sigma, layer.mu
     raw = adoption == _RAW_TARGETS
@@ -339,11 +352,12 @@ def popart_sgd_step(net, layer: OutputLayer, acts, y, alpha: float) -> TrainStep
     Order matters: the statistics absorb the new target first, then ``W``
     and ``b`` are rescaled so outputs are unchanged, and only then does
     SGD consume the (bounded) normalized error.  The step computes the
-    statistics with :meth:`Normalizer.next_state`, rescales to them, and
-    only then has :meth:`Normalizer.update` write them.  So a layer scale,
-    which a caller may have set by hand, that no finite, positive ratio
-    takes to the next scale raises the rescale's ``ValueError`` naming
-    both scales, and nothing has moved; every other layer scale is taken.
+    statistics once, with :meth:`Normalizer.next_state`, rescales to them,
+    and only then has :meth:`Normalizer.update` write them as computed.
+    So a layer scale, which a caller may have set by hand, that no finite,
+    positive ratio takes to the next scale raises the rescale's
+    ``ValueError`` naming both scales, and nothing has moved; every other
+    layer scale is taken.
 
     The normalizer's bound covers the normalized target just after the
     update, not the step's normalized error, which carries the preserved

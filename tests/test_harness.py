@@ -169,6 +169,26 @@ def test_run_single_one_forward_pass_per_step(method, monkeypatch):
     assert len(calls) == 300
 
 
+@pytest.mark.parametrize("method", sorted(GOLDEN_SINGLE))
+def test_run_single_computes_the_next_statistics_once_per_step(method, monkeypatch):
+    # a popart or art step computes the statistics with next_state and
+    # hands them to update, which writes them; normalized_sgd's update
+    # computes them itself; plain SGD has none.  Computing them twice a
+    # step was waste
+    calls = []
+    next_state = Normalizer.next_state
+
+    def counted(self, y):
+        calls.append(1)
+        return next_state(self, y)
+
+    monkeypatch.setattr(Normalizer, "next_state", counted)
+    (alpha, beta), _, _ = GOLDEN_SINGLE[method]
+    rec = run_single(method, alpha, beta, seed=1000, n_samples=300)
+    assert not rec.diverged
+    assert len(calls) == (0 if method == "sgd" else 300)
+
+
 def test_run_single_reproducible():
     a = run_single("popart", 1e-2, 0.1, seed=7, n_samples=300)
     b = run_single("popart", 1e-2, 0.1, seed=7, n_samples=300)

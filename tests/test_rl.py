@@ -164,6 +164,76 @@ def test_double_q_target_tie_breaks_to_lowest_action():
     assert target == pytest.approx(0.99 * 3.0)
 
 
+def _act_pass_agent():
+    """An agent whose act pass at state 0 has the shapes of every step's:
+    4 rows (two states, two actions), 20 features, one output."""
+    agent = DoubleQAgent(ChainMdp(), seed=0)
+    assert agent.layer.W.shape == (1, 20)
+    return agent
+
+
+def test_a_nan_action_value_wins_the_greedy_choice_even_over_inf():
+    # features 0 and 1 are tanh(1) and tanh(tanh(+-1)), the sign following
+    # the action: with W = (inf, -inf, 0, ...) an ADVANCE row's value is
+    # inf + inf and a STAY row's inf - inf, NaN
+    agent = _act_pass_agent()
+    n_states, stay = agent.mdp.n_states, ChainMdp.STAY
+    for w, b in zip(agent.net.weights, agent.net.biases):
+        w[...], b[...] = 0.0, 0.0
+    agent.net.weights[0][0, n_states + stay] = 2.0
+    agent.net.biases[0][0] = -1.0
+    agent.net.biases[1][0] = 1.0
+    agent.net.weights[1][1, 0] = 1.0
+    agent.layer.W[...] = 0.0
+    agent.layer.W[0, :2] = math.inf, -math.inf
+    with np.errstate(invalid="ignore"):
+        seen = agent._pass(0, 2)
+    assert seen.q.shape == (2, 2)
+    assert (seen.q[:, ChainMdp.ADVANCE] == math.inf).all() and np.isnan(seen.q[:, stay]).all()
+    assert seen.greedy == [stay, stay]
+
+
+def test_tied_action_values_go_to_the_lowest_action():
+    agent = _act_pass_agent()
+    agent.layer.W[...] = 0.0
+    agent.layer.b[...] = 0.25
+    seen = agent._pass(0, 2)
+    assert (seen.q == seen.q[0, 0]).all() and seen.greedy == [0, 0]
+
+
+# values that take a product or a sum to inf, NaN, a signed zero or rounding
+special = st.one_of(
+    st.sampled_from(
+        [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, -1.5, 1e300, -1e308]
+    ),
+    st.floats(-4.0, 4.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    w=st.lists(special, min_size=20, max_size=20),
+    b=special,
+    sigma=st.one_of(st.sampled_from([5e-324, 1e-300, 1e300]), st.floats(1e-3, 1e3)),
+    mu=st.one_of(st.sampled_from([0.0, -0.0, -1e308, 1e308]), st.floats(-1e3, 1e3)),
+    hidden=st.lists(special, min_size=20, max_size=20),
+)
+def test_act_pass_values_equal_per_row_outputs_bytewise(w, b, sigma, mu, hidden):
+    # the pass finishes sigma * (W h + b) + mu on the whole stack; each
+    # row must give the bytes of that row's features through the layer
+    # alone, NaN signs and signed zeros included.  The first feature's
+    # weights take such values too, so that it holds NaN, +-1 or a zero
+    agent = _act_pass_agent()
+    agent.net.weights[-1][0] = hidden
+    layer = agent.layer
+    layer.W[0], layer.b[0], layer.sigma[0], layer.mu[0] = w, b, sigma, mu
+    with np.errstate(all="ignore"):
+        seen = agent._pass(0, 2)
+        rows = [layer.unnormalized_output(h) for h in seen.acts[-1]]
+    assert seen.q.tobytes() == np.concatenate(rows).tobytes()
+    assert seen.greedy == [int(np.argmax(r)) for r in seen.q]
+
+
 def test_fresh_target_net_equals_online_net():
     agent = DoubleQAgent(ChainMdp(), seed=1)
     assert agent.target_q.shape == (4, 2)
@@ -653,6 +723,30 @@ def test_train_stops_at_max_steps_exactly():
     assert agent.step_count == 3000 == sum(m.steps for m in history)
     assert history[-1].total_reward == 0.0
     assert train(agent, max_steps=3000) == []
+
+
+@pytest.mark.parametrize(
+    ("setting", "value"),
+    [
+        # True ran one step, 2.5 raised a bare TypeError from range
+        ("max_steps", True),
+        ("max_steps", 2.5),
+        ("max_steps", -1),
+        # none of these ever stopped training early, and nothing warned
+        ("rel_tol", math.nan),
+        ("rel_tol", 0.0),
+        ("rel_tol", -1.0),
+        ("rel_tol", math.inf),
+        ("rel_tol", True),
+    ],
+)
+def test_train_rejects_a_bad_setting_by_name_before_any_step(setting, value):
+    agent = DoubleQAgent(ChainMdp(terminal_reward=1e3), seed=0)
+    before = _untouched(agent)
+    kwargs = {"max_steps": 10, "rel_tol": 0.05, setting: value}
+    with pytest.raises(ValueError, match=rf"^invalid {setting}: "):
+        train(agent, **kwargs)
+    assert _untouched(agent) == before
 
 
 @pytest.mark.parametrize(

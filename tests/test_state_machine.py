@@ -5,8 +5,10 @@ call: ``sigma`` is finite and positive, a rescale preserved the
 unnormalized outputs on fixed probes, and a call that raised changed
 nothing.  The machine runs with one output, which the normalizer updates
 on Python floats, and with two, which it updates as arrays.  A second
-machine adds a network under the layer, popart steps and rescales by hand
-to extreme scales.
+machine adds a network under the layer, popart and art-only steps and
+rescales by hand to extreme scales; each step that goes through leaves the
+normalizer's ``mu`` and ``var`` at the ``next_state`` of its target, and
+its schedule one step on.
 """
 
 import math
@@ -20,7 +22,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from popart.network import Mlp
 from popart.schedules import bias_corrected, constant
 from popart.stats import MAX_TARGET, Normalizer
-from popart.training import OutputLayer, popart_sgd_step
+from popart.training import OutputLayer, art_only_sgd_step, popart_sgd_step
 
 M = 3
 # fixed feature vectors the unnormalized outputs are compared on
@@ -127,9 +129,11 @@ class OneOutputMachine(NormalizerLayerMachine):
 
 
 class StepMachine(NormalizerLayerMachine):
-    """The machine above with a network under the layer, popart steps and
-    rescales by hand to extreme scales, after which a step must raise and
-    change nothing, or go through.
+    """The machine above with a network under the layer, popart and
+    art-only steps and rescales by hand to extreme scales, after which a
+    step must raise and change nothing, or go through.  A step that goes
+    through writes the statistics ``next_state`` gave for its target just
+    before it, byte for byte, and moves ``schedule.t`` by exactly one.
 
     A step can take ``W`` where a later rescale overflows: at ``beta = 1``
     its normalized error is the shift's jump over the floored scale, 1e105
@@ -167,13 +171,15 @@ class StepMachine(NormalizerLayerMachine):
                 # from a scale set by hand that no finite ratio leaves
                 assert self._state() == before
 
-    @rule(x=network_input, y=st.lists(step_target, min_size=2, max_size=2))
-    def popart_step(self, x, y):
+    def _step(self, step, x, y):
+        nrm, target = self.nrm, y[: self.K]
         before = self._state()
+        mu, var, _ = nrm.next_state(target)
+        t = nrm.schedule.t
         # W may overflow, which the step's loss and gradient norm show
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                popart_sgd_step(self.net, self.layer, self.net.forward_pass(x), y[: self.K], 1e-3)
+                step(self.net, self.layer, self.net.forward_pass(x), target, 1e-3)
             except ValueError as exc:
                 # a layer scale set by hand that no finite, positive ratio
                 # takes to the next scale: the rescale raises, and the
@@ -183,6 +189,19 @@ class StepMachine(NormalizerLayerMachine):
                 assert self._state() == before
                 return
         self.stepped = True
+        # the statistics the step computed once and update wrote
+        assert nrm.mu.tobytes() == np.array(mu, ndmin=1).tobytes()
+        assert nrm.var.tobytes() == np.array(var, ndmin=1).tobytes()
+        assert nrm.schedule.t == t + 1
+
+    @rule(x=network_input, y=st.lists(step_target, min_size=2, max_size=2))
+    def popart_step(self, x, y):
+        self._step(popart_sgd_step, x, y)
+
+    @rule(x=network_input, y=st.lists(step_target, min_size=2, max_size=2))
+    def art_only_step(self, x, y):
+        # adopts the next scale as it is, with no rescale to raise
+        self._step(art_only_sgd_step, x, y)
 
     @rule(
         scale=extreme_scale,

@@ -254,12 +254,17 @@ def test_one_component_update_matches_the_array_update(ys, kind, beta, spread, e
     beta=st.floats(1e-4, 1.0),
     spread=st.floats(1e-3, 1e3),
     epsilon=st.floats(1e-300, 1e3),
+    handed=st.booleans(),
 )
-def test_next_state_is_what_update_writes_and_moves_nothing(k, ys, kind, beta, spread, epsilon):
+def test_next_state_is_what_update_writes_and_moves_nothing(
+    k, ys, kind, beta, spread, epsilon, handed
+):
     # next_state gives the bytes update then writes and returns, with the
     # schedule's next step size, and moves nothing; it raises exactly
     # where update raises, with the same message, and update then moves
-    # nothing either
+    # nothing either.  Handed to update as its private _state, as a step does, the
+    # same bytes are written, with the same schedule step, and update
+    # returns None
     if kind in ("constant", "bias_corrected"):
         schedule = SCHEDULES[kind](beta)
     else:
@@ -288,11 +293,15 @@ def test_next_state_is_what_update_writes_and_moves_nothing(k, ys, kind, beta, s
                 assert type(value) is float
             else:
                 assert value.shape == (k,) and value is not n.mu and value is not n.var
-        returned = n.update(target)
+        returned = n.update(target, _state=(mu, var, sigma)) if handed else n.update(target)
         assert n.schedule.t == before[0] + 1
         assert np.array(mu, ndmin=1).tobytes() == n.mu.tobytes()
         assert np.array(var, ndmin=1).tobytes() == n.var.tobytes()
-        assert np.array(sigma, ndmin=1).tobytes() == returned.tobytes() == n.sigma.tobytes()
+        assert np.array(sigma, ndmin=1).tobytes() == n.sigma.tobytes()
+        if handed:
+            assert returned is None
+        else:
+            assert returned.tobytes() == n.sigma.tobytes()
 
 
 @settings(deadline=None, max_examples=100)
