@@ -7,16 +7,13 @@ targets are normalized before they ever reach the optimizer.
 Run:  python3 demos/chain_values.py
 """
 
-import numpy as np
-
-from popart.rl import ChainMdp, DoubleQAgent, train, value_iteration
+from popart.rl import ChainMdp, DoubleQAgent, relative_q_error, train, value_iteration
 
 for reward in (1.0, 1000.0, 1e6):
     mdp = ChainMdp(terminal_reward=reward)
     agent = DoubleQAgent(mdp, seed=0)
     train(agent, max_steps=50_000, rel_tol=0.05)
-    q_star = value_iteration(mdp)
-    err = np.max(np.abs(agent.q_table() - q_star) / np.abs(q_star))
+    err = relative_q_error(agent.q_table(), value_iteration(mdp))
     print(
         f"terminal reward {reward:>9g}: max relative Q error {err:6.3f} "
         f"after {agent.step_count:>6d} steps "

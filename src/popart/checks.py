@@ -95,9 +95,9 @@ def check_output_preservation() -> tuple[bool, str]:
         k = int(rng.integers(1, 4))
         m = int(rng.integers(1, 8))
         layer = OutputLayer(k, m, rng=rng)
-        layer.b = rng.normal(size=k)
-        layer.sigma = 10.0 ** rng.uniform(-3, 3, k)
-        layer.mu = rng.normal(size=k) * 10.0 ** rng.uniform(-2, 4)
+        layer.b[...] = rng.normal(size=k)
+        layer.sigma[...] = 10.0 ** rng.uniform(-3, 3, k)
+        layer.mu[...] = rng.normal(size=k) * 10.0 ** rng.uniform(-2, 4)
         h = rng.normal(size=m)
         before = layer.unnormalized_output(h)
         layer.rescale_to(10.0 ** rng.uniform(-3, 3, k), rng.normal(size=k) * 100)

@@ -115,7 +115,7 @@ _RL_AGENT_KEYS = ("hidden", "alpha", "beta", "epsilon_greedy", "copy_period")
 
 def cmd_rl_demo(args) -> int:
     from .binreg import atomic_open
-    from .rl import ChainMdp, DoubleQAgent, exact_q_values, train
+    from .rl import ChainMdp, DoubleQAgent, exact_q_values, relative_q_error, train
 
     cfg = _load_config(args.config)
     if args.steps < 0:
@@ -144,7 +144,7 @@ def cmd_rl_demo(args) -> int:
         # weights that grew past the largest double show in the Q table
         with np.errstate(over="ignore", invalid="ignore"):
             q = agent.q_table()
-            rel_err = float(np.max(np.abs(q - q_star) / np.abs(q_star)))
+            rel_err = relative_q_error(q, q_star)
         if not np.isfinite(q).all():
             raise FloatingPointError(
                 f"training diverged by step {agent.step_count}: non-finite Q values "

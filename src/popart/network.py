@@ -42,6 +42,8 @@ unpickled or stacked is bound again, so its plan is its own.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .values import as_float_array, check_setting, count
@@ -187,10 +189,10 @@ class Mlp:
 
     def __setstate__(self, state: dict) -> None:
         """Rebuild ``weights``, ``biases`` and the gradient buffer as views
-        of the restored parameters.  No command pickles or deep copies a
-        network, but the pair stays: without it each view would be copied
-        on its own, detached from ``theta``, and a step on the copy would
-        not move its output."""
+        of the restored parameters.  This pair is the one rebuild path:
+        :meth:`copy` is a deep copy, and goes through it.  Without it each
+        view would be copied on its own, detached from ``theta``, and a
+        step on the copy would not move its output."""
         self.layer_sizes = list(state["layer_sizes"])
         self._bind(state["theta"])
 
@@ -275,10 +277,8 @@ class Mlp:
         self._theta -= alpha * direction
 
     def copy(self) -> "Mlp":
-        other = Mlp.__new__(Mlp)
-        other.layer_sizes = list(self.layer_sizes)
-        other._bind(self._theta.copy())
-        return other
+        """A network with parameters of its own: :func:`copy.deepcopy`."""
+        return copy.deepcopy(self)
 
 
 class _Stack(Mlp):

@@ -110,6 +110,11 @@ class EpisodeMetrics:
 MAX_EPISODE_STEPS = 100
 
 
+def _is_step_count(n) -> bool:
+    """The rule of a ``max_steps``: a count, an int of at least 0 and not a bool."""
+    return count(n) >= 0
+
+
 class _Pass(NamedTuple):
     """A stacked forward pass over ``codes[lo:hi]``: its activations, one
     row per code in ``codes`` order, the values ``q[s - lo, a]``, the
@@ -258,8 +263,11 @@ class DoubleQAgent:
 
         Raises ``FloatingPointError`` at the first step whose squared loss
         or gradient norm is not finite: the network has diverged.  ``hook``
-        sees that step's report before the error is raised.
+        sees that step's report before the error is raised.  ``max_steps``
+        must be a count, as for :func:`train`; any other value raises
+        ``ValueError`` naming it before the first step.
         """
+        check_setting("max_steps", max_steps, _is_step_count)
         metrics = EpisodeMetrics(steps=0, total_reward=0.0)
         s = 0
         for _ in range(min(max_steps, MAX_EPISODE_STEPS)):
@@ -298,6 +306,12 @@ def exact_q_values(mdp: ChainMdp) -> np.ndarray:
     return q_star
 
 
+def relative_q_error(q: np.ndarray, q_star: np.ndarray) -> float:
+    """``max(|q - q_star| / |q_star|)`` over the table: the largest error of
+    a learned value relative to its exact one, NaN if one is NaN."""
+    return float((np.abs(q - q_star) / np.abs(q_star)).max())
+
+
 CHECK_EVERY = 2000
 
 
@@ -329,7 +343,7 @@ def train(
     ``rel_tol`` None or a positive finite number; any other value raises
     ``ValueError`` naming the setting before the first step.
     """
-    check_setting("max_steps", max_steps, lambda n: count(n) >= 0)
+    check_setting("max_steps", max_steps, _is_step_count)
     # NaN fails the comparison, so it is rejected too
     check_setting("rel_tol", rel_tol, lambda t: t is None or 0.0 < real(t) < math.inf)
     q_star = exact_q_values(agent.mdp) if rel_tol is not None else None
@@ -340,6 +354,6 @@ def train(
             history.append(agent.train_episode(hook, max_steps - agent.step_count))
             if q_star is not None and agent.step_count >= next_check:
                 next_check = agent.step_count + CHECK_EVERY
-                if float((np.abs(agent.q_table() - q_star) / np.abs(q_star)).max()) <= rel_tol:
+                if relative_q_error(agent.q_table(), q_star) <= rel_tol:
                     break
     return history

@@ -25,7 +25,9 @@ moves the statistics takes one step of the normalizer's
 :meth:`Normalizer.next_state` computes the same statistics and moves
 nothing, not even ``t``.  A training step computes them once, with
 :meth:`Normalizer.next_state`, and hands them to :meth:`Normalizer.update`,
-which writes them as they are.
+which writes them as they are.  Either way :meth:`Normalizer.update`
+returns the new scale as :meth:`Normalizer.next_state` gives it: a float
+when ``k`` is 1, a new array of ``k`` otherwise.
 
 Also provided:
 
@@ -151,23 +153,24 @@ class Normalizer:
         var = np.maximum(self.var * (1 - beta) + beta * (1 - beta) * d * d, self.epsilon)
         return mu, var, np.sqrt(var) / self.spread
 
-    def update(self, y, *, _state: tuple | None = None) -> np.ndarray | None:
+    def update(self, y, *, _state: tuple | None = None) -> float | np.ndarray:
         """Write :meth:`next_state`'s ``mu`` and ``var`` into the arrays
-        the normalizer holds, take one step of its schedule and return the
-        new :attr:`sigma`, an array.  A target :meth:`next_state` rejects
-        raises before anything moves.
+        the normalizer holds, take one step of its schedule and return
+        :meth:`next_state`'s ``sigma``, the new scale: a float when ``k``
+        is 1 and a new array of ``k`` otherwise.  A target
+        :meth:`next_state` rejects raises before anything moves.
 
         ``_state`` is a training step's private handover, not for other
         callers: the step has called ``next_state(y)`` on the normalizer
         as it stands, checked ``y`` there, and hands over what that call
         returned, so ``update`` writes its ``mu`` and ``var`` without
-        computing them again, takes the schedule's step and returns None,
-        since the step holds ``sigma``.
+        computing them again, takes the schedule's step and returns the
+        ``sigma`` handed over.
         """
         mu, var, sigma = self.next_state(y) if _state is None else _state
         self.schedule.step()
         self.mu[...], self.var[...] = mu, var
-        return np.array(sigma, ndmin=1) if _state is None else None
+        return sigma
 
     def normalize(self, y) -> np.ndarray:
         """``(y - mu) / sigma``, for a target :meth:`update` takes."""

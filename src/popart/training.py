@@ -175,13 +175,29 @@ class OutputLayer:
         training stops with ``FloatingPointError``; a raise here would
         change how a diverging run is recorded.
 
-        Output preservation is limited by cancellation: the new ``b``
-        carries ``(mu_old - mu_new) / sigma_new``, and ``W h + b`` then loses
-        what is below that term's rounding.  A shift far outside the
-        outputs erases them without a raise:
+        Output preservation holds to a stated float bound.  For each
+        output, with ``m`` features ``h``, ``u = 2**-53`` and ``E =
+        sigma_old*(|W||h| + |b|) + |mu_old| + |mu_new|``, taken before the
+        rescale with ``|W||h| = sum_j |W_j| |h_j|`` over the output's row,
+        the output after the rescale is within ``(2m + 9) u E`` of the one
+        before, wherever nothing overflows and no product or quotient
+        rounds below ``2**-1022``.  With ``gamma(n) = n u / (1 - n u)``,
+        the output before is within ``gamma(m + 3) E`` of the exact
+        ``sigma_old*(W h + b) + mu_old`` and the output after within
+        ``gamma(m + 6) E``: a term of ``W h`` rounds at most ``m`` times,
+        the rescaled ``W`` adds two roundings, the new ``b`` four and the
+        finish ``sigma*(. + b) + mu`` three.  Summed term by term, the two
+        give ``gamma(2m + 8) E``, at most ``(2m + 9) u E`` for ``m`` below
+        ``10**7``.  The bound is relative to ``E``, not to the output: the
+        new ``b`` carries ``(mu_old - mu_new) / sigma_new``, and ``W h + b``
+        then loses what is below that term's rounding.  So a shift far
+        outside the outputs erases them inside the bound, without a raise:
         ``OutputLayer(1, 3, rng=0).rescale_to([1.0], [1e308])`` sets ``b``
         to -1e308 and takes the output at features ``(0.5, -1, 0.25)`` from
-        0.2124 to 0.0.
+        0.2124 to 0.0, an error of 1.9e-293 times ``u E``.  A ratio
+        ``sigma_old / sigma_new`` below ``2**-1022`` is subnormal and carries
+        fewer bits, so the bound does not cover it: from a scale of 1e-300,
+        a rescale to 1e20 moves that output by 1e12 times ``u E``.
         """
         sigma_new = as_floats(sigma_new, self.k, TINY, MAX, "sigma")
         mu_new = as_floats(mu_new, self.k, -MAX, MAX, "mu")

@@ -10,10 +10,11 @@ import math
 import os
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from popart import checks
@@ -21,6 +22,7 @@ from popart.binreg import ExperimentConfig, run_grid
 from popart.rl import ChainMdp, DoubleQAgent, train, value_iteration
 from popart.schedules import bias_corrected, constant, harmonic, inverse_t
 from popart.stats import MAX_TARGET, Normalizer
+from popart.training import OutputLayer
 
 _CAPSYS = None
 
@@ -143,6 +145,77 @@ def test_criterion_02_output_preservation():
     _assert_check(
         2, "rescale preserves outputs", checks.check_output_preservation(), budget=10.0
     )
+
+
+# Gate 2 checks a relative drift on moderate layers.  The rescale's float
+# bound, stated in OutputLayer.rescale_to, holds at any magnitude where
+# nothing overflows or underflows; it is checked here against the exact
+# output, in rational arithmetic.
+
+U = Fraction(1, 2**53)
+
+
+def _gamma(n):
+    return n * U / (1 - n * U)
+
+
+# 0 or a magnitude from 2**-100 up: every nonzero product and quotient of a
+# rescale and its outputs is then 2**-1022 or more, so none underflows
+_MAGNITUDES = st.one_of(st.just(0.0), st.floats(2.0**-100, MAX_TARGET))
+_SIGNED = st.builds(math.copysign, _MAGNITUDES, st.sampled_from([1.0, -1.0]))
+_SCALES = st.floats(2.0**-100, MAX_TARGET)
+
+
+@st.composite
+def _rescales(draw):
+    """``W``, ``b``, ``sigma`` and ``mu`` of a layer of ``k`` outputs and
+    ``m`` features, its features ``h`` and the scale and shift it rescales
+    to, every value up to MAX_TARGET in magnitude."""
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 11))
+
+    def values(n, strategy):
+        return np.array(draw(st.lists(strategy, min_size=n, max_size=n)))
+
+    W = values(k * m, _SIGNED).reshape(k, m)
+    b, sigma, mu = values(k, _SIGNED), values(k, _SCALES), values(k, _SIGNED)
+    h = values(m, _SIGNED)
+    return W, b, sigma, mu, h, values(k, _SCALES), values(k, _SIGNED)
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=_rescales())
+@example(  # reproducer 3: the output goes from 0.2124 to 0.0, inside the bound
+    case=(
+        OutputLayer(1, 3, rng=0).W,
+        np.zeros(1),
+        np.ones(1),
+        np.zeros(1),
+        np.array([0.5, -1.0, 0.25]),
+        np.ones(1),
+        np.array([1e308]),
+    )
+)
+def test_rescale_meets_its_float_bound_against_exact_arithmetic(case):
+    W, b, sigma, mu, h, sigma_new, mu_new = case
+    k, m = W.shape
+    layer = OutputLayer(k, m, rng=0)
+    layer.W[...], layer.b[...], layer.sigma[...], layer.mu[...] = W, b, sigma, mu
+    with np.errstate(over="ignore", invalid="ignore"):
+        before = layer.unnormalized_output(h)
+        layer.rescale_to(sigma_new, mu_new)
+        after = layer.unnormalized_output(h)
+    # an overflow shows in the outputs or the new parameters
+    assume(all(np.isfinite(a).all() for a in (before, after, layer.W, layer.b)))
+    hs = [Fraction(x) for x in h.tolist()]
+    for i in range(k):
+        terms = [Fraction(w) * x for w, x in zip(W[i].tolist(), hs)]
+        s_old, b_old, mu_old = Fraction(sigma[i]), Fraction(b[i]), Fraction(mu[i])
+        exact = s_old * (sum(terms) + b_old) + mu_old
+        E = s_old * (sum(map(abs, terms)) + abs(b_old)) + abs(mu_old) + abs(Fraction(mu_new[i]))
+        old, new = Fraction(before[i]), Fraction(after[i])
+        assert abs(old - exact) <= _gamma(m + 3) * E, (i, float(old - exact), float(E))
+        assert abs(new - exact) <= _gamma(m + 6) * E, (i, float(new - exact), float(E))
+        assert abs(new - old) <= (2 * m + 9) * U * E, (i, float(new - old), float(E))
 
 
 def test_criterion_03_optimizer_equivalence():

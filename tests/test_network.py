@@ -340,27 +340,34 @@ def test_copies_share_no_memory():
 
 @pytest.mark.parametrize(
     "clone",
-    [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
-    ids=["deepcopy", "pickle"],
+    [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net)), Mlp.copy],
+    ids=["deepcopy", "pickle", "copy"],
 )
 def test_restored_copy_steps_and_differentiates_like_the_original(clone):
-    # a deep copy or an unpickled network is bound to parameters of its
-    # own: a step moves its output and leaves the original's alone, and
-    # its gradient buffer is laid out like the original's
-    net = _fresh()
-    other = clone(net)
+    # a deep copy, an unpickled network or a copy, of a network or of a
+    # stack member, is bound to parameters of its own, with the bytes a
+    # deep copy gives: a step moves its output and leaves the original's
+    # alone, and its gradient buffer is laid out like the original's
     x = np.array([0.3, -0.2, 0.5])
-    acts = net.forward_pass(x)
-    assert not np.shares_memory(other.get_params(), net.get_params())
-    assert other.backward(other.forward_pass(x), np.ones(2)).tobytes() == net.backward(
-        acts, np.ones(2)
-    ).tobytes()
-    before = net.forward_pass(x)[-1]
-    other.apply_param_step(np.ones(other.n_params), 0.1)
-    assert not np.array_equal(other.forward_pass(x)[-1], before)
-    assert net.forward_pass(x)[-1].tobytes() == before.tobytes()
-    net.apply_param_step(np.ones(net.n_params), 0.1)
-    assert other.forward_pass(x)[-1].tobytes() == net.forward_pass(x)[-1].tobytes()
+    for member in (False, True):
+        net = _fresh()
+        if member:
+            Mlp.stack([_fresh(), net])
+        other = clone(net)
+        assert type(other) is Mlp and other.layer_sizes == net.layer_sizes
+        assert other.get_params().tobytes() == copy.deepcopy(net).get_params().tobytes()
+        for a, b in zip([*net.weights, *net.biases], [*other.weights, *other.biases]):
+            assert not np.shares_memory(a, b)
+        acts = net.forward_pass(x)
+        assert other.backward(other.forward_pass(x), np.ones(2)).tobytes() == net.backward(
+            acts, np.ones(2)
+        ).tobytes()
+        before = net.forward_pass(x)[-1]
+        other.apply_param_step(np.ones(other.n_params), 0.1)
+        assert not np.array_equal(other.forward_pass(x)[-1], before)
+        assert net.forward_pass(x)[-1].tobytes() == before.tobytes()
+        net.apply_param_step(np.ones(net.n_params), 0.1)
+        assert other.forward_pass(x)[-1].tobytes() == net.forward_pass(x)[-1].tobytes()
 
 
 def test_init_draws_each_layer_in_order():

@@ -13,6 +13,7 @@ from popart.rl import (
     DoubleQAgent,
     EpisodeMetrics,
     _Pass,
+    relative_q_error,
     train,
     value_iteration,
 )
@@ -747,6 +748,36 @@ def test_train_rejects_a_bad_setting_by_name_before_any_step(setting, value):
     with pytest.raises(ValueError, match=rf"^invalid {setting}: "):
         train(agent, **kwargs)
     assert _untouched(agent) == before
+
+
+# True ran one step, -5 an empty episode, and 2.5 raised a bare TypeError
+# from range
+@pytest.mark.parametrize("max_steps", [True, -5, 2.5])
+def test_train_episode_rejects_a_bad_max_steps_before_any_step(max_steps):
+    agent = DoubleQAgent(ChainMdp(terminal_reward=1e3), seed=0)
+    before = _untouched(agent), agent.q_table().tobytes()
+    with pytest.raises(ValueError, match=rf"^invalid max_steps: {max_steps!r}$"):
+        agent.train_episode(max_steps=max_steps)
+    assert (_untouched(agent), agent.q_table().tobytes()) == before
+    assert agent.train_episode(max_steps=0) == EpisodeMetrics(steps=0, total_reward=0.0)
+    assert (_untouched(agent), agent.q_table().tobytes()) == before
+
+
+def test_relative_q_error_is_the_inline_expression():
+    # train, rl-demo and the chain demo all read it from here; an inf or
+    # NaN value gives what the expression gives, inf where rl-demo writes null
+    q_star = value_iteration(ChainMdp(n_states=4, terminal_reward=1e3))
+    tables = [q_star * 1.01, q_star * -0.5, q_star.copy(), q_star.copy(), q_star.copy()]
+    tables[2][1, 0] = math.inf
+    tables[3][0, 1] = math.nan
+    tables[4][2, 0], tables[4][0, 0] = -math.inf, math.nan
+    for q in tables:
+        expected = float(np.max(np.abs(q - q_star) / np.abs(q_star)))
+        got = relative_q_error(q, q_star)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+    assert relative_q_error(tables[2], q_star) == math.inf
+    assert math.isnan(relative_q_error(tables[4], q_star))
 
 
 @pytest.mark.parametrize(

@@ -24,10 +24,33 @@ from popart.training import OutputLayer
 
 
 def test_update_returns_the_new_sigma():
+    # a new array of k, with the bytes of the scale it wrote; at k = 1 a
+    # float with the same bytes
     n = Normalizer(k=2, spread=1.5, schedule=constant(0.3))
+    one = Normalizer(k=1, spread=1.5, schedule=constant(0.3))
     for y in ([1.0, -2.0], [40.0, 3.0], [1e150, 0.0], [-7.0, 1e-9]):
         sigma = n.update(y)
-        np.testing.assert_array_equal(sigma, n.sigma)
+        assert type(sigma) is np.ndarray and sigma.shape == (2,)
+        assert not np.shares_memory(sigma, n.mu) and not np.shares_memory(sigma, n.var)
+        assert sigma.tobytes() == n.sigma.tobytes()
+        sigma = one.update(y[0])
+        assert type(sigma) is float
+        assert np.float64(sigma).tobytes() == one.sigma.tobytes()
+
+
+@pytest.mark.parametrize("handed", [False, True], ids=["computed", "handed"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_update_returns_next_states_sigma_in_both_forms(k, handed):
+    # the same result whether update computes the state or is handed it:
+    # next_state's sigma, a float at k = 1 and an array of k otherwise
+    n = Normalizer(k=k, spread=0.7, schedule=bias_corrected(0.2))
+    for y in (3.0, -1e150, 2.5e-7, 0.0, 7.0):
+        target = y if k == 1 else [y, -2 * y, y / 3]
+        state = n.next_state(target)
+        returned = n.update(target, _state=state) if handed else n.update(target)
+        assert type(returned) is type(state[2]) is (float if k == 1 else np.ndarray)
+        assert np.array(returned, ndmin=1).tobytes() == np.array(state[2], ndmin=1).tobytes()
+        assert np.array(returned, ndmin=1).tobytes() == n.sigma.tobytes()
 
 
 def test_two_step_constant_beta_recurrence():
@@ -145,7 +168,7 @@ def test_a_mean_rounded_past_the_largest_target_is_held_at_it():
         n.update([-3.062934649722477e142] * k)
         sigma = n.update([MAX_TARGET] * k)
         assert (n.mu == MAX_TARGET).all() and np.isfinite(n.nu).all()
-        assert np.isfinite(sigma).all() and (sigma > 0).all()
+        assert np.isfinite(sigma).all() and np.all(sigma > 0)
 
 
 # every library constructor's settings, each built with one value in place
@@ -228,12 +251,12 @@ def test_one_component_update_matches_the_array_update(ys, kind, beta, spread, e
             assert (_state_bits(one, 0), _state_bits(two, 0), _state_bits(two, 1)) == before
             continue
         sigma_one, sigma_two = one.update(y), two.update([y, y])
-        assert sigma_one.shape == (1,)
+        assert type(sigma_one) is float
         for column in (0, 1):
             assert _state_bits(one, 0) == _state_bits(two, column)
-            assert sigma_one.tobytes() == sigma_two[column].tobytes()
+            assert np.float64(sigma_one).tobytes() == sigma_two[column].tobytes()
             assert one.sigma.tobytes() == two.sigma[column].tobytes()
-        assert sigma_one.tobytes() == one.sigma.tobytes()
+        assert np.float64(sigma_one).tobytes() == one.sigma.tobytes()
     # the statistics are updated in place, in the arrays callers hold
     assert one.mu is mu and one.var is var
 
@@ -264,7 +287,7 @@ def test_next_state_is_what_update_writes_and_moves_nothing(
     # where update raises, with the same message, and update then moves
     # nothing either.  Handed to update as its private _state, as a step does, the
     # same bytes are written, with the same schedule step, and update
-    # returns None
+    # returns the same sigma
     if kind in ("constant", "bias_corrected"):
         schedule = SCHEDULES[kind](beta)
     else:
@@ -298,10 +321,9 @@ def test_next_state_is_what_update_writes_and_moves_nothing(
         assert np.array(mu, ndmin=1).tobytes() == n.mu.tobytes()
         assert np.array(var, ndmin=1).tobytes() == n.var.tobytes()
         assert np.array(sigma, ndmin=1).tobytes() == n.sigma.tobytes()
-        if handed:
-            assert returned is None
-        else:
-            assert returned.tobytes() == n.sigma.tobytes()
+        # either way update returns next_state's sigma, in its form
+        assert type(returned) is type(sigma)
+        assert np.array(returned, ndmin=1).tobytes() == n.sigma.tobytes()
 
 
 @settings(deadline=None, max_examples=100)
