@@ -71,14 +71,37 @@ RUN_SAMPLES = 64
 MAX_GRID_SAMPLES = 2**27
 
 RESULTS_HEADER = ["method", "alpha", "beta", "seed", "step", "rmse", "grad_norm"]
-# what a run's alpha, beta and seed may be: ExperimentConfig checks its grid
-# by these rules, and read_results_csv each run it reads.  A run's seed is
-# base_seed plus its repetition, so it may pass sys.maxsize
+
+
+def _at_least_one(n) -> bool:
+    return count(n) >= 1
+
+
+def _each(ok):
+    """The rule for a non-empty sequence whose every item meets ``ok``."""
+    return lambda values: len(values) > 0 and all(map(ok, values))
+
+
+# what a run's settings may be, in the order _Run takes them:
+# ExperimentConfig checks its grid and sizes by these rules, _Run each run
+# it builds, and read_results_csv the method, alpha, beta and seed of each
+# run it reads.  A run's seed is base_seed plus its repetition, so it may
+# pass sys.maxsize
 _RUN_RULES = {
+    "method": lambda m: m in METHODS,
     "alpha": lambda a: 0.0 < real(a) < math.inf,
     "beta": lambda b: 0.0 < real(b) <= 1.0,
     "seed": is_seed,
+    "n_samples": _at_least_one,
+    "hidden": _each(_at_least_one),
 }
+
+
+def _check_run(*settings) -> None:
+    """Raise ``ValueError`` naming the first of a run's settings, given in
+    :data:`_RUN_RULES`' order, that breaks its rule."""
+    for (name, ok), value in zip(_RUN_RULES.items(), settings):
+        check_setting(name, value, ok)
 
 
 class BinRegStream:
@@ -129,18 +152,15 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # every field is checked here, so that a bad one fails before any run
         check_setting("base_seed", self.base_seed, lambda s: is_seed(count(s)))
-        for name in ("n_samples", "n_repetitions", "smoothing_window"):
-            check_setting(name, getattr(self, name), lambda n: count(n) >= 1)
-        for name, ok in [
-            ("methods", lambda m: m in METHODS),
-            ("alphas", _RUN_RULES["alpha"]),
-            ("betas", _RUN_RULES["beta"]),
-            ("hidden", lambda n: count(n) >= 1),
-        ]:
+        # the sizes; a run's n_samples and hidden by the run's own rules
+        for name in ("n_samples", "n_repetitions", "smoothing_window", "hidden"):
+            check_setting(name, getattr(self, name), _RUN_RULES.get(name, _at_least_one))
+        # the grid's lists, by the rules of their runs' method, alpha and beta
+        for name, ok in zip(("methods", "alphas", "betas"), _RUN_RULES.values()):
             values = getattr(self, name)
-            check_setting(name, values, lambda v: len(v) > 0 and all(map(ok, v)))
+            check_setting(name, values, _each(ok))
             # a grid value given twice runs its cells twice under one key
-            if name != "hidden" and len(set(values)) < len(values):
+            if len(set(values)) < len(values):
                 raise ValueError(f"invalid {name}: {values!r} repeats a value")
         runs = len(self.methods) * len(self.alphas) * len(self.betas) * self.n_repetitions
         size = runs * (self.n_samples + RUN_SAMPLES)
@@ -198,8 +218,7 @@ class _Run:
     output layer and its trace, filled in by :meth:`advance`."""
 
     def __init__(self, method, alpha, beta, seed, n_samples, hidden):
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
+        _check_run(method, alpha, beta, seed, n_samples, hidden)
         rng = np.random.default_rng([seed, 0x1217])
         self.net = Mlp([BinRegStream.N_BITS, *hidden], rng=rng)
         normalizer = Normalizer(k=1, schedule=constant(beta))
@@ -247,6 +266,10 @@ def run_single(
     unnormalized prediction on the upcoming sample, measured before any
     update from that sample (a test error).  This per-sample loop is the
     reference that :func:`run_grid`'s lockstep runs are checked against.
+
+    Each setting is checked before any work, by the rules
+    :class:`ExperimentConfig` applies to its grid and sizes; a bad one
+    raises ``ValueError`` naming it (``invalid alpha: -0.001``).
     """
     run = _Run(method, alpha, beta, seed, n_samples, hidden)
     net, layer = run.net, run.layer
@@ -297,7 +320,10 @@ def run_grid(config: ExperimentConfig, workers: int = 1, progress=None):
     Returns ``(records, summary)`` where ``summary`` maps each method to
     its best cell (minimum median area under the error curve) with the
     chosen hyperparameters.  Repetition ``i`` of every method and cell
-    shares seed ``base_seed + i`` so comparisons are paired.
+    shares seed ``base_seed + i`` so comparisons are paired.  The records
+    come sorted by method, alpha, beta and seed, however the grid lists
+    them, so among tied cells the summary names the smallest alpha, then
+    beta.
 
     The runs of one seed advance in lockstep (see :func:`_run_lockstep`);
     with ``workers > 1`` the seed groups go to a process pool, each split
@@ -306,18 +332,18 @@ def run_grid(config: ExperimentConfig, workers: int = 1, progress=None):
     starts at most one process per task.  The
     pool's modules (``concurrent.futures`` and ``multiprocessing``) load
     on first use with ``workers > 1``, not when this module is imported.
-    The records come back in the order of the loops above, whatever the
-    grouping; ``progress(i, n)`` is called for each in that order, as soon
-    as it and every record before it are done.  ``workers`` is a count of
+    The records come back in that sorted order, whatever the grouping;
+    ``progress(i, n)`` is called for each in that order, as soon as it and
+    every record before it are done.  ``workers`` is a count of
     at least 1; any other value raises ``ValueError`` naming it, before a
     run starts or a pool exists.
     """
     check_setting("workers", workers, lambda w: count(w) >= 1)
     jobs = [
         (method, alpha, beta, config.base_seed + rep, config.n_samples, config.hidden)
-        for method in config.methods
-        for alpha in config.alphas
-        for beta in config.betas
+        for method in sorted(config.methods)
+        for alpha in sorted(config.alphas)
+        for beta in sorted(config.betas)
         for rep in range(config.n_repetitions)
     ]
     groups: dict[int, list[int]] = {}
@@ -348,7 +374,8 @@ def run_grid(config: ExperimentConfig, workers: int = 1, progress=None):
 
 
 def summarize(records) -> dict:
-    """Best (alpha, beta) per method by median area under the error curve.
+    """Best (alpha, beta) per method by median area under the error curve;
+    of tied cells, the first in record order, which :func:`run_grid` sorts.
 
     A method whose every cell diverged (at least half of each cell's runs
     diverged, so every median is ``inf``) has no best cell: its ``alpha``
@@ -457,11 +484,11 @@ def read_results_csv(path: str) -> list[RunRecord]:
     Rows group into runs by (method, alpha, beta, seed); each run's steps
     must read 1..n in order, with one n for every run in the file, as
     ``binreg`` writes ``n_samples`` rows for each.  A wrong header, a row of
-    the wrong width, an unknown method, a field that does not parse, an
-    alpha, beta or seed that no :class:`ExperimentConfig` runs, a step out
-    of order, a run shorter than the longest or a last row with no line
-    break, where a file was cut short mid-row, raises ``ValueError`` naming
-    the file and the line.  The file is read one line at a time.
+    the wrong width, a field that does not parse, a method, alpha, beta or
+    seed that no :class:`ExperimentConfig` runs, a step out of order, a run
+    shorter than the longest or a last row with no line break, where a file
+    was cut short mid-row, raises ``ValueError`` naming the file and the
+    line.  The file is read one line at a time.
     """
     runs: dict[tuple, tuple[list, list]] = {}
     with open(path, encoding="utf-8", newline="") as fh:
@@ -474,12 +501,9 @@ def read_results_csv(path: str) -> list[RunRecord]:
                 if len(row) != len(RESULTS_HEADER):
                     raise ValueError(f"expected {len(RESULTS_HEADER)} fields, got {len(row)}")
                 method, alpha, beta, seed, step, rmse, grad_norm = row
-                if method not in METHODS:
-                    raise ValueError(f"unknown method {method!r}")
                 key = (method, float(alpha), float(beta), int(seed))
                 if key not in runs:
-                    for (name, ok), value in zip(_RUN_RULES.items(), key[1:]):
-                        check_setting(name, value, ok)
+                    _check_run(*key)
                 rmses, grad_norms = runs.setdefault(key, ([], []))
                 if int(step) != len(rmses) + 1:
                     raise ValueError(f"step {step} of run {key}, expected {len(rmses) + 1}")

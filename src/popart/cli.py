@@ -91,7 +91,6 @@ def cmd_binreg(args) -> int:
         raise ConfigError(str(exc)) from exc
     _ensure_outdir(args.out)
     records, summary = binreg.run_grid(config, workers=args.workers)
-    records.sort(key=lambda r: (r.method, r.alpha, r.beta, r.seed))
     binreg.write_results_csv(os.path.join(args.out, "results.csv"), records)
     binreg.write_summary_json(os.path.join(args.out, "summary.json"), summary)
     if args.svg:

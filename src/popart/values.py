@@ -9,11 +9,12 @@ a scale in ``[TINY, MAX]``.  :func:`check_setting`, with :func:`count`,
 :func:`real` and :func:`is_seed`, rejects a setting by its name.
 
 At a boundary between the layers, a value is converted once at most: a
-float64 array of the expected shape, which is what the steps hand each
-other, is taken as it is, or read into Python floats with one ``tolist``;
-any other form (a list, another dtype, a scalar) goes through
-``np.asarray`` first.  Both routes make the same checks and give the same
-bits.  This module imports no other module of the package.
+float64 array of the expected shape is taken as it is, and any other form
+(a list, another dtype, a scalar) goes through ``np.asarray`` first.
+:func:`as_floats` has one shortcut, for the lone float the steps hand each
+other at one output; anything else is read through :func:`as_vector`, with
+the same checks and the same bits.  This module imports no other module of
+the package.
 """
 
 from __future__ import annotations
@@ -56,19 +57,10 @@ def as_vector(v, k: int, lo: float, hi: float, what: str) -> np.ndarray:
 
 
 def as_floats(v, k: int, lo: float, hi: float, what: str) -> list[float]:
-    """:func:`as_vector`'s value and checks, as ``k`` Python floats.  The forms
-    the steps hand each other, a lone float and a float64 array of shape
-    ``(k,)``, skip numpy."""
-    if isinstance(v, float):
-        if k == 1 and lo <= v <= hi:
-            return [float(v)]
-    elif type(v) is np.ndarray and v.dtype is _FLOAT and v.shape == (k,):
-        values = v.tolist()
-        for x in values:
-            if not lo <= x <= hi:
-                break
-        else:
-            return values
+    """:func:`as_vector`'s value and checks, as ``k`` Python floats.  The form
+    the steps hand each other at ``k = 1``, a lone float, skips numpy."""
+    if isinstance(v, float) and k == 1 and lo <= v <= hi:
+        return [float(v)]
     return as_vector(v, k, lo, hi, what).tolist()
 
 

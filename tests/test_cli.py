@@ -91,6 +91,33 @@ def test_binreg_svg_and_sort(tmp_path):
     assert svg.startswith("<svg")
 
 
+# sgd ignores beta, so its two cells at each alpha tie; the summary names
+# the smallest beta however the grid lists them (before, the one listed first)
+TIED_BINREG = {
+    "methods": ["sgd", "popart"],
+    "alphas": [1e-5, 1e-4],
+    "betas": [0.01, 0.1],
+    "n_samples": 300,
+    "n_repetitions": 2,
+}
+
+
+@pytest.mark.parametrize("permuted", ["methods", "alphas", "betas", "all"])
+def test_binreg_writes_the_same_bytes_however_the_grid_is_listed(tmp_path, permuted):
+    outs = {}
+    for order in ("listed", permuted):
+        payload = dict(TIED_BINREG)
+        for key in ("methods", "alphas", "betas"):
+            if order in (key, "all"):
+                payload[key] = payload[key][::-1]
+        out = tmp_path / order
+        assert main(["binreg", "--config", _write_config(tmp_path, payload), "--out", str(out)]) == 0
+        outs[order] = [(out / name).read_bytes() for name in ("results.csv", "summary.json")]
+    assert outs[permuted] == outs["listed"]
+    summary = json.loads(outs["listed"][1])
+    assert summary["sgd"]["beta"] == 0.01
+
+
 def test_binreg_missing_config_names_path(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     code = main(["binreg", "--config", missing, "--out", str(tmp_path / "o")])

@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import popart
+from popart import binreg, values
 from popart.binreg import (
     CI_ALPHAS,
     CI_BETAS,
@@ -35,6 +37,7 @@ from popart.binreg import (
 )
 from popart.network import Mlp
 from popart.plotting import write_charts
+from popart.rl import ChainMdp, DoubleQAgent, train
 from popart.schedules import constant
 from popart.stats import Normalizer
 from popart.training import OutputLayer, predict
@@ -141,6 +144,14 @@ GOLDEN_SINGLE = {
     "popart": ((1e-3, 1e-2), 438515.3817095713, 1528.7277523087814),
     "normalized_sgd": ((1e-3, 1e-2), 438515.3817095715, 536353.5752140011),
 }
+# sha256 of the same runs' rmse.tobytes() + grad_norm.tobytes(), recorded
+# before run_single checked its settings by ExperimentConfig's rules
+GOLDEN_SINGLE_SHA256 = {
+    "art": "2e5bfc9081531254966f9a5425f626f1321de474e42981ae7629497e33407713",
+    "normalized_sgd": "c13326e79e1697d759c1af0b78971c62df720af3fc47afd3e61f198c1b2b3943",
+    "popart": "18509b4f163fd87b2b847486c67f92baa5aeeff22f5eace10d5361bcd70222a5",
+    "sgd": "d0bc93ce4e762aec298a4484675161a5ef49003895b6cc75c056ea4245deb0d9",
+}
 
 
 @pytest.mark.parametrize("method", sorted(GOLDEN_SINGLE))
@@ -150,6 +161,8 @@ def test_run_single_golden(method):
     assert not rec.diverged
     assert rec.auc == pytest.approx(auc, rel=1e-12)
     assert float(rec.grad_norm.sum()) == pytest.approx(grad_norm_sum, rel=1e-12)
+    digest = hashlib.sha256(rec.rmse.tobytes() + rec.grad_norm.tobytes()).hexdigest()
+    assert digest == GOLDEN_SINGLE_SHA256[method]
 
 
 @pytest.mark.parametrize("method", sorted(GOLDEN_SINGLE))
@@ -223,8 +236,46 @@ def test_plain_sgd_alpha_one_diverges():
 
 
 def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^invalid method: 'adam'$"):
         run_single("adam", 1e-3, 0.1, seed=0)
+
+
+# Before run_single checked these by ExperimentConfig's rules, alpha -1e-3
+# ran gradient ascent, nan and inf ran to a diverged record, seed True ran as
+# seed 1, each beta raised "invalid base_beta", seed -5 and n_samples -1
+# raised numpy's messages, seed 1.5 and n_samples 2.5 a TypeError, and each
+# hidden "invalid layer_sizes".
+BAD_RUN_SETTINGS = [
+    ("alpha", -1e-3),
+    ("alpha", math.nan),
+    ("alpha", math.inf),
+    ("beta", 0),
+    ("beta", 2.0),
+    ("beta", True),
+    ("seed", -5),
+    ("seed", 1.5),
+    ("seed", True),
+    ("n_samples", -1),
+    ("n_samples", 2.5),
+    ("hidden", ()),
+    ("hidden", (0,)),
+    ("method", "bogus"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, value", BAD_RUN_SETTINGS, ids=[f"{name}={value!r}" for name, value in BAD_RUN_SETTINGS]
+)
+def test_run_single_names_a_bad_setting_before_any_work(name, value, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the settings were checked")
+
+    for built in ("BinRegStream", "Mlp", "Normalizer", "OutputLayer", "constant"):
+        monkeypatch.setattr(binreg, built, no_work)
+    settings = dict(method="popart", alpha=1e-2, beta=0.1, seed=0, n_samples=50, hidden=(4,))
+    settings[name] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(f'invalid {name}: {value!r}')}$"):
+        run_single(**settings)
 
 
 # -- grid ------------------------------------------------------------------
@@ -486,6 +537,14 @@ def test_read_results_csv_rejects_malformed_naming_the_line(tmp_path, kind):
         read_results_csv(str(path))
 
 
+def test_read_results_csv_names_a_bad_method_by_the_run_rule(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(MALFORMED_CSV["unknown_method"][0])
+    expected = f"{path}, line 2: invalid method: '../x'"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        read_results_csv(str(path))
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -546,8 +605,11 @@ def test_diverging_sgd_run_names_its_step_and_cause():
         methods=("sgd", "popart"), alphas=(3e-5,), betas=(0.01,), n_samples=1100,
         n_repetitions=1,
     )
-    (grid_sgd, grid_popart), _ = run_grid(config)
-    assert grid_sgd.method == "sgd" and grid_sgd.seed == single.seed
+    records, _ = run_grid(config)
+    by_method = {rec.method: rec for rec in records}
+    assert len(records) == len(by_method) == 2
+    grid_sgd, grid_popart = by_method["sgd"], by_method["popart"]
+    assert grid_sgd.seed == single.seed
     for rec in (single, grid_sgd):
         i, cause = _divergence(rec)
         assert 1000 <= i < 1100 and cause == "loss"
@@ -555,6 +617,33 @@ def test_diverging_sgd_run_names_its_step_and_cause():
         assert not np.isfinite(rec.grad_norm[i])
     assert single.diverged_at == grid_sgd.diverged_at
     assert _divergence(grid_popart) == (None, None)
+
+
+def test_run_grid_returns_records_sorted_and_reports_them_in_that_order(monkeypatch):
+    # the grid lists its methods, alphas and betas out of order; its records
+    # come back sorted by method, alpha, beta and seed, and progress(i, n)
+    # comes once the first i of them are done
+    config = ExperimentConfig(
+        methods=("sgd", "popart", "art"), alphas=(1e-2, 1e-5), betas=(0.1, 0.01), n_samples=20,
+        n_repetitions=2, base_seed=7,
+    )
+    finished = []
+    run_lockstep = binreg._run_lockstep
+
+    def recorded(jobs):
+        records = run_lockstep(jobs)
+        finished.extend((r.method, r.alpha, r.beta, r.seed) for r in records)
+        return records
+
+    monkeypatch.setattr(binreg, "_run_lockstep", recorded)
+    calls = []
+    records, _ = run_grid(config, progress=lambda i, n: calls.append((i, n, set(finished))))
+    keys = [(r.method, r.alpha, r.beta, r.seed) for r in records]
+    assert len(set(keys)) == 3 * 2 * 2 * 2
+    assert keys == sorted(keys)
+    assert [(i, n) for i, n, _ in calls] == [(i, len(keys)) for i in range(1, len(keys) + 1)]
+    for i, _, done in calls:
+        assert set(keys[:i]) <= done, i
 
 
 def test_run_grid_workers_match_serial():
@@ -752,6 +841,38 @@ def test_values_are_read_and_checked_in_one_leaf_module():
                 assert node.level == 0 and node.module.split(".")[0] != "popart", node.module
             elif isinstance(node, ast.Import):
                 assert all(alias.name.split(".")[0] != "popart" for alias in node.names)
+
+
+def test_the_steps_hand_as_floats_lone_floats(monkeypatch):
+    # as_floats keeps one shortcut, for the lone float that the steps hand
+    # each other at k = 1, and reads any other form through as_vector.  A
+    # step that came to hand it an array would pay that route on every call,
+    # so every call a binreg run or the agent makes must take the shortcut
+    calls = []
+    as_floats = values.as_floats
+
+    def counted(v, k, lo, hi, what):
+        calls.append((isinstance(v, float), k, isinstance(v, float) and lo <= v <= hi))
+        return as_floats(v, k, lo, hi, what)
+
+    readers = [
+        module
+        for name, module in sorted(sys.modules.items())
+        if name.startswith("popart.") and getattr(module, "as_floats", None) is as_floats
+    ]
+    assert {module.__name__ for module in readers} >= {"popart.stats", "popart.training"}
+    for module in readers:
+        monkeypatch.setattr(module, "as_floats", counted)
+    for method in sorted(GOLDEN_SINGLE):
+        (alpha, beta), _, _ = GOLDEN_SINGLE[method]
+        rec = run_single(method, alpha, beta, seed=1000, n_samples=1100)
+        assert not rec.diverged
+        assert calls and set(calls) == {(True, 1, True)}, method
+        calls.clear()
+    agent = DoubleQAgent(ChainMdp(), seed=0)
+    train(agent, max_steps=200)
+    assert agent.step_count == 200
+    assert calls and set(calls) == {(True, 1, True)}
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -8,10 +8,12 @@ on Python floats, and with two, which it updates as arrays.  A second
 machine adds a network under the layer, popart and art-only steps and
 rescales by hand to extreme scales; each step that goes through leaves the
 normalizer's ``mu`` and ``var`` at the ``next_state`` of its target, and
-its schedule one step on.
+its schedule one step on, and each rescale that goes through meets
+``rescale_to``'s stated float bound, checked in exact arithmetic.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from popart.network import Mlp
+from popart.network import Mlp, stacked_product
 from popart.schedules import bias_corrected, constant
 from popart.stats import MAX_TARGET, Normalizer
 from popart.training import OutputLayer, art_only_sgd_step, popart_sgd_step
@@ -29,6 +31,8 @@ M = 3
 PROBES = np.array([[0.5, -1.0, 0.25], [1.0, 1.0, 1.0], [-0.3, 0.7, -0.9]])
 # a rescale rounds each output to a few ulps of the magnitudes it sums
 PRESERVE_RTOL = 1e-12
+U = Fraction(1, 2**53)
+SMALLEST_NORMAL = Fraction(2) ** -1022
 
 finite_target = st.floats(-MAX_TARGET, MAX_TARGET)
 invalid_target = st.sampled_from(
@@ -43,6 +47,53 @@ extreme_scale = st.sampled_from([1e-300, 1e300])
 network_input = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)
 # a step's target: often one that takes the scale to either end of its range
 step_target = st.one_of(st.sampled_from([0.0, 1e30, -MAX_TARGET]), finite_target)
+
+
+def _layer_snapshot(layer):
+    """The layer's outputs on the probes, then copies of its W, b, sigma and
+    mu."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = layer.unnormalized_output(PROBES)
+    return out, *(a.copy() for a in (layer.W, layer.b, layer.sigma, layer.mu))
+
+
+def _assert_within_float_bound(old, layer):
+    """Check the rescale from ``old``, a :func:`_layer_snapshot`, to the
+    layer as it is now against ``rescale_to``'s stated bound, in rational
+    arithmetic as the acceptance property does: on each probe ``h``, each
+    output moved by at most ``(2m + 9) u E``, with ``E = sigma_old*(|W||h| +
+    |b|) + |mu_old| + |mu_new|``.  A rescale the bound does not cover is
+    skipped: one where anything overflowed, or where a product or quotient
+    of the rescale or of the outputs is nonzero and below ``2**-1022``, as a
+    subnormal ratio is."""
+    before, W, b, sigma, mu = old
+    W2, b2, sigma2, mu2 = layer.W, layer.b, layer.sigma, layer.mu
+    with np.errstate(over="ignore", invalid="ignore"):
+        after = layer.unnormalized_output(PROBES)
+        # W h + b before and after, which the outputs multiply by sigma
+        sums = [stacked_product(w, PROBES) + c for w, c in ((W, b), (W2, b2))]
+    if not all(np.isfinite(a).all() for a in (before, after, W2, b2)):
+        return
+    exact = []  # every product and quotient the rescale and the outputs round
+    for i in range(len(b)):
+        s_old, s, b_old, mu_old = sigma.item(i), sigma2.item(i), b.item(i), mu.item(i)
+        exact += [Fraction(s_old) / Fraction(s), Fraction(s_old) * Fraction(b_old)]
+        exact += [Fraction(w) * Fraction(s_old / s) for w in W[i].tolist()]
+        exact.append(Fraction(s_old * b_old + mu_old - mu2.item(i)) / Fraction(s))
+        for w, c, scale in ((W, sums[0], s_old), (W2, sums[1], s)):
+            for h, t in zip(PROBES.tolist(), c[:, i].tolist()):
+                exact += [Fraction(x) * Fraction(y) for x, y in zip(w[i].tolist(), h)]
+                exact.append(Fraction(scale) * Fraction(t))
+    if any(0 < abs(x) < SMALLEST_NORMAL for x in exact):
+        return
+    m = W.shape[1]
+    for p, h in enumerate(PROBES.tolist()):
+        for i in range(len(b)):
+            size = sum(abs(Fraction(w) * Fraction(x)) for w, x in zip(W[i].tolist(), h))
+            E = Fraction(sigma.item(i)) * (size + abs(Fraction(b.item(i))))
+            E += abs(Fraction(mu.item(i))) + abs(Fraction(mu2.item(i)))
+            moved = abs(Fraction(after[p, i]) - Fraction(before[p, i]))
+            assert moved <= (2 * m + 9) * U * E, (p, i, float(moved), float(E))
 
 
 BUILD = dict(
@@ -138,8 +189,10 @@ class StepMachine(NormalizerLayerMachine):
     A step can take ``W`` where a later rescale overflows: at ``beta = 1``
     its normalized error is the shift's jump over the floored scale, 1e105
     at a target of 1e103, and ``W`` grows by that.  So once a step or an
-    extreme scale went through, a rescale here is not checked for
-    preservation; the machine above checks it on every run.
+    extreme scale went through, a rescale here is not checked against the
+    relative tolerance above; each one that goes through, here and by hand,
+    is checked against ``rescale_to``'s float bound wherever that bound
+    covers it.
     """
 
     @initialize(
@@ -160,8 +213,10 @@ class StepMachine(NormalizerLayerMachine):
         return t, arrays + [self.net.get_params().tobytes()]
 
     def _rescale_preserving_outputs(self, sigma, mu):
+        old = _layer_snapshot(self.layer)
         if not self.stepped:
             super()._rescale_preserving_outputs(sigma, mu)
+            _assert_within_float_bound(old, self.layer)
             return
         before = self._state()
         with np.errstate(over="ignore", invalid="ignore"):  # W may overflow
@@ -170,6 +225,8 @@ class StepMachine(NormalizerLayerMachine):
             except ValueError:
                 # from a scale set by hand that no finite ratio leaves
                 assert self._state() == before
+                return
+        _assert_within_float_bound(old, self.layer)
 
     def _step(self, step, x, y):
         nrm, target = self.nrm, y[: self.K]
@@ -213,7 +270,7 @@ class StepMachine(NormalizerLayerMachine):
         # by hand, keeping the shift; W may overflow
         sigma = self.layer.sigma.copy()
         sigma[-1 if last else 0] = scale
-        before = self._state()
+        before, old = self._state(), _layer_snapshot(self.layer)
         with np.errstate(over="ignore"):
             try:
                 self.layer.rescale_to(sigma, self.layer.mu.copy())
@@ -221,6 +278,7 @@ class StepMachine(NormalizerLayerMachine):
                 # the ratio from 1e300 to 1e-300 is inf
                 assert self._state() == before
                 return
+        _assert_within_float_bound(old, self.layer)
         self.stepped = True
         self.popart_step(x, y)
 
